@@ -1,4 +1,4 @@
-"""Dense linear algebra over a prime field, plus the two matrix-pair
+"""Exact linear algebra over a prime field, plus the two matrix-pair
 decision procedures the module-family machinery needs: simultaneous
 conjugacy (module isomorphism for a pair of commuting actions) and
 indecomposability via the endomorphism algebra.
@@ -6,6 +6,14 @@ indecomposability via the endomorphism algebra.
 Matrices are numpy int64 arrays with entries reduced mod p.  Products are
 chunked so intermediate sums never overflow 63 bits, which keeps every
 routine exact for any characteristic the field layer admits.
+
+Elimination is sparsity-aware: each pivot step updates only the trailing
+columns, and, when few rows have a nonzero in the pivot column, only
+those rows.  The skipped entries are ones the full update would leave
+unchanged (a zero multiplier, or a zero in the pivot row), so the result
+is still the canonical reduced row echelon form, entry for entry.  The
+intertwiner systems of the isomorphism test are tall and mostly zero,
+which is where this pays.
 """
 
 from __future__ import annotations
@@ -60,27 +68,40 @@ def mat_pow(A: np.ndarray, e: int, p: int) -> np.ndarray:
 
 
 def rref(A: np.ndarray, p: int):
-    """Reduced row echelon form; returns (R, pivot column list)."""
-    R = (np.array(A, dtype=np.int64) % p).copy()
+    """Reduced row echelon form; returns (R, pivot column list).
+
+    Invariant: when column c is processed with r pivots found so far, rows
+    r.. are zero left of c.  The pivot row is then zero there too, so each
+    step updates only columns c.. .  It updates only the rows with a
+    nonzero in column c when they are under a quarter of all rows (an
+    indexed update), and otherwise slices all rows (cheaper on small or
+    dense matrices).
+    """
+    R = np.array(A, dtype=np.int64) % p
     rows, cols = R.shape
     pivots = []
     r = 0
     for c in range(cols):
         if r >= rows:
             break
-        hit = None
-        for i in range(r, rows):
-            if R[i, c]:
-                hit = i
-                break
-        if hit is None:
+        below = R[r:, c].nonzero()[0]
+        if not below.size:
             continue
+        hit = r + int(below[0])
         if hit != r:
-            R[[r, hit]] = R[[hit, r]]
-        R[r] = (R[r] * pow(int(R[r, c]), -1, p)) % p
-        col = R[:, c].copy()
-        col[r] = 0
-        R = (R - np.outer(col, R[r])) % p
+            R[[r, hit], c:] = R[[hit, r], c:]
+        pivot_row = (R[r, c:] * pow(int(R[r, c]), -1, p)) % p
+        R[r, c:] = pivot_row
+        touched = R[:, c].nonzero()[0]
+        if 4 * touched.size < rows:
+            touched = touched[touched != r]
+            R[touched, c:] = (
+                R[touched, c:] - np.outer(R[touched, c], pivot_row)
+            ) % p
+        else:
+            col = R[:, c].copy()
+            col[r] = 0
+            R[:, c:] = (R[:, c:] - np.outer(col, pivot_row)) % p
         pivots.append(c)
         r += 1
     return R, pivots
@@ -96,42 +117,32 @@ def nullspace(A: np.ndarray, p: int) -> np.ndarray:
     """Rows form a basis of the right kernel."""
     rows, cols = A.shape
     R, pivots = rref(A, p) if A.size else (A, [])
-    free = [c for c in range(cols) if c not in pivots]
+    pivot_set = set(pivots)
+    free = [c for c in range(cols) if c not in pivot_set]
     basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[k, pc] = (-int(R[r, fc])) % p
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-R[: len(pivots), free].T) % p
     return basis
 
 
 def solve_many(A: np.ndarray, B: np.ndarray, p: int):
     """One solution of A x = b for each column b of B, or None where
     inconsistent.  Free variables are set to zero."""
-    rows, cols = A.shape
+    cols = A.shape[1]
     aug = np.concatenate([A % p, B % p], axis=1)
     R, pivots = rref(aug, p)
     pivots = [c for c in pivots if c < cols]
-    nrhs = B.shape[1]
+    # rows k.. are zero in the A part, so b is consistent exactly when its
+    # reduced column vanishes there
+    k = len(pivots)
+    inconsistent = R[k:, cols:].any(axis=0)
     out = []
-    for j in range(nrhs):
-        rhs = R[:, cols + j]
-        x = np.zeros(cols, dtype=np.int64)
-        ok = True
-        for r in range(rows):
-            lead = None
-            for c in range(cols):
-                if R[r, c]:
-                    lead = c
-                    break
-            if lead is None and rhs[r]:
-                ok = False
-                break
-        if not ok:
+    for j in range(B.shape[1]):
+        if inconsistent[j]:
             out.append(None)
             continue
-        for r, pc in enumerate(pivots):
-            x[pc] = rhs[r]
+        x = np.zeros(cols, dtype=np.int64)
+        x[pivots] = R[:k, cols + j]
         out.append(x)
     return out
 
@@ -475,7 +486,8 @@ class _SemisimpleQuotient:
         )
         self.rad_rref = R
         self.rad_pivots = pivots
-        self.free = [c for c in range(self.dim) if c not in pivots]
+        pivot_set = set(pivots)
+        self.free = [c for c in range(self.dim) if c not in pivot_set]
 
     def reduce(self, coords: np.ndarray) -> np.ndarray:
         x = coords % self.p

@@ -223,7 +223,10 @@ def wildness_certificate(
 
     ``sequence`` (strings or polynomials) overrides the search; every
     element is still verified, and a non-regular element is an input error.
-    ``c_window`` overrides the scanned degree range.
+    ``c_window`` narrows the scanned degree range; it is clamped to start
+    no lower than the threshold ``max(m - d + 2, 1)`` (and ``min_start``)
+    and to end at the top degree, so an empty result scans nothing and is
+    Inconclusive.
     """
     d = ring.krull_dimension
     if d < 0:
@@ -249,11 +252,12 @@ def wildness_certificate(
     start = max(m - d + 2, 1)
     if min_start is not None:
         start = max(start, min_start)
+    end = top
     if c_window is not None:
-        start, end = int(c_window[0]), int(c_window[1])
-        end = min(end, top)
-    else:
-        end = top
+        # a window only narrows the scan: degrees below the threshold or
+        # past the top degree never certify anything
+        start = max(int(c_window[0]), start)
+        end = min(int(c_window[1]), top)
     scan = [(c, reduced.hilbert_dim(c)) for c in range(start, end + 1)]
     verdict = VERDICT_INCONCLUSIVE
     witness_c = witness_dim = None

@@ -25,6 +25,7 @@ from cmwild.matalg import (
     rank,
     rref,
     solve,
+    solve_many,
     trace_form_radical,
     u_bezout,
     u_deg,
@@ -41,13 +42,17 @@ P = 32003
 # ------------------------------------------------------------ dense solver
 
 
-def brute_rank(A, p):
-    """Row-reduction rank written independently of the library routine."""
+def brute_rref(A, p):
+    """Reduced row echelon form on lists of Python ints, written
+    independently of the library routine; returns (R, pivots)."""
     M = [[int(x) % p for x in row] for row in A]
     rows = len(M)
     cols = len(M[0]) if rows else 0
+    pivots = []
     r = 0
     for c in range(cols):
+        if r == rows:
+            break
         piv = next((i for i in range(r, rows) if M[i][c]), None)
         if piv is None:
             continue
@@ -58,8 +63,13 @@ def brute_rank(A, p):
             if i != r and M[i][c]:
                 f = M[i][c]
                 M[i] = [(a - f * b) % p for a, b in zip(M[i], M[r])]
+        pivots.append(c)
         r += 1
-    return r
+    return M, pivots
+
+
+def brute_rank(A, p):
+    return len(brute_rref(A, p)[1])
 
 
 def test_rank_matches_independent_row_reduction():
@@ -127,6 +137,114 @@ def test_rref_preserves_row_space():
         )
         R, pivots = rref(A, P)
         assert rank(np.concatenate([A, R[: len(pivots)]]), P) == len(pivots)
+
+
+PRIMES = (2, 3, 101, P, 2**31 - 1)
+
+
+def random_matrix(rng, rows, cols, p, density):
+    return [
+        [rng.randrange(1, p) if rng.random() < density else 0 for _ in range(cols)]
+        for _ in range(rows)
+    ]
+
+
+def assert_rref_matches_reference(A, p):
+    R, pivots = rref(as_matrix(A, p), p)
+    want_R, want_pivots = brute_rref(A, p)
+    assert pivots == want_pivots
+    assert R.tolist() == want_R
+    # the kernel read off the same form has the right size and is a kernel
+    ns = nullspace(as_matrix(A, p), p)
+    assert len(ns) == len(A[0]) - len(pivots)
+    if len(ns):
+        assert not mat_mul(as_matrix(A, p), ns.T, p).any()
+
+
+def test_rref_matches_reference_on_tall_sparse_inputs():
+    # few nonzeros per column: most pivot steps update only touched rows
+    rng = random.Random(23)
+    for p in PRIMES:
+        for density in (0.02, 0.035, 0.05):
+            for _ in range(3):
+                A = random_matrix(rng, 60, 30, p, density)
+                assert_rref_matches_reference(A, p)
+
+
+def test_rref_matches_reference_on_dense_and_degenerate_inputs():
+    rng = random.Random(29)
+    for p in PRIMES:
+        for rows, cols in ((8, 8), (12, 5), (5, 12), (30, 20)):
+            A = random_matrix(rng, rows, cols, p, 1.0)
+            assert_rref_matches_reference(A, p)
+            # dependent rows: later rows are combinations of the first two
+            dep = [row[:] for row in A]
+            for i in range(2, rows):
+                a, b = rng.randrange(p), rng.randrange(p)
+                dep[i] = [(a * x + b * y) % p for x, y in zip(A[0], A[1])]
+            assert_rref_matches_reference(dep, p)
+            # zero rows and zero columns scattered through a sparse matrix
+            holes = random_matrix(rng, rows, cols, p, 0.3)
+            for i in range(0, rows, 3):
+                holes[i] = [0] * cols
+            for row in holes:
+                for j in range(1, cols, 4):
+                    row[j] = 0
+            assert_rref_matches_reference(holes, p)
+        assert_rref_matches_reference([[0] * 7 for _ in range(9)], p)
+
+
+def test_rref_matches_reference_on_intertwiner_system():
+    # the Kronecker system intertwiner_basis builds for two members of the
+    # Fermat quartic family, as the module-level isomorphism test sees it
+    from cmwild.family import FamilySpec, action_matrices, build_family_member
+    from cmwild.rings import QuotientRing
+
+    ring = QuotientRing.from_strings(["x", "y", "z"], ["x^4+y^4+z^4"], P)
+    acts = []
+    for ax, ay in ((1, 2), (3, 6)):
+        spec = FamilySpec(ring, ["x^2", "y^2"], 4, [[ax]], Ay=[[ay]])
+        acts.append(action_matrices(build_family_member(spec))[0])
+    n = acts[0][0].shape[0]
+    eye = identity_matrix(n)
+    system = np.concatenate(
+        [(np.kron(eye, A.T) - np.kron(B, eye)) % P for A, B in zip(*acts)]
+    )
+    assert system.shape == (3 * n * n, n * n)
+    assert_rref_matches_reference(system.tolist(), P)
+
+
+def test_solve_many_rhs_pivot_before_consistent_column():
+    # column 0 is inconsistent, so it takes a pivot in the rhs part and the
+    # consistent column after it is reduced against that pivot row
+    A = as_matrix([[1, 2], [2, 4], [0, 0]], P)
+    B = as_matrix([[0, 3], [1, 6], [0, 0]], P)
+    x0, x1 = solve_many(A, B, P)
+    assert x0 is None
+    assert np.array_equal(mat_mul(A, x1.reshape(-1, 1), P).reshape(-1), B[:, 1])
+    rng = random.Random(31)
+    for p in PRIMES:
+        for _ in range(4):
+            # tall, sparse and rank-deficient: random columns are almost
+            # never in the column space, images of A always are
+            A = as_matrix(random_matrix(rng, 40, 12, p, 0.08), p)
+            cols = []
+            for j in range(6):
+                if j % 2:
+                    x = as_matrix([[rng.randrange(p)] for _ in range(12)], p)
+                    cols.append(mat_mul(A, x, p))
+                else:
+                    cols.append(as_matrix(random_matrix(rng, 40, 1, p, 0.3), p))
+            B = np.concatenate(cols, axis=1)
+            for j, x in enumerate(solve_many(A, B, p)):
+                b = B[:, j]
+                if x is None:
+                    aug = np.concatenate([A, b.reshape(-1, 1)], axis=1)
+                    assert brute_rank(aug.tolist(), p) > brute_rank(A.tolist(), p)
+                else:
+                    assert np.array_equal(mat_mul(A, x.reshape(-1, 1), p).reshape(-1), b)
+                if j % 2:
+                    assert x is not None
 
 
 # -------------------------------------------------------------- univariate

@@ -174,6 +174,24 @@ def test_c_window_override():
     assert rep.verdict == "Inconclusive"
 
 
+def test_c_window_clamped_to_threshold():
+    # the Fermat cubic scans from its threshold 4; degrees 1..3 have
+    # dimension >= 3 but lie below it and must never certify anything
+    R = QuotientRing.from_strings(["x", "y", "z"], ["x^3+y^3+z^3"], P)
+    default = wildness_certificate(R)
+    assert default.verdict == "Inconclusive"
+    assert default.window == (4, 4)
+    rep = wildness_certificate(R, c_window=(0, 3))
+    assert rep.window == (4, 3)
+    assert rep.scan == []
+    assert rep.verdict == "Inconclusive"
+    assert rep.witness_c is None
+    wide = wildness_certificate(R, c_window=(0, 9))
+    assert wide.window == default.window
+    assert wide.scan == default.scan
+    assert wide.verdict == "Inconclusive"
+
+
 def test_report_json_shape_and_determinism():
     rep = wildness_certificate(fermat_quartic(), seed=7)
     d = rep.to_json()
