@@ -28,14 +28,13 @@ from .matalg import (
     indecomposability_certificate,
     simultaneous_conjugacy,
 )
-from .modules import FreeMap, FreeModule, ModulePresentation, presentation_from_map
+from .modules import FreeMap, FreeModule, ModulePresentation
 from .poly import Poly, PolyRing
 from .resolution import (
     Resolution,
     comparison_map,
     koszul_complex,
     minimal_resolution,
-    reduce_mod,
 )
 from .rings import QuotientRing
 from .wildness import (
@@ -46,6 +45,7 @@ from .wildness import (
     find_regular_sequence,
     hypersurface_certificate,
     verify_regular_element,
+    verify_regular_sequence,
     wildness_certificate,
 )
 
@@ -86,10 +86,9 @@ __all__ = [
     "mcm_module",
     "member_over_ring",
     "minimal_resolution",
-    "presentation_from_map",
-    "reduce_mod",
     "simultaneous_conjugacy",
     "verify_regular_element",
+    "verify_regular_sequence",
     "verify_resolution_shape",
     "verify_shift_embedding",
     "wildness_certificate",

@@ -38,7 +38,11 @@ from .modules import ModulePresentation
 from .poly import Poly
 from .resolution import comparison_map, koszul_complex, minimal_resolution
 from .rings import QuotientRing
-from .wildness import artinian_reduction, verify_regular_element
+from .wildness import (
+    artinian_reduction,
+    verify_regular_element,
+    verify_regular_sequence,
+)
 
 __all__ = [
     "FamilySpec",
@@ -81,11 +85,7 @@ class FamilySpec:
             raise InputError(
                 f"sequence length {len(seq)} must equal the Krull dimension {d}"
             )
-        current = ring
-        for i, y in enumerate(seq):
-            if not verify_regular_element(current, y):
-                raise InputError(f"sequence element {y} is not regular at position {i}")
-            current = current.extend([y])
+        verify_regular_sequence(ring, seq)
         self.sequence = tuple(seq)
         self.d = d
         self.m = sum(y.degree() for y in seq)
@@ -248,10 +248,11 @@ class FamilyMember:
 
     @cached_property
     def mcm_verified(self) -> bool:
-        ys = list(self.spec.sequence)
-        for i, y in enumerate(ys):
-            target = self.syzygy.reduce_mod(ys[:i]) if i else self.syzygy
-            if not verify_regular_element(target, y):
+        # stage i is N/(y_1..y_i)N, the quotient the previous check built
+        target = self.syzygy
+        for y in self.spec.sequence:
+            target = verify_regular_element(target, y)
+            if target is None:
                 return False
         return True
 
@@ -283,8 +284,7 @@ class IsoCertificate:
         }
 
 
-def iso_test(spec_a: FamilySpec, spec_b: FamilySpec, seed: int = 0,
-             samples: int = 200, exhaustive_limit: int = 100_000) -> IsoCertificate:
+def iso_test(spec_a: FamilySpec, spec_b: FamilySpec, seed: int = 0) -> IsoCertificate:
     """Decide whether two members of one family are isomorphic.
 
     Members are isomorphic exactly when their matrix tuples are
@@ -293,10 +293,7 @@ def iso_test(spec_a: FamilySpec, spec_b: FamilySpec, seed: int = 0,
     """
     if spec_a.frame() != spec_b.frame():
         raise InputError("family specs live in different frames")
-    cert = simultaneous_conjugacy(
-        spec_a.actions(), spec_b.actions(), spec_a.p,
-        seed=seed, samples=samples, exhaustive_limit=exhaustive_limit,
-    )
+    cert = simultaneous_conjugacy(spec_a.actions(), spec_b.actions(), spec_a.p, seed=seed)
     outcome = cert["verdict"]
     if outcome == "NonIsomorphic":
         outcome = "NotIsomorphic"
@@ -308,17 +305,13 @@ def iso_test(spec_a: FamilySpec, spec_b: FamilySpec, seed: int = 0,
     )
 
 
-def indecomposability_test(spec: FamilySpec, seed: int = 0, samples: int = 200,
-                           exhaustive_limit: int = 100_000) -> dict:
+def indecomposability_test(spec: FamilySpec, seed: int = 0) -> dict:
     """Indecomposability of the member, decided on the matrix data.
 
     The verdict transfers to the d-th syzygy: the family is strict, so an
     indecomposable member has an indecomposable MCM syzygy module.
     """
-    return endomorphism_indecomposability(
-        spec.actions(), spec.p,
-        seed=seed, samples=samples, exhaustive_limit=exhaustive_limit,
-    )
+    return endomorphism_indecomposability(spec.actions(), spec.p, seed=seed)
 
 
 # ------------------------------------------------- structural verification

@@ -40,53 +40,24 @@ def is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """F_p with p an odd prime, p <= 2**31.
-
-    ``allow_two`` relaxes the odd constraint for the matrix-level conjugacy
-    routines, which are exercised over F_2 and F_3 against a brute-force
-    oracle; ring-level code never sets it.
-    """
+    """F_p with p an odd prime, p <= 2**31."""
 
     __slots__ = ("p",)
 
-    def __init__(self, p: int = DEFAULT_PRIME, allow_two: bool = False):
+    def __init__(self, p: int = DEFAULT_PRIME):
         if not isinstance(p, int) or not is_prime(p):
             raise InputError(f"characteristic {p!r} is not prime")
         if p > MAX_CHARACTERISTIC:
             raise InputError(f"characteristic {p} exceeds 2^31")
-        if p == 2 and not allow_two:
+        if p == 2:
             raise InputError("characteristic 2 is not supported at ring level")
         self.p = p
-
-    def normalize(self, a: int) -> int:
-        return a % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
 
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in F_p")
         return pow(a, -1, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        return a * self.inv(b) % self.p
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and self.p == other.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
 
     def __repr__(self):
         return f"PrimeField({self.p})"

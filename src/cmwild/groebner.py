@@ -89,13 +89,6 @@ def vec_degree(v: Vec, gen_degrees) -> int | None:
     return degs.pop()
 
 
-def vec_scale(v: Vec, c: int, p: int) -> Vec:
-    c %= p
-    if c == 0:
-        return {}
-    return {t: k * c % p for t, k in v.items()}
-
-
 def vec_add(u: Vec, v: Vec, p: int) -> Vec:
     out = dict(u)
     for t, c in v.items():
@@ -104,6 +97,20 @@ def vec_add(u: Vec, v: Vec, p: int) -> Vec:
             out[t] = c2
         elif t in out:
             del out[t]
+    return out
+
+
+def vec_add_mul(acc: Vec, f: dict, v: Vec, p: int) -> Vec:
+    """acc + f * v, for a polynomial f given by its term dict."""
+    out = dict(acc)
+    for mf, cf in f.items():
+        for (pos, m), c in v.items():
+            t = (pos, tuple(x + y for x, y in zip(m, mf)))
+            c2 = (out.get(t, 0) + cf * c) % p
+            if c2:
+                out[t] = c2
+            elif t in out:
+                del out[t]
     return out
 
 
@@ -142,9 +149,6 @@ class GroebnerBasis:
 
     def reduces_to_zero(self, v: Vec) -> bool:
         return not self.normal_form(v)
-
-    def leading_terms(self):
-        return list(self.lts)
 
 
 def _normal_form(v, lts, vectors, by_pos, order, p):
@@ -188,15 +192,15 @@ def _make_monic(v: Vec, order: ModuleOrder, p: int) -> Vec:
     return {t: k * inv % p for t, k in v.items()}
 
 
-def buchberger(gens, order: ModuleOrder, p: int, product_criterion: bool | None = None) -> GroebnerBasis:
+def buchberger(gens, order: ModuleOrder, p: int) -> GroebnerBasis:
     """Reduced Groebner basis of the submodule generated by ``gens``.
 
     Pairs are processed in ascending S-vector degree (normal strategy) with
     deterministic tie-breaks, so the reduced result is canonical for the
-    order regardless of generator arrangement.
+    order regardless of generator arrangement.  The product criterion is
+    applied in rank one only (see the module docstring).
     """
-    if product_criterion is None:
-        product_criterion = order.rank == 1
+    product_criterion = order.rank == 1
     keyf = order.key
     G: list[Vec] = []
     lts: list = []
@@ -333,7 +337,9 @@ class TaggedBasis:
         self.count = len(gens)
         self.order = order
         self.tag_degrees = tuple(tag_degrees)
-        self.gb = buchberger(tagged, order, p, product_criterion=False)
+        # two or more generators give a tagged order of rank >= 2, so the
+        # product criterion is off whenever a pair exists
+        self.gb = buchberger(tagged, order, p)
 
     def syzygy_generators(self) -> list:
         """Generators of the syzygy module of the input list, as vectors
@@ -353,10 +359,6 @@ class TaggedBasis:
             return None
         p = self.p
         return {(pos - self.real_rank, m): -c % p for (pos, m), c in w.items()}
-
-
-def syzygies(gens, base_order: ModuleOrder, p: int) -> list:
-    return TaggedBasis(gens, base_order, p).syzygy_generators()
 
 
 # ------------------------------------------------- staircase combinatorics

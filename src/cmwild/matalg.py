@@ -25,6 +25,12 @@ import numpy as np
 
 from .errors import CmwildError, InputError
 
+# The decision procedures try SAMPLES random combinations of a basis before
+# giving up on sampling, and enumerate a space of p**dim elements only when
+# p**dim <= EXHAUSTIVE_LIMIT.
+SAMPLES = 200
+EXHAUSTIVE_LIMIT = 100_000
+
 # ------------------------------------------------------------ dense mod p
 
 
@@ -569,8 +575,6 @@ def simultaneous_conjugacy(
     Bs,
     p: int,
     seed: int = 0,
-    samples: int = 200,
-    exhaustive_limit: int = 100_000,
 ) -> dict:
     """Decide simultaneous conjugacy of two tuples of square matrices: is
     there one invertible sigma with sigma A_i = B_i sigma for every i?
@@ -630,7 +634,7 @@ def simultaneous_conjugacy(
         return True
 
     rng = random.Random(seed)
-    for _ in range(samples):
+    for _ in range(SAMPLES):
         sigma = np.zeros((n, n), dtype=np.int64)
         for h in homs:
             sigma = (sigma + rng.randrange(p) * h) % p
@@ -638,7 +642,7 @@ def simultaneous_conjugacy(
             out.update(verdict="Isomorphic", witness=sigma.tolist(),
                        reason="invertible homomorphism found by sampling")
             return out
-    if p**m <= exhaustive_limit:
+    if p**m <= EXHAUSTIVE_LIMIT:
         for combo in iter_product(range(p), repeat=m):
             if not any(combo):
                 continue
@@ -667,15 +671,10 @@ def conjugacy_certificate(
     By,
     p: int,
     seed: int = 0,
-    samples: int = 200,
-    exhaustive_limit: int = 100_000,
 ) -> dict:
     """Two-matrix form of simultaneous_conjugacy: sigma Ax = Bx sigma and
     sigma Ay = By sigma for a single invertible sigma."""
-    return simultaneous_conjugacy(
-        [Ax, Ay], [Bx, By], p,
-        seed=seed, samples=samples, exhaustive_limit=exhaustive_limit,
-    )
+    return simultaneous_conjugacy([Ax, Ay], [Bx, By], p, seed=seed)
 
 
 # ------------------------------------------------------- indecomposability
@@ -703,8 +702,6 @@ def endomorphism_indecomposability(
     mats,
     p: int,
     seed: int = 0,
-    samples: int = 200,
-    exhaustive_limit: int = 100_000,
 ) -> dict:
     """Decide whether the module with action matrices `mats` is
     indecomposable, by testing whether its endomorphism algebra is local.
@@ -772,7 +769,7 @@ def endomorphism_indecomposability(
             "semisimple quotient of the endomorphism algebra is"
             " noncommutative"
         )
-        for _ in range(samples):
+        for _ in range(SAMPLES):
             a = np.zeros((n, n), dtype=np.int64)
             for b in basis:
                 a = (a + rng.randrange(p) * b) % p
@@ -782,7 +779,7 @@ def endomorphism_indecomposability(
                 break
         return out
     # characteristic too small for the trace form: exhaust if feasible
-    if p**dim <= exhaustive_limit:
+    if p**dim <= EXHAUSTIVE_LIMIT:
         eye = identity_matrix(n)
         for combo in iter_product(range(p), repeat=dim):
             e = np.zeros((n, n), dtype=np.int64)
@@ -810,8 +807,6 @@ def indecomposability_certificate(
     Ay,
     p: int,
     seed: int = 0,
-    samples: int = 200,
-    exhaustive_limit: int = 100_000,
 ) -> dict:
     """Two-matrix form of endomorphism_indecomposability.  Insists the
     actions commute, as they must for a module over a commutative ring."""
@@ -820,7 +815,4 @@ def indecomposability_certificate(
         raise InputError("need two square matrices of the same size")
     if np.any(mat_mul(Ax, Ay, p) != mat_mul(Ay, Ax, p)):
         raise InputError("action matrices must commute")
-    return endomorphism_indecomposability(
-        [Ax, Ay], p,
-        seed=seed, samples=samples, exhaustive_limit=exhaustive_limit,
-    )
+    return endomorphism_indecomposability([Ax, Ay], p, seed=seed)

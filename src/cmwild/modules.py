@@ -61,19 +61,6 @@ class FreeModule:
 
     # -- vector assembly
 
-    def vec(self, polys) -> dict:
-        """Vector from a list of polynomial components."""
-        if len(polys) != self.rank:
-            raise InputError("component count does not match rank")
-        out: dict = {}
-        for pos, f in enumerate(polys):
-            if f.is_zero():
-                continue
-            for m, c in f.terms.items():
-                out[(pos, m)] = c
-        vec_degree(out, self.gen_degrees)  # homogeneity check
-        return out
-
     def gen_vec(self, i: int) -> dict:
         zero = (0,) * self.ring.nvars
         return {(i, zero): 1}
@@ -94,8 +81,18 @@ class FreeModule:
         return out
 
 
-def zero_const_mono(nvars: int):
-    return (0,) * nvars
+def ring_reduce_vec(ring: QuotientRing, v: dict) -> dict:
+    """Componentwise normal form against the ring's relation ideal."""
+    comps: dict = {}
+    for (pos, m), c in v.items():
+        comps.setdefault(pos, {})[m] = c
+    out: dict = {}
+    gb = ring.ideal_basis
+    for pos, terms in comps.items():
+        nf = gb.normal_form({(0, m): c for m, c in terms.items()})
+        for (_z, m), c in nf.items():
+            out[(pos, m)] = c
+    return out
 
 
 class FreeMap:
@@ -127,12 +124,6 @@ class FreeMap:
         terms = {m: c for (pos, m), c in self.columns[j].items() if pos == i}
         return Poly(self.ring.ambient, terms)
 
-    def matrix(self) -> list[list[Poly]]:
-        return [
-            [self.entry(i, j) for j in range(self.source.rank)]
-            for i in range(self.target.rank)
-        ]
-
     def apply(self, v: dict) -> dict:
         out: dict = {}
         p = self.ring.p
@@ -150,26 +141,14 @@ class FreeMap:
 
     def is_minimal(self) -> bool:
         """True iff no entry has a unit (nonzero constant) coefficient."""
-        zero = zero_const_mono(self.ring.nvars)
+        zero = (0,) * self.ring.nvars
         return not any(
             m == zero for col in self.columns for (_pos, m) in col
         )
 
     def is_zero_over_ring(self) -> bool:
         """True iff every column reduces to zero modulo the ring relations."""
-        gb = self.ring.ideal_basis
-        for col in self.columns:
-            comps: dict = {}
-            for (pos, m), c in col.items():
-                comps.setdefault(pos, {})[m] = c
-            for terms in comps.values():
-                if gb.normal_form({(0, m): c for m, c in terms.items()}):
-                    return False
-        return True
-
-
-def identity_map(free: FreeModule) -> FreeMap:
-    return FreeMap(free, free, [free.gen_vec(i) for i in range(free.rank)])
+        return not any(ring_reduce_vec(self.ring, col) for col in self.columns)
 
 
 class ModulePresentation:
@@ -277,9 +256,3 @@ class ModulePresentation:
             f"relations={len(self.relations)})"
         )
 
-
-def presentation_from_map(fmap: FreeMap) -> ModulePresentation:
-    """coker of a map between free modules."""
-    return ModulePresentation(
-        fmap.ring, fmap.target.gen_degrees, fmap.columns
-    )

@@ -136,14 +136,6 @@ class PolyRing:
         coeff %= self.p
         return Poly(self, {exps: coeff} if coeff else {})
 
-    def from_terms(self, terms: dict) -> "Poly":
-        clean = {}
-        for e, c in terms.items():
-            c %= self.p
-            if c:
-                clean[tuple(e)] = c
-        return Poly(self, clean)
-
     def parse(self, text: str) -> "Poly":
         return _parse_poly(self, text)
 

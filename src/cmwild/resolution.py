@@ -23,36 +23,9 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import CmwildError, InputError
-from .groebner import (
-    TaggedBasis,
-    vec_add,
-    vec_degree,
-    vec_mono_shift,
-)
-from .modules import FreeMap, FreeModule, ModulePresentation
-from .poly import Poly
+from .groebner import TaggedBasis, vec_add, vec_add_mul, vec_degree
+from .modules import FreeMap, FreeModule, ModulePresentation, ring_reduce_vec
 from .rings import QuotientRing
-
-
-def ring_reduce_vec(ring: QuotientRing, v: dict) -> dict:
-    """Componentwise normal form against the ring's relation ideal."""
-    comps: dict = {}
-    for (pos, m), c in v.items():
-        comps.setdefault(pos, {})[m] = c
-    out: dict = {}
-    gb = ring.ideal_basis
-    for pos, terms in comps.items():
-        nf = gb.normal_form({(0, m): c for m, c in terms.items()})
-        for (_z, m), c in nf.items():
-            out[(pos, m)] = c
-    return out
-
-
-def vec_poly_mul(v: dict, f: Poly, p: int) -> dict:
-    out: dict = {}
-    for m, c in f.terms.items():
-        out = vec_add(out, vec_mono_shift(v, m, c, p), p)
-    return out
 
 
 class Resolution:
@@ -188,44 +161,9 @@ def koszul_complex(ring: QuotientRing, elems, copies: int = 1) -> Resolution:
 # ------------------------------------------------- minimal free resolutions
 
 
-def _columns_to_entries(cols, rank):
-    """vec-dict columns -> per-column lists of per-row term dicts."""
-    out = []
-    for col in cols:
-        rows = [dict() for _ in range(rank)]
-        for (pos, m), c in col.items():
-            rows[pos][m] = c
-        out.append(rows)
-    return out
-
-
-def _entries_to_column(rows) -> dict:
-    col = {}
-    for pos, terms in enumerate(rows):
-        for m, c in terms.items():
-            col[(pos, m)] = c
-    return col
-
-
-def _dict_scale(terms: dict, c: int, p: int) -> dict:
-    c %= p
-    if not c:
-        return {}
-    return {m: k * c % p for m, k in terms.items()}
-
-
-def _dict_sub_mul(target: dict, alpha: dict, source: dict, p: int) -> dict:
-    """target - alpha * source on raw term dicts."""
-    out = dict(target)
-    for ma, ca in alpha.items():
-        for ms, cs in source.items():
-            m = tuple(a + b for a, b in zip(ma, ms))
-            c = (out.get(m, 0) - ca * cs) % p
-            if c:
-                out[m] = c
-            elif m in out:
-                del out[m]
-    return out
+def _row_terms(col: dict, r: int, scale: int, p: int) -> dict:
+    """Row r of a column as a term dict, times a scalar."""
+    return {m: c * scale % p for (pos, m), c in col.items() if pos == r}
 
 
 def _eliminate_units(ring, frees, maps_cols, level, cols):
@@ -237,58 +175,47 @@ def _eliminate_units(ring, frees, maps_cols, level, cols):
     """
     p = ring.p
     zero = (0,) * ring.nvars
-    target = frees[level - 1]
-    rank = target.rank
-    D = _columns_to_entries(cols, rank)
+    D = list(cols)
     E = maps_cols[level - 2] if level >= 2 else None
-    twists = list(target.twists)
+    dropped = set()
 
     while True:
-        unit = None
-        for r in range(rank):
-            for c in range(len(D)):
-                val = D[c][r].get(zero, 0) % p
-                if val:
-                    unit = (r, c, val)
-                    break
-            if unit:
-                break
+        unit = min(
+            ((pos, c) for c, col in enumerate(D)
+             for (pos, m), k in col.items() if m == zero and k % p),
+            default=None,
+        )
         if unit is None:
             break
-        r0, c0, u = unit
-        uinv = pow(u, -1, p)
+        r0, c0 = unit
+        pivot = D[c0]
+        # a homogeneous entry with a constant term is that constant
+        uinv = pow(pivot[(r0, zero)], -1, p)
         # clear row r0 in the other columns (basis change of F_level)
-        for c in range(len(D)):
-            if c == c0 or not D[c][r0]:
-                continue
-            alpha = _dict_scale(D[c][r0], uinv, p)
-            for r in range(rank):
-                if D[c0][r]:
-                    D[c][r] = _dict_sub_mul(D[c][r], alpha, D[c0][r], p)
+        for c, col in enumerate(D):
+            if c != c0:
+                alpha = _row_terms(col, r0, p - uinv, p)
+                if alpha:
+                    D[c] = vec_add_mul(col, alpha, pivot, p)
         # clear column c0 (basis change of F_{level-1}, mirrored on E)
-        for r in range(rank):
-            if r == r0 or not D[c0][r]:
-                continue
-            alpha = _dict_scale(D[c0][r], uinv, p)
-            D[c0][r] = {}
-            if E is not None:
-                alpha_poly = Poly(ring.ambient, alpha)
-                E[r0] = vec_add(E[r0], vec_poly_mul(E[r], alpha_poly, p), p)
-        # the freed column of delta_{level-1} must vanish over the ring
         if E is not None:
+            for r in sorted({pos for (pos, _m) in pivot} - {r0}):
+                E[r0] = vec_add_mul(E[r0], _row_terms(pivot, r, uinv, p), E[r], p)
+            # the freed column of delta_{level-1} must vanish over the ring
             if ring_reduce_vec(ring, E[r0]):
                 raise CmwildError("minimization produced a nonzero freed column")
-            del E[r0]
         del D[c0]
-        for rows in D:
-            del rows[r0]
-        del twists[r0]
-        rank -= 1
+        dropped.add(r0)
 
-    frees[level - 1] = FreeModule(ring, twists)
+    # drop the freed generators of F_{level-1}; no column has an entry there
+    keep = [r for r in range(frees[level - 1].rank) if r not in dropped]
+    index = {r: i for i, r in enumerate(keep)}
+    frees[level - 1] = FreeModule(ring, [frees[level - 1].twists[r] for r in keep])
+    if E is not None:
+        E[:] = [E[r] for r in keep]
     out = []
-    for rows in D:
-        col = ring_reduce_vec(ring, _entries_to_column(rows))
+    for col in D:
+        col = ring_reduce_vec(ring, {(index[pos], m): c for (pos, m), c in col.items()})
         if col:
             out.append(col)
     return out
@@ -302,7 +229,7 @@ def minimal_resolution(pres: ModulePresentation, length: int) -> Resolution:
     p = ring.p
     frees: list = [FreeModule(ring, pres.free.twists)]
     maps_cols: list = []
-    cols = [ring_reduce_vec(ring, dict(c)) for c in pres.relations]
+    cols = [ring_reduce_vec(ring, c) for c in pres.relations]
     cols = [c for c in cols if c]
     terminated = False
 
@@ -391,7 +318,3 @@ def comparison_map(koszul: Resolution, res: Resolution) -> list[FreeMap]:
         phis.append(phi)
     return phis
 
-
-def reduce_mod(pres: ModulePresentation, ys) -> ModulePresentation:
-    """The presentation of M/(ys)M over R/(ys)."""
-    return pres.reduce_mod(ys)

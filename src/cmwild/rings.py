@@ -131,12 +131,6 @@ class QuotientRing:
     def is_zero_element(self, f: Poly) -> bool:
         return self.normal_form(f).is_zero()
 
-    def same_ideal(self, other: "QuotientRing") -> bool:
-        return (
-            self.ambient == other.ambient
-            and self.groebner == other.groebner
-        )
-
     # -- numerical invariants
 
     @property

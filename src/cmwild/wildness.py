@@ -52,27 +52,38 @@ def _one_minus_te(num: dict, e: int) -> dict:
     return out
 
 
-def verify_regular_element(target, y: Poly) -> bool:
+def verify_regular_element(target, y: Poly) -> QuotientRing | ModulePresentation | None:
     """Exact regularity test: y is a nonzerodivisor on the ring or module.
 
     Compares Hilbert numerators: numerator(N/yN) == (1 - t^deg y) * numerator(N).
+    Returns the quotient N/yN when y is regular, so that a caller walking a
+    sequence carries it to the next stage, and None when y is a zerodivisor.
     """
     if y.is_zero() or not y.is_homogeneous() or y.degree() < 1:
         raise InputError("regularity candidates must be homogeneous of positive degree")
-    e = y.degree()
     if isinstance(target, QuotientRing):
-        num = target.hilbert_numerator
-        num2 = target.extend([y]).hilbert_numerator
+        quotient = target.extend([y])
     elif isinstance(target, ModulePresentation):
-        num = target.hilbert_numerator
-        extra = [
-            {(j, m): c for m, c in y.terms.items()}
-            for j in range(target.rank)
-        ]
-        num2 = target.quotient(extra).hilbert_numerator
+        quotient = target.quotient(
+            [{(j, m): c for m, c in y.terms.items()} for j in range(target.rank)]
+        )
     else:
         raise InputError("regularity target must be a ring or a module presentation")
-    return num2 == _one_minus_te(num, e)
+    if quotient.hilbert_numerator == _one_minus_te(target.hilbert_numerator, y.degree()):
+        return quotient
+    return None
+
+
+def verify_regular_sequence(ring: QuotientRing, seq) -> QuotientRing:
+    """R/(seq), after checking that each element is regular on the quotient
+    by the ones before it; the first element that is not is named in an
+    InputError."""
+    current = ring
+    for i, y in enumerate(seq):
+        current = verify_regular_element(current, y)
+        if current is None:
+            raise InputError(f"sequence element {i} ({y}) is not regular at that stage")
+    return current
 
 
 # ------------------------------------------------------- sequence search
@@ -153,7 +164,8 @@ def find_regular_sequence(
             attempts += 1
             if attempts > budget:
                 break
-            if verify_regular_element(current, cand):
+            stage = verify_regular_element(current, cand)
+            if stage is not None:
                 found = cand
                 break
         if found is None:
@@ -162,7 +174,7 @@ def find_regular_sequence(
                 f" {budget} attempts"
             )
         seq.append(found)
-        current = current.extend([found])
+        current = stage
     return seq
 
 
@@ -216,7 +228,6 @@ def wildness_certificate(
     sequence=None,
     c_window=None,
     seed: int = 0,
-    budget: int = 50,
     min_start: int | None = None,
 ) -> WildnessReport:
     """Run the full criterion on a graded quotient ring.
@@ -233,19 +244,13 @@ def wildness_certificate(
         raise InputError("the zero ring has no classification")
     if sequence is not None:
         seq = [ring.parse(s) if isinstance(s, str) else s for s in sequence]
-        current = ring
-        for i, y in enumerate(seq):
-            if not verify_regular_element(current, y):
-                raise InputError(
-                    f"sequence element {i} ({y}) is not regular at that stage"
-                )
-            current = current.extend([y])
+        verify_regular_sequence(ring, seq)
         if len(seq) != d:
             raise InputError(
                 f"sequence has length {len(seq)} but the ring has dimension {d}"
             )
     else:
-        seq = find_regular_sequence(ring, d, seed=seed, budget=budget)
+        seq = find_regular_sequence(ring, d, seed=seed)
     reduced = artinian_reduction(ring, seq)
     m = sum(y.degree() for y in seq)
     top = reduced.top_degree()
@@ -302,16 +307,9 @@ def complete_intersection_certificate(
     if not forms:
         raise InputError("need at least one relation")
     amb = QuotientRing.polynomial_ring(variables, p)
-    current = amb
-    parsed = []
-    for i, s in enumerate(forms):
-        f = current.parse(s) if isinstance(s, str) else s
-        if not verify_regular_element(current, f):
-            raise InputError(
-                f"not a complete intersection: relation {i} ({f}) is a"
-                " zerodivisor at its stage"
-            )
-        parsed.append(f)
-        current = current.extend([f])
-    ring = QuotientRing(amb.ambient, parsed)
+    parsed = [amb.parse(s) if isinstance(s, str) else s for s in forms]
+    try:
+        ring = verify_regular_sequence(amb, parsed)
+    except InputError as exc:
+        raise InputError(f"not a complete intersection: {exc}") from None
     return wildness_certificate(ring, seed=seed, c_window=c_window, min_start=3)

@@ -30,6 +30,7 @@ from cmwild.matalg import (
     simultaneous_conjugacy,
 )
 from cmwild.rings import QuotientRing
+from cmwild.wildness import verify_regular_element
 
 P = 32003
 
@@ -158,6 +159,26 @@ def test_mcm_module_certified(fermat, binary):
     om1, ok1 = mcm_module(FamilySpec(binary, ["x^2"], 3, [[0]]))
     assert ok1
     assert all(d >= 2 for d in om1.gen_degrees)
+
+
+def test_chained_module_quotient_matches_reduce_mod(fermat):
+    # mcm_verified carries N/y1 N over R to the next stage; it presents the
+    # same module as the syzygy over R/(y1)
+    spec = two_param(fermat, [[0, 1], [0, 0]], [[1, 0], [0, 1]])
+    syzygy = FamilyMember(spec).syzygy
+    y1 = spec.sequence[0]
+    chained = verify_regular_element(syzygy, y1)
+    assert chained is not None
+    assert chained.hilbert_numerator == syzygy.reduce_mod([y1]).hilbert_numerator
+
+
+def test_mcm_rejects_a_finite_length_module(binary):
+    # the member over R is killed by the sequence, so y1 is a zerodivisor
+    # on it; standing in for the syzygy, it fails the MCM check
+    bundle = FamilyMember(FamilySpec(binary, ["x^2"], 3, [[1]]))
+    assert verify_regular_element(bundle.over_ring, bundle.spec.sequence[0]) is None
+    bundle.__dict__["syzygy"] = bundle.over_ring
+    assert bundle.mcm_verified is False
 
 
 def test_syzygy_nonzero_after_full_reduction(fermat):

@@ -155,6 +155,18 @@ def test_unit_relation_is_eliminated():
     assert res.presentation.relations == ()
 
 
+def test_unit_in_first_row_is_eliminated():
+    R = poly_ring_xy()
+    # the same module with the generators swapped: the unit is in row 0
+    pres = ModulePresentation(
+        R, [2, 0], [{(0, (0, 0)): 1, (1, (2, 0)): P - 1}]
+    )
+    res = minimal_resolution(pres, 2)
+    assert res.terminated
+    assert res.frees[0].twists == (0,)
+    assert res.betti() == {(0, 0): 1}
+
+
 def test_finite_projective_dimension_over_hypersurface():
     R = QuotientRing.from_strings(["x", "y"], ["x^4+y^4"], P)
     # x^2 is regular on R, so R/(x^2) has projective dimension 1

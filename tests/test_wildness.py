@@ -15,6 +15,7 @@ from cmwild.wildness import (
     find_regular_sequence,
     hypersurface_certificate,
     verify_regular_element,
+    verify_regular_sequence,
     wildness_certificate,
 )
 
@@ -50,6 +51,28 @@ def test_squares_regular_on_fermat_quartic():
     R2 = R1.extend([R.parse("y^2")])
     # the reduction is Artinian, nothing of positive degree is regular
     assert not verify_regular_element(R2, R.parse("z"))
+
+
+def test_regular_element_returns_the_quotient():
+    R = fermat_quartic()
+    y = R.parse("x^2")
+    quotient = verify_regular_element(R, y)
+    assert quotient == R.extend([y])
+    assert quotient.groebner == R.extend([y]).groebner
+    # a zerodivisor gives None, not a quotient
+    S = QuotientRing.from_strings(["x", "y"], ["x*y"], P)
+    assert verify_regular_element(S, S.parse("x")) is None
+
+
+def test_regular_sequence_returns_the_reduction():
+    R = fermat_quartic()
+    seq = [R.parse("x^2"), R.parse("y^2")]
+    reduced = verify_regular_sequence(R, seq)
+    assert reduced == R.extend(seq)
+    assert reduced.hilbert_function() == artinian_reduction(R, seq).hilbert_function()
+    # the first element that fails is named, with its position
+    with pytest.raises(InputError, match=r"element 1 \(x\*y\) is not regular"):
+        verify_regular_sequence(R, [R.parse("x^2"), R.parse("x*y"), R.parse("z")])
 
 
 def test_regularity_on_modules():
