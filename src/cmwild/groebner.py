@@ -105,6 +105,7 @@ def vec_add_mul(acc: Vec, f: dict, v: Vec, p: int) -> Vec:
     out = dict(acc)
     for mf, cf in f.items():
         for (pos, m), c in v.items():
+            # mono_mul inlined: this is the inner loop of unit elimination
             t = (pos, tuple(x + y for x, y in zip(m, mf)))
             c2 = (out.get(t, 0) + cf * c) % p
             if c2:

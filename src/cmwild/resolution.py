@@ -199,7 +199,7 @@ def _eliminate_units(ring, frees, maps_cols, level, cols):
                     D[c] = vec_add_mul(col, alpha, pivot, p)
         # clear column c0 (basis change of F_{level-1}, mirrored on E)
         if E is not None:
-            for r in sorted({pos for (pos, _m) in pivot} - {r0}):
+            for r in {pos for (pos, _m) in pivot} - {r0}:
                 E[r0] = vec_add_mul(E[r0], _row_terms(pivot, r, uinv, p), E[r], p)
             # the freed column of delta_{level-1} must vanish over the ring
             if ring_reduce_vec(ring, E[r0]):
