@@ -30,8 +30,7 @@ def main():
         print(f"== {name}  (dim {rep.dimension})")
         print("   sequence:", ", ".join(str(y) for y in rep.sequence),
               f"  m = {rep.m}")
-        ys = list(rep.sequence)
-        rbar = artinian_reduction(ring, ys)
+        _, rbar = artinian_reduction(ring, rep.sequence)
         print("   reduction Hilbert function:", rbar.hilbert_function())
         for c, dim in rep.scan:
             marker = " <-- witness" if c == rep.witness_c else ""
@@ -42,7 +41,7 @@ def main():
     # the recipe matters: plain variables on the quartic surface would
     # leave a one-dimensional tail and prove nothing
     ring = QuotientRing.from_strings(["x", "y", "z"], ["x^4+y^4+z^4"])
-    seq = find_regular_sequence(ring)
+    seq, _ = find_regular_sequence(ring)
     print("recipe sequence for the quartic surface:",
           ", ".join(str(y) for y in seq))
 

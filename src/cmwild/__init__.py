@@ -23,9 +23,7 @@ from .family import (
 )
 from .field import DEFAULT_PRIME, PrimeField
 from .matalg import (
-    conjugacy_certificate,
     endomorphism_indecomposability,
-    indecomposability_certificate,
     simultaneous_conjugacy,
 )
 from .modules import FreeMap, FreeModule, ModulePresentation
@@ -74,12 +72,10 @@ __all__ = [
     "build_family_member",
     "comparison_map",
     "complete_intersection_certificate",
-    "conjugacy_certificate",
     "endomorphism_indecomposability",
     "family_report",
     "find_regular_sequence",
     "hypersurface_certificate",
-    "indecomposability_certificate",
     "indecomposability_test",
     "iso_test",
     "koszul_complex",

@@ -24,7 +24,6 @@ import json
 import sys
 
 from .errors import BudgetExhausted, CmwildError, InputError
-from .field import DEFAULT_PRIME
 from .family import (
     FamilyMember,
     FamilySpec,
@@ -54,23 +53,22 @@ def _load_json(path: str) -> dict:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
 
 
-def _ring_data(path: str, char: int | None) -> dict:
-    data = _load_json(path)
-    if char is not None:
-        data = {**data, "p": char}
-    return data
+def _with_char(data, char: int | None):
+    """``data`` with ``"p"`` set to ``char``; anything but an object is
+    passed on unchanged for ``from_json`` to reject."""
+    if char is None or not isinstance(data, dict):
+        return data
+    return {**data, "p": char}
 
 
 def _load_ring(path: str, char: int | None) -> QuotientRing:
-    return QuotientRing.from_json(_ring_data(path, char))
+    return QuotientRing.from_json(_with_char(_load_json(path), char))
 
 
 def _load_instance(path: str, char: int | None) -> FamilySpec:
     data = _load_json(path)
-    if not isinstance(data, dict) or "ring" not in data:
-        raise InputError(f"{path} is not a family instance (missing 'ring')")
-    if char is not None:
-        data = {**data, "ring": {**data["ring"], "p": char}}
+    if isinstance(data, dict) and "ring" in data:
+        data = {**data, "ring": _with_char(data["ring"], char)}
     return FamilySpec.from_json(data)
 
 
@@ -177,16 +175,8 @@ def _cmd_check(args) -> dict:
 
 
 def _cmd_hypersurface(args) -> dict:
-    data = _ring_data(args.ring, args.field_char)
-    relations = data.get("relations", [])
-    if len(relations) != 1:
-        raise InputError(
-            f"hypersurface input needs exactly one relation, got {len(relations)}"
-        )
     rep = hypersurface_certificate(
-        data["vars"],
-        relations[0],
-        data.get("p", DEFAULT_PRIME),
+        _load_ring(args.ring, args.field_char),
         seed=args.seed,
         c_window=_parse_window(args.c_window),
     )
@@ -194,11 +184,8 @@ def _cmd_hypersurface(args) -> dict:
 
 
 def _cmd_ci(args) -> dict:
-    data = _ring_data(args.ring, args.field_char)
     rep = complete_intersection_certificate(
-        data["vars"],
-        data.get("relations", []),
-        data.get("p", DEFAULT_PRIME),
+        _load_ring(args.ring, args.field_char),
         seed=args.seed,
         c_window=_parse_window(args.c_window),
     )

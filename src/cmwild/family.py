@@ -38,11 +38,7 @@ from .modules import ModulePresentation
 from .poly import Poly
 from .resolution import comparison_map, koszul_complex, minimal_resolution
 from .rings import QuotientRing
-from .wildness import (
-    artinian_reduction,
-    verify_regular_element,
-    verify_regular_sequence,
-)
+from .wildness import artinian_reduction, verify_regular_element
 
 __all__ = [
     "FamilySpec",
@@ -77,19 +73,13 @@ class FamilySpec:
     def __init__(self, ring: QuotientRing, sequence, c: int, Ax, Ay=None,
                  basis=None, n: int | None = None):
         self.ring = ring
-        seq = [_as_poly(ring, y) for y in sequence]
         d = ring.krull_dimension
         if d < 1:
             raise InputError("family construction needs a ring of positive dimension")
-        if len(seq) != d:
-            raise InputError(
-                f"sequence length {len(seq)} must equal the Krull dimension {d}"
-            )
-        verify_regular_sequence(ring, seq)
+        seq, self.rbar = artinian_reduction(ring, sequence)
         self.sequence = tuple(seq)
         self.d = d
         self.m = sum(y.degree() for y in seq)
-        self.rbar = artinian_reduction(ring, seq)
 
         self.c = int(c)
         if self.c <= self.m - self.d + 1:
@@ -177,6 +167,11 @@ class FamilySpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "FamilySpec":
+        if not isinstance(data, dict):
+            raise InputError("a family instance must be a JSON object")
+        for key in ("ring", "sequence", "c", "Ax"):
+            if key not in data:
+                raise InputError(f"family instance is missing {key!r}")
         ring = QuotientRing.from_json(data["ring"])
         return cls(
             ring,

@@ -664,19 +664,6 @@ def simultaneous_conjugacy(
     return out
 
 
-def conjugacy_certificate(
-    Ax,
-    Ay,
-    Bx,
-    By,
-    p: int,
-    seed: int = 0,
-) -> dict:
-    """Two-matrix form of simultaneous_conjugacy: sigma Ax = Bx sigma and
-    sigma Ay = By sigma for a single invertible sigma."""
-    return simultaneous_conjugacy([Ax, Ay], [Bx, By], p, seed=seed)
-
-
 # ------------------------------------------------------- indecomposability
 
 
@@ -801,18 +788,3 @@ def endomorphism_indecomposability(
     )
     return out
 
-
-def indecomposability_certificate(
-    Ax,
-    Ay,
-    p: int,
-    seed: int = 0,
-) -> dict:
-    """Two-matrix form of endomorphism_indecomposability.  Insists the
-    actions commute, as they must for a module over a commutative ring."""
-    Ax, Ay = as_matrix(Ax, p), as_matrix(Ay, p)
-    if Ax.shape != Ay.shape or Ax.shape[0] != Ax.shape[1]:
-        raise InputError("need two square matrices of the same size")
-    if np.any(mat_mul(Ax, Ay, p) != mat_mul(Ay, Ax, p)):
-        raise InputError("action matrices must commute")
-    return endomorphism_indecomposability([Ax, Ay], p, seed=seed)

@@ -67,9 +67,11 @@ class QuotientRing:
     def from_json(cls, data: dict) -> "QuotientRing":
         if not isinstance(data, dict) or "vars" not in data:
             raise InputError("ring JSON needs a 'vars' list")
-        return cls.from_strings(
-            data["vars"], data.get("relations", []), data.get("p", DEFAULT_PRIME)
-        )
+        variables, relations = data["vars"], data.get("relations", [])
+        for key, value in (("vars", variables), ("relations", relations)):
+            if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+                raise InputError(f"ring JSON {key!r} must be a list of strings")
+        return cls.from_strings(variables, relations, data.get("p", DEFAULT_PRIME))
 
     def to_json(self) -> dict:
         return {

@@ -145,11 +145,11 @@ def _slot_candidates(ring: QuotientRing, slot: int, rng) -> list:
 
 
 def find_regular_sequence(
-    ring: QuotientRing, length: int | None = None, seed: int = 0, budget: int = 50
-) -> list[Poly]:
-    """A verified homogeneous regular sequence of the requested length
-    (default: the Krull dimension), found by recipe plus fallback search."""
-    d = ring.krull_dimension if length is None else length
+    ring: QuotientRing, seed: int = 0, budget: int = 50
+) -> tuple[list[Poly], QuotientRing]:
+    """A verified homogeneous regular sequence of length dim R, found by
+    recipe plus fallback search, with its last verified stage R/(seq)."""
+    d = ring.krull_dimension
     if d < 0:
         raise InputError("the zero ring admits no regular sequence")
     rng = random.Random(seed)
@@ -175,14 +175,32 @@ def find_regular_sequence(
             )
         seq.append(found)
         current = stage
-    return seq
+    return seq, current
 
 
-def artinian_reduction(ring: QuotientRing, seq) -> QuotientRing:
-    reduced = ring.extend(list(seq))
+def artinian_reduction(
+    ring: QuotientRing, sequence=None, seed: int = 0
+) -> tuple[list[Poly], QuotientRing]:
+    """The regular sequence and the Artinian reduction R/(seq).
+
+    A given ``sequence`` (strings or polynomials) must have length dim R
+    and is verified stage by stage; without one, ``find_regular_sequence``
+    searches with ``seed``.  The reduction is the last verified stage, so
+    its Groebner basis is never computed twice.
+    """
+    if sequence is None:
+        seq, reduced = find_regular_sequence(ring, seed=seed)
+    else:
+        seq = [ring.parse(s) if isinstance(s, str) else s for s in sequence]
+        d = ring.krull_dimension
+        if len(seq) != d:
+            raise InputError(
+                f"sequence has length {len(seq)} but the Krull dimension is {d}"
+            )
+        reduced = verify_regular_sequence(ring, seq)
     if not reduced.is_artinian:
         raise CmwildError("reduction by the sequence is not zero-dimensional")
-    return reduced
+    return seq, reduced
 
 
 # ------------------------------------------------------------- the verdict
@@ -239,19 +257,8 @@ def wildness_certificate(
     and to end at the top degree, so an empty result scans nothing and is
     Inconclusive.
     """
+    seq, reduced = artinian_reduction(ring, sequence, seed=seed)
     d = ring.krull_dimension
-    if d < 0:
-        raise InputError("the zero ring has no classification")
-    if sequence is not None:
-        seq = [ring.parse(s) if isinstance(s, str) else s for s in sequence]
-        verify_regular_sequence(ring, seq)
-        if len(seq) != d:
-            raise InputError(
-                f"sequence has length {len(seq)} but the ring has dimension {d}"
-            )
-    else:
-        seq = find_regular_sequence(ring, d, seed=seed)
-    reduced = artinian_reduction(ring, seq)
     m = sum(y.degree() for y in seq)
     top = reduced.top_degree()
     start = max(m - d + 2, 1)
@@ -291,25 +298,26 @@ def wildness_certificate(
 
 
 def hypersurface_certificate(
-    variables, form: str, p: int, seed: int = 0, c_window=None
+    ring: QuotientRing, seed: int = 0, c_window=None
 ) -> WildnessReport:
-    ring = QuotientRing.from_strings(variables, [form], p)
+    """Wildness certificate for a ring with exactly one nonzero relation."""
     if len(ring.relations) != 1:
-        raise InputError("a hypersurface needs exactly one nonzero relation")
+        raise InputError(
+            f"a hypersurface needs exactly one relation, got {len(ring.relations)}"
+        )
     return wildness_certificate(ring, seed=seed, c_window=c_window)
 
 
 def complete_intersection_certificate(
-    variables, forms, p: int, seed: int = 0, c_window=None
+    ring: QuotientRing, seed: int = 0, c_window=None
 ) -> WildnessReport:
-    """Wildness certificate for S/(forms); the forms are first verified to
-    be a regular sequence, anything else is rejected."""
-    if not forms:
+    """Wildness certificate for a ring whose relations are first verified
+    to be a regular sequence on the ambient ring; anything else is
+    rejected."""
+    if not ring.relations:
         raise InputError("need at least one relation")
-    amb = QuotientRing.polynomial_ring(variables, p)
-    parsed = [amb.parse(s) if isinstance(s, str) else s for s in forms]
     try:
-        ring = verify_regular_sequence(amb, parsed)
+        ring = verify_regular_sequence(QuotientRing(ring.ambient), ring.relations)
     except InputError as exc:
         raise InputError(f"not a complete intersection: {exc}") from None
     return wildness_certificate(ring, seed=seed, c_window=c_window, min_start=3)

@@ -51,7 +51,9 @@ def record(num: int, desc: str, cond: bool, detail: str = "") -> None:
 
 def test_criterion_1_fermat_quartic_wild():
     t0 = time.monotonic()
-    rep = hypersurface_certificate(["x", "y", "z"], "x^4+y^4+z^4", P)
+    rep = hypersurface_certificate(
+        QuotientRing.from_strings(["x", "y", "z"], ["x^4+y^4+z^4"], P)
+    )
     dt = time.monotonic() - t0
     ok = (
         rep.verdict == "CMWild"
@@ -68,7 +70,9 @@ def test_criterion_1_fermat_quartic_wild():
 
 def test_criterion_2_binary_quartic_strictly_infinite():
     t0 = time.monotonic()
-    rep = hypersurface_certificate(["x", "y"], "x^4+y^4", P)
+    rep = hypersurface_certificate(
+        QuotientRing.from_strings(["x", "y"], ["x^4+y^4"], P)
+    )
     dt = time.monotonic() - t0
     ok = (
         rep.verdict == "StrictlyCMInfinite"
@@ -84,9 +88,11 @@ def test_criterion_2_binary_quartic_strictly_infinite():
 def test_criterion_3_complete_intersection_wild():
     t0 = time.monotonic()
     rep = complete_intersection_certificate(
-        ["x0", "x1", "x2", "x3"],
-        ["x0^3+x1^3+x2^3+x3^3", "x0*x1+x2*x3"],
-        P,
+        QuotientRing.from_strings(
+            ["x0", "x1", "x2", "x3"],
+            ["x0^3+x1^3+x2^3+x3^3", "x0*x1+x2*x3"],
+            P,
+        )
     )
     dt = time.monotonic() - t0
     ok = (
@@ -103,7 +109,9 @@ def test_criterion_3_complete_intersection_wild():
 
 def test_criterion_4_fermat_cubic_inconclusive():
     t0 = time.monotonic()
-    rep = hypersurface_certificate(["x", "y", "z"], "x^3+y^3+z^3", P)
+    rep = hypersurface_certificate(
+        QuotientRing.from_strings(["x", "y", "z"], ["x^3+y^3+z^3"], P)
+    )
     dt = time.monotonic() - t0
     scan = dict(rep.scan)
     ok = rep.verdict == "Inconclusive" and scan.get(4) == 1 and dt < 5.0

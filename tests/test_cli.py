@@ -326,3 +326,49 @@ def test_instance_missing_ring_key(tmp_path, capsys):
     code, _, err = run(capsys, ["family", "--instance", inst])
     assert code == 2
     assert "missing 'ring'" in err
+
+
+@pytest.mark.parametrize("key", ["sequence", "c", "Ax"])
+@pytest.mark.parametrize("command", ["family", "verify", "resolve", "iso"])
+def test_instance_missing_key_is_named(tmp_path, capsys, command, key):
+    bad = write(tmp_path, "bad.json", {k: v for k, v in INSTANCE.items() if k != key})
+    good = write(tmp_path, "good.json", INSTANCE)
+    argv = [command, "--instance", bad]
+    if command == "iso":
+        argv += ["--instance", good]
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert f"missing {key!r}" in err
+
+
+MALFORMED_RINGS = {
+    "no-vars": {"relations": ["x^4+y^4"], "p": 32003},
+    "array": [["x", "y"], ["x^4+y^4"]],
+    "int-relation": {"vars": ["x", "y"], "relations": [3], "p": 32003},
+    "int-var": {"vars": ["x", 2], "relations": ["x^2"], "p": 32003},
+}
+RING_COMMANDS = {
+    "check": ["check"],
+    "hypersurface": ["hypersurface"],
+    "ci": ["ci"],
+    "hilbert": ["hilbert"],
+    "resolve": ["resolve", "--sequence", "x"],
+}
+
+
+@pytest.mark.parametrize("char", [[], ["--field-char", "101"]], ids=["file-p", "field-char"])
+@pytest.mark.parametrize("bad", sorted(MALFORMED_RINGS))
+@pytest.mark.parametrize("command", sorted(RING_COMMANDS))
+def test_malformed_ring_file_is_an_input_error(tmp_path, capsys, command, bad, char):
+    ring = write(tmp_path, "r.json", MALFORMED_RINGS[bad])
+    code, out, err = run(capsys, [*RING_COMMANDS[command], "--ring", ring, *char])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_instance_ring_not_an_object(tmp_path, capsys):
+    inst = write(tmp_path, "i.json", {**INSTANCE, "ring": ["x", "y", "z"]})
+    code, _, err = run(capsys, ["family", "--instance", inst, "--field-char", "101"])
+    assert code == 2
+    assert "ring JSON" in err

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cmwild import rings
 from cmwild.errors import InputError
 from cmwild.family import (
     FamilyMember,
@@ -104,6 +105,22 @@ def test_sequence_validation(fermat):
         FamilySpec(fermat, ["x^2"], 4, [[1]], Ay=[[2]])
     with pytest.raises(InputError, match="not regular"):
         FamilySpec(fermat, ["x*y", "y^2"], 4, [[1]], Ay=[[2]])
+
+
+def test_spec_computes_each_stage_once(monkeypatch):
+    calls = []
+    real = rings.buchberger
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rings, "buchberger", counting)
+    ring = QuotientRing.from_strings(["x", "y", "z"], ["x^4+y^4+z^4"])
+    spec = FamilySpec(ring, ["x^2", "y^2"], 4, [[1]], Ay=[[2]])
+    assert spec.rbar == ring.extend(spec.sequence)
+    # R, R/(x^2) and R/(x^2, y^2): rbar is the last verified stage
+    assert len(calls) == 3
 
 
 def test_basis_validation(fermat):

@@ -5,16 +5,13 @@ import random
 from itertools import product as iter_product
 
 import numpy as np
-import pytest
 
-from cmwild.errors import InputError
 from cmwild.matalg import (
     as_matrix,
     commutant_basis,
-    conjugacy_certificate,
     coprime_split,
+    endomorphism_indecomposability,
     identity_matrix,
-    indecomposability_certificate,
     intertwiner_basis,
     inverse,
     is_invertible,
@@ -24,6 +21,7 @@ from cmwild.matalg import (
     nullspace,
     rank,
     rref,
+    simultaneous_conjugacy,
     solve,
     solve_many,
     trace_form_radical,
@@ -386,7 +384,7 @@ def test_conjugacy_scaled_jordan_blocks():
     Ax = as_matrix([[0, 1], [0, 0]], P)
     Ay = as_matrix([[0, 0], [0, 0]], P)
     Bx = as_matrix([[0, 2], [0, 0]], P)
-    cert = conjugacy_certificate(Ax, Ay, Bx, Ay, P, seed=5)
+    cert = simultaneous_conjugacy([Ax, Ay], [Bx, Ay], P, seed=5)
     assert cert["verdict"] == "Isomorphic"
     sigma = as_matrix(cert["witness"], P)
     assert is_invertible(sigma, P)
@@ -396,7 +394,7 @@ def test_conjugacy_scaled_jordan_blocks():
 def test_conjugacy_identical_fast_path():
     Ax = as_matrix([[1, 2], [3, 4]], P)
     Ay = as_matrix([[0, 1], [1, 0]], P)
-    cert = conjugacy_certificate(Ax, Ay, Ax, Ay, P)
+    cert = simultaneous_conjugacy([Ax, Ay], [Ax, Ay], P)
     assert cert["verdict"] == "Isomorphic"
     assert cert["witness"] == identity_matrix(2).tolist()
 
@@ -404,7 +402,7 @@ def test_conjugacy_identical_fast_path():
 def test_conjugacy_rank_obstruction():
     Ax = as_matrix([[0, 1], [0, 0]], P)
     Z = as_matrix([[0, 0], [0, 0]], P)
-    cert = conjugacy_certificate(Ax, Z, Z, Z, P)
+    cert = simultaneous_conjugacy([Ax, Z], [Z, Z], P)
     assert cert["verdict"] == "NonIsomorphic"
     # nilpotent of type (2,2) vs (3,1): equal ranks, squares differ
     X1 = as_matrix(
@@ -414,14 +412,14 @@ def test_conjugacy_rank_obstruction():
         [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0]], P
     )
     Z4 = np.zeros((4, 4), dtype=np.int64)
-    cert = conjugacy_certificate(X1, Z4, X2, Z4, P)
+    cert = simultaneous_conjugacy([X1, Z4], [X2, Z4], P)
     assert cert["verdict"] == "NonIsomorphic"
 
 
 def test_conjugacy_size_mismatch():
     A2 = as_matrix([[0, 0], [0, 0]], P)
     A3 = np.zeros((3, 3), dtype=np.int64)
-    cert = conjugacy_certificate(A2, A2, A3, A3, P)
+    cert = simultaneous_conjugacy([A2, A2], [A3, A3], P)
     assert cert["verdict"] == "NonIsomorphic"
 
 
@@ -449,7 +447,7 @@ def test_conjugacy_agrees_with_brute_force_over_f2():
             for _ in range(4)
         ]
         Ax, Ay, Bx, By = mats
-        cert = conjugacy_certificate(Ax, Ay, Bx, By, p, seed=trial)
+        cert = simultaneous_conjugacy([Ax, Ay], [Bx, By], p, seed=trial)
         want = brute_simultaneous_conjugacy(Ax, Ay, Bx, By, p)
         assert cert["verdict"] != "Undecided"
         assert (cert["verdict"] == "Isomorphic") == want
@@ -471,7 +469,7 @@ def test_conjugacy_of_conjugated_pairs():
             if is_invertible(sigma, P):
                 break
         Bx, By = conjugate(Ax, Ay, sigma, P)
-        cert = conjugacy_certificate(Ax, Ay, Bx, By, P, seed=trial)
+        cert = simultaneous_conjugacy([Ax, Ay], [Bx, By], P, seed=trial)
         assert cert["verdict"] == "Isomorphic"
         w = as_matrix(cert["witness"], P)
         assert np.array_equal(mat_mul(w, Ax, P), mat_mul(Bx, w, P))
@@ -485,7 +483,7 @@ def test_conjugacy_of_conjugated_pairs():
 def test_indecomposable_jordan_block():
     J = as_matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]], P)
     Z = np.zeros((3, 3), dtype=np.int64)
-    cert = indecomposability_certificate(J, Z, P)
+    cert = endomorphism_indecomposability([J, Z], P)
     assert cert["verdict"] == "Indecomposable"
     assert cert["endo_dim"] == 3
     assert cert["field_count"] == 1
@@ -495,7 +493,7 @@ def test_indecomposable_field_extension():
     # companion matrix of T^2 + 1, irreducible since p = 3 mod 4
     C = as_matrix([[0, P - 1], [1, 0]], P)
     Z = np.zeros((2, 2), dtype=np.int64)
-    cert = indecomposability_certificate(C, Z, P)
+    cert = endomorphism_indecomposability([C, Z], P)
     assert cert["verdict"] == "Indecomposable"
     assert cert["endo_dim"] == 2
     assert cert["field_count"] == 1
@@ -514,7 +512,7 @@ def check_idempotent(cert, Ax, Ay, p):
 def test_decomposable_semisimple_split():
     D = as_matrix([[1, 0], [0, 2]], P)
     Z = np.zeros((2, 2), dtype=np.int64)
-    cert = indecomposability_certificate(D, Z, P)
+    cert = endomorphism_indecomposability([D, Z], P)
     assert cert["verdict"] == "Decomposable"
     assert cert["field_count"] == 2
     check_idempotent(cert, D, Z, P)
@@ -522,7 +520,7 @@ def test_decomposable_semisimple_split():
 
 def test_decomposable_full_matrix_algebra():
     Z = np.zeros((2, 2), dtype=np.int64)
-    cert = indecomposability_certificate(Z, Z, P)
+    cert = endomorphism_indecomposability([Z, Z], P)
     assert cert["verdict"] == "Decomposable"
     assert cert["endo_dim"] == 4
     check_idempotent(cert, Z, Z, P)
@@ -534,7 +532,7 @@ def test_decomposable_two_copies_of_one_block():
         [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]], P
     )
     Z4 = np.zeros((4, 4), dtype=np.int64)
-    cert = indecomposability_certificate(J4, Z4, P)
+    cert = endomorphism_indecomposability([J4, Z4], P)
     assert cert["verdict"] == "Decomposable"
     assert cert["endo_dim"] == 8
     check_idempotent(cert, J4, Z4, P)
@@ -544,25 +542,18 @@ def test_indecomposability_small_characteristic_exhaustive():
     # p <= endomorphism dimension forces the exhaustive branch
     J = as_matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]], 2)
     Z = np.zeros((3, 3), dtype=np.int64)
-    cert = indecomposability_certificate(J, Z, 2)
+    cert = endomorphism_indecomposability([J, Z], 2)
     assert cert["verdict"] == "Indecomposable"
     assert "exhaustive" in cert["reason"]
     D = as_matrix([[0, 0], [0, 1]], 2)
     Z2 = np.zeros((2, 2), dtype=np.int64)
-    cert = indecomposability_certificate(D, Z2, 2)
+    cert = endomorphism_indecomposability([D, Z2], 2)
     assert cert["verdict"] == "Decomposable"
     check_idempotent(cert, D, Z2, 2)
     # p = 3 with a two-dimensional commutant still takes the trace form
-    cert = indecomposability_certificate(as_matrix([[1, 0], [0, 2]], 3), Z2, 3)
+    cert = endomorphism_indecomposability([as_matrix([[1, 0], [0, 2]], 3), Z2], 3)
     assert cert["verdict"] == "Decomposable"
     check_idempotent(cert, as_matrix([[1, 0], [0, 2]], 3), Z2, 3)
-
-
-def test_indecomposability_requires_commuting():
-    A = as_matrix([[0, 1], [0, 0]], P)
-    B = as_matrix([[0, 0], [1, 0]], P)
-    with pytest.raises(InputError):
-        indecomposability_certificate(A, B, P)
 
 
 def test_indecomposability_random_polynomial_pairs():
@@ -574,7 +565,7 @@ def test_indecomposability_random_polynomial_pairs():
         )
         Ax = mat_pow(base, 2, P)
         Ay = (base + 5 * mat_pow(base, 3, P)) % P
-        cert = indecomposability_certificate(Ax, Ay, P, seed=trial)
+        cert = endomorphism_indecomposability([Ax, Ay], P, seed=trial)
         assert cert["verdict"] in ("Indecomposable", "Decomposable")
         if cert["verdict"] == "Decomposable" and cert["idempotent"] is not None:
             check_idempotent(cert, Ax, Ay, P)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from cmwild import rings, wildness
 from cmwild.errors import BudgetExhausted, InputError
 from cmwild.modules import ModulePresentation
 from cmwild.poly import compose
@@ -69,10 +70,47 @@ def test_regular_sequence_returns_the_reduction():
     seq = [R.parse("x^2"), R.parse("y^2")]
     reduced = verify_regular_sequence(R, seq)
     assert reduced == R.extend(seq)
-    assert reduced.hilbert_function() == artinian_reduction(R, seq).hilbert_function()
+    assert reduced.hilbert_function() == artinian_reduction(R, seq)[1].hilbert_function()
     # the first element that fails is named, with its position
     with pytest.raises(InputError, match=r"element 1 \(x\*y\) is not regular"):
         verify_regular_sequence(R, [R.parse("x^2"), R.parse("x*y"), R.parse("z")])
+
+
+def test_artinian_reduction_returns_the_verified_stage(monkeypatch):
+    stages = []
+
+    def recording(ring, seq):
+        stages.append(verify_regular_sequence(ring, seq))
+        return stages[-1]
+
+    monkeypatch.setattr(wildness, "verify_regular_sequence", recording)
+    R = fermat_quartic()
+    seq, reduced = artinian_reduction(R, ["x^2", "y^2"])
+    assert [str(y) for y in seq] == ["x^2", "y^2"]
+    assert reduced is stages[0]
+    assert reduced == R.extend(seq)
+
+
+def count_ideal_buchberger(monkeypatch) -> list:
+    """Record every ideal Groebner basis computed from here on."""
+    calls = []
+    real = rings.buchberger
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rings, "buchberger", counting)
+    return calls
+
+
+@pytest.mark.parametrize("sequence", [None, ["x^2", "y^2"]], ids=["search", "given"])
+def test_certificate_computes_each_stage_once(monkeypatch, sequence):
+    calls = count_ideal_buchberger(monkeypatch)
+    rep = wildness_certificate(fermat_quartic(), sequence=sequence)
+    assert rep.verdict == "CMWild"
+    # R, R/(x^2) and R/(x^2, y^2): the reduction is the last verified stage
+    assert len(calls) == 3
 
 
 def test_regularity_on_modules():
@@ -97,15 +135,15 @@ def test_regularity_rejects_bad_candidates():
 
 def test_sequence_on_polynomial_ring_is_variables():
     R = QuotientRing.polynomial_ring(["x", "y"], P)
-    seq = find_regular_sequence(R)
+    seq, _ = find_regular_sequence(R)
     assert [str(f) for f in seq] == ["x", "y"]
 
 
 def test_sequence_on_fermat_quartic_is_recipe_squares():
     R = fermat_quartic()
-    seq = find_regular_sequence(R)
+    seq, _ = find_regular_sequence(R)
     assert [str(f) for f in seq] == ["x^2", "y^2"]
-    reduced = artinian_reduction(R, seq)
+    _, reduced = artinian_reduction(R, seq)
     assert reduced.is_artinian
 
 
@@ -131,7 +169,9 @@ def test_fermat_quartic_is_wild():
 
 
 def test_binary_quartic_is_strictly_infinite():
-    rep = hypersurface_certificate(["x", "y"], "x^4+y^4", P)
+    rep = hypersurface_certificate(
+        QuotientRing.from_strings(["x", "y"], ["x^4+y^4"], P)
+    )
     assert rep.verdict == "StrictlyCMInfinite"
     assert rep.dimension == 1
     assert [str(f) for f in rep.sequence] == ["x^2"]
@@ -142,7 +182,9 @@ def test_binary_quartic_is_strictly_infinite():
 
 
 def test_fermat_cubic_is_inconclusive():
-    rep = hypersurface_certificate(["x", "y", "z"], "x^3+y^3+z^3", P)
+    rep = hypersurface_certificate(
+        QuotientRing.from_strings(["x", "y", "z"], ["x^3+y^3+z^3"], P)
+    )
     assert rep.verdict == "Inconclusive"
     assert rep.window == (4, 4)
     assert rep.scan == [(4, 1)]
@@ -151,9 +193,11 @@ def test_fermat_cubic_is_inconclusive():
 
 def test_complete_intersection_instance_is_wild():
     rep = complete_intersection_certificate(
-        ["x0", "x1", "x2", "x3"],
-        ["x0^3+x1^3+x2^3+x3^3", "x0*x1+x2*x3"],
-        P,
+        QuotientRing.from_strings(
+            ["x0", "x1", "x2", "x3"],
+            ["x0^3+x1^3+x2^3+x3^3", "x0*x1+x2*x3"],
+            P,
+        )
     )
     assert rep.verdict == "CMWild"
     assert rep.dimension == 2
@@ -168,7 +212,7 @@ def test_complete_intersection_instance_is_wild():
 def test_not_a_complete_intersection_is_rejected():
     with pytest.raises(InputError, match="complete intersection"):
         complete_intersection_certificate(
-            ["x", "y"], ["x*y", "x^2"], P
+            QuotientRing.from_strings(["x", "y"], ["x*y", "x^2"], P)
         )
 
 
