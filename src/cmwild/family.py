@@ -60,6 +60,34 @@ def _as_poly(ring: QuotientRing, f) -> Poly:
     return ring.parse(f) if isinstance(f, str) else f
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_strings(x) -> bool:
+    return isinstance(x, list) and all(isinstance(s, str) for s in x)
+
+
+def _is_int_matrix(x) -> bool:
+    return (
+        isinstance(x, list)
+        and all(isinstance(row, list) and all(_is_int(e) for e in row) for row in x)
+        and len({len(row) for row in x}) <= 1
+    )
+
+
+# instance JSON fields: the required keys, and the type of every field
+_REQUIRED_FIELDS = ("ring", "sequence", "c", "Ax")
+_FIELD_TYPES = (
+    ("sequence", _is_strings, "a list of strings"),
+    ("c", _is_int, "an integer"),
+    ("Ax", _is_int_matrix, "a rectangular list of integer rows"),
+    ("Ay", _is_int_matrix, "a rectangular list of integer rows"),
+    ("basis", _is_strings, "a list of strings"),
+    ("n", _is_int, "an integer"),
+)
+
+
 class FamilySpec:
     """Frame plus matrix data for one member of a strict family.
 
@@ -169,9 +197,13 @@ class FamilySpec:
     def from_json(cls, data: dict) -> "FamilySpec":
         if not isinstance(data, dict):
             raise InputError("a family instance must be a JSON object")
-        for key in ("ring", "sequence", "c", "Ax"):
+        for key in _REQUIRED_FIELDS:
             if key not in data:
                 raise InputError(f"family instance is missing {key!r}")
+        for key, valid, what in _FIELD_TYPES:
+            value = data.get(key)
+            if (value is not None or key in _REQUIRED_FIELDS) and not valid(value):
+                raise InputError(f"family instance {key!r} must be {what}")
         ring = QuotientRing.from_json(data["ring"])
         return cls(
             ring,

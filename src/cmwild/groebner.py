@@ -124,20 +124,26 @@ def vec_mono_shift(v: Vec, shift, c: int, p: int) -> Vec:
 
 
 class GroebnerBasis:
-    """A monic basis with cached leading terms and a divisor index."""
+    """A monic basis with cached leading terms and a divisor index; also
+    the working set that ``buchberger`` grows."""
 
     __slots__ = ("vectors", "order", "p", "lts", "_by_pos")
 
-    def __init__(self, vectors, order: ModuleOrder, p: int):
-        self.vectors = list(vectors)
+    def __init__(self, order: ModuleOrder, p: int):
+        self.vectors: list = []
         self.order = order
         self.p = p
-        keyf = order.key
-        self.lts = [max(v, key=keyf) for v in self.vectors]
-        by_pos: dict = {}
-        for i, (pos, m) in enumerate(self.lts):
-            by_pos.setdefault(pos, []).append((m, i))
-        self._by_pos = by_pos
+        self.lts: list = []
+        self._by_pos: dict = {}
+
+    def add(self, v: Vec, lt) -> int:
+        """Append the monic vector ``v`` with leading term ``lt``; returns
+        its index."""
+        i = len(self.vectors)
+        self.vectors.append(v)
+        self.lts.append(lt)
+        self._by_pos.setdefault(lt[0], []).append((lt[1], i))
+        return i
 
     def __len__(self):
         return len(self.vectors)
@@ -146,15 +152,17 @@ class GroebnerBasis:
         return iter(self.vectors)
 
     def normal_form(self, v: Vec) -> Vec:
-        return _normal_form(v, self.lts, self.vectors, self._by_pos, self.order, self.p)
+        return _normal_form(v, self)
 
     def reduces_to_zero(self, v: Vec) -> bool:
         return not self.normal_form(v)
 
 
-def _normal_form(v, lts, vectors, by_pos, order, p):
+def _normal_form(v: Vec, basis: GroebnerBasis) -> Vec:
     """Full normal form: every term of the result is irreducible."""
-    keyf = order.key
+    keyf = basis.order.key
+    p = basis.p
+    lts, vectors, by_pos = basis.lts, basis.vectors, basis._by_pos
     work = dict(v)
     out: Vec = {}
     while work:
@@ -169,10 +177,9 @@ def _normal_form(v, lts, vectors, by_pos, order, p):
         if hit is None:
             out[t] = c
             continue
-        shift = mono_div(m, lts[hit][1])
-        g = vectors[hit]
         lt = lts[hit]
-        for gt, gc in g.items():
+        shift = mono_div(m, lt[1])
+        for gt, gc in vectors[hit].items():
             if gt == lt:
                 continue
             t2 = (gt[0], mono_mul(gt[1], shift))
@@ -184,13 +191,14 @@ def _normal_form(v, lts, vectors, by_pos, order, p):
     return out
 
 
-def _make_monic(v: Vec, order: ModuleOrder, p: int) -> Vec:
+def _make_monic(v: Vec, order: ModuleOrder, p: int):
+    """(v scaled to leading coefficient 1, its leading term)."""
     lt = max(v, key=order.key)
     c = v[lt]
     if c == 1:
-        return v
+        return v, lt
     inv = pow(c, -1, p)
-    return {t: k * inv % p for t, k in v.items()}
+    return {t: k * inv % p for t, k in v.items()}, lt
 
 
 def buchberger(gens, order: ModuleOrder, p: int) -> GroebnerBasis:
@@ -202,19 +210,8 @@ def buchberger(gens, order: ModuleOrder, p: int) -> GroebnerBasis:
     applied in rank one only (see the module docstring).
     """
     product_criterion = order.rank == 1
-    keyf = order.key
-    G: list[Vec] = []
-    lts: list = []
-    by_pos: dict = {}
-
-    def push(v):
-        i = len(G)
-        lt = max(v, key=keyf)
-        G.append(v)
-        lts.append(lt)
-        by_pos.setdefault(lt[0], []).append((lt[1], i))
-        return i
-
+    gb = GroebnerBasis(order, p)
+    G, lts, by_pos = gb.vectors, gb.lts, gb._by_pos
     heap: list = []
     counter = 0
 
@@ -234,8 +231,7 @@ def buchberger(gens, order: ModuleOrder, p: int) -> GroebnerBasis:
 
     for g in gens:
         if g:
-            j = push(_make_monic(dict(g), order, p))
-            queue_pairs(j)
+            queue_pairs(gb.add(*_make_monic(dict(g), order, p)))
 
     treated: set = set()
     while heap:
@@ -262,46 +258,39 @@ def buchberger(gens, order: ModuleOrder, p: int) -> GroebnerBasis:
             vec_mono_shift(G[j], mono_div(lcm, m_j), p - 1, p),
             p,
         )
-        r = _normal_form(s, lts, G, by_pos, order, p)
+        r = _normal_form(s, gb)
         if r:
-            jj = push(_make_monic(r, order, p))
-            queue_pairs(jj)
+            queue_pairs(gb.add(*_make_monic(r, order, p)))
 
-    return _interreduce(G, order, p)
+    return _interreduce(gb)
 
 
-def _interreduce(G, order: ModuleOrder, p: int) -> GroebnerBasis:
-    keyf = order.key
-    items = sorted(((max(g, key=keyf), g) for g in G if g), key=lambda it: keyf(it[0]))
-    kept: list = []
-    for lt, g in items:
+def _interreduce(gb: GroebnerBasis) -> GroebnerBasis:
+    order = gb.order
+    kept = GroebnerBasis(order, gb.p)
+    for lt, g in sorted(zip(gb.lts, gb.vectors), key=lambda it: order.key(it[0])):
         pos, m = lt
-        if any(kpos == pos and mono_divides(km, m) for (kpos, km), _ in kept):
-            continue
-        kept.append((lt, g))
-    # tail-reduce each element against the others; leading terms are stable
-    final = []
-    for idx in range(len(kept)):
-        others = [kept[k] for k in range(len(kept)) if k != idx]
-        olts = [it[0] for it in others]
-        ovecs = [it[1] for it in others]
-        oby: dict = {}
-        for i2, (pos, m) in enumerate(olts):
-            oby.setdefault(pos, []).append((m, i2))
-        r = _normal_form(kept[idx][1], olts, ovecs, oby, order, p)
-        final.append(_make_monic(r, order, p))
+        if not any(mono_divides(km, m) for km, _ in kept._by_pos.get(pos, ())):
+            kept.add(g, lt)
+
     # canonical listing: leading-term degree ascending, position priority,
     # then grevlex descending within a degree
-    def list_key(v):
-        pos, m = max(v, key=keyf)
+    def list_key(item):
+        pos, m = item[0]
         return (
             sum(m) + order.gen_degrees[pos],
             order.rank_of[pos],
             tuple(reversed(m)),
         )
 
-    final.sort(key=list_key)
-    return GroebnerBasis(final, order, p)
+    # tail-reduce each element against the kept basis: a term below lt(g)
+    # is never divisible by lt(g), so g never reduces itself, and leading
+    # terms (and monic leading coefficients) are stable
+    out = GroebnerBasis(order, gb.p)
+    for lt, g in sorted(zip(kept.lts, kept.vectors), key=list_key):
+        tail = _normal_form({t: c for t, c in g.items() if t != lt}, kept)
+        out.add({lt: 1, **tail}, lt)
+    return out
 
 
 # ------------------------------------------------------------ tagged bases
@@ -477,6 +466,46 @@ def hilbert_polynomial_values(hn: dict, nvars: int) -> dict:
     for _ in range(nvars):
         f = divide_by_one_minus_t(f)
     return f
+
+
+class Staircase:
+    """Hilbert data of a graded quotient F/N, read off the staircase of
+    the reduced Groebner basis ``gb`` of N.  Subclasses provide ``gb``;
+    its order carries the generator degrees of F and the variable count.
+    A ring S/I is the rank-one case, with one generator in degree 0."""
+
+    __slots__ = ("_numerator",)
+
+    def component_terms(self, t: int) -> list:
+        """Standard (position, monomial) terms of degree t."""
+        order = self.gb.order
+        return standard_terms(self.gb.lts, order.gen_degrees, order.nvars, t)
+
+    def hilbert_dim(self, t: int) -> int:
+        return len(self.component_terms(t))
+
+    @property
+    def hilbert_numerator(self) -> dict:
+        if self._numerator is None:
+            order = self.gb.order
+            self._numerator = module_numerator(
+                self.gb.lts, order.gen_degrees, order.nvars
+            )
+        return dict(self._numerator)
+
+    def hilbert_function(self) -> dict:
+        """Finite Hilbert function {t: dim}; finite-length quotients only."""
+        try:
+            return hilbert_polynomial_values(self.hilbert_numerator, self.gb.order.nvars)
+        except ValueError:
+            raise InputError(
+                "the quotient has positive dimension, so its Hilbert function is not finite"
+            ) from None
+
+    def top_degree(self) -> int:
+        """Largest t with a nonzero degree-t component; -1 for zero."""
+        hf = self.hilbert_function()
+        return max(hf) if hf else -1
 
 
 def staircase_krull_dim(monos, nvars: int) -> int:

@@ -158,16 +158,6 @@ def solve(A: np.ndarray, b, p: int):
     return res[0]
 
 
-def inverse(A: np.ndarray, p: int):
-    n = A.shape[0]
-    if A.shape[0] != A.shape[1]:
-        raise InputError("inverse needs a square matrix")
-    R, pivots = rref(np.concatenate([A % p, identity_matrix(n)], axis=1), p)
-    if [c for c in pivots if c < n] != list(range(n)):
-        return None
-    return R[:, n:]
-
-
 def is_invertible(A: np.ndarray, p: int) -> bool:
     return A.shape[0] == A.shape[1] and rank(A, p) == A.shape[0]
 
@@ -361,8 +351,6 @@ def coprime_split(mu, p, rng):
     if u_deg(mu) <= 1:
         return None
     w = u_radical(mu, p)
-    if u_deg(w) == u_deg(mu) == 1:
-        return None
     if u_deg(w) == 1:
         return None  # single irreducible factor
     # distinct-degree scan on the squarefree radical
@@ -539,7 +527,7 @@ class _SemisimpleQuotient:
         cols = []
         for e in cb:
             img = self.reduce(self.solver.coords(mat_pow(self.lift(e), self.p, self.p)))
-            cols.append(img[self.free] if self.free else img)
+            cols.append(img[self.free])
         F = np.stack(cols, axis=1)
         F = (F - identity_matrix(len(cb))) % self.p
         fixed = nullspace(F, self.p)

@@ -15,11 +15,8 @@ from .errors import InputError
 from .groebner import (
     GroebnerBasis,
     ModuleOrder,
-    TaggedBasis,
+    Staircase,
     buchberger,
-    hilbert_polynomial_values,
-    module_numerator,
-    standard_terms,
     vec_degree,
     vec_mono_shift,
     vec_add,
@@ -75,7 +72,7 @@ class FreeModule:
         """Ring relations times each generator: the vectors that make
         ambient-ring Groebner computations compute over R."""
         out = []
-        for g in self.ring.ideal_basis.vectors:
+        for g in self.ring.gb.vectors:
             for i in range(self.rank):
                 out.append({(i, m): c for (_p, m), c in g.items()})
         return out
@@ -87,7 +84,7 @@ def ring_reduce_vec(ring: QuotientRing, v: dict) -> dict:
     for (pos, m), c in v.items():
         comps.setdefault(pos, {})[m] = c
     out: dict = {}
-    gb = ring.ideal_basis
+    gb = ring.gb
     for pos, terms in comps.items():
         nf = gb.normal_form({(0, m): c for m, c in terms.items()})
         for (_z, m), c in nf.items():
@@ -151,10 +148,11 @@ class FreeMap:
         return not any(ring_reduce_vec(self.ring, col) for col in self.columns)
 
 
-class ModulePresentation:
-    """M = coker(relations -> free) over ``ring``."""
+class ModulePresentation(Staircase):
+    """M = coker(relations -> free) over ``ring``; its Hilbert data is the
+    staircase of the relations plus the ring-relation adjunction."""
 
-    __slots__ = ("ring", "free", "relations", "_gb", "_numerator", "_tagged")
+    __slots__ = ("ring", "free", "relations", "_gb")
 
     def __init__(self, ring: QuotientRing, gen_degrees, relations):
         self.ring = ring
@@ -171,7 +169,6 @@ class ModulePresentation:
         self.relations = tuple(rels)
         self._gb: GroebnerBasis | None = None
         self._numerator: dict | None = None
-        self._tagged: TaggedBasis | None = None
 
     @property
     def rank(self) -> int:
@@ -193,44 +190,7 @@ class ModulePresentation:
             )
         return self._gb
 
-    @property
-    def tagged(self) -> TaggedBasis:
-        """Tagged basis of the relation list (with adjunction) for syzygy
-        and coordinate queries against this presentation."""
-        if self._tagged is None:
-            self._tagged = TaggedBasis(
-                self.all_generators(), self.free.order, self.ring.p
-            )
-        return self._tagged
-
     # -- Hilbert data
-
-    def hilbert_dim(self, t: int) -> int:
-        return len(self.component_terms(t))
-
-    def component_terms(self, t: int) -> list:
-        return standard_terms(
-            self.gb.lts, self.free.gen_degrees, self.ring.nvars, t
-        )
-
-    @property
-    def hilbert_numerator(self) -> dict:
-        if self._numerator is None:
-            self._numerator = module_numerator(
-                self.gb.lts, self.free.gen_degrees, self.ring.nvars
-            )
-        return dict(self._numerator)
-
-    def hilbert_function(self) -> dict:
-        """Finite Hilbert function for a finite-length module."""
-        try:
-            return hilbert_polynomial_values(self.hilbert_numerator, self.ring.nvars)
-        except ValueError:
-            raise InputError("module has positive dimension") from None
-
-    def top_degree(self) -> int:
-        hf = self.hilbert_function()
-        return max(hf) if hf else -1
 
     def is_zero(self) -> bool:
         return not self.hilbert_numerator

@@ -14,11 +14,9 @@ from .field import DEFAULT_PRIME
 from .groebner import (
     GroebnerBasis,
     ModuleOrder,
+    Staircase,
     buchberger,
-    hilbert_polynomial_values,
-    module_numerator,
     staircase_krull_dim,
-    standard_terms,
 )
 from .poly import Poly, PolyRing
 
@@ -31,8 +29,9 @@ def _vec_to_poly(ring: PolyRing, v) -> Poly:
     return Poly(ring, {m: c for (_pos, m), c in v.items()})
 
 
-class QuotientRing:
-    """R = F_p[vars]/(relations), with cached Groebner data."""
+class QuotientRing(Staircase):
+    """R = F_p[vars]/(relations), with cached Groebner data; its Hilbert
+    data is the rank-one staircase of the relation ideal."""
 
     def __init__(self, ambient: PolyRing, relations=()):
         self.ambient = ambient
@@ -111,7 +110,7 @@ class QuotientRing:
     # -- Groebner data
 
     @property
-    def ideal_basis(self) -> GroebnerBasis:
+    def gb(self) -> GroebnerBasis:
         if self._gb is None:
             order = ModuleOrder((0,), self.nvars)
             self._gb = buchberger(
@@ -123,12 +122,12 @@ class QuotientRing:
     def groebner(self) -> list[Poly]:
         """Reduced Groebner basis of the relation ideal, leading terms
         descending, monic."""
-        return [_vec_to_poly(self.ambient, v) for v in self.ideal_basis.vectors]
+        return [_vec_to_poly(self.ambient, v) for v in self.gb.vectors]
 
     def normal_form(self, f: Poly) -> Poly:
         if f.ring != self.ambient:
             raise InputError("element does not live in the ambient ring")
-        return _vec_to_poly(self.ambient, self.ideal_basis.normal_form(_poly_to_vec(f)))
+        return _vec_to_poly(self.ambient, self.gb.normal_form(_poly_to_vec(f)))
 
     def is_zero_element(self, f: Poly) -> bool:
         return self.normal_form(f).is_zero()
@@ -137,7 +136,7 @@ class QuotientRing:
 
     @property
     def lead_monomials(self):
-        return [m for (_pos, m) in self.ideal_basis.lts]
+        return [m for (_pos, m) in self.gb.lts]
 
     @property
     def krull_dimension(self) -> int:
@@ -149,37 +148,9 @@ class QuotientRing:
     def is_artinian(self) -> bool:
         return self.krull_dimension <= 0
 
-    @property
-    def hilbert_numerator(self) -> dict:
-        if self._numerator is None:
-            self._numerator = module_numerator(
-                self.ideal_basis.lts, (0,), self.nvars
-            )
-        return dict(self._numerator)
-
-    def hilbert_dim(self, t: int) -> int:
-        if t < 0:
-            return 0
-        return len(standard_terms(self.ideal_basis.lts, (0,), self.nvars, t))
-
     def component_basis(self, t: int) -> list[Poly]:
         """Monomial basis of R_t, grevlex descending."""
-        return [
-            self.ambient.monomial(m)
-            for (_pos, m) in standard_terms(self.ideal_basis.lts, (0,), self.nvars, t)
-        ]
-
-    def hilbert_function(self) -> dict:
-        """Finite Hilbert function {t: dim R_t}; Artinian rings only."""
-        try:
-            return hilbert_polynomial_values(self.hilbert_numerator, self.nvars)
-        except ValueError:
-            raise InputError("ring has positive Krull dimension") from None
-
-    def top_degree(self) -> int:
-        """Largest t with R_t != 0; -1 for the zero ring.  Artinian only."""
-        hf = self.hilbert_function()
-        return max(hf) if hf else -1
+        return [self.ambient.monomial(m) for (_pos, m) in self.component_terms(t)]
 
     # -- derived rings
 

@@ -21,10 +21,11 @@ from cmwild.family import (
     verify_shift_embedding,
 )
 from cmwild.matalg import (
-    inverse,
+    identity_matrix,
     is_invertible,
     mat_mul,
     simultaneous_conjugacy,
+    solve_many,
 )
 from cmwild.modules import ModulePresentation
 from cmwild.resolution import koszul_complex, minimal_resolution
@@ -253,7 +254,7 @@ def test_criterion_8_conjugacy_and_brute_force():
             )
             if is_invertible(sigma, P):
                 break
-        inv = inverse(sigma, P)
+        inv = np.stack(solve_many(sigma, identity_matrix(n), P), axis=1)
         Bs = [mat_mul(mat_mul(sigma, A, P), inv, P) for A in As]
         cert = simultaneous_conjugacy(As, Bs, P, seed=trial)
         if cert["verdict"] != "Isomorphic":

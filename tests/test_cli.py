@@ -372,3 +372,33 @@ def test_instance_ring_not_an_object(tmp_path, capsys):
     code, _, err = run(capsys, ["family", "--instance", inst, "--field-char", "101"])
     assert code == 2
     assert "ring JSON" in err
+
+
+MALFORMED_INSTANCE_FIELDS = {
+    "c-string": {"c": "x"},
+    "c-float": {"c": 4.5},
+    "c-bool": {"c": True},
+    "c-null": {"c": None},
+    "n-float": {"n": 1.5},
+    "n-bool": {"n": True},
+    "sequence-int": {"sequence": 5},
+    "sequence-ints": {"sequence": [1, 2]},
+    "basis-int": {"basis": 3},
+    "basis-ints": {"basis": [1, 2, 3]},
+    "Ax-string": {"Ax": "foo"},
+    "Ax-ragged": {"Ax": [[1, 2], [3]]},
+    "Ax-float": {"Ax": [[1.5]]},
+    "Ax-flat": {"Ax": [1]},
+    "Ay-string": {"Ay": "foo"},
+    "Ay-bool": {"Ay": [[True]]},
+}
+
+
+@pytest.mark.parametrize("bad", sorted(MALFORMED_INSTANCE_FIELDS))
+def test_malformed_instance_field_is_an_input_error(tmp_path, capsys, bad):
+    field = MALFORMED_INSTANCE_FIELDS[bad]
+    inst = write(tmp_path, "i.json", {**INSTANCE, **field})
+    code, out, err = run(capsys, ["family", "--instance", inst])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: family instance {next(iter(field))!r} must be")

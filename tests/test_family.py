@@ -24,11 +24,12 @@ from cmwild.family import (
 )
 from cmwild.matalg import (
     as_matrix,
-    inverse,
+    identity_matrix,
     is_invertible,
     mat_mul,
     rank as mat_rank,
     simultaneous_conjugacy,
+    solve_many,
 )
 from cmwild.rings import QuotientRing
 from cmwild.wildness import verify_regular_element
@@ -285,6 +286,11 @@ def random_commuting_pair(rng, n):
         Ay = (Ay + cf * power) % P
         power = mat_mul(power, Ax, P)
     return Ax, Ay
+
+
+def inverse(A, p):
+    """A^-1 for an invertible A, column by column from the solver."""
+    return np.stack(solve_many(A, identity_matrix(A.shape[0]), p), axis=1)
 
 
 def random_invertible(rng, n):

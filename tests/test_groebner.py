@@ -92,7 +92,7 @@ class TestBuchbergerIdeals:
             if not gens:
                 continue
             q = QuotientRing(ring, gens)
-            gb = q.ideal_basis
+            gb = q.gb
             vecs = gb.vectors
             p = 101
             for i in range(len(vecs)):
@@ -184,6 +184,50 @@ class TestModuleBasesAndSyzygies:
                 for (idx, m), c in s.items():
                     total = vec_add(total, vec_mono_shift(gens[idx], m, c, p), p)
                 assert total == {}
+
+
+def random_homogeneous_vec(rng, gen_degrees, nvars, p, deg):
+    """A random degree-``deg`` vector of the free module with generators in
+    ``gen_degrees``; may be zero."""
+    v = {}
+    for pos, gd in enumerate(gen_degrees):
+        if deg < gd:
+            continue
+        for m in monomials_of_degree(nvars, deg - gd):
+            if rng.random() < 0.3:
+                v[(pos, m)] = rng.randrange(1, p)
+    return v
+
+
+class TestReducedBasisProperty:
+    @pytest.mark.parametrize(
+        "gen_degrees", [(0,), (0, 1), (2, 0, 1)], ids=["ideal", "rank2", "rank3"]
+    )
+    def test_monic_reduced_and_permutation_invariant(self, gen_degrees):
+        rng = random.Random(29 + len(gen_degrees))
+        p, nvars = 31, 3
+        order = ModuleOrder(gen_degrees, nvars)
+        lo, hi = min(gen_degrees) + 2, max(gen_degrees) + 3
+        for _ in range(15):
+            gens = [
+                random_homogeneous_vec(rng, gen_degrees, nvars, p, rng.randint(lo, hi))
+                for _g in range(rng.randint(1, 4))
+            ]
+            gb = buchberger(gens, order, p)
+            for i, (v, lt) in enumerate(zip(gb.vectors, gb.lts)):
+                assert lt == max(v, key=order.key)
+                assert v[lt] == 1
+                for pos, m in v:
+                    divisors = [
+                        j for j, (lpos, lm) in enumerate(gb.lts)
+                        if lpos == pos and mono_divides(lm, m)
+                    ]
+                    assert divisors == ([i] if (pos, m) == lt else [])
+            shuffled = list(gens)
+            rng.shuffle(shuffled)
+            again = buchberger(shuffled, order, p)
+            assert again.vectors == gb.vectors
+            assert again.lts == gb.lts
 
 
 class TestHilbert:
