@@ -76,6 +76,11 @@ def _is_int_matrix(x) -> bool:
     )
 
 
+def _reduce_mod_p(rows, p: int):
+    """Integer rows reduced mod p, so that any JSON integer fits int64."""
+    return None if rows is None else [[e % p for e in row] for row in rows]
+
+
 # instance JSON fields: the required keys, and the type of every field
 _REQUIRED_FIELDS = ("ring", "sequence", "c", "Ax")
 _FIELD_TYPES = (
@@ -137,7 +142,11 @@ class FamilySpec:
             )
 
         want = 2 if self.Ay is None else 3
-        monos = self.rbar.component_basis(self.c)
+        # Rbar is Artinian: past its top degree the component is empty, and
+        # listing it would first enumerate every monomial of degree c
+        monos = (
+            self.rbar.component_basis(self.c) if self.c <= self.rbar.top_degree() else []
+        )
         if basis is None:
             if len(monos) < want:
                 raise InputError(
@@ -209,8 +218,8 @@ class FamilySpec:
             ring,
             data["sequence"],
             data["c"],
-            data["Ax"],
-            Ay=data.get("Ay"),
+            _reduce_mod_p(data["Ax"], ring.p),
+            Ay=_reduce_mod_p(data.get("Ay"), ring.p),
             basis=data.get("basis"),
             n=data.get("n"),
         )

@@ -16,12 +16,23 @@ Buchberger's product criterion is applied only in rank one.  It fails for
 genuine modules: with u = x*e1 + y*e2 and v = y*e1 + x*e2 the S-vector
 (y^2 - x^2)*e2 reduces to neither.  The chain criterion is restricted to
 pairs already treated, so no skip can be circular.
+
+Normal forms keep the working vector ordered instead of rescanning it for
+its leading term.  Next to the dict ``work`` sits a min-heap of
+(negated order key, term) entries, with negated key
+(rank_of[pos], -deg, m[::-1]).  A term is pushed when it enters ``work``,
+also when it comes back after cancelling; a popped entry whose term has left
+``work`` is stale and skipped.  Invariant: every term of ``work`` has an
+entry in the heap.  A reduction step removes the largest term and adds only
+smaller ones, so the pops come in the order of ``max(work, key=order.key)``
+and the result is filled in the same descending order as by a rescan.
 """
 
 from __future__ import annotations
 
-import heapq
 import warnings
+from heapq import heapify, heappop, heappush
+from operator import add, le, sub
 
 from .errors import InputError
 from .poly import (
@@ -120,7 +131,7 @@ def vec_mono_shift(v: Vec, shift, c: int, p: int) -> Vec:
     c %= p
     if c == 0:
         return {}
-    return {(pos, mono_mul(m, shift)): k * c % p for (pos, m), k in v.items()}
+    return {(pos, tuple(map(add, m, shift))): k * c % p for (pos, m), k in v.items()}
 
 
 class GroebnerBasis:
@@ -159,34 +170,47 @@ class GroebnerBasis:
 
 
 def _normal_form(v: Vec, basis: GroebnerBasis) -> Vec:
-    """Full normal form: every term of the result is irreducible."""
-    keyf = basis.order.key
+    """Full normal form: every term of the result is irreducible.
+
+    The leading term of ``work`` comes off a min-heap of (negated order key,
+    term); see the module docstring for why the pop order is the order of
+    ``max(work, key=order.key)``.
+    """
+    rank_of = basis.order.rank_of
     p = basis.p
     lts, vectors, by_pos = basis.lts, basis.vectors, basis._by_pos
     work = dict(v)
+    heap = [((rank_of[pos], -sum(m), m[::-1]), (pos, m)) for pos, m in work]
+    heapify(heap)
     out: Vec = {}
-    while work:
-        t = max(work, key=keyf)
-        c = work.pop(t)
+    while heap:
+        t = heappop(heap)[1]
+        c = work.pop(t, None)
+        if c is None:
+            continue  # stale: the term cancelled, or a later entry took it
         pos, m = t
         hit = None
         for gm, gi in by_pos.get(pos, ()):
-            if mono_divides(gm, m):
+            if all(map(le, gm, m)):
                 hit = gi
                 break
         if hit is None:
             out[t] = c
             continue
         lt = lts[hit]
-        shift = mono_div(m, lt[1])
+        shift = tuple(map(sub, m, lt[1]))
         for gt, gc in vectors[hit].items():
             if gt == lt:
                 continue
-            t2 = (gt[0], mono_mul(gt[1], shift))
-            c2 = (work.get(t2, 0) - c * gc) % p
+            gpos, m2 = gt[0], tuple(map(add, gt[1], shift))
+            t2 = (gpos, m2)
+            old = work.get(t2)
+            c2 = ((old or 0) - c * gc) % p
             if c2:
+                if old is None:
+                    heappush(heap, ((rank_of[gpos], -sum(m2), m2[::-1]), t2))
                 work[t2] = c2
-            elif t2 in work:
+            elif old is not None:
                 del work[t2]
     return out
 
@@ -225,7 +249,7 @@ def buchberger(gens, order: ModuleOrder, p: int) -> GroebnerBasis:
             lcm = mono_lcm(m_i, m_j)
             sdeg = mono_deg(lcm) + order.gen_degrees[pos_j]
             counter += 1
-            heapq.heappush(
+            heappush(
                 heap, (sdeg, grevlex_key(lcm), i, j, counter, lcm)
             )
 
@@ -235,7 +259,7 @@ def buchberger(gens, order: ModuleOrder, p: int) -> GroebnerBasis:
 
     treated: set = set()
     while heap:
-        sdeg, _lk, i, j, _n, lcm = heapq.heappop(heap)
+        sdeg, _lk, i, j, _n, lcm = heappop(heap)
         treated.add((i, j))
         pos = lts[i][0]
         m_i, m_j = lts[i][1], lts[j][1]

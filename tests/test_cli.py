@@ -1,6 +1,11 @@
 """End-to-end command-line behavior: outputs, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -172,6 +177,36 @@ def test_family_byte_identical(tmp_path, capsys):
     _, out1, _ = run(capsys, ["family", "--instance", inst, "--format", "json"])
     _, out2, _ = run(capsys, ["family", "--instance", inst, "--format", "json"])
     assert out1 == out2
+
+
+def test_huge_c_is_a_prompt_input_error(tmp_path):
+    # the degree-c component lies past the top degree of the reduction, so
+    # it is empty; it must not be enumerated monomial by monomial
+    inst = write(tmp_path, "i.json", {**INSTANCE, "c": 10**30})
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "cmwild.cli", "family", "--instance", inst],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 2
+    assert "has only 0 standard monomials" in proc.stderr
+    assert elapsed < 10
+
+
+def test_matrix_entries_beyond_int64_are_reduced_mod_p(tmp_path, capsys):
+    p = FERMAT["p"]
+    big = write(tmp_path, "big.json", {**INSTANCE, "Ax": [[10**30]], "Ay": [[-10**30]]})
+    small = write(
+        tmp_path, "small.json", {**INSTANCE, "Ax": [[10**30 % p]], "Ay": [[-10**30 % p]]}
+    )
+    code, out_big, err = run(capsys, ["family", "--instance", big, "--format", "json"])
+    assert code == 0, err
+    _, out_small, _ = run(capsys, ["family", "--instance", small, "--format", "json"])
+    assert out_big == out_small
 
 
 def test_iso_not_isomorphic(tmp_path, capsys):

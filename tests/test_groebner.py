@@ -10,6 +10,7 @@ from cmwild.errors import InputError
 from cmwild.groebner import (
     ModuleOrder,
     TaggedBasis,
+    _normal_form,
     buchberger,
     divide_by_one_minus_t,
     hilbert_polynomial_values,
@@ -228,6 +229,100 @@ class TestReducedBasisProperty:
             again = buchberger(shuffled, order, p)
             assert again.vectors == gb.vectors
             assert again.lts == gb.lts
+
+
+def rescan_normal_form(v, basis):
+    """Reference reduction loop: find the leading term of the working vector
+    by scanning all of it on every step, and take the first basis element,
+    by index, whose leading term divides it."""
+    key = basis.order.key
+    p = basis.p
+    work = dict(v)
+    out = {}
+    while work:
+        t = max(work, key=key)
+        c = work.pop(t)
+        pos, m = t
+        hit = next(
+            (i for i, (lpos, lm) in enumerate(basis.lts)
+             if lpos == pos and mono_divides(lm, m)),
+            None,
+        )
+        if hit is None:
+            out[t] = c
+            continue
+        shift = tuple(a - b for a, b in zip(m, basis.lts[hit][1]))
+        for (gpos, gm), gc in basis.vectors[hit].items():
+            if (gpos, gm) == basis.lts[hit]:
+                continue
+            t2 = (gpos, tuple(a + b for a, b in zip(gm, shift)))
+            c2 = (work.get(t2, 0) - c * gc) % p
+            if c2:
+                work[t2] = c2
+            elif t2 in work:
+                del work[t2]
+    return out
+
+
+class TestNormalFormOracle:
+    """The heap-ordered ``_normal_form`` against the rescan loop, compared
+    as ordered dicts: same terms, same coefficients, same term order."""
+
+    @staticmethod
+    def check(basis, vectors):
+        for v in vectors:
+            got = _normal_form(v, basis)
+            assert list(got.items()) == list(rescan_normal_form(v, basis).items())
+
+    @pytest.mark.parametrize(
+        "gen_degrees", [(0,), (0, 1), (2, 0, 1)], ids=["ideal", "rank2", "rank3"]
+    )
+    def test_matches_rescan_on_buchberger_bases(self, gen_degrees):
+        rng = random.Random(61 + len(gen_degrees))
+        p, nvars = 31, 3
+        order = ModuleOrder(gen_degrees, nvars)
+        lo, hi = min(gen_degrees) + 2, max(gen_degrees) + 3
+        for _ in range(12):
+            gens = [
+                random_homogeneous_vec(rng, gen_degrees, nvars, p, rng.randint(lo, hi))
+                for _g in range(rng.randint(1, 4))
+            ]
+            gb = buchberger(gens, order, p)
+            self.check(gb, [
+                random_homogeneous_vec(rng, gen_degrees, nvars, p, rng.randint(lo, hi + 2))
+                for _v in range(6)
+            ])
+
+    def test_matches_rescan_in_a_tagged_order(self):
+        rng = random.Random(67)
+        p, nvars = 31, 3
+        base = ModuleOrder((0, 1), nvars)
+        for _ in range(8):
+            gens = [
+                random_homogeneous_vec(rng, base.gen_degrees, nvars, p, rng.randint(2, 3))
+                for _g in range(rng.randint(2, 4))
+            ]
+            tb = TaggedBasis(gens, base, p)
+            self.check(tb.gb, [
+                random_homogeneous_vec(rng, tb.order.gen_degrees, nvars, p, rng.randint(2, 5))
+                for _v in range(6)
+            ])
+
+    def test_term_cancelled_then_recreated(self):
+        # basis {x^2 + y^2, x*y - y^2, y^3}; reducing x^2 + x*y + y^2:
+        # x^2 cancels y^2, whose heap entry goes stale; x*y then brings
+        # y^2 back with a second entry.  Exactly one of the two may count.
+        p = 101
+        order = ModuleOrder((0,), 2)
+        gb = buchberger(
+            [{(0, (2, 0)): 1, (0, (0, 2)): 1}, {(0, (1, 1)): 1, (0, (0, 2)): p - 1}],
+            order,
+            p,
+        )
+        assert gb.lts == [(0, (2, 0)), (0, (1, 1)), (0, (0, 3))]
+        v = {(0, (2, 0)): 1, (0, (1, 1)): 1, (0, (0, 2)): 1}
+        assert _normal_form(v, gb) == {(0, (0, 2)): 1}
+        self.check(gb, [v])
 
 
 class TestHilbert:
