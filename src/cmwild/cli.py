@@ -10,6 +10,11 @@ Subcommands:
     hilbert       Hilbert data of a ring
     verify        structural checks for a family instance
 
+``hypersurface`` and ``ci`` are ``check`` behind a guard, served by one
+handler: they scan the same window (from m - d + 2 to the top degree of
+the reduction) and, when the guard passes, print the bytes ``check``
+prints.  Only ``check`` takes ``--sequence``.
+
 Every report echoes the schema tag, the field characteristic, and the
 seed.  JSON output is stable: re-running a command with the same inputs
 and seed produces byte-identical bytes.  Exit codes: 0 when a verdict was
@@ -163,33 +168,22 @@ def _betti_lines(data: dict) -> list[str]:
 # ----------------------------------------------------------- subcommands
 
 
-def _cmd_check(args) -> dict:
+_VERDICTS = {
+    "check": wildness_certificate,
+    "hypersurface": hypersurface_certificate,
+    "ci": complete_intersection_certificate,
+}
+
+
+def _cmd_verdict(args) -> dict:
+    """check, hypersurface and ci: the one criterion, behind the guard of
+    the command; only check takes a sequence."""
     ring = _load_ring(args.ring, args.field_char)
-    rep = wildness_certificate(
-        ring,
-        sequence=_split_sequence(args.sequence),
-        c_window=_parse_window(args.c_window),
-        seed=args.seed,
-    )
-    return rep.to_json()
-
-
-def _cmd_hypersurface(args) -> dict:
-    rep = hypersurface_certificate(
-        _load_ring(args.ring, args.field_char),
-        seed=args.seed,
-        c_window=_parse_window(args.c_window),
-    )
-    return rep.to_json()
-
-
-def _cmd_ci(args) -> dict:
-    rep = complete_intersection_certificate(
-        _load_ring(args.ring, args.field_char),
-        seed=args.seed,
-        c_window=_parse_window(args.c_window),
-    )
-    return rep.to_json()
+    options = {"seed": args.seed}
+    if args.command == "check":
+        options["sequence"] = _split_sequence(args.sequence)
+    options["c_window"] = _parse_window(args.c_window)
+    return _VERDICTS[args.command](ring, **options).to_json()
 
 
 def _cmd_family(args) -> dict:
@@ -304,9 +298,7 @@ def _verify_lines(data: dict) -> list[str]:
 
 
 _RENDERERS = {
-    "check": _wildness_lines,
-    "hypersurface": _wildness_lines,
-    "ci": _wildness_lines,
+    **dict.fromkeys(_VERDICTS, _wildness_lines),
     "family": _family_lines,
     "iso": _iso_lines,
     "resolve": _betti_lines,
@@ -315,9 +307,7 @@ _RENDERERS = {
 }
 
 _HANDLERS = {
-    "check": _cmd_check,
-    "hypersurface": _cmd_hypersurface,
-    "ci": _cmd_ci,
+    **dict.fromkeys(_VERDICTS, _cmd_verdict),
     "family": _cmd_family,
     "iso": _cmd_iso,
     "resolve": _cmd_resolve,

@@ -38,7 +38,7 @@ from .modules import ModulePresentation
 from .poly import Poly
 from .resolution import comparison_map, koszul_complex, minimal_resolution
 from .rings import QuotientRing
-from .wildness import artinian_reduction, verify_regular_element
+from .wildness import artinian_reduction, first_scan_degree, verify_regular_element
 
 __all__ = [
     "FamilySpec",
@@ -115,7 +115,7 @@ class FamilySpec:
         self.m = sum(y.degree() for y in seq)
 
         self.c = int(c)
-        if self.c <= self.m - self.d + 1:
+        if self.c < first_scan_degree(self.m, self.d):
             raise InputError(
                 f"degree c={self.c} must exceed m-d+1={self.m - self.d + 1}"
             )

@@ -30,7 +30,6 @@ and the result is filled in the same descending order as by a rescan.
 
 from __future__ import annotations
 
-import warnings
 from heapq import heapify, heappop, heappush
 from operator import add, le, sub
 
@@ -482,14 +481,16 @@ def divide_by_one_minus_t(f: dict) -> dict:
     return q
 
 
-def hilbert_polynomial_values(hn: dict, nvars: int) -> dict:
-    """For an Artinian staircase: the finite Hilbert function as
-    {degree: dimension}.  Raises ValueError when the module has positive
-    dimension (division by (1-t)^nvars is inexact)."""
-    f = dict(hn)
-    for _ in range(nvars):
-        f = divide_by_one_minus_t(f)
-    return f
+def strip_one_minus_t(hn: dict, nvars: int) -> tuple[int, dict]:
+    """Divide by (1 - t) while the division is exact, at most nvars times:
+    (number of divisions, quotient)."""
+    f = hn
+    for k in range(nvars):
+        try:
+            f = divide_by_one_minus_t(f)
+        except ValueError:
+            return k, f
+    return nvars, f
 
 
 class Staircase:
@@ -519,29 +520,23 @@ class Staircase:
 
     def hilbert_function(self) -> dict:
         """Finite Hilbert function {t: dim}; finite-length quotients only."""
-        try:
-            return hilbert_polynomial_values(self.hilbert_numerator, self.gb.order.nvars)
-        except ValueError:
+        nvars = self.gb.order.nvars
+        k, hf = strip_one_minus_t(self.hilbert_numerator, nvars)
+        if k < nvars:
             raise InputError(
                 "the quotient has positive dimension, so its Hilbert function is not finite"
-            ) from None
+            )
+        return hf
+
+    @property
+    def krull_dimension(self) -> int:
+        """nvars minus the power of (1 - t) dividing the numerator; -1 for
+        the zero quotient."""
+        hn, nvars = self.hilbert_numerator, self.gb.order.nvars
+        return nvars - strip_one_minus_t(hn, nvars)[0] if hn else -1
 
     def top_degree(self) -> int:
         """Largest t with a nonzero degree-t component; -1 for zero."""
         hf = self.hilbert_function()
         return max(hf) if hf else -1
 
-
-def staircase_krull_dim(monos, nvars: int) -> int:
-    """Krull dimension of S/(monos); -1 for the zero ring."""
-    monos = minimalize_monomials(monos)
-    if any(mono_deg(m) == 0 for m in monos):
-        warnings.warn("zero ring: Krull dimension reported as -1", stacklevel=2)
-        return -1
-    supports = [frozenset(i for i, e in enumerate(m) if e) for m in monos]
-    best = 0
-    for mask in range(1 << nvars):
-        u = frozenset(i for i in range(nvars) if mask >> i & 1)
-        if len(u) > best and all(not s <= u for s in supports):
-            best = len(u)
-    return best

@@ -16,7 +16,6 @@ from .groebner import (
     ModuleOrder,
     Staircase,
     buchberger,
-    staircase_krull_dim,
 )
 from .poly import Poly, PolyRing
 
@@ -48,7 +47,6 @@ class QuotientRing(Staircase):
             rels.append(f)
         self.relations = tuple(rels)
         self._gb: GroebnerBasis | None = None
-        self._dim: int | None = None
         self._numerator: dict | None = None
 
     # -- constructors
@@ -133,16 +131,6 @@ class QuotientRing(Staircase):
         return self.normal_form(f).is_zero()
 
     # -- numerical invariants
-
-    @property
-    def lead_monomials(self):
-        return [m for (_pos, m) in self.gb.lts]
-
-    @property
-    def krull_dimension(self) -> int:
-        if self._dim is None:
-            self._dim = staircase_krull_dim(self.lead_monomials, self.nvars)
-        return self._dim
 
     @property
     def is_artinian(self) -> bool:

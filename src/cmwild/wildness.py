@@ -6,9 +6,14 @@ equal to the Krull dimension, pass to the Artinian reduction, and scan the
 graded component dimensions of the reduction over a degree window.  Within
 the window, a component of dimension at least 2 witnesses a strictly
 ascending infinite family of indecomposable maximal Cohen-Macaulay modules;
-dimension at least 3 witnesses wild representation type.  A verified
-full-length regular sequence also certifies that the ring is
-Cohen-Macaulay, so no Cohen-Macaulayness assumption is carried.
+dimension at least 3 witnesses wild representation type.  The window has
+one rule for every caller: it starts past the socle threshold, at
+``first_scan_degree(m, d)`` = m - d + 2 for a sequence of total degree m
+and length d, and ends at the top degree of the reduction.  Hypersurfaces
+and complete intersections are not separate rules but guards in front of
+the same scan.  A verified full-length regular sequence also certifies
+that the ring is Cohen-Macaulay, so no Cohen-Macaulayness assumption is
+carried.
 
 Regularity of an element on a module is decided exactly through Hilbert
 series numerators: y of degree e is a nonzerodivisor on N iff the numerator
@@ -241,35 +246,36 @@ class WildnessReport:
         return data
 
 
+def first_scan_degree(m: int, d: int) -> int:
+    """Lowest degree the criterion may certify: c > m - d + 1 for a
+    sequence of length d and total degree m.  Every element has degree
+    at least 1, so m >= d and the scan never starts below 2."""
+    return m - d + 2
+
+
 def wildness_certificate(
     ring: QuotientRing,
     sequence=None,
     c_window=None,
     seed: int = 0,
-    min_start: int | None = None,
 ) -> WildnessReport:
     """Run the full criterion on a graded quotient ring.
 
     ``sequence`` (strings or polynomials) overrides the search; every
     element is still verified, and a non-regular element is an input error.
-    ``c_window`` narrows the scanned degree range; it is clamped to start
-    no lower than the threshold ``max(m - d + 2, 1)`` (and ``min_start``)
-    and to end at the top degree, so an empty result scans nothing and is
-    Inconclusive.
+    The scan runs from ``first_scan_degree(m, d)`` = m - d + 2 to the top
+    degree of R/(seq).  ``c_window`` only narrows it: it is clamped to
+    those two ends, so an empty result scans nothing and is Inconclusive.
     """
     seq, reduced = artinian_reduction(ring, sequence, seed=seed)
     d = ring.krull_dimension
     m = sum(y.degree() for y in seq)
-    top = reduced.top_degree()
-    start = max(m - d + 2, 1)
-    if min_start is not None:
-        start = max(start, min_start)
-    end = top
+    start, end = first_scan_degree(m, d), reduced.top_degree()
     if c_window is not None:
         # a window only narrows the scan: degrees below the threshold or
         # past the top degree never certify anything
         start = max(int(c_window[0]), start)
-        end = min(int(c_window[1]), top)
+        end = min(int(c_window[1]), end)
     scan = [(c, reduced.hilbert_dim(c)) for c in range(start, end + 1)]
     verdict = VERDICT_INCONCLUSIVE
     witness_c = witness_dim = None
@@ -313,11 +319,12 @@ def complete_intersection_certificate(
 ) -> WildnessReport:
     """Wildness certificate for a ring whose relations are first verified
     to be a regular sequence on the ambient ring; anything else is
-    rejected."""
+    rejected.  The scan runs on the last verified stage: the same ring,
+    with its Groebner basis already computed."""
     if not ring.relations:
         raise InputError("need at least one relation")
     try:
         ring = verify_regular_sequence(QuotientRing(ring.ambient), ring.relations)
     except InputError as exc:
         raise InputError(f"not a complete intersection: {exc}") from None
-    return wildness_certificate(ring, seed=seed, c_window=c_window, min_start=3)
+    return wildness_certificate(ring, seed=seed, c_window=c_window)

@@ -145,6 +145,34 @@ def test_ci_verdict(tmp_path, capsys):
     assert data["scan"][0] == {"c": 3, "dim": 3}
 
 
+SAME_BYTES_RINGS = {
+    "fermat-quartic": FERMAT,
+    "binary-quartic": BINARY,
+    "fermat-cubic": CUBIC,
+    "golden-ci": CI,
+    "two-cubics": {
+        "vars": ["x", "y", "z", "w"],
+        "relations": ["x^3+y^3+z^3+w^3", "x^3+2*y^3+3*z^3+4*w^3"],
+        "p": 32003,
+    },
+    # the sequence search falls back to a linear form: m - d + 2 = 2
+    "xy-z2": {"vars": ["x", "y", "z"], "relations": ["x*y", "z^2"], "p": 32003},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAME_BYTES_RINGS))
+def test_guarded_commands_print_the_bytes_of_check(tmp_path, capsys, name):
+    data = SAME_BYTES_RINGS[name]
+    ring = write(tmp_path, "r.json", data)
+    commands = ["ci"] + (["hypersurface"] if len(data["relations"]) == 1 else [])
+    code, expected, _ = run(capsys, ["check", "--ring", ring, "--format", "json"])
+    assert code == 0
+    for command in commands:
+        assert run(capsys, [command, "--ring", ring, "--format", "json"]) == (
+            0, expected, "",
+        )
+
+
 def test_ci_rejects_non_ci(tmp_path, capsys):
     bad = {"vars": ["x", "y"], "relations": ["x^2", "x*y"], "p": 32003}
     ring = write(tmp_path, "r.json", bad)
@@ -194,6 +222,26 @@ def test_huge_c_is_a_prompt_input_error(tmp_path):
     elapsed = time.perf_counter() - t0
     assert proc.returncode == 2
     assert "has only 0 standard monomials" in proc.stderr
+    assert elapsed < 10
+
+
+def test_hilbert_on_thirty_variables_is_quick(tmp_path):
+    # the Krull dimension is read off the Hilbert numerator, so it does not
+    # enumerate the 2^30 subsets of the variables
+    variables = [f"x{i}" for i in range(30)]
+    ring = write(tmp_path, "r.json", {"vars": variables, "relations": ["x0^2"]})
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "cmwild.cli", "hilbert", "--ring", ring,
+         "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["krull_dimension"] == 29
     assert elapsed < 10
 
 

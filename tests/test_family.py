@@ -32,7 +32,7 @@ from cmwild.matalg import (
     solve_many,
 )
 from cmwild.rings import QuotientRing
-from cmwild.wildness import verify_regular_element
+from cmwild.wildness import verify_regular_element, wildness_certificate
 
 P = 32003
 
@@ -426,3 +426,35 @@ def test_action_matrices_respect_ring_relations(binary):
     # x^2 = 0 in the reduction, and the variables commute on the module
     assert not mat_mul(mats[0], mats[0], P).any()
     assert np.array_equal(mat_mul(mats[0], mats[1], P), mat_mul(mats[1], mats[0], P))
+
+
+# ---------------------------------------------- the window's lower end
+#
+# Two cubics in four variables with the linear sequence z, w: m - d + 1 = 1,
+# so the window starts at c = 2, the lowest degree the criterion allows.
+# The verdict there must be backed by the family it asserts: members built
+# at c = 2 pass every structural check and are indecomposable.
+
+TWO_CUBICS = (["x", "y", "z", "w"], ["x^3+y^3+z^3+w^3", "x^3+2*y^3+3*z^3+4*w^3"])
+C2_MEMBERS = {
+    "n1-scalars": ([[1]], [[2]]),
+    "n2-jordan-identity": ([[0, 1], [0, 0]], [[1, 0], [0, 1]]),
+    "n2-jordan-nilpotent": ([[3, 1], [0, 3]], [[0, 1], [0, 0]]),
+}
+
+
+def test_two_cubics_certified_at_c2():
+    rep = wildness_certificate(QuotientRing.from_strings(*TWO_CUBICS), sequence=["z", "w"])
+    assert (rep.m, rep.dimension, rep.window[0]) == (2, 2, 2)
+    assert (rep.verdict, rep.witness_c, rep.witness_dim) == ("CMWild", 2, 3)
+
+
+@pytest.mark.parametrize("member", sorted(C2_MEMBERS))
+def test_family_at_c2_backs_the_verdict(member):
+    Ax, Ay = C2_MEMBERS[member]
+    spec = FamilySpec(QuotientRing.from_strings(*TWO_CUBICS), ["z", "w"], 2, Ax, Ay=Ay)
+    rep = family_report(spec)
+    assert rep["mcm"]["verified"]
+    assert rep["shift_embedding"]["passed"]
+    assert rep["resolution_shape"]["passed"]
+    assert rep["indecomposability"]["verdict"] == "Indecomposable"

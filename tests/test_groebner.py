@@ -2,7 +2,6 @@
 hand-derived values and an independent dense linear-algebra oracle."""
 
 import random
-import warnings
 
 import pytest
 
@@ -13,17 +12,17 @@ from cmwild.groebner import (
     _normal_form,
     buchberger,
     divide_by_one_minus_t,
-    hilbert_polynomial_values,
     module_numerator,
     mono_divides,
+    minimalize_monomials,
     monomial_ideal_numerator,
-    staircase_krull_dim,
     standard_terms,
+    strip_one_minus_t,
     vec_add,
     vec_degree,
     vec_mono_shift,
 )
-from cmwild.poly import PolyRing, grevlex_key, monomials_of_degree
+from cmwild.poly import PolyRing, grevlex_key, mono_deg, monomials_of_degree
 from cmwild.rings import QuotientRing
 
 
@@ -431,6 +430,22 @@ class TestHilbert:
             r.hilbert_function()
 
 
+def subset_krull_dim(monos, nvars: int) -> int:
+    """Oracle: Krull dimension of S/(monos) as the size of the largest
+    variable set containing the support of no generator; -1 for the zero
+    ring.  Enumerates all 2^nvars subsets, so small nvars only."""
+    monos = minimalize_monomials(monos)
+    if any(mono_deg(m) == 0 for m in monos):
+        return -1
+    supports = [frozenset(i for i, e in enumerate(m) if e) for m in monos]
+    best = 0
+    for mask in range(1 << nvars):
+        u = frozenset(i for i in range(nvars) if mask >> i & 1)
+        if len(u) > best and all(not s <= u for s in supports):
+            best = len(u)
+    return best
+
+
 class TestKrullDimension:
     def test_frozen_dimensions(self):
         assert QuotientRing.from_strings(
@@ -444,12 +459,25 @@ class TestKrullDimension:
             ["x", "y", "z"], ["x*y"]
         ).krull_dimension == 2
 
-    def test_zero_ring_sentinel_with_warning(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            dim = staircase_krull_dim([(0, 0)], 2)
-        assert dim == -1
-        assert any("zero ring" in str(w.message) for w in caught)
+    def test_matches_subset_oracle_random(self):
+        # seeded random homogeneous ideals in 1..5 variables: the dimension
+        # read off the numerator equals the largest set of variables that
+        # contains the support of no leading monomial
+        rng = random.Random(11)
+        p = 101
+        for trial in range(300):
+            nv = 1 + trial % 5
+            amb = PolyRing([f"x{i}" for i in range(nv)], p)
+            rels = []
+            for _ in range(rng.randrange(0, nv + 1)):
+                monos = monomials_of_degree(nv, rng.randrange(1, 4))
+                f = amb.zero()
+                for m in rng.sample(monos, min(len(monos), rng.randrange(1, 4))):
+                    f = f + amb.monomial(m, rng.randrange(1, p))
+                rels.append(f)
+            ring = QuotientRing(amb, rels)
+            lts = [m for (_pos, m) in ring.gb.lts]
+            assert ring.krull_dimension == subset_krull_dim(lts, nv), rels
 
 
 class TestSeriesHelpers:
@@ -467,5 +495,9 @@ class TestSeriesHelpers:
         # F = R(-1) (+) R over F_p[x]: numerator t + 1
         hn = module_numerator([], (1, 0), 1)
         assert hn == {0: 1, 1: 1}
-        vals = hilbert_polynomial_values({0: 1, 1: -1}, 1)
-        assert vals == {0: 1}
+        assert strip_one_minus_t({0: 1, 1: -1}, 1) == (1, {0: 1})
+
+    def test_strip_stops_at_the_first_inexact_division(self):
+        # (1 - t)(1 + t^2) over 3 variables: one exact division, then none
+        assert strip_one_minus_t({0: 1, 1: -1, 2: 1, 3: -1}, 3) == (1, {0: 1, 2: 1})
+        assert strip_one_minus_t({}, 2) == (2, {})

@@ -300,3 +300,76 @@ def test_verdict_invariant_under_linear_change():
         rep = wildness_certificate(R2, seed=done)
         assert rep.verdict == "CMWild"
         done += 1
+
+
+# ------------------------------------------------- finite CM type atlas
+#
+# Eisenbud-Herzog (Math. Ann. 1988): the standard graded rings of finite
+# CM type are the quadrics, the rational normal curves, the scroll S(1,2)
+# and the Veronese surface.  Their classification is over an algebraically
+# closed field of characteristic 0, so here it is a sanity oracle: none of
+# these rings may ever be certified.  Each has minimal multiplicity, so a
+# linear sequence leaves a reduction concentrated in degrees 0 and 1 and
+# the window, which starts at m - d + 2 = 2, is empty; a floor one lower
+# would certify the rational normal quartic (three linear forms left).
+
+
+def _minors(top, bottom):
+    return [
+        f"{top[i]}*{bottom[j]}-{top[j]}*{bottom[i]}"
+        for i in range(len(top))
+        for j in range(i + 1, len(top))
+    ]
+
+
+FIVE = [f"x{i}" for i in range(5)]
+FINITE_CM_TYPE = {
+    "quadric-3": (["x", "y", "z"], ["x^2+y^2+z^2"]),
+    "quadric-5": (FIVE, ["x0^2+x1^2+x2^2+x3^2+x4^2"]),
+    "rational-normal-cubic": (
+        FIVE[:4], _minors(["x0", "x1", "x2"], ["x1", "x2", "x3"])
+    ),
+    "rational-normal-quartic": (
+        FIVE, _minors(["x0", "x1", "x2", "x3"], ["x1", "x2", "x3", "x4"])
+    ),
+    "scroll-1-2": (FIVE, _minors(["x0", "x2", "x3"], ["x1", "x3", "x4"])),
+    "veronese-surface": (
+        ["a", "b", "c", "d", "e", "f"],
+        ["a*d-b^2", "a*e-b*c", "a*f-c^2", "b*e-c*d", "b*f-c*e", "d*f-e^2"],
+    ),
+}
+
+
+def _random_linear_sequence(ring, seed):
+    rng = random.Random(seed)
+    amb = ring.ambient
+    seq = []
+    for _ in range(ring.krull_dimension):
+        f = amb.zero()
+        for i in range(ring.nvars):
+            f = f + amb.const(rng.randrange(ring.p)) * amb.gen(i)
+        seq.append(f)
+    return seq
+
+
+def _assert_not_certified(rep):
+    assert rep.verdict == "Inconclusive", (rep.sequence, rep.scan)
+    assert rep.witness_c is None
+    assert rep.window[0] == rep.m - rep.dimension + 2
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_CM_TYPE))
+def test_finite_cm_type_is_never_certified(name):
+    ring = QuotientRing.from_strings(*FINITE_CM_TYPE[name], P)
+    _assert_not_certified(wildness_certificate(ring))
+    for seed in range(3):
+        rep = wildness_certificate(ring, sequence=_random_linear_sequence(ring, seed))
+        assert rep.window[0] == 2
+        _assert_not_certified(rep)
+
+
+@pytest.mark.parametrize("name", ["quadric-3", "quadric-5"])
+def test_quadrics_stay_inconclusive_behind_the_guards(name):
+    ring = QuotientRing.from_strings(*FINITE_CM_TYPE[name], P)
+    _assert_not_certified(hypersurface_certificate(ring))
+    _assert_not_certified(complete_intersection_certificate(ring))
