@@ -206,6 +206,8 @@ def _cmd_iso(args) -> dict:
 
 def _cmd_resolve(args) -> dict:
     if args.instance is not None:
+        if args.ring is not None or args.sequence is not None:
+            raise InputError("resolve takes --instance or --ring with --sequence, not both")
         spec = _load_instance(args.instance, args.field_char)
         length = args.length if args.length is not None else spec.d + 1
         res = minimal_resolution(FamilyMember(spec).over_ring, length)

@@ -17,6 +17,20 @@ genuine modules: with u = x*e1 + y*e2 and v = y*e1 + x*e2 the S-vector
 (y^2 - x^2)*e2 reduces to neither.  The chain criterion is restricted to
 pairs already treated, so no skip can be circular.
 
+A basis can also be grown: ``buchberger(new, order, p, base=old)`` starts
+from the reduced basis ``old`` of a submodule N and returns the reduced
+basis of N + (new).  The elements of ``old`` enter the working set as they
+are, and only pairs that involve a new element are queued.  A pair of two
+elements of ``old`` needs no treatment: ``old`` is a Groebner basis, so its
+S-vector already reduces to zero against ``old`` and hence against any
+larger working set.  Such a pair also counts as treated for the chain
+criterion, since the criterion only asks that the two pairs it leans on
+reduce to zero.  Once every pair is treated the working set is a Groebner
+basis of N + (new), and ``_interreduce`` turns it into the reduced basis,
+which is unique: the same monic vectors, listed by the same leading-term
+key, each filled leading term first and then in descending order.  Grown
+and rebuilt bases are therefore equal as ordered dicts.
+
 Normal forms keep the working vector ordered instead of rescanning it for
 its leading term.  Next to the dict ``work`` sits a min-heap of
 (negated order key, term) entries, with negated key
@@ -224,19 +238,31 @@ def _make_monic(v: Vec, order: ModuleOrder, p: int):
     return {t: k * inv % p for t, k in v.items()}, lt
 
 
-def buchberger(gens, order: ModuleOrder, p: int) -> GroebnerBasis:
-    """Reduced Groebner basis of the submodule generated by ``gens``.
+def buchberger(
+    gens, order: ModuleOrder, p: int, base: GroebnerBasis | None = None
+) -> GroebnerBasis:
+    """Reduced Groebner basis of the submodule generated by ``gens``, or by
+    ``gens`` and the reduced basis ``base`` when one is given; ``base``
+    must have been computed for the same order and field.
 
     Pairs are processed in ascending S-vector degree (normal strategy) with
     deterministic tie-breaks, so the reduced result is canonical for the
     order regardless of generator arrangement.  The product criterion is
-    applied in rank one only (see the module docstring).
+    applied in rank one only (see the module docstring).  Pairs of two
+    ``base`` elements are never queued; see the module docstring for why
+    the grown basis equals the rebuilt one.
     """
     product_criterion = order.rank == 1
     gb = GroebnerBasis(order, p)
     G, lts, by_pos = gb.vectors, gb.lts, gb._by_pos
     heap: list = []
     counter = 0
+    # pairs (i, j) with j < n_base join two base elements: already treated
+    n_base = 0
+    if base is not None:
+        for v, lt in zip(base.vectors, base.lts):
+            gb.add(v, lt)
+        n_base = len(gb)
 
     def queue_pairs(j):
         nonlocal counter
@@ -271,7 +297,9 @@ def buchberger(gens, order: ModuleOrder, p: int) -> GroebnerBasis:
             if mono_divides(gm, lcm):
                 a, b = (i, k) if i < k else (k, i)
                 c, d = (j, k) if j < k else (k, j)
-                if (a, b) in treated and (c, d) in treated:
+                if (b < n_base or (a, b) in treated) and (
+                    d < n_base or (c, d) in treated
+                ):
                     chained = True
                     break
         if chained:

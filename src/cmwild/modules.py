@@ -152,7 +152,7 @@ class ModulePresentation(Staircase):
     """M = coker(relations -> free) over ``ring``; its Hilbert data is the
     staircase of the relations plus the ring-relation adjunction."""
 
-    __slots__ = ("ring", "free", "relations", "_gb")
+    __slots__ = ("ring", "free", "relations", "_gb", "_parent")
 
     def __init__(self, ring: QuotientRing, gen_degrees, relations):
         self.ring = ring
@@ -169,6 +169,8 @@ class ModulePresentation(Staircase):
         self.relations = tuple(rels)
         self._gb: GroebnerBasis | None = None
         self._numerator: dict | None = None
+        # set by ``quotient``: the presentation whose basis this one grows
+        self._parent: ModulePresentation | None = None
 
     @property
     def rank(self) -> int:
@@ -184,10 +186,16 @@ class ModulePresentation(Staircase):
 
     @property
     def gb(self) -> GroebnerBasis:
+        """Reduced Groebner basis of ``all_generators()``.  A presentation
+        made by ``quotient`` grows its parent's basis by the extra
+        relations."""
         if self._gb is None:
-            self._gb = buchberger(
-                self.all_generators(), self.free.order, self.ring.p
-            )
+            parent, self._parent = self._parent, None
+            if parent is None:
+                gens, base = self.all_generators(), None
+            else:
+                gens, base = self.relations[len(parent.relations):], parent.gb
+            self._gb = buchberger(gens, self.free.order, self.ring.p, base=base)
         return self._gb
 
     # -- Hilbert data
@@ -198,11 +206,13 @@ class ModulePresentation(Staircase):
     # -- derived presentations
 
     def quotient(self, extra_relations) -> "ModulePresentation":
-        return ModulePresentation(
+        child = ModulePresentation(
             self.ring,
             self.free.gen_degrees,
             list(self.relations) + [dict(v) for v in extra_relations],
         )
+        child._parent = self
+        return child
 
     def reduce_mod(self, ys) -> "ModulePresentation":
         """The same presentation over R/(ys)."""

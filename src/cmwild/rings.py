@@ -48,6 +48,8 @@ class QuotientRing(Staircase):
         self.relations = tuple(rels)
         self._gb: GroebnerBasis | None = None
         self._numerator: dict | None = None
+        # set by ``extend``: the ring whose basis this one grows
+        self._parent: QuotientRing | None = None
 
     # -- constructors
 
@@ -109,10 +111,17 @@ class QuotientRing(Staircase):
 
     @property
     def gb(self) -> GroebnerBasis:
+        """Reduced Groebner basis of the relation ideal.  A ring made by
+        ``extend`` grows its parent's basis by the extra relations."""
         if self._gb is None:
+            parent, self._parent = self._parent, None
+            if parent is None:
+                new, base = self.relations, None
+            else:
+                new, base = self.relations[len(parent.relations):], parent.gb
             order = ModuleOrder((0,), self.nvars)
             self._gb = buchberger(
-                [_poly_to_vec(f) for f in self.relations], order, self.p
+                [_poly_to_vec(f) for f in new], order, self.p, base=base
             )
         return self._gb
 
@@ -144,7 +153,9 @@ class QuotientRing(Staircase):
 
     def extend(self, extra) -> "QuotientRing":
         """R/(extra): same ambient ring, more relations."""
-        return QuotientRing(self.ambient, list(self.relations) + list(extra))
+        child = QuotientRing(self.ambient, list(self.relations) + list(extra))
+        child._parent = self
+        return child
 
     def parse(self, text: str) -> Poly:
         return self.ambient.parse(text)

@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import BudgetExhausted, CmwildError, InputError
 from .modules import ModulePresentation
-from .poly import Poly
+from .poly import Poly, mono_mul
 from .rings import QuotientRing
 
 VERDICT_WILD = "CMWild"
@@ -94,59 +95,58 @@ def verify_regular_sequence(ring: QuotientRing, seq) -> QuotientRing:
 # ------------------------------------------------------- sequence search
 
 
-def _slot_candidates(ring: QuotientRing, slot: int, rng) -> list:
-    """Ordered candidate pool for one slot of the regular sequence.
+def _slot_candidates(ring: QuotientRing, slot: int, rng):
+    """Ordered candidate pool for one slot of the regular sequence, built
+    lazily: each candidate is made only when the search asks for it.
 
     The leading entries encode the ring-shape recipe: for a hypersurface the
     sequence starts with the squares of the first two variables; for a
     higher-codimension complete intersection shape with k relations it
     starts with vars[k]^2 and continues with the later variables.  The rest
-    of the pool is a fallback ladder.
+    of the pool is a fallback ladder: the squares, the variables, 12 random
+    linear forms and 12 random quadrics, without zero forms and repeats.
+
+    Later slots draw from the same ``rng``, so its coefficients are drawn
+    here, all of them and in a fixed order, before any candidate is made.
     """
     amb = ring.ambient
     nv = ring.nvars
-    gens = [amb.gen(i) for i in range(nv)]
     k = len(ring.relations)
-    pool: list = []
+    linear = [tuple(int(j == i) for j in range(nv)) for i in range(nv)]
+    square = [mono_mul(e, e) for e in linear]
+    quadric = [mono_mul(linear[i], linear[j]) for i in range(nv) for j in range(i, nv)]
+    recipe = []
     if k == 1:
         if slot < 2 and slot < nv:
-            pool.append(gens[slot] * gens[slot])
+            recipe = [square[slot]]
         elif slot < nv:
-            pool.append(gens[slot])
+            recipe = [linear[slot]]
     elif k >= 2:
         if slot == 0 and k < nv:
-            pool.append(gens[k] * gens[k])
+            recipe = [square[k]]
         elif 0 < slot and k + slot < nv:
-            pool.append(gens[k + slot])
-    else:
-        if slot < nv:
-            pool.append(gens[slot])
-    pool.extend(g * g for g in gens)
-    pool.extend(gens)
-    for _ in range(12):
-        f = amb.zero()
-        for g in gens:
-            f = f + amb.const(rng.randrange(ring.p)) * g
-        if not f.is_zero():
-            pool.append(f)
-    deg2 = []
-    for i in range(nv):
-        for j in range(i, nv):
-            deg2.append(gens[i] * gens[j])
-    for _ in range(12):
-        f = amb.zero()
-        for mono in deg2:
-            f = f + amb.const(rng.randrange(ring.p)) * mono
-        if not f.is_zero():
-            pool.append(f)
-    seen = set()
-    out = []
-    for f in pool:
-        key = str(f)
-        if key not in seen:
-            seen.add(key)
-            out.append(f)
-    return out
+            recipe = [linear[k + slot]]
+    elif slot < nv:
+        recipe = [linear[slot]]
+    linear_coeffs = [[rng.randrange(ring.p) for _ in linear] for _ in range(12)]
+    quadric_coeffs = [[rng.randrange(ring.p) for _ in quadric] for _ in range(12)]
+
+    def pool():
+        seen = set()
+        for terms in chain(
+            ({e: 1} for e in recipe + square + linear),
+            (
+                {e: c for e, c in zip(monos, row) if c}
+                for monos, rows in ((linear, linear_coeffs), (quadric, quadric_coeffs))
+                for row in rows
+            ),
+        ):
+            key = frozenset(terms.items())
+            if terms and key not in seen:
+                seen.add(key)
+                yield Poly(amb, terms)
+
+    return pool()
 
 
 def find_regular_sequence(

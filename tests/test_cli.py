@@ -341,6 +341,20 @@ def test_resolve_needs_input(capsys):
     assert "--instance or --ring" in err
 
 
+@pytest.mark.parametrize(
+    "extra", [["--ring", "R"], ["--sequence", "zzz"], ["--ring", "R", "--sequence", "zzz"]],
+    ids=["ring", "sequence", "both"],
+)
+def test_resolve_instance_rejects_ring_and_sequence(tmp_path, capsys, extra):
+    inst = write(tmp_path, "i.json", INSTANCE)
+    ring = write(tmp_path, "r.json", FERMAT)
+    argv = ["resolve", "--instance", inst] + [ring if a == "R" else a for a in extra]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "not both" in err
+
+
 def test_hilbert_artinian(tmp_path, capsys):
     ring = write(
         tmp_path, "r.json", {"vars": ["x", "y"], "relations": ["x^2", "y^3"], "p": 32003}

@@ -4,6 +4,8 @@ hand-derived values and an independent dense linear-algebra oracle."""
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cmwild.errors import InputError
 from cmwild.groebner import (
@@ -22,7 +24,8 @@ from cmwild.groebner import (
     vec_degree,
     vec_mono_shift,
 )
-from cmwild.poly import PolyRing, grevlex_key, mono_deg, monomials_of_degree
+from cmwild.modules import ModulePresentation
+from cmwild.poly import Poly, PolyRing, grevlex_key, mono_deg, monomials_of_degree
 from cmwild.rings import QuotientRing
 
 
@@ -322,6 +325,110 @@ class TestNormalFormOracle:
         v = {(0, (2, 0)): 1, (0, (1, 1)): 1, (0, (0, 2)): 1}
         assert _normal_form(v, gb) == {(0, (0, 2)): 1}
         self.check(gb, [v])
+
+
+# ------------------------------------------------- grown bases
+
+GROW_P, GROW_NVARS = 31, 3
+GROW_RANKS = {"ideal": (0,), "rank2": (0, 1), "rank3": (2, 0, 1)}
+GROW_SETTINGS = settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@st.composite
+def homogeneous_vectors(draw, gen_degrees, min_count, max_count, max_excess=3):
+    """Nonzero homogeneous vectors over F_31 in 3 variables, each of degree
+    between 1 and ``max_excess`` above the largest generator degree."""
+    out = []
+    for _ in range(draw(st.integers(min_count, max_count))):
+        deg = draw(st.integers(max(min(gen_degrees), 0) + 1, max(gen_degrees) + max_excess))
+        terms = [
+            (pos, m)
+            for pos, gd in enumerate(gen_degrees)
+            for m in monomials_of_degree(GROW_NVARS, deg - gd)
+        ]
+        chosen = draw(st.lists(st.sampled_from(terms), min_size=1, max_size=5, unique=True))
+        coeffs = draw(st.lists(
+            st.integers(1, GROW_P - 1), min_size=len(chosen), max_size=len(chosen)
+        ))
+        out.append(dict(zip(chosen, coeffs)))
+    return out
+
+
+def polys_from(ring, vectors):
+    return [Poly(ring, {m: c for (_pos, m), c in v.items()}) for v in vectors]
+
+
+def listing(gb):
+    """A basis as ordered dicts in listing order, with its leading terms."""
+    return [list(v.items()) for v in gb.vectors], list(gb.lts)
+
+
+def along(f, rank):
+    """f times each generator of a free module of the given rank."""
+    return [{(j, m): c for m, c in f.terms.items()} for j in range(rank)]
+
+
+class TestGrownBases:
+    """A basis grown from a reduced basis equals the basis rebuilt from
+    all generators: the same vectors in the same listing and dict order,
+    and the same cached leading terms."""
+
+    @pytest.mark.parametrize("rank", sorted(GROW_RANKS))
+    @GROW_SETTINGS
+    @given(data=st.data())
+    def test_grown_equals_rebuilt(self, rank, data):
+        gen_degrees = GROW_RANKS[rank]
+        order = ModuleOrder(gen_degrees, GROW_NVARS)
+        old = data.draw(homogeneous_vectors(gen_degrees, 1, 3))
+        new = data.draw(homogeneous_vectors(gen_degrees, 0, 3))
+        base = buchberger(old, order, GROW_P)
+        before = listing(base)
+        grown = buchberger(new, order, GROW_P, base=base)
+        assert listing(grown) == listing(buchberger(old + new, order, GROW_P))
+        assert listing(base) == before
+
+    @GROW_SETTINGS
+    @given(data=st.data())
+    def test_extend_chain_equals_fresh_ring(self, data):
+        amb = PolyRing(["x", "y", "z"], GROW_P)
+        rels = polys_from(amb, data.draw(homogeneous_vectors((0,), 0, 2)))
+        seq = polys_from(amb, data.draw(homogeneous_vectors((0,), 1, 3, max_excess=2)))
+        # as in verify_regular_sequence: each stage extends the one before;
+        # with ``eager`` off, only the last stage's basis is asked for
+        eager = data.draw(st.booleans())
+        stage = QuotientRing(amb, rels)
+        for y in seq:
+            stage = stage.extend([y])
+            if eager:
+                stage.gb
+        assert listing(stage.gb) == listing(QuotientRing(amb, rels + seq).gb)
+
+    @pytest.mark.parametrize("rank", ["rank2", "rank3"])
+    @GROW_SETTINGS
+    @given(data=st.data())
+    def test_quotient_chain_equals_fresh_presentation(self, rank, data):
+        gen_degrees = GROW_RANKS[rank]
+        amb = PolyRing(["x", "y", "z"], GROW_P)
+        ring = QuotientRing(amb, polys_from(amb, data.draw(homogeneous_vectors((0,), 0, 1))))
+        rels = data.draw(homogeneous_vectors(gen_degrees, 1, 2))
+        seq = polys_from(amb, data.draw(homogeneous_vectors((0,), 1, 2, max_excess=2)))
+        # as in FamilyMember.mcm_verified: stage i is N/(y_1..y_i)N
+        stage = ModulePresentation(ring, gen_degrees, rels)
+        for y in seq:
+            stage.gb
+            stage = stage.quotient(along(y, len(gen_degrees)))
+        all_rels = rels + [v for y in seq for v in along(y, len(gen_degrees))]
+        fresh = ModulePresentation(ring, gen_degrees, all_rels)
+        assert listing(stage.gb) == listing(fresh.gb)
+        # as in verify_shift_embedding: reduce mod the sequence, then
+        # divide by more relations
+        extra = data.draw(homogeneous_vectors(gen_degrees, 1, 2))
+        grown = ModulePresentation(ring, gen_degrees, rels).reduce_mod(seq).quotient(extra)
+        fresh = ModulePresentation(QuotientRing(amb, ring.relations + tuple(seq)),
+                                   gen_degrees, rels + extra)
+        assert listing(grown.gb) == listing(fresh.gb)
 
 
 class TestHilbert:

@@ -8,7 +8,7 @@ import pytest
 from cmwild import rings, wildness
 from cmwild.errors import BudgetExhausted, InputError
 from cmwild.modules import ModulePresentation
-from cmwild.poly import compose
+from cmwild.poly import Poly, compose
 from cmwild.rings import QuotientRing
 from cmwild.wildness import (
     artinian_reduction,
@@ -373,3 +373,142 @@ def test_quadrics_stay_inconclusive_behind_the_guards(name):
     ring = QuotientRing.from_strings(*FINITE_CM_TYPE[name], P)
     _assert_not_certified(hypersurface_certificate(ring))
     _assert_not_certified(complete_intersection_certificate(ring))
+
+
+# ------------------------------------------------- lazy candidate pool
+
+
+def eager_slot_candidates(ring, slot, rng) -> list:
+    """Reference pool: every candidate built up front, repeats removed by
+    their printed form.  The lazy pool must yield the same list and leave
+    ``rng`` in the same state."""
+    amb = ring.ambient
+    nv = ring.nvars
+    gens = [amb.gen(i) for i in range(nv)]
+    k = len(ring.relations)
+    pool: list = []
+    if k == 1:
+        if slot < 2 and slot < nv:
+            pool.append(gens[slot] * gens[slot])
+        elif slot < nv:
+            pool.append(gens[slot])
+    elif k >= 2:
+        if slot == 0 and k < nv:
+            pool.append(gens[k] * gens[k])
+        elif 0 < slot and k + slot < nv:
+            pool.append(gens[k + slot])
+    else:
+        if slot < nv:
+            pool.append(gens[slot])
+    pool.extend(g * g for g in gens)
+    pool.extend(gens)
+    for _ in range(12):
+        f = amb.zero()
+        for g in gens:
+            f = f + amb.const(rng.randrange(ring.p)) * g
+        if not f.is_zero():
+            pool.append(f)
+    deg2 = []
+    for i in range(nv):
+        for j in range(i, nv):
+            deg2.append(gens[i] * gens[j])
+    for _ in range(12):
+        f = amb.zero()
+        for mono in deg2:
+            f = f + amb.const(rng.randrange(ring.p)) * mono
+        if not f.is_zero():
+            pool.append(f)
+    seen = set()
+    out = []
+    for f in pool:
+        key = str(f)
+        if key not in seen:
+            seen.add(key)
+            out.append(f)
+    return out
+
+
+# (vars, relations, p): rings where the recipe fails and the search falls
+# back to random forms, then the README rings
+POOL_RINGS = {
+    "xy": (["x", "y"], ["x*y"], P),
+    "xyz": (["x", "y", "z"], ["x*y*z"], P),
+    "xy-zw": (["x", "y", "z", "w"], ["x*y-z*w"], P),
+    "xz,yw": (["x", "y", "z", "w"], ["x*z", "y*w"], P),
+    "xy,xz": (["x", "y", "z"], ["x*y", "x*z"], P),
+    "fermat-quartic": (["x", "y", "z"], ["x^4+y^4+z^4"], P),
+    "binary-quartic": (["x", "y"], ["x^4+y^4"], P),
+    "ci-cubic-quadric": (
+        ["x0", "x1", "x2", "x3"], ["x0^3+x1^3+x2^3+x3^3", "x0*x1+x2*x3"], P
+    ),
+    "fermat-cubic": (["x", "y", "z"], ["x^3+y^3+z^3"], P),
+    # a small field makes zero coefficients, zero forms and repeats likely
+    "xy-zw-mod-3": (["x", "y", "z", "w"], ["x*y-z*w"], 3),
+    # x*y*(x+y)*(x+2*y) over F_3 kills every linear form in x, y, so only
+    # a random quadric can be regular
+    "four-lines-mod-3": (["x", "y"], ["x^3*y+2*x*y^3"], 3),
+    "four-planes-mod-3": (["x", "y", "z"], ["x^3*y+2*x*y^3"], 3),
+}
+
+
+def _ordered_terms(f):
+    return list(f.terms.items())
+
+
+def _search(ring, seed):
+    try:
+        seq, stage = find_regular_sequence(ring, seed=seed)
+    except BudgetExhausted as exc:
+        return str(exc)
+    return [_ordered_terms(y) for y in seq], [list(v.items()) for v in stage.gb.vectors]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", sorted(POOL_RINGS))
+def test_lazy_pool_matches_the_eager_reference(monkeypatch, name, seed):
+    variables, relations, p = POOL_RINGS[name]
+    ring = QuotientRing.from_strings(variables, relations, p)
+    lazy_rng, eager_rng = random.Random(seed), random.Random(seed)
+    for slot in range(ring.nvars + 1):
+        lazy = list(wildness._slot_candidates(ring, slot, lazy_rng))
+        eager = eager_slot_candidates(ring, slot, eager_rng)
+        assert [_ordered_terms(f) for f in lazy] == [_ordered_terms(f) for f in eager]
+        assert lazy_rng.getstate() == eager_rng.getstate()
+    # the same sequence and the same last stage, down to the dict order
+    found = _search(ring, seed)
+    monkeypatch.setattr(wildness, "_slot_candidates", eager_slot_candidates)
+    assert found == _search(QuotientRing.from_strings(variables, relations, p), seed)
+
+
+@pytest.mark.parametrize(
+    "name, degree",
+    [("xy", 1), ("xyz", 1), ("xy-zw", 1), ("four-lines-mod-3", 2), ("four-planes-mod-3", 2)],
+)
+def test_pool_rings_reach_the_random_forms(name, degree):
+    # the recipe and the variables fail on these rings, so the sequences
+    # compared above include random linear forms and random quadrics
+    variables, relations, p = POOL_RINGS[name]
+    seq, _ = find_regular_sequence(QuotientRing.from_strings(variables, relations, p))
+    assert any(len(y.terms) > 1 and y.degree() == degree for y in seq)
+
+
+def test_first_candidate_builds_no_random_form(monkeypatch):
+    calls = []
+    for name in ("__add__", "__mul__", "__str__"):
+        real = getattr(Poly, name)
+
+        def counting(self, *args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(self, *args)
+
+        monkeypatch.setattr(Poly, name, counting)
+    ring = QuotientRing.from_strings(["x", "y", "z", "w"], ["x*y-z*w"], P)
+    rng = random.Random(0)
+    first = next(iter(wildness._slot_candidates(ring, 0, rng)))
+    assert first.terms == {(2, 0, 0, 0): 1}
+    assert calls == []
+    # the coefficients of all 24 random forms were still drawn
+    ref = random.Random(0)
+    for _ in range(12 * 4 + 12 * 10):
+        ref.randrange(P)
+    assert rng.getstate() == ref.getstate()
