@@ -25,8 +25,10 @@ when a search budget ran out.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from collections import Counter
 
 from .errors import BudgetExhausted, CmwildError, InputError
 from .family import (
@@ -229,8 +231,7 @@ def _cmd_resolve(args) -> dict:
     payload = {"schema": SCHEMA, "p": p, "seed": args.seed, "length": res.length}
     payload.update(res.betti_json())
     payload["generators"] = [
-        [i, [[d, list(res.free(i).gen_degrees).count(d)]
-             for d in sorted(set(res.free(i).gen_degrees))]]
+        [i, sorted(Counter(res.free(i).gen_degrees).items())]
         for i in range(res.length + 1)
     ]
     return payload
@@ -318,7 +319,10 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` leaves
+    it unchanged, so every ``main`` call can share it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--field-char", type=int, default=None,
                         help="override the field characteristic from the file")

@@ -21,6 +21,7 @@ shape of the resolution).
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -387,13 +388,6 @@ def verify_shift_embedding(spec: FamilySpec, bundle: FamilyMember | None = None)
     }
 
 
-def _generator_counts(free) -> dict:
-    counts: dict[int, int] = {}
-    for dg in free.gen_degrees:
-        counts[dg] = counts.get(dg, 0) + 1
-    return counts
-
-
 def verify_resolution_shape(spec: FamilySpec, bundle: FamilyMember | None = None) -> dict:
     """Check the Koszul-plus-high-degrees shape of the member's resolution.
 
@@ -419,8 +413,8 @@ def verify_resolution_shape(spec: FamilySpec, bundle: FamilyMember | None = None
             for s in range(phi.source.rank):
                 const[r, s] = phi.entry(r, s).terms.get(zero, 0)
         split = mat_rank(const, p) == phi.source.rank
-        kos_counts = _generator_counts(kos.free(i))
-        res_counts = _generator_counts(res.free(i))
+        kos_counts = Counter(kos.free(i).gen_degrees)
+        res_counts = Counter(res.free(i).gen_degrees)
         bound = spec.c + i - 1
         degrees_ok = True
         for j in sorted(set(kos_counts) | set(res_counts)):
@@ -493,7 +487,7 @@ def family_report(spec: FamilySpec, seed: int = 0) -> dict:
         "mcm": {
             "verified": bundle.mcm_verified,
             "syzygy_generators": sorted(
-                _generator_counts(bundle.syzygy.free).items()
+                Counter(bundle.syzygy.free.gen_degrees).items()
             ),
             "betti": bundle.resolution.betti_json(),
         },

@@ -49,6 +49,7 @@ from operator import add, le, sub
 
 from .errors import InputError
 from .poly import (
+    add_terms,
     grevlex_key,
     mono_deg,
     mono_div,
@@ -111,17 +112,6 @@ def vec_degree(v: Vec, gen_degrees) -> int | None:
     if len(degs) > 1:
         raise InputError("vector is not homogeneous")
     return degs.pop()
-
-
-def vec_add(u: Vec, v: Vec, p: int) -> Vec:
-    out = dict(u)
-    for t, c in v.items():
-        c2 = (out.get(t, 0) + c) % p
-        if c2:
-            out[t] = c2
-        elif t in out:
-            del out[t]
-    return out
 
 
 def vec_add_mul(acc: Vec, f: dict, v: Vec, p: int) -> Vec:
@@ -304,11 +294,8 @@ def buchberger(
                     break
         if chained:
             continue
-        s = vec_add(
-            vec_mono_shift(G[i], mono_div(lcm, m_i), 1, p),
-            vec_mono_shift(G[j], mono_div(lcm, m_j), p - 1, p),
-            p,
-        )
+        s = vec_mono_shift(G[i], mono_div(lcm, m_i), 1, p)
+        add_terms(s, vec_mono_shift(G[j], mono_div(lcm, m_j), p - 1, p), p)
         r = _normal_form(s, gb)
         if r:
             queue_pairs(gb.add(*_make_monic(r, order, p)))
@@ -405,6 +392,21 @@ class TaggedBasis:
 # ------------------------------------------------- staircase combinatorics
 
 
+def series_add(out: dict, f: dict, shift: int = 0, c: int = 1) -> None:
+    """out += c * t^shift * f over Z, in place, for series stored as
+    {degree: coefficient} without zero coefficients.
+
+    Existing degrees keep their place and new ones go in at the end in
+    ``f`` order.  ``f`` must not be ``out`` itself.
+    """
+    for d, k in f.items():
+        v = out.get(d + shift, 0) + c * k
+        if v:
+            out[d + shift] = v
+        elif d + shift in out:
+            del out[d + shift]
+
+
 def standard_terms(lts, gen_degrees, nvars: int, t: int) -> list:
     """Degree-t (position, monomial) pairs outside the leading-term
     staircase: position ascending, grevlex descending within a position."""
@@ -460,14 +462,8 @@ def monomial_ideal_numerator(monos, memo: dict | None = None) -> dict:
                 tuple(max(g - q, 0) for g, q in zip(gm, pivot)) for gm in rest
             )
             b = rec(colon)
-            dp = mono_deg(pivot)
             res = dict(a)
-            for d, c in b.items():
-                c2 = res.get(d + dp, 0) - c
-                if c2:
-                    res[d + dp] = c2
-                elif d + dp in res:
-                    del res[d + dp]
+            series_add(res, b, mono_deg(pivot), -1)
         memo[ms] = res
         return res
 
@@ -484,12 +480,7 @@ def module_numerator(lts, gen_degrees, nvars: int) -> dict:
     total: dict = {}
     for pos, gd in enumerate(gen_degrees):
         hn = monomial_ideal_numerator(tuple(by_pos.get(pos, ())), memo)
-        for d, c in hn.items():
-            c2 = total.get(d + gd, 0) + c
-            if c2:
-                total[d + gd] = c2
-            elif d + gd in total:
-                del total[d + gd]
+        series_add(total, hn, gd)
     return total
 
 

@@ -19,9 +19,8 @@ from .groebner import (
     buchberger,
     vec_degree,
     vec_mono_shift,
-    vec_add,
 )
-from .poly import Poly
+from .poly import Poly, add_terms
 from .rings import QuotientRing
 
 
@@ -125,7 +124,7 @@ class FreeMap:
         out: dict = {}
         p = self.ring.p
         for (j, m), c in v.items():
-            out = vec_add(out, vec_mono_shift(self.columns[j], m, c, p), p)
+            add_terms(out, vec_mono_shift(self.columns[j], m, c, p), p)
         return out
 
     def compose(self, other: "FreeMap") -> "FreeMap":

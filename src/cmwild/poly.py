@@ -8,7 +8,9 @@ tuple so ``max``/``sorted`` give the order directly.
 
 Polynomials are dicts mapping exponent tuple -> coefficient in [1, p), with
 zero coefficients never stored.  The ``Poly`` class is a thin wrapper; the
-Groebner engine works on the raw dicts.
+Groebner engine works on the raw dicts.  ``add_terms`` is the one update
+of such a dict that every layer shares, for any key type: module vectors
+key it by (position, exponent tuple).
 """
 
 from __future__ import annotations
@@ -66,6 +68,21 @@ def monomials_of_degree(nvars: int, degree: int):
     rec((), degree, nvars)
     out.sort(key=grevlex_key, reverse=True)
     return out
+
+
+def add_terms(out: dict, terms: dict, p: int, c: int = 1) -> None:
+    """out += c * terms over F_p, in place, dropping zero coefficients.
+
+    Existing keys keep their place and new keys go in at the end in
+    ``terms`` order, so every listing built from ``out`` is reproducible.
+    ``terms`` must not be ``out`` itself.
+    """
+    for t, k in terms.items():
+        v = (out.get(t, 0) + c * k) % p
+        if v:
+            out[t] = v
+        elif t in out:
+            del out[t]
 
 
 # ------------------------------------------------------------------- rings
@@ -197,14 +214,8 @@ class Poly:
         if isinstance(other, int):
             other = self.ring.const(other)
         self._check_ring(other)
-        p = self.ring.p
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            c2 = (out.get(e, 0) + c) % p
-            if c2:
-                out[e] = c2
-            elif e in out:
-                del out[e]
+        add_terms(out, other.terms, self.ring.p)
         return Poly(self.ring, out)
 
     def __neg__(self):
@@ -221,15 +232,11 @@ class Poly:
             return self.scale(other)
         self._check_ring(other)
         p = self.ring.p
-        out = {}
+        out: dict = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = mono_mul(e1, e2)
-                c = (out.get(e, 0) + c1 * c2) % p
-                if c:
-                    out[e] = c
-                elif e in out:
-                    del out[e]
+            add_terms(
+                out, {mono_mul(e1, e2): c2 for e2, c2 in other.terms.items()}, p, c1
+            )
         return Poly(self.ring, out)
 
     __rmul__ = __mul__
@@ -409,11 +416,7 @@ def _parse_poly(ring: PolyRing, text: str) -> Poly:
         sign = -1 if tok[1] == "-" else 1
     while True:
         coeff, exps = _parse_term(ring, ts)
-        c = (terms.get(exps, 0) + sign * coeff) % p
-        if c:
-            terms[exps] = c
-        elif exps in terms:
-            del terms[exps]
+        add_terms(terms, {exps: coeff}, p, sign)
         tok = ts.next()
         if tok is None:
             break

@@ -20,11 +20,13 @@ entry one step later, and the elimination cascade is what prunes it.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 
 from .errors import CmwildError, InputError
-from .groebner import TaggedBasis, vec_add, vec_add_mul, vec_degree
+from .groebner import TaggedBasis, vec_add_mul, vec_degree
 from .modules import FreeMap, FreeModule, ModulePresentation, ring_reduce_vec
+from .poly import add_terms
 from .rings import QuotientRing
 
 
@@ -57,11 +59,9 @@ class Resolution:
 
     def betti(self) -> dict:
         """{(homological degree i, internal degree j): rank}."""
-        out: dict = {}
-        for i, free in enumerate(self.frees):
-            for d in free.gen_degrees:
-                out[(i, d)] = out.get((i, d), 0) + 1
-        return out
+        return Counter(
+            (i, d) for i, free in enumerate(self.frees) for d in free.gen_degrees
+        )
 
     def betti_json(self) -> dict:
         entries = [
@@ -141,14 +141,8 @@ def koszul_complex(ring: QuotientRing, elems, copies: int = 1) -> Resolution:
                 for t, elem_idx in enumerate(s):
                     rest = s[:t] + s[t + 1 :]
                     row = copy * block_rows + index_prev[rest]
-                    sign = 1 if t % 2 == 0 else p - 1
-                    f = elems[elem_idx]
-                    for m, c in f.terms.items():
-                        c2 = (col.get((row, m), 0) + sign * c) % p
-                        if c2:
-                            col[(row, m)] = c2
-                        elif (row, m) in col:
-                            del col[(row, m)]
+                    terms = elems[elem_idx].terms
+                    add_terms(col, {(row, m): c for m, c in terms.items()}, p, (-1) ** t)
                 columns.append(col)
         maps[i] = FreeMap(frees[i], frees[i - 1], columns)
 
@@ -312,7 +306,8 @@ def comparison_map(koszul: Resolution, res: Resolution) -> list[FreeMap]:
         lhs = delta.compose(phi)
         rhs = phis[i - 1].compose(koszul.maps[i])
         for a, b in zip(lhs.columns, rhs.columns):
-            diff = vec_add(a, {t: -c % p for t, c in b.items()}, p)
+            diff = dict(a)
+            add_terms(diff, b, p, -1)
             if ring_reduce_vec(ring, diff):
                 raise CmwildError("comparison map is not a chain map")
         phis.append(phi)

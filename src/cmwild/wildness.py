@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 from .errors import BudgetExhausted, CmwildError, InputError
+from .groebner import series_add
 from .modules import ModulePresentation
 from .poly import Poly, mono_mul
 from .rings import QuotientRing
@@ -45,17 +46,6 @@ INCONCLUSIVE_NOTE = (
 )
 
 SCHEMA = "cmwild/1"
-
-
-def _one_minus_te(num: dict, e: int) -> dict:
-    out = dict(num)
-    for d, c in num.items():
-        v = (out.get(d + e, 0) - c)
-        if v:
-            out[d + e] = v
-        elif d + e in out:
-            del out[d + e]
-    return out
 
 
 def verify_regular_element(target, y: Poly) -> QuotientRing | ModulePresentation | None:
@@ -75,7 +65,11 @@ def verify_regular_element(target, y: Poly) -> QuotientRing | ModulePresentation
         )
     else:
         raise InputError("regularity target must be a ring or a module presentation")
-    if quotient.hilbert_numerator == _one_minus_te(target.hilbert_numerator, y.degree()):
+    # (1 - t^e) N; each hilbert_numerator read is a fresh copy, so N is
+    # never added into itself
+    expected = target.hilbert_numerator
+    series_add(expected, target.hilbert_numerator, y.degree(), -1)
+    if quotient.hilbert_numerator == expected:
         return quotient
     return None
 

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: outputs, exit codes, reproducibility."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -376,6 +377,21 @@ def test_hilbert_positive_dimension(tmp_path, capsys):
     assert data["numerator"] == [[0, 1], [4, -1]]
     assert "hilbert_function" not in data
 
+
+
+def test_second_call_builds_no_parser(tmp_path, capsys, monkeypatch):
+    ring = write(tmp_path, "r.json", BINARY)
+    first = run(capsys, ["hilbert", "--ring", ring, "--format", "json"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(capsys, ["hilbert", "--ring", ring, "--format", "json"]) == first
+    assert built == []
 
 # ----------------------------------------------------------- exit codes
 

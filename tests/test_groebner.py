@@ -2,7 +2,9 @@
 hand-derived values and an independent dense linear-algebra oracle."""
 
 import random
+from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -18,15 +20,36 @@ from cmwild.groebner import (
     mono_divides,
     minimalize_monomials,
     monomial_ideal_numerator,
+    series_add,
     standard_terms,
     strip_one_minus_t,
-    vec_add,
     vec_degree,
     vec_mono_shift,
 )
+from cmwild.matalg import rank as mat_rank
 from cmwild.modules import ModulePresentation
-from cmwild.poly import Poly, PolyRing, grevlex_key, mono_deg, monomials_of_degree
+from cmwild.poly import (
+    Poly,
+    PolyRing,
+    add_terms,
+    grevlex_key,
+    mono_deg,
+    mono_mul,
+    monomials_of_degree,
+)
 from cmwild.rings import QuotientRing
+
+
+def vec_add(u, v, p):
+    """u + v over F_p as a new dict: the reference for ``add_terms``."""
+    out = dict(u)
+    for t, c in v.items():
+        c2 = (out.get(t, 0) + c) % p
+        if c2:
+            out[t] = c2
+        elif t in out:
+            del out[t]
+    return out
 
 
 def gauss_rank_mod_p(rows, p):
@@ -608,3 +631,110 @@ class TestSeriesHelpers:
         # (1 - t)(1 + t^2) over 3 variables: one exact division, then none
         assert strip_one_minus_t({0: 1, 1: -1, 2: 1, 3: -1}, 3) == (1, {0: 1, 2: 1})
         assert strip_one_minus_t({}, 2) == (2, {})
+
+
+# ------------------------------------------------- coefficient kernels
+
+KERNEL_SETTINGS = settings(max_examples=100, deadline=None)
+# few keys and a small prime, so that sums cancel often
+KERNEL_KEYS = st.one_of(
+    st.integers(0, 3), st.tuples(st.integers(0, 1), st.tuples(st.integers(0, 1)))
+)
+
+
+def sparse(keys, values):
+    return st.dictionaries(keys, values, max_size=6)
+
+
+class TestCoefficientKernels:
+    @KERNEL_SETTINGS
+    @given(
+        start=sparse(KERNEL_KEYS, st.integers(1, 4)),
+        steps=st.lists(
+            st.tuples(sparse(KERNEL_KEYS, st.integers(-6, 6)), st.integers(-6, 6)),
+            max_size=5,
+        ),
+    )
+    def test_add_terms_matches_the_reference(self, start, steps):
+        p = 5
+        out, ref = dict(start), dict(start)
+        for terms, c in steps:
+            add_terms(out, terms, p, c)
+            ref = vec_add(ref, {t: c * k for t, k in terms.items()}, p)
+            assert list(out.items()) == list(ref.items())
+
+    def test_add_terms_puts_a_cancelled_key_back_at_the_end(self):
+        p = 7
+        out = {"a": 1, "b": 2, "c": 3}
+        add_terms(out, {"a": 6, "b": 1}, p)
+        assert list(out.items()) == [("b", 3), ("c", 3)]
+        add_terms(out, {"b": 1}, p, -3)
+        assert out == {"c": 3}
+        add_terms(out, {"d": 1, "a": 2, "c": 1}, p, 2)
+        assert list(out.items()) == [("c", 5), ("d", 2), ("a", 4)]
+
+    @KERNEL_SETTINGS
+    @given(
+        start=sparse(st.integers(0, 6), st.integers(-3, 3).filter(bool)),
+        f=sparse(st.integers(0, 6), st.integers(-3, 3).filter(bool)),
+        shift=st.integers(0, 4),
+        c=st.integers(-3, 3),
+    )
+    def test_series_add_matches_a_dense_reference(self, start, f, shift, c):
+        dense = [start.get(d, 0) for d in range(11)]
+        for d, k in f.items():
+            dense[d + shift] += c * k
+        out = dict(start)
+        series_add(out, f, shift, c)
+        assert out == {d: k for d, k in enumerate(dense) if k}
+        kept = [d for d in start if d in out]
+        new = [d + shift for d in f if d + shift not in start and d + shift in out]
+        assert list(out) == kept + new
+
+
+# ------------------------------------------------- Macaulay-matrix oracle
+
+
+@st.composite
+def homogeneous_ideals(draw):
+    """Rings F_31[x0..x(n-1)]/I, n = 2..4, I by 1-3 nonzero homogeneous
+    generators of degree 1-3."""
+    nv = draw(st.integers(2, 4))
+    amb = PolyRing([f"x{i}" for i in range(nv)], 31)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        monos = monomials_of_degree(nv, draw(st.integers(1, 3)))
+        chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
+        coeffs = draw(st.lists(st.integers(1, 30), min_size=len(chosen), max_size=len(chosen)))
+        gens.append(Poly(amb, dict(zip(chosen, coeffs))))
+    return QuotientRing(amb, gens)
+
+
+def macaulay_dim(ring, t):
+    """dim_k (S/I)_t as the number of degree-t monomials minus the rank of
+    the degree-t Macaulay matrix: rows m*g over generators g of I and
+    monomials m of degree t - deg g, columns the degree-t monomials."""
+    nv, p = ring.nvars, ring.p
+    cols = {m: j for j, m in enumerate(monomials_of_degree(nv, t))}
+    rows = []
+    for g in ring.relations:
+        for m in monomials_of_degree(nv, t - g.degree()):
+            row = [0] * len(cols)
+            for e, c in g.terms.items():
+                row[cols[mono_mul(m, e)]] = c
+            rows.append(row)
+    r = mat_rank(np.array(rows, dtype=np.int64), p) if rows else 0
+    return len(cols) - r
+
+
+class TestMacaulayOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(ring=homogeneous_ideals())
+    def test_hilbert_function_matches_macaulay_ranks(self, ring):
+        n = ring.nvars
+        hn = ring.hilbert_numerator
+        for t in range(7):
+            from_series = sum(
+                h * comb(t - k + n - 1, n - 1) for k, h in hn.items() if k <= t
+            )
+            assert ring.hilbert_dim(t) == from_series == macaulay_dim(ring, t)
