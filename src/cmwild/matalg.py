@@ -3,6 +3,12 @@ decision procedures the module-family machinery needs: simultaneous
 conjugacy (module isomorphism for a pair of commuting actions) and
 indecomposability via the endomorphism algebra.
 
+The endomorphism algebra is held in structure constants: its regular
+representation L, with L[i] @ coords(y) = coords(basis[i] @ y), is
+solved for once, and the trace-form radical, the commutativity of the
+quotient by it and Frobenius on its cosets are all read off L.  Every
+linear combination of a basis goes through ``combine``.
+
 Matrices are numpy int64 arrays with entries reduced mod p.  Products are
 chunked so intermediate sums never overflow 63 bits, which keeps every
 routine exact for any characteristic the field layer admits.
@@ -186,14 +192,11 @@ def u_monic(f, p):
     return [c * inv % p for c in f]
 
 
-def u_add(f, g, p):
+def u_add(f, g, p, c=1):
+    """f + c*g."""
     n = max(len(f), len(g))
-    return u_trim([( (f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0)) % p for i in range(n)])
-
-
-def u_sub(f, g, p):
-    n = max(len(f), len(g))
-    return u_trim([( (f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0)) % p for i in range(n)])
+    return u_trim([((f[i] if i < len(f) else 0) + c * (g[i] if i < len(g) else 0)) % p
+                   for i in range(n)])
 
 
 def u_mul(f, g, p):
@@ -248,8 +251,8 @@ def u_bezout(f, g, p):
     while b:
         q, r = u_divmod(a, b, p)
         a, b = b, r
-        ua, ub = ub, u_sub(ua, u_mul(q, ub, p), p)
-        va, vb = vb, u_sub(va, u_mul(q, vb, p), p)
+        ua, ub = ub, u_add(ua, u_mul(q, ub, p), p, -1)
+        va, vb = vb, u_add(va, u_mul(q, vb, p), p, -1)
     if not a:
         return [], [], []
     inv = pow(a[-1], -1, p)
@@ -327,7 +330,7 @@ def _equal_degree_split(v, k, p, rng, tries=128):
             c = u_gcd(v, s, p)
         else:
             s = u_powmod(rho, (p**k - 1) // 2, v, p)
-            c = u_gcd(v, u_sub(s, [1], p), p)
+            c = u_gcd(v, u_add(s, [1], p, -1), p)
         if 0 < u_deg(c) < d:
             return c
     raise CmwildError("equal-degree splitting did not converge")
@@ -359,7 +362,7 @@ def coprime_split(mu, p, rng):
     k = 1
     g_part = None
     while u_deg(v) > 0:
-        cand = u_gcd(v, u_sub(frob, [0, 1], p), p)
+        cand = u_gcd(v, u_add(frob, [0, 1], p, -1), p)
         if 0 < u_deg(cand) < u_deg(v):
             g_part = cand
             break
@@ -409,17 +412,16 @@ def intertwiner_basis(pairs, p: int):
         raise InputError("need at least one matrix pair")
     n = pairs[0][0].shape[0]
     m = pairs[0][1].shape[0]
-    blocks = []
-    eye_n = identity_matrix(n)
-    eye_m = identity_matrix(m)
-    for A, B in pairs:
-        if A.shape != (n, n) or B.shape != (m, m):
-            raise InputError("matrix pair shapes are inconsistent")
-        # row-major vec: vec(sigma A) = (I (x) A^T) vec, vec(B sigma) = (B (x) I) vec
-        blocks.append((np.kron(eye_m, A.T) - np.kron(B, eye_n)) % p)
-    system = np.concatenate(blocks, axis=0) if blocks else None
+    if any(A.shape != (n, n) or B.shape != (m, m) for A, B in pairs):
+        raise InputError("matrix pair shapes are inconsistent")
     if m * n == 0:
         return []
+    eye_n = identity_matrix(n)
+    eye_m = identity_matrix(m)
+    # row-major vec: vec(sigma A) = (I (x) A^T) vec, vec(B sigma) = (B (x) I) vec
+    system = np.concatenate(
+        [(np.kron(eye_m, A.T) - np.kron(B, eye_n)) % p for A, B in pairs], axis=0
+    )
     basis = nullspace(system, p)
     return [row.reshape(m, n) for row in basis]
 
@@ -428,116 +430,39 @@ def commutant_basis(mats, p: int):
     return intertwiner_basis([(A, A) for A in mats], p)
 
 
-class _CoordSolver:
-    """Coordinates of n x n matrices with respect to a fixed basis list."""
-
-    def __init__(self, basis, p):
-        self.p = p
-        self.basis = basis
-        self.stacked = np.stack([b.reshape(-1) for b in basis], axis=1)
-
-    def coords(self, M: np.ndarray):
-        x = solve(self.stacked, M.reshape(-1), self.p)
-        if x is None:
-            raise CmwildError("matrix lies outside the spanned algebra")
-        return x
+def combine(coeffs, mats, p: int) -> np.ndarray:
+    """sum(c * M) mod p over zip(coeffs, mats), reduced after each term so
+    int64 never overflows for p < 2**31; zero coefficients are skipped."""
+    out = np.zeros_like(mats[0])
+    for c, M in zip(coeffs, mats):
+        if c:
+            out = (out + int(c) * M) % p
+    return out
 
 
-def trace_form_radical(basis, p: int):
-    """Coordinate rows of the radical of the endomorphism algebra, via the
-    trace form of the regular representation.  Valid for p > dim."""
+def regular_representation(basis, p: int):
+    """Left multiplication by each element of a matrix-algebra basis, in
+    basis coordinates: L[i] @ coords(y) = coords(basis[i] @ y).  All dim**2
+    products are solved for in one elimination; coordinates are unique."""
     dim = len(basis)
-    solver = _CoordSolver(basis, p)
-    # L_i = left multiplication by basis[i] in algebra coordinates
-    L = []
-    for b in basis:
-        prods = np.stack(
-            [mat_mul(b, other, p).reshape(-1) for other in basis], axis=1
-        )
-        cols = solve_many(solver.stacked, prods, p)
-        if any(c is None for c in cols):
-            raise CmwildError("algebra basis is not multiplicatively closed")
-        L.append(np.stack(cols, axis=1))
-    gram = np.zeros((dim, dim), dtype=np.int64)
-    for i in range(dim):
-        for j in range(i, dim):
-            t = int(np.trace(mat_mul(L[i], L[j], p)) % p)
-            gram[i, j] = t
-            gram[j, i] = t
-    return nullspace(gram, p)
+    stacked = np.stack([b.reshape(-1) for b in basis], axis=1)
+    prods = np.stack(
+        [mat_mul(a, b, p).reshape(-1) for a in basis for b in basis], axis=1
+    )
+    cols = solve_many(stacked, prods, p)
+    if any(c is None for c in cols):
+        raise CmwildError("algebra basis is not multiplicatively closed")
+    return [np.stack(cols[i * dim : (i + 1) * dim], axis=1) for i in range(dim)]
 
 
-class _SemisimpleQuotient:
-    """The quotient of a matrix algebra by its radical, in coordinates."""
-
-    def __init__(self, basis, rad_rows, p):
-        self.p = p
-        self.basis = basis
-        self.dim = len(basis)
-        self.solver = _CoordSolver(basis, p)
-        R, pivots = (
-            rref(rad_rows, p) if rad_rows.size else (rad_rows, [])
-        )
-        self.rad_rref = R
-        self.rad_pivots = pivots
-        pivot_set = set(pivots)
-        self.free = [c for c in range(self.dim) if c not in pivot_set]
-
-    def reduce(self, coords: np.ndarray) -> np.ndarray:
-        x = coords % self.p
-        for r, pc in enumerate(self.rad_pivots):
-            c = int(x[pc])
-            if c:
-                x = (x - c * self.rad_rref[r]) % self.p
-        return x
-
-    def lift(self, coords: np.ndarray) -> np.ndarray:
-        n = self.basis[0].shape[0]
-        out = np.zeros((n, n), dtype=np.int64)
-        for i, c in enumerate(coords):
-            if c:
-                out = (out + int(c) * self.basis[i]) % self.p
-        return out
-
-    def coset_basis(self):
-        out = []
-        for c in self.free:
-            e = np.zeros(self.dim, dtype=np.int64)
-            e[c] = 1
-            out.append(e)
-        return out
-
-    def mult(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        prod = mat_mul(self.lift(u), self.lift(v), self.p)
-        return self.reduce(self.solver.coords(prod))
-
-    def is_commutative(self) -> bool:
-        cb = self.coset_basis()
-        for i in range(len(cb)):
-            for j in range(i + 1, len(cb)):
-                if np.any(self.mult(cb[i], cb[j]) != self.mult(cb[j], cb[i])):
-                    return False
-        return True
-
-    def frobenius_fixed_vectors(self):
-        """Basis of {x in quotient : x^p = x}; quotient must be commutative."""
-        cb = self.coset_basis()
-        if not cb:
-            return []
-        cols = []
-        for e in cb:
-            img = self.reduce(self.solver.coords(mat_pow(self.lift(e), self.p, self.p)))
-            cols.append(img[self.free])
-        F = np.stack(cols, axis=1)
-        F = (F - identity_matrix(len(cb))) % self.p
-        fixed = nullspace(F, self.p)
-        out = []
-        for row in fixed:
-            full = np.zeros(self.dim, dtype=np.int64)
-            for k, c in enumerate(self.free):
-                full[c] = row[k]
-            out.append(full)
-        return out
+def trace_form_radical(L, p: int):
+    """Coordinate rows of the radical of an algebra given by its regular
+    representation L: the kernel of the trace form tr(L_i L_j).  Valid for
+    p > dim."""
+    # tr(L_i L_j) = vec(L_i) . vec(L_j^T)
+    rows = np.stack([Li.reshape(-1) for Li in L])
+    cols = np.stack([Li.T.reshape(-1) for Li in L], axis=1)
+    return nullspace(mat_mul(rows, cols, p), p)
 
 
 # ------------------------------------------------------------- conjugacy
@@ -545,10 +470,7 @@ class _SemisimpleQuotient:
 
 def _word_invariants(mats, p: int):
     words = list(mats)
-    total = np.zeros_like(mats[0])
-    for M in mats:
-        total = (total + M) % p
-    words.append(total)
+    words.append(combine([1] * len(mats), mats, p))
     for i, X in enumerate(mats):
         for j, Y in enumerate(mats):
             if i != j:
@@ -623,9 +545,7 @@ def simultaneous_conjugacy(
 
     rng = random.Random(seed)
     for _ in range(SAMPLES):
-        sigma = np.zeros((n, n), dtype=np.int64)
-        for h in homs:
-            sigma = (sigma + rng.randrange(p) * h) % p
+        sigma = combine([rng.randrange(p) for _ in homs], homs, p)
         if certify(sigma):
             out.update(verdict="Isomorphic", witness=sigma.tolist(),
                        reason="invertible homomorphism found by sampling")
@@ -634,10 +554,7 @@ def simultaneous_conjugacy(
         for combo in iter_product(range(p), repeat=m):
             if not any(combo):
                 continue
-            sigma = np.zeros((n, n), dtype=np.int64)
-            for c, h in zip(combo, homs):
-                if c:
-                    sigma = (sigma + c * h) % p
+            sigma = combine(combo, homs, p)
             if certify(sigma):
                 out.update(verdict="Isomorphic", witness=sigma.tolist(),
                            reason="invertible homomorphism found exhaustively")
@@ -708,10 +625,27 @@ def endomorphism_indecomposability(
         return out
     rng = random.Random(seed)
     if p > dim:
-        rad_rows = trace_form_radical(basis, p)
-        S = _SemisimpleQuotient(basis, rad_rows, p)
-        if S.is_commutative():
-            fixed = S.frobenius_fixed_vectors()
+        L = regular_representation(basis, p)
+        R, pivots = rref(trace_form_radical(L, p), p)
+        R = R[: len(pivots)]
+        # never empty: the identity is not in the radical
+        free = [c for c in range(dim) if c not in pivots]
+
+        def reduce(X):
+            """Coordinate columns X modulo the radical."""
+            return (X - mat_mul(R.T, X[pivots], p)) % p
+
+        # the quotient is spanned by the cosets of basis[c], c in free
+        if not any(
+            reduce(L[a][:, [b]] - L[b][:, [a]]).any()
+            for i, a in enumerate(free)
+            for b in free[i + 1 :]
+        ):
+            # Frobenius on the cosets: coords(b_c^p) = L_c^(p-1) e_c
+            frob = reduce(
+                np.stack([mat_pow(L[c], p - 1, p)[:, c] for c in free], axis=1)
+            )[free]
+            fixed = nullspace((frob - identity_matrix(len(free))) % p, p)
             r = len(fixed)
             out["field_count"] = r
             if r <= 1:
@@ -721,19 +655,22 @@ def endomorphism_indecomposability(
                     " is a field",
                 )
                 return out
-            # some fixed vector is independent of the identity coset
-            one = S.reduce(S.solver.coords(identity_matrix(n)))
+            # some fixed vector is not a multiple of the identity coset, and
+            # its lift splits; a multiple lifts to a scalar plus a nilpotent,
+            # whose minimal polynomial has no coprime split, so it yields
+            # None without drawing from rng
             for v in fixed:
-                if rank(np.stack([one, v]), p) == 2:
-                    e = _idempotent_from_element(S.lift(v), p, rng)
-                    if e is not None:
-                        out.update(
-                            verdict="Decomposable",
-                            idempotent=e.tolist(),
-                            reason="Frobenius-fixed subspace splits off an"
-                            " idempotent",
-                        )
-                        return out
+                e = _idempotent_from_element(
+                    combine(v, [basis[c] for c in free], p), p, rng
+                )
+                if e is not None:
+                    out.update(
+                        verdict="Decomposable",
+                        idempotent=e.tolist(),
+                        reason="Frobenius-fixed subspace splits off an"
+                        " idempotent",
+                    )
+                    return out
             raise CmwildError(
                 "Frobenius-fixed space exceeded the identity line but no"
                 " element produced a split"
@@ -745,9 +682,7 @@ def endomorphism_indecomposability(
             " noncommutative"
         )
         for _ in range(SAMPLES):
-            a = np.zeros((n, n), dtype=np.int64)
-            for b in basis:
-                a = (a + rng.randrange(p) * b) % p
+            a = combine([rng.randrange(p) for _ in basis], basis, p)
             e = _idempotent_from_element(a, p, rng)
             if e is not None:
                 out["idempotent"] = e.tolist()
@@ -757,10 +692,7 @@ def endomorphism_indecomposability(
     if p**dim <= EXHAUSTIVE_LIMIT:
         eye = identity_matrix(n)
         for combo in iter_product(range(p), repeat=dim):
-            e = np.zeros((n, n), dtype=np.int64)
-            for c, b in zip(combo, basis):
-                if c:
-                    e = (e + c * b) % p
+            e = combine(combo, basis, p)
             if not e.any() or np.array_equal(e, eye):
                 continue
             if np.array_equal(mat_mul(e, e, p), e):

@@ -19,6 +19,7 @@ from cmwild.matalg import (
     min_poly,
     nullspace,
     rank,
+    regular_representation,
     rref,
     simultaneous_conjugacy,
     solve,
@@ -365,7 +366,7 @@ def test_commutant_dimensions():
 def test_trace_form_radical_of_jordan_block():
     J = as_matrix([[0, 1], [0, 0]], P)
     basis = commutant_basis([J, as_matrix([[0, 0], [0, 0]], P)], P)
-    rad = trace_form_radical(basis, P)
+    rad = trace_form_radical(regular_representation(basis, P), P)
     assert len(rad) == 1
     lift = np.zeros((2, 2), dtype=np.int64)
     for c, b in zip(rad[0], basis):
@@ -574,6 +575,39 @@ def test_indecomposability_random_polynomial_pairs():
         assert cert["verdict"] in ("Indecomposable", "Decomposable")
         if cert["verdict"] == "Decomposable" and cert["idempotent"] is not None:
             check_idempotent(cert, Ax, Ay, P)
+
+
+def brute_idempotent_exists(basis, p):
+    """Whether some element of the span of basis, enumerated all at once,
+    is a nontrivial idempotent."""
+    n = basis[0].shape[0]
+    coeffs = np.indices((p,) * len(basis)).reshape(len(basis), -1).T
+    elems = (coeffs @ np.stack([b.reshape(-1) for b in basis]) % p).reshape(-1, n, n)
+    idempotent = (np.matmul(elems, elems) % p == elems).all(axis=(1, 2))
+    zero = ~elems.any(axis=(1, 2))
+    one = (elems == identity_matrix(n)).all(axis=(1, 2))
+    return bool((idempotent & ~zero & ~one).any())
+
+
+def test_trace_form_verdicts_agree_with_idempotent_enumeration():
+    rng = random.Random(47)
+    checked = 0
+    for trial in range(200):
+        p = rng.choice((5, 7, 11))
+        n = rng.randint(2, 4)
+        B = as_matrix([[rng.randrange(p) for _ in range(n)] for _ in range(n)], p)
+        mats = [B, mat_pow(B, rng.randint(2, 3), p)]
+        basis = commutant_basis(mats, p)
+        # p > dim End selects the trace form; the bound keeps enumeration small
+        if not (p > len(basis) and p ** len(basis) <= 20000):
+            continue
+        cert = endomorphism_indecomposability(mats, p, seed=trial)
+        decomposable = brute_idempotent_exists(basis, p)
+        assert (cert["verdict"] == "Decomposable") == decomposable
+        if decomposable:
+            check_idempotent(cert, *mats, p)
+        checked += 1
+    assert checked > 150
 
 
 def test_intertwiner_rectangular():

@@ -4,11 +4,13 @@ import json
 import random
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from cmwild import rings, wildness
 from cmwild.errors import BudgetExhausted, InputError
 from cmwild.modules import ModulePresentation
-from cmwild.poly import Poly, compose
+from cmwild.poly import Poly, compose, monomials_of_degree
 from cmwild.rings import QuotientRing
 from cmwild.wildness import (
     artinian_reduction,
@@ -340,18 +342,6 @@ FINITE_CM_TYPE = {
 }
 
 
-def _random_linear_sequence(ring, seed):
-    rng = random.Random(seed)
-    amb = ring.ambient
-    seq = []
-    for _ in range(ring.krull_dimension):
-        f = amb.zero()
-        for i in range(ring.nvars):
-            f = f + amb.const(rng.randrange(ring.p)) * amb.gen(i)
-        seq.append(f)
-    return seq
-
-
 def _assert_not_certified(rep):
     assert rep.verdict == "Inconclusive", (rep.sequence, rep.scan)
     assert rep.witness_c is None
@@ -362,10 +352,37 @@ def _assert_not_certified(rep):
 def test_finite_cm_type_is_never_certified(name):
     ring = QuotientRing.from_strings(*FINITE_CM_TYPE[name], P)
     _assert_not_certified(wildness_certificate(ring))
-    for seed in range(3):
-        rep = wildness_certificate(ring, sequence=_random_linear_sequence(ring, seed))
-        assert rep.window[0] == 2
-        _assert_not_certified(rep)
+
+
+@st.composite
+def atlas_sequences(draw):
+    """A finite-CM-type ring and dim R random dense forms of degrees 1..3."""
+    name = draw(st.sampled_from(sorted(FINITE_CM_TYPE)))
+    ring = QuotientRing.from_strings(*FINITE_CM_TYPE[name], P)
+    amb = ring.ambient
+    seq = []
+    for _ in range(ring.krull_dimension):
+        monos = monomials_of_degree(ring.nvars, draw(st.integers(1, 3)))
+        coeffs = draw(st.lists(st.integers(0, P - 1), min_size=len(monos),
+                               max_size=len(monos)))
+        f = amb.zero()
+        for m, c in zip(monos, coeffs):
+            f = f + amb.monomial(m, c)
+        seq.append(f)
+    return ring, seq
+
+
+@settings(max_examples=40, deadline=None)
+@given(atlas_sequences())
+def test_finite_cm_type_is_never_certified_on_random_sequences(case):
+    # with an h-vector 1 + e*t, R/(seq) tops out at m - d + 1, one below
+    # the window, whatever the degrees
+    ring, seq = case
+    try:
+        rep = wildness_certificate(ring, sequence=seq)
+    except InputError:
+        reject()  # some element is a zero divisor at its stage
+    _assert_not_certified(rep)
 
 
 @pytest.mark.parametrize("name", ["quadric-3", "quadric-5"])
