@@ -31,42 +31,95 @@ which is unique: the same monic vectors, listed by the same leading-term
 key, each filled leading term first and then in descending order.  Grown
 and rebuilt bases are therefore equal as ordered dicts.
 
+Packed terms.  Inside the kernel (``_reduce``, ``buchberger``,
+``_interreduce``) a term (pos, m) of an order in n variables is one int,
+from the high bits down:
+
+    rank_of[pos] | MAX_DEGREE - deg(m) | m[n-1] | ... | m[1] | m[0]
+
+Every field below the rank is FIELD_BITS = 16 bits wide: 15 value bits and
+a guard bit on top, which stays 0 in a packed term.  Comparing two packed
+ints compares the rank first (rank 0 has the highest priority), then the
+complemented degree (higher degree first), then the exponents from the
+last variable down (a smaller last exponent first), which is grevlex.  So
+the smaller int is the larger term under ``ModuleOrder.key``, and the
+smallest term of a vector is its leading term.  With that:
+
+- a shift by x^a is one add: t(pos, m * x^a) = t(pos, m) + delta, with
+  delta = t(pos, m * x^a) - t(pos, m), the same for every term;
+- lt(g) divides t when both have the same rank and ``(e - g) & guards`` is
+  0, for the exponent bits e and g of the two: a field where e is smaller
+  borrows, and the lowest such field has no incoming borrow, so its guard
+  bit comes out set;
+- the normal-form heap holds the packed terms themselves.
+
+The limit.  Exponents and degrees live in 15 bits, so every monomial the
+kernel forms has total degree at most MAX_DEGREE = 32767.  A term (pos, m)
+enters the kernel only if deg(m) + gen_degrees[pos] - min(gen_degrees) is
+at most MAX_DEGREE, and a generator only if it is homogeneous.  Reduction
+by homogeneous vectors keeps the module degree of every term, so no later
+monomial exceeds the limit; an S-pair is checked the same way, on the
+degree of its lcm, before its S-vector is formed.  A term past the limit
+raises InputError; no exponent ever wraps.  At the boundary, ``gens``,
+``normal_form``, ``vectors`` and ``lts`` keep the tuple-keyed form.
+
 Normal forms keep the working vector ordered instead of rescanning it for
-its leading term.  Next to the dict ``work`` sits a min-heap of
-(negated order key, term) entries, with negated key
-(rank_of[pos], -deg, m[::-1]).  A term is pushed when it enters ``work``,
-also when it comes back after cancelling; a popped entry whose term has left
-``work`` is stale and skipped.  Invariant: every term of ``work`` has an
-entry in the heap.  A reduction step removes the largest term and adds only
-smaller ones, so the pops come in the order of ``max(work, key=order.key)``
-and the result is filled in the same descending order as by a rescan.
+its leading term.  Next to the packed dict ``work`` sits a min-heap of its
+terms.  A term is pushed when it enters ``work``, also when it comes back
+after cancelling; a popped term that has left ``work`` is stale and
+skipped.  Invariant: every term of ``work`` has an entry in the heap.  A
+reduction step removes the leading term and adds only smaller ones, so the
+pops come in the order of ``max(work, key=order.key)`` and the result is
+filled in the same descending order as by a rescan.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from operator import add, le, sub
+from operator import add
+from struct import Struct
 
 from .errors import InputError
 from .poly import (
     add_terms,
     grevlex_key,
     mono_deg,
-    mono_div,
     mono_divides,
-    mono_lcm,
-    mono_mul,
-    monomials_of_degree,
 )
 
 Vec = dict  # {(pos, mono): coeff}
 
+FIELD_BITS = 16
+_VALUE_MASK = (1 << (FIELD_BITS - 1)) - 1  # the value bits of one field
+MAX_DEGREE = _VALUE_MASK
+
+
+def _past_limit(what: str, degree: int) -> InputError:
+    """The error for a term of the given degree, counted from the lowest
+    generator degree, that the packed fields cannot hold."""
+    return InputError(
+        f"{what} of degree {degree} is past the Groebner kernel's limit:"
+        f" monomials of total degree at most {MAX_DEGREE}"
+    )
+
+
+def _layout(nvars: int):
+    """(struct of the exponent fields, exponent-bit mask, guard bits)."""
+    guards = 0
+    for i in range(nvars):
+        guards |= 1 << (FIELD_BITS * i + FIELD_BITS - 1)
+    return Struct(f"<{nvars}H"), (1 << (FIELD_BITS * nvars)) - 1, guards
+
 
 class ModuleOrder:
     """POT order data for a free module: generator degrees plus position
-    priority ranks (rank 0 compares highest)."""
+    priority ranks (rank 0 compares highest), and the packed-term layout
+    that goes with them (see the module docstring)."""
 
-    __slots__ = ("gen_degrees", "rank_of", "nvars")
+    __slots__ = (
+        "gen_degrees", "rank_of", "nvars", "pos_of", "deg_shift", "rank_shift",
+        "exp_mask", "guards", "fields", "degree_cap", "_rank_bits",
+    )
 
     def __init__(self, gen_degrees, nvars, rank_of=None):
         self.gen_degrees = tuple(gen_degrees)
@@ -82,6 +135,16 @@ class ModuleOrder:
                 ranks[i] = r
             rank_of = ranks
         self.rank_of = tuple(rank_of)
+        self.pos_of = [0] * len(self.rank_of)
+        for pos, r in enumerate(self.rank_of):
+            self.pos_of[r] = pos
+        self.fields, self.exp_mask, self.guards = _layout(nvars)
+        self.deg_shift = FIELD_BITS * nvars
+        self.rank_shift = self.deg_shift + FIELD_BITS
+        self._rank_bits = [r << self.rank_shift for r in self.rank_of]
+        # the largest deg(m) a term (pos, m) may enter with
+        low = min(self.gen_degrees, default=0)
+        self.degree_cap = [MAX_DEGREE + low - gd for gd in self.gen_degrees]
 
     @property
     def rank(self) -> int:
@@ -98,6 +161,41 @@ class ModuleOrder:
             self.gen_degrees + tuple(tag_degrees),
             self.nvars,
             self.rank_of + tuple(range(r, r + len(tag_degrees))),
+        )
+
+    # -- packed terms
+
+    def pack_vec(self, v: Vec) -> dict:
+        """A tuple-keyed vector as {packed term: coefficient}, in its order;
+        InputError for a term past the degree limit."""
+        cap, rank_bits, shift = self.degree_cap, self._rank_bits, self.deg_shift
+        fields = self.fields.pack
+        out = {}
+        for (pos, m), c in v.items():
+            d = sum(m)
+            if d > cap[pos]:
+                raise _past_limit("term", d - cap[pos] + MAX_DEGREE)
+            out[
+                rank_bits[pos] | (MAX_DEGREE - d) << shift
+                | int.from_bytes(fields(*m), "little")
+            ] = c
+        return out
+
+    def unpack_vec(self, items) -> Vec:
+        """A tuple-keyed vector from (packed term, coefficient) pairs, in
+        their order."""
+        pos_of, rank_shift, mask = self.pos_of, self.rank_shift, self.exp_mask
+        fields, nbytes = self.fields.unpack, 2 * self.nvars
+        return {
+            (pos_of[t >> rank_shift], fields((t & mask).to_bytes(nbytes, "little"))): c
+            for t, c in items
+        }
+
+    def term_degree(self, t: int) -> int:
+        """deg(m) + gen_degrees[pos] of a packed term (pos, m)."""
+        return (
+            MAX_DEGREE - ((t >> self.deg_shift) & _VALUE_MASK)
+            + self.gen_degrees[self.pos_of[t >> self.rank_shift]]
         )
 
 
@@ -138,29 +236,51 @@ def vec_mono_shift(v: Vec, shift, c: int, p: int) -> Vec:
 
 
 class GroebnerBasis:
-    """A monic basis with cached leading terms and a divisor index; also
-    the working set that ``buchberger`` grows."""
+    """A monic basis held as packed terms: leading terms, tails and a
+    divisor index by rank; also the working set that ``buchberger`` grows.
+    ``vectors`` and ``lts`` give the tuple-keyed view, unpacked on first
+    read."""
 
-    __slots__ = ("vectors", "order", "p", "lts", "_by_pos")
+    __slots__ = ("order", "p", "_lts", "_tails", "_by_rank", "_vectors", "_lt_terms")
 
     def __init__(self, order: ModuleOrder, p: int):
-        self.vectors: list = []
         self.order = order
         self.p = p
-        self.lts: list = []
-        self._by_pos: dict = {}
+        self._lts: list = []  # packed leading terms
+        self._tails: list = []  # ((packed term, coefficient), ...) below each
+        # rank -> [(exponent bits of the leading term, index)], index order
+        self._by_rank: list = [[] for _ in range(order.rank)]
+        self._vectors: list | None = None
+        self._lt_terms: list | None = None
 
-    def add(self, v: Vec, lt) -> int:
-        """Append the monic vector ``v`` with leading term ``lt``; returns
-        its index."""
-        i = len(self.vectors)
-        self.vectors.append(v)
-        self.lts.append(lt)
-        self._by_pos.setdefault(lt[0], []).append((lt[1], i))
+    def _add(self, lt: int, tail: tuple) -> int:
+        """Append the monic vector lt + tail; returns its index."""
+        i = len(self._lts)
+        self._lts.append(lt)
+        self._tails.append(tail)
+        self._by_rank[lt >> self.order.rank_shift].append((lt & self.order.exp_mask, i))
+        self._vectors = self._lt_terms = None
         return i
 
+    @property
+    def vectors(self) -> list:
+        """The basis vectors, leading term first, as tuple-keyed dicts."""
+        if self._vectors is None:
+            unpack = self.order.unpack_vec
+            self._vectors = [
+                unpack(((lt, 1),) + tail) for lt, tail in zip(self._lts, self._tails)
+            ]
+        return self._vectors
+
+    @property
+    def lts(self) -> list:
+        """The leading terms as (pos, exponent tuple)."""
+        if self._lt_terms is None:
+            self._lt_terms = list(self.order.unpack_vec((lt, 1) for lt in self._lts))
+        return self._lt_terms
+
     def __len__(self):
-        return len(self.vectors)
+        return len(self._lts)
 
     def __iter__(self):
         return iter(self.vectors)
@@ -173,59 +293,64 @@ class GroebnerBasis:
 
 
 def _normal_form(v: Vec, basis: GroebnerBasis) -> Vec:
-    """Full normal form: every term of the result is irreducible.
+    """Full normal form of a tuple-keyed vector: every term of the result
+    is irreducible, and the result lists its terms in descending order."""
+    order = basis.order
+    return order.unpack_vec(_reduce(order.pack_vec(v), basis).items())
 
-    The leading term of ``work`` comes off a min-heap of (negated order key,
-    term); see the module docstring for why the pop order is the order of
+
+def _reduce(work: dict, basis: GroebnerBasis) -> dict:
+    """Full normal form of the packed vector ``work``, which it consumes.
+
+    The leading term of ``work`` is the smallest int on a min-heap; see the
+    module docstring for why the pops come in the order of
     ``max(work, key=order.key)``.
     """
-    rank_of = basis.order.rank_of
     p = basis.p
-    lts, vectors, by_pos = basis.lts, basis.vectors, basis._by_pos
-    work = dict(v)
-    heap = [((rank_of[pos], -sum(m), m[::-1]), (pos, m)) for pos, m in work]
+    lts, tails, by_rank = basis._lts, basis._tails, basis._by_rank
+    order = basis.order
+    exp_mask, guards, rank_shift = order.exp_mask, order.guards, order.rank_shift
+    heap = list(work)
     heapify(heap)
-    out: Vec = {}
+    out: dict = {}
     while heap:
-        t = heappop(heap)[1]
+        t = heappop(heap)
         c = work.pop(t, None)
         if c is None:
             continue  # stale: the term cancelled, or a later entry took it
-        pos, m = t
-        hit = None
-        for gm, gi in by_pos.get(pos, ()):
-            if all(map(le, gm, m)):
-                hit = gi
+        e = t & exp_mask
+        for ge, gi in by_rank[t >> rank_shift]:
+            if not (e - ge) & guards:
                 break
-        if hit is None:
+        else:
             out[t] = c
             continue
-        lt = lts[hit]
-        shift = tuple(map(sub, m, lt[1]))
-        for gt, gc in vectors[hit].items():
-            if gt == lt:
-                continue
-            gpos, m2 = gt[0], tuple(map(add, gt[1], shift))
-            t2 = (gpos, m2)
+        delta = t - lts[gi]
+        for gt, gc in tails[gi]:
+            t2 = gt + delta
             old = work.get(t2)
-            c2 = ((old or 0) - c * gc) % p
-            if c2:
-                if old is None:
-                    heappush(heap, ((rank_of[gpos], -sum(m2), m2[::-1]), t2))
-                work[t2] = c2
-            elif old is not None:
-                del work[t2]
+            if old is None:
+                # c and gc are units, so the new coefficient is one too
+                work[t2] = -c * gc % p
+                heappush(heap, t2)
+            else:
+                c2 = (old - c * gc) % p
+                if c2:
+                    work[t2] = c2
+                else:
+                    del work[t2]
     return out
 
 
-def _make_monic(v: Vec, order: ModuleOrder, p: int):
-    """(v scaled to leading coefficient 1, its leading term)."""
-    lt = max(v, key=order.key)
+def _make_monic(v: dict, p: int):
+    """(leading term, tail scaled so the leading coefficient is 1) of a
+    nonzero packed vector."""
+    lt = min(v)
     c = v[lt]
     if c == 1:
-        return v, lt
+        return lt, tuple((t, k) for t, k in v.items() if t != lt)
     inv = pow(c, -1, p)
-    return {t: k * inv % p for t, k in v.items()}, lt
+    return lt, tuple((t, k * inv % p) for t, k in v.items() if t != lt)
 
 
 def buchberger(
@@ -244,90 +369,101 @@ def buchberger(
     """
     product_criterion = order.rank == 1
     gb = GroebnerBasis(order, p)
-    G, lts, by_pos = gb.vectors, gb.lts, gb._by_pos
+    lts, tails, by_rank = gb._lts, gb._tails, gb._by_rank
+    exp_mask, guards = order.exp_mask, order.guards
+    rank_shift, deg_shift = order.rank_shift, order.deg_shift
+    fields = order.fields
+    nbytes = 2 * order.nvars
     heap: list = []
-    counter = 0
     # pairs (i, j) with j < n_base join two base elements: already treated
     n_base = 0
     if base is not None:
-        for v, lt in zip(base.vectors, base.lts):
-            gb.add(v, lt)
+        for lt, tail in zip(base._lts, base._tails):
+            gb._add(lt, tail)
         n_base = len(gb)
 
     def queue_pairs(j):
-        nonlocal counter
-        pos_j, m_j = lts[j]
+        lt_j = lts[j]
+        r = lt_j >> rank_shift
+        e_j = lt_j & exp_mask
+        gd = order.gen_degrees[order.pos_of[r]]
         for i in range(j):
-            pos_i, m_i = lts[i]
-            if pos_i != pos_j:
+            lt_i = lts[i]
+            if lt_i >> rank_shift != r:
                 continue
-            lcm = mono_lcm(m_i, m_j)
-            sdeg = mono_deg(lcm) + order.gen_degrees[pos_j]
-            counter += 1
-            heappush(
-                heap, (sdeg, grevlex_key(lcm), i, j, counter, lcm)
-            )
+            e_i = lt_i & exp_mask
+            # fieldwise max: the guard of (e_i | guards) - e_j survives
+            # exactly in the fields where e_i >= e_j
+            keep = (((e_i | guards) - e_j) & guards) >> (FIELD_BITS - 1)
+            lcm = e_j ^ ((e_i ^ e_j) & keep * _VALUE_MASK)
+            dl = sum(fields.unpack(lcm.to_bytes(nbytes, "little")))
+            # ascending S-vector degree, then grevlex ascending on the lcm
+            heappush(heap, (dl + gd, dl, -lcm, i, j))
 
     for g in gens:
         if g:
-            queue_pairs(gb.add(*_make_monic(dict(g), order, p)))
+            # reduction keeps the degree of every term only for homogeneous
+            # vectors, and the degree limit rests on that
+            vec_degree(g, order.gen_degrees)
+            queue_pairs(gb._add(*_make_monic(order.pack_vec(g), p)))
 
     treated: set = set()
     while heap:
-        sdeg, _lk, i, j, _n, lcm = heappop(heap)
+        sdeg, dl, lcm, i, j = heappop(heap)
+        lcm = -lcm
         treated.add((i, j))
-        pos = lts[i][0]
-        m_i, m_j = lts[i][1], lts[j][1]
-        if product_criterion and mono_mul(m_i, m_j) == lcm:
-            continue
+        lt_i, lt_j = lts[i], lts[j]
+        if product_criterion and (lt_i & exp_mask) + (lt_j & exp_mask) == lcm:
+            continue  # coprime: each field holds one of the two exponents
         chained = False
-        for gm, k in by_pos.get(pos, ()):
-            if k in (i, j):
+        for ge, k in by_rank[lt_i >> rank_shift]:
+            if k == i or k == j or (lcm - ge) & guards:
                 continue
-            if mono_divides(gm, lcm):
-                a, b = (i, k) if i < k else (k, i)
-                c, d = (j, k) if j < k else (k, j)
-                if (b < n_base or (a, b) in treated) and (
-                    d < n_base or (c, d) in treated
-                ):
-                    chained = True
-                    break
+            a, b = (i, k) if i < k else (k, i)
+            c, d = (j, k) if j < k else (k, j)
+            if (b < n_base or (a, b) in treated) and (
+                d < n_base or (c, d) in treated
+            ):
+                chained = True
+                break
         if chained:
             continue
-        s = vec_mono_shift(G[i], mono_div(lcm, m_i), 1, p)
-        add_terms(s, vec_mono_shift(G[j], mono_div(lcm, m_j), p - 1, p), p)
-        r = _normal_form(s, gb)
+        cap = order.degree_cap[order.pos_of[lt_i >> rank_shift]]
+        if dl > cap:
+            raise _past_limit("S-pair", dl - cap + MAX_DEGREE)
+        lcm |= lt_i >> rank_shift << rank_shift | (MAX_DEGREE - dl) << deg_shift
+        # the leading terms cancel: s = x^a * tail_i - x^b * tail_j
+        di, dj = lcm - lt_i, lcm - lt_j
+        s = {t + di: c % p for t, c in tails[i]}
+        add_terms(s, {t + dj: c for t, c in tails[j]}, p, -1)
+        r = _reduce(s, gb)
         if r:
-            queue_pairs(gb.add(*_make_monic(r, order, p)))
+            queue_pairs(gb._add(*_make_monic(r, p)))
 
     return _interreduce(gb)
 
 
 def _interreduce(gb: GroebnerBasis) -> GroebnerBasis:
     order = gb.order
+    exp_mask, guards, rank_shift = order.exp_mask, order.guards, order.rank_shift
     kept = GroebnerBasis(order, gb.p)
-    for lt, g in sorted(zip(gb.lts, gb.vectors), key=lambda it: order.key(it[0])):
-        pos, m = lt
-        if not any(mono_divides(km, m) for km, _ in kept._by_pos.get(pos, ())):
-            kept.add(g, lt)
+    # smallest leading term first: the largest packed int
+    for lt, tail in sorted(zip(gb._lts, gb._tails), key=lambda it: it[0], reverse=True):
+        e = lt & exp_mask
+        if all((e - ke) & guards for ke, _ in kept._by_rank[lt >> rank_shift]):
+            kept._add(lt, tail)
 
-    # canonical listing: leading-term degree ascending, position priority,
-    # then grevlex descending within a degree
-    def list_key(item):
-        pos, m = item[0]
-        return (
-            sum(m) + order.gen_degrees[pos],
-            order.rank_of[pos],
-            tuple(reversed(m)),
-        )
-
+    # canonical listing: leading-term degree ascending, then the packed
+    # int, which is position priority, then grevlex descending
+    listing = sorted(
+        zip(kept._lts, kept._tails), key=lambda it: (order.term_degree(it[0]), it[0])
+    )
     # tail-reduce each element against the kept basis: a term below lt(g)
     # is never divisible by lt(g), so g never reduces itself, and leading
     # terms (and monic leading coefficients) are stable
     out = GroebnerBasis(order, gb.p)
-    for lt, g in sorted(zip(kept.lts, kept.vectors), key=list_key):
-        tail = _normal_form({t: c for t, c in g.items() if t != lt}, kept)
-        out.add({lt: 1, **tail}, lt)
+    for lt, tail in listing:
+        out._add(lt, tuple(_reduce(dict(tail), kept).items()))
     return out
 
 
@@ -373,9 +509,13 @@ class TaggedBasis:
         """Generators of the syzygy module of the input list, as vectors
         over positions 0..count-1."""
         r = self.real_rank
+        gb = self.gb
+        order = gb.order
         out = []
-        for v, lt in zip(self.gb.vectors, self.gb.lts):
-            if lt[0] >= r:
+        for lt, tail in zip(gb._lts, gb._tails):
+            # a tag position's rank is the position itself
+            if lt >> order.rank_shift >= r:
+                v = order.unpack_vec(((lt, 1),) + tail)
                 out.append({(pos - r, m): c for (pos, m), c in v.items()})
         return out
 
@@ -407,21 +547,36 @@ def series_add(out: dict, f: dict, shift: int = 0, c: int = 1) -> None:
             del out[d + shift]
 
 
+def _packed_monomials(nvars: int, d: int) -> list:
+    """The exponent bits of every degree-d monomial in ascending order,
+    which is grevlex descending."""
+    if nvars == 0:
+        return [0] if d == 0 else []
+    level = [(0, d)]  # (exponent bits so far, degree left)
+    for i in range(nvars - 1, 0, -1):
+        shift = FIELD_BITS * i
+        level = [(v | e << shift, r - e) for v, r in level for e in range(r + 1)]
+    return [v | r for v, r in level]
+
+
 def standard_terms(lts, gen_degrees, nvars: int, t: int) -> list:
     """Degree-t (position, monomial) pairs outside the leading-term
     staircase: position ascending, grevlex descending within a position."""
+    fields, _mask, guards = _layout(nvars)
     by_pos: dict = {}
     for pos, m in lts:
-        by_pos.setdefault(pos, []).append(m)
+        by_pos.setdefault(pos, []).append(int.from_bytes(fields.pack(*m), "little"))
     out = []
     for pos, gd in enumerate(gen_degrees):
         d = t - gd
         if d < 0:
             continue
+        if d > MAX_DEGREE:
+            raise _past_limit("staircase degree", d)
         blockers = by_pos.get(pos, ())
-        for m in monomials_of_degree(nvars, d):
-            if not any(mono_divides(b, m) for b in blockers):
-                out.append((pos, m))
+        for e in _packed_monomials(nvars, d):
+            if all((e - b) & guards for b in blockers):
+                out.append((pos, fields.unpack(e.to_bytes(2 * nvars, "little"))))
     return out
 
 

@@ -34,15 +34,6 @@ def mono_divides(a: Mono, b: Mono) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def mono_div(b: Mono, a: Mono) -> Mono:
-    """b / a, assuming divisibility."""
-    return tuple(y - x for x, y in zip(a, b))
-
-
-def mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def mono_deg(a: Mono) -> int:
     return sum(a)
 

@@ -102,6 +102,9 @@ def _slot_candidates(ring: QuotientRing, slot: int, rng):
 
     Later slots draw from the same ``rng``, so its coefficients are drawn
     here, all of them and in a fixed order, before any candidate is made.
+    The last slot, ``dim R - 1``, has no later slot: it draws each row of
+    coefficients when the pool reaches it, in the same order, so a last
+    slot decided by its recipe draws nothing.
     """
     amb = ring.ambient
     nv = ring.nvars
@@ -122,8 +125,13 @@ def _slot_candidates(ring: QuotientRing, slot: int, rng):
             recipe = [linear[k + slot]]
     elif slot < nv:
         recipe = [linear[slot]]
-    linear_coeffs = [[rng.randrange(ring.p) for _ in linear] for _ in range(12)]
-    quadric_coeffs = [[rng.randrange(ring.p) for _ in quadric] for _ in range(12)]
+
+    def draw_rows(monos):
+        return ([rng.randrange(ring.p) for _ in monos] for _ in range(12))
+
+    linear_coeffs, quadric_coeffs = draw_rows(linear), draw_rows(quadric)
+    if slot != ring.krull_dimension - 1:
+        linear_coeffs, quadric_coeffs = list(linear_coeffs), list(quadric_coeffs)
 
     def pool():
         seen = set()

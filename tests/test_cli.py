@@ -226,6 +226,21 @@ def test_huge_c_is_a_prompt_input_error(tmp_path):
     assert elapsed < 10
 
 
+def test_degree_past_the_groebner_limit_is_an_input_error(tmp_path, capsys):
+    # exponents live in 15-bit fields: x^32767 fits, and x^32768 is refused
+    # where it enters the kernel instead of wrapping into another field
+    ring = {"vars": ["x", "y"], "relations": ["x^32767+y^32767"]}
+    code, out, err = run(capsys, ["hilbert", "--ring", write(tmp_path, "ok.json", ring),
+                                  "--format", "json"])
+    assert code == 0, err
+    assert json.loads(out)["numerator"] == [[0, 1], [32767, -1]]
+    ring = {"vars": ["x", "y"], "relations": ["x^32768+y^32768"]}
+    code, out, err = run(capsys, ["hilbert", "--ring", write(tmp_path, "big.json", ring)])
+    assert code == 2
+    assert out == ""
+    assert "term of degree 32768 is past the Groebner kernel's limit" in err
+
+
 def test_hilbert_on_thirty_variables_is_quick(tmp_path):
     # the Krull dimension is read off the Hilbert numerator, so it does not
     # enumerate the 2^30 subsets of the variables

@@ -1,5 +1,6 @@
 """Family construction, isomorphism transfer, and the structural checks."""
 
+import hashlib
 import json
 import random
 import warnings
@@ -416,6 +417,16 @@ def test_family_report_deterministic(fermat):
     assert rep1["shift_embedding"]["passed"]
     assert rep1["resolution_shape"]["passed"]
     assert rep1["member"]["length"] == 14
+
+
+def test_fermat_member_n4_report_digest(fermat):
+    # Ax the 4x4 Jordan block with eigenvalue 1, Ay = Ax^2; the report is
+    # pinned by the first 16 hex digits of the SHA-256 of its sorted JSON
+    Ax = [[int(j in (i, i + 1)) for j in range(4)] for i in range(4)]
+    Ay = mat_mul(as_matrix(Ax, P), as_matrix(Ax, P), P).tolist()
+    rep = family_report(two_param(fermat, Ax, Ay))
+    digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
+    assert digest[:16] == "6b5818eedd27f707"
 
 
 def test_action_matrices_respect_ring_relations(binary):

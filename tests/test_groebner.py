@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from cmwild.errors import InputError
 from cmwild.groebner import (
+    MAX_DEGREE,
     ModuleOrder,
     TaggedBasis,
     _normal_form,
@@ -452,6 +453,103 @@ class TestGrownBases:
         fresh = ModulePresentation(QuotientRing(amb, ring.relations + tuple(seq)),
                                    gen_degrees, rels + extra)
         assert listing(grown.gb) == listing(fresh.gb)
+
+
+# ------------------------------------------------- packed terms
+
+
+def pack(order, term):
+    """The kernel's packed int of one term."""
+    (t,) = order.pack_vec({term: 1})
+    return t
+
+
+def degree_limit(order, pos):
+    """The documented limit: deg(m) + gen_degrees[pos] - min(gen_degrees)
+    is at most MAX_DEGREE."""
+    return MAX_DEGREE + min(order.gen_degrees) - order.gen_degrees[pos]
+
+
+@st.composite
+def packed_orders(draw):
+    """Orders of rank 1-3 with twists, in 1-8 variables."""
+    gen_degrees = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3))
+    return ModuleOrder(gen_degrees, draw(st.integers(1, 8)))
+
+
+@st.composite
+def limit_terms(draw, order, pos=None, degree=None):
+    """A term (pos, m) of degree at most ``degree`` (by default the limit
+    at pos), with exponents from 0 up to the limit."""
+    if pos is None:
+        pos = draw(st.integers(0, order.rank - 1))
+    left = degree_limit(order, pos) if degree is None else degree
+    m = [0] * order.nvars
+    for i in draw(st.permutations(range(order.nvars))):
+        m[i] = min(draw(st.integers(0, 3) | st.integers(0, MAX_DEGREE)), left)
+        left -= m[i]
+    return pos, tuple(m)
+
+
+class TestPackedTerms:
+    """Packed comparison, divisibility and shift against ``ModuleOrder.key``,
+    ``mono_divides`` and ``mono_mul`` on the tuple terms."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_packed_ops_agree_with_tuples(self, data):
+        order = data.draw(packed_orders())
+        a, b = data.draw(limit_terms(order)), data.draw(limit_terms(order))
+        ta, tb = pack(order, a), pack(order, b)
+        assert order.unpack_vec([(ta, 7)]) == {a: 7}
+        # the smaller int is the larger term
+        assert (ta < tb) == (order.key(a) > order.key(b))
+        assert (ta == tb) == (a == b)
+
+        def divides(tg, t):
+            return not ((t & order.exp_mask) - (tg & order.exp_mask)) & order.guards
+
+        assert divides(tb, ta) == mono_divides(b[1], a[1])
+        # a multiple of b and a shift by the same quotient
+        pos, mb = b
+        q = data.draw(limit_terms(order, pos, degree_limit(order, pos) - mono_deg(mb)))[1]
+        a = (pos, mono_mul(mb, q))
+        ta = pack(order, a)
+        assert divides(tb, ta) and mono_divides(mb, a[1])
+        cpos = data.draw(st.integers(0, order.rank - 1))
+        c = data.draw(limit_terms(order, cpos, degree_limit(order, cpos) - mono_deg(q)))
+        assert pack(order, c) + (ta - tb) == pack(order, (cpos, mono_mul(c[1], q)))
+
+
+class TestPackedLimit:
+    """A degree past the packed fields is an InputError where a term enters
+    the kernel and where an S-pair would form, never a wrapped exponent."""
+
+    def test_terms_past_the_limit_are_refused(self):
+        ring = QuotientRing.from_strings(["x", "y"], ["x^2"], 101)
+        y = ring.parse("y")
+        assert ring.normal_form(y ** MAX_DEGREE) == y ** MAX_DEGREE
+        with pytest.raises(InputError, match="limit"):
+            ring.normal_form(y ** (MAX_DEGREE + 1))
+        # in a module the limit counts from the lowest generator degree
+        order = ModuleOrder((0, 5), 2)
+        assert len(buchberger([{(1, (MAX_DEGREE - 5, 0)): 1}], order, 101)) == 1
+        with pytest.raises(InputError, match="limit"):
+            buchberger([{(1, (MAX_DEGREE - 4, 0)): 1}], order, 101)
+
+    def test_inhomogeneous_generator_is_refused(self):
+        order = ModuleOrder((0,), 2)
+        with pytest.raises(InputError, match="not homogeneous"):
+            buchberger([{(0, (2, 0)): 1, (0, (0, 1)): 1}], order, 101)
+
+    def test_s_pair_past_the_limit_is_refused(self):
+        order = ModuleOrder((0,), 2)
+        e = 2 * MAX_DEGREE // 3  # each generator fits, their lcm does not
+        with pytest.raises(InputError, match="S-pair of degree 43688"):
+            buchberger([{(0, (e, 1)): 1}, {(0, (1, e)): 1}], order, 101)
+        # the product criterion skips a coprime pair before any S-vector
+        gb = buchberger([{(0, (e, 0)): 1}, {(0, (0, e)): 1}], order, 101)
+        assert gb.lts == [(0, (e, 0)), (0, (0, e))]
 
 
 class TestHilbert:

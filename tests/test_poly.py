@@ -12,7 +12,6 @@ from cmwild.poly import (
     grevlex_key,
     mono_deg,
     mono_divides,
-    mono_lcm,
     mono_mul,
     monomials_of_degree,
 )
@@ -93,7 +92,6 @@ class TestGrevlex:
     def test_divisibility_helpers(self):
         assert mono_divides((1, 0, 2), (2, 0, 2))
         assert not mono_divides((1, 1, 0), (2, 0, 2))
-        assert mono_lcm((1, 0, 2), (0, 3, 1)) == (1, 3, 2)
 
 
 class TestPolyArithmetic:

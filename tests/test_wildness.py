@@ -2,6 +2,7 @@
 
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, reject, settings
@@ -529,3 +530,25 @@ def test_first_candidate_builds_no_random_form(monkeypatch):
     for _ in range(12 * 4 + 12 * 10):
         ref.randrange(P)
     assert rng.getstate() == ref.getstate()
+
+
+def test_last_slot_decided_by_its_recipe_draws_nothing(monkeypatch):
+    # the Fermat quartic has dimension 2: slot 0 draws its 24 rows of
+    # coefficients for the slot after it, and slot 1, the last, is decided
+    # by its recipe y^2 before the pool reaches a random form
+    draws = []
+
+    class CountingRandom(random.Random):
+        def randrange(self, *args):
+            draws.append(args)
+            return super().randrange(*args)
+
+    monkeypatch.setattr(wildness, "random", SimpleNamespace(Random=CountingRandom))
+    ring = QuotientRing.from_strings(*POOL_RINGS["fermat-quartic"])
+    seq, _ = find_regular_sequence(ring)
+    assert [str(y) for y in seq] == ["x^2", "y^2"]
+    assert len(draws) == 12 * 3 + 12 * 6
+    draws.clear()
+    first = next(iter(wildness._slot_candidates(ring, 1, CountingRandom(0))))
+    assert str(first) == "y^2"
+    assert draws == []
