@@ -60,8 +60,22 @@ at most MAX_DEGREE, and a generator only if it is homogeneous.  Reduction
 by homogeneous vectors keeps the module degree of every term, so no later
 monomial exceeds the limit; an S-pair is checked the same way, on the
 degree of its lcm, before its S-vector is formed.  A term past the limit
-raises InputError; no exponent ever wraps.  At the boundary, ``gens``,
-``normal_form``, ``vectors`` and ``lts`` keep the tuple-keyed form.
+raises InputError; no exponent ever wraps.
+
+At the boundary.  ``ModuleOrder.pack_vec`` is where a tuple-keyed vector
+enters the kernel: its coefficients are reduced mod p and its zero terms
+dropped there, so a multiple of p is zero everywhere.  ``gens``,
+``normal_form``, ``vectors``, ``lts``, ``syzygy_generators`` and
+``coordinates`` keep the tuple-keyed form.  Callers that hold vectors
+across many kernel calls keep them packed instead, in the order of their
+free module: the resolution columns and comparison maps of
+``resolution``.  For them ``add_mul`` is acc += f * v with f given as
+shifts (``ModuleOrder.shift``, ``term_shift``), ``GroebnerBasis.lift``
+turns the ring's basis into a reduced basis of I*F for one ``_reduce``
+per vector, and ``TaggedBasis`` takes packed generators and hands back
+packed syzygies and coordinates, moved to the caller's order by
+``ModuleOrder.rerank``.  ``buchberger`` and ``TaggedBasis`` accept
+either form, told apart by the key type in ``pack_vec``.
 
 Normal forms keep the working vector ordered instead of rescanning it for
 its leading term.  Next to the packed dict ``work`` sits a min-heap of its
@@ -118,7 +132,7 @@ class ModuleOrder:
 
     __slots__ = (
         "gen_degrees", "rank_of", "nvars", "pos_of", "deg_shift", "rank_shift",
-        "exp_mask", "guards", "fields", "degree_cap", "_rank_bits",
+        "exp_mask", "guards", "fields", "degree_cap", "rank_bits", "term_mask",
     )
 
     def __init__(self, gen_degrees, nvars, rank_of=None):
@@ -141,7 +155,8 @@ class ModuleOrder:
         self.fields, self.exp_mask, self.guards = _layout(nvars)
         self.deg_shift = FIELD_BITS * nvars
         self.rank_shift = self.deg_shift + FIELD_BITS
-        self._rank_bits = [r << self.rank_shift for r in self.rank_of]
+        self.rank_bits = [r << self.rank_shift for r in self.rank_of]
+        self.term_mask = (1 << self.rank_shift) - 1  # the monomial: all but the rank
         # the largest deg(m) a term (pos, m) may enter with
         low = min(self.gen_degrees, default=0)
         self.degree_cap = [MAX_DEGREE + low - gd for gd in self.gen_degrees]
@@ -155,7 +170,8 @@ class ModuleOrder:
         return (-self.rank_of[pos], sum(m), tuple(-e for e in reversed(m)))
 
     def with_tags(self, tag_degrees) -> "ModuleOrder":
-        """Append tag positions ranked strictly below every real position."""
+        """Append tag positions ranked strictly below every real position.
+        A real position keeps its rank, so it packs to the same ints."""
         r = len(self.gen_degrees)
         return ModuleOrder(
             self.gen_degrees + tuple(tag_degrees),
@@ -165,13 +181,20 @@ class ModuleOrder:
 
     # -- packed terms
 
-    def pack_vec(self, v: Vec) -> dict:
-        """A tuple-keyed vector as {packed term: coefficient}, in its order;
-        InputError for a term past the degree limit."""
-        cap, rank_bits, shift = self.degree_cap, self._rank_bits, self.deg_shift
+    def pack_vec(self, v: Vec, p: int) -> dict:
+        """A tuple-keyed vector as {packed term: coefficient}, in its order,
+        with its coefficients reduced mod p and its zero terms dropped;
+        InputError for a term past the degree limit.  A vector that is
+        packed already (its keys are ints) is returned as it is."""
+        if v and type(next(iter(v))) is int:
+            return v
+        cap, rank_bits, shift = self.degree_cap, self.rank_bits, self.deg_shift
         fields = self.fields.pack
         out = {}
         for (pos, m), c in v.items():
+            c %= p
+            if not c:
+                continue
             d = sum(m)
             if d > cap[pos]:
                 raise _past_limit("term", d - cap[pos] + MAX_DEGREE)
@@ -198,6 +221,29 @@ class ModuleOrder:
             + self.gen_degrees[self.pos_of[t >> self.rank_shift]]
         )
 
+    def shift(self, m) -> int:
+        """What multiplying by x^m adds to a packed term: its exponents, and
+        deg(m) off the complemented degree."""
+        return int.from_bytes(self.fields.pack(*m), "little") - (sum(m) << self.deg_shift)
+
+    def term_shift(self, t: int) -> int:
+        """The shift of the monomial of the packed term t; it is the same in
+        every order over the same variables."""
+        return (t & self.term_mask) - (MAX_DEGREE << self.deg_shift)
+
+    def rerank(self, items, rank_bits, first: int = 0) -> dict:
+        """The packed vector with the given (term, coefficient) pairs, whose
+        ranks are all at least ``first``, moved to another order over the
+        same variables: the term of rank first + j gets rank_bits[j] and
+        keeps its monomial; terms of a rank past ``rank_bits`` are left
+        out."""
+        rank_shift, mask, stop = self.rank_shift, self.term_mask, first + len(rank_bits)
+        return {
+            t & mask | rank_bits[(t >> rank_shift) - first]: c
+            for t, c in items
+            if t >> rank_shift < stop
+        }
+
 
 # ----------------------------------------------------------------- vectors
 
@@ -212,19 +258,18 @@ def vec_degree(v: Vec, gen_degrees) -> int | None:
     return degs.pop()
 
 
-def vec_add_mul(acc: Vec, f: dict, v: Vec, p: int) -> Vec:
-    """acc + f * v, for a polynomial f given by its term dict."""
-    out = dict(acc)
-    for mf, cf in f.items():
-        for (pos, m), c in v.items():
-            # mono_mul inlined: this is the inner loop of unit elimination
-            t = (pos, tuple(x + y for x, y in zip(m, mf)))
-            c2 = (out.get(t, 0) + cf * c) % p
+def add_mul(acc: dict, f, v: dict, p: int) -> None:
+    """acc += f * v in place, for packed vectors acc and v and a polynomial
+    f given as (shift, coefficient) pairs (see ``ModuleOrder.shift``)."""
+    for s, cf in f:
+        # add_terms inlined: this is the inner loop of unit elimination
+        for t, c in v.items():
+            t += s
+            c2 = (acc.get(t, 0) + cf * c) % p
             if c2:
-                out[t] = c2
-            elif t in out:
-                del out[t]
-    return out
+                acc[t] = c2
+            elif t in acc:
+                del acc[t]
 
 
 def vec_mono_shift(v: Vec, shift, c: int, p: int) -> Vec:
@@ -262,14 +307,15 @@ class GroebnerBasis:
         self._vectors = self._lt_terms = None
         return i
 
+    def packed(self) -> list:
+        """The basis vectors, leading term first, as packed dicts."""
+        return [dict(((lt, 1),) + tail) for lt, tail in zip(self._lts, self._tails)]
+
     @property
     def vectors(self) -> list:
         """The basis vectors, leading term first, as tuple-keyed dicts."""
         if self._vectors is None:
-            unpack = self.order.unpack_vec
-            self._vectors = [
-                unpack(((lt, 1),) + tail) for lt, tail in zip(self._lts, self._tails)
-            ]
+            self._vectors = [self.order.unpack_vec(v.items()) for v in self.packed()]
         return self._vectors
 
     @property
@@ -291,12 +337,25 @@ class GroebnerBasis:
     def reduces_to_zero(self, v: Vec) -> bool:
         return not self.normal_form(v)
 
+    def lift(self, order: ModuleOrder) -> "GroebnerBasis":
+        """This rank-one basis times each generator of a free module over
+        the same variables: g e_0, g e_1, ..., then the next g.  Each
+        product is g with the generator's rank bits set.  Under a
+        position-over-term order the products of a reduced basis form a
+        reduced basis of the submodule they generate (S-pairs pair only
+        one position with itself), so no Buchberger is needed."""
+        out = GroebnerBasis(order, self.p)
+        for lt, tail in zip(self._lts, self._tails):
+            for bits in order.rank_bits:
+                out._add(lt | bits, tuple((t | bits, c) for t, c in tail))
+        return out
+
 
 def _normal_form(v: Vec, basis: GroebnerBasis) -> Vec:
     """Full normal form of a tuple-keyed vector: every term of the result
     is irreducible, and the result lists its terms in descending order."""
     order = basis.order
-    return order.unpack_vec(_reduce(order.pack_vec(v), basis).items())
+    return order.unpack_vec(_reduce(order.pack_vec(v, basis.p), basis).items())
 
 
 def _reduce(work: dict, basis: GroebnerBasis) -> dict:
@@ -401,11 +460,14 @@ def buchberger(
             heappush(heap, (dl + gd, dl, -lcm, i, j))
 
     for g in gens:
-        if g:
+        v = order.pack_vec(g, p)
+        if v:
             # reduction keeps the degree of every term only for homogeneous
             # vectors, and the degree limit rests on that
-            vec_degree(g, order.gen_degrees)
-            queue_pairs(gb._add(*_make_monic(order.pack_vec(g), p)))
+            tops = {t >> deg_shift for t in v}  # rank and complemented degree
+            if len({order.term_degree(u << deg_shift) for u in tops}) > 1:
+                raise InputError("vector is not homogeneous")
+            queue_pairs(gb._add(*_make_monic(v, p)))
 
     treated: set = set()
     while heap:
@@ -476,26 +538,28 @@ class TaggedBasis:
     Provides syzygy generators (pure-tag basis elements) and coordinate
     solves (normal form of (v, 0); a vanishing real part certifies
     membership and the tag residue encodes the coordinates).
+
+    The generators are vectors of the free module of ``base_order``,
+    tuple-keyed or packed in ``base_order``.  A real position packs to the
+    same int in the tagged order, so packed generators enter as they are,
+    and ``syzygies`` and ``solve`` hand packed results back in the order of
+    the caller's choice, with one swap of rank bits per term.
+    ``syzygy_generators`` and ``coordinates`` are their tuple-keyed views.
     """
 
     __slots__ = ("p", "real_rank", "count", "order", "gb", "tag_degrees")
 
     def __init__(self, gens, base_order: ModuleOrder, p: int):
         r = base_order.rank
-        gens = [dict(g) for g in gens]
-        tag_degrees = []
-        zero_mono = (0,) * base_order.nvars
-        tagged = []
-        for i, g in enumerate(gens):
-            d = vec_degree(g, base_order.gen_degrees)
-            if d is None:
-                d = 0  # zero generator: tag degree is immaterial
-            tag_degrees.append(d)
+        gens = [base_order.pack_vec(g, p) for g in gens]
+        # a zero generator's tag is immaterial; its degree is the lowest
+        # real one, so the tagged order keeps every real degree cap
+        low = min(base_order.gen_degrees, default=0)
+        tag_degrees = [base_order.term_degree(min(g)) if g else low for g in gens]
         order = base_order.with_tags(tag_degrees)
-        for i, g in enumerate(gens):
-            gh = dict(g)
-            gh[(r + i, zero_mono)] = 1
-            tagged.append(gh)
+        # tag i is the constant term of rank r + i
+        tag = MAX_DEGREE << order.deg_shift
+        tagged = [{**g, (r + i) << order.rank_shift | tag: 1} for i, g in enumerate(gens)]
         self.p = p
         self.real_rank = r
         self.count = len(gens)
@@ -505,28 +569,48 @@ class TaggedBasis:
         # product criterion is off whenever a pair exists
         self.gb = buchberger(tagged, order, p)
 
+    def _tag_order(self) -> ModuleOrder:
+        """The free module whose position j is generator j."""
+        return ModuleOrder(self.tag_degrees, self.order.nvars)
+
+    def syzygies(self, order: ModuleOrder, count: int) -> list:
+        """Generators of the syzygy module of the input generators, cut to
+        the first ``count`` of them and packed in ``order``, whose position
+        j is generator j: the pure-tag basis elements without their tags
+        from ``count`` on."""
+        gb, r = self.gb, self.real_rank
+        rank_bits = order.rank_bits[:count]
+        rerank = self.order.rerank
+        return [
+            rerank(((lt, 1),) + tail, rank_bits, r)
+            for lt, tail in zip(gb._lts, gb._tails)
+            # a tag position's rank is the position itself
+            if lt >> self.order.rank_shift >= r
+        ]
+
+    def solve(self, v: dict, order: ModuleOrder, count: int):
+        """Coordinates of the packed vector v (which this consumes) over the
+        input generators, cut and packed in ``order`` as in ``syzygies``,
+        or None if v is not in their span.  Any valid coordinate vector
+        may be returned."""
+        w = _reduce(v, self.gb)
+        rank_shift, r, p = self.order.rank_shift, self.real_rank, self.p
+        if any(t >> rank_shift < r for t in w):
+            return None
+        return self.order.rerank(((t, -c % p) for t, c in w.items()), order.rank_bits[:count], r)
+
     def syzygy_generators(self) -> list:
         """Generators of the syzygy module of the input list, as vectors
         over positions 0..count-1."""
-        r = self.real_rank
-        gb = self.gb
-        order = gb.order
-        out = []
-        for lt, tail in zip(gb._lts, gb._tails):
-            # a tag position's rank is the position itself
-            if lt >> order.rank_shift >= r:
-                v = order.unpack_vec(((lt, 1),) + tail)
-                out.append({(pos - r, m): c for (pos, m), c in v.items()})
-        return out
+        order = self._tag_order()
+        return [order.unpack_vec(s.items()) for s in self.syzygies(order, self.count)]
 
     def coordinates(self, v: Vec):
         """Coordinates of v over the input generators, or None if v is not
         in their span.  Any valid coordinate vector may be returned."""
-        w = self.gb.normal_form(dict(v))
-        if any(pos < self.real_rank for (pos, _m) in w):
-            return None
-        p = self.p
-        return {(pos - self.real_rank, m): -c % p for (pos, m), c in w.items()}
+        order = self._tag_order()
+        w = self.solve(self.order.pack_vec(v, self.p), order, self.count)
+        return None if w is None else order.unpack_vec(w.items())
 
 
 # ------------------------------------------------- staircase combinatorics

@@ -16,6 +16,7 @@ from .groebner import (
     GroebnerBasis,
     ModuleOrder,
     Staircase,
+    _reduce,
     buchberger,
     vec_degree,
     vec_mono_shift,
@@ -25,7 +26,7 @@ from .rings import QuotientRing
 
 
 class FreeModule:
-    __slots__ = ("ring", "twists", "order")
+    __slots__ = ("ring", "twists", "order", "_ring_basis")
 
     def __init__(self, ring: QuotientRing, twists):
         self.ring = ring
@@ -33,6 +34,7 @@ class FreeModule:
         self.order = ModuleOrder(
             tuple(-t for t in self.twists), ring.nvars
         )
+        self._ring_basis: GroebnerBasis | None = None
 
     @property
     def rank(self) -> int:
@@ -67,28 +69,33 @@ class FreeModule:
             comps[pos][m] = c
         return [Poly(self.ring.ambient, t) for t in comps]
 
+    @property
+    def ring_basis(self) -> GroebnerBasis:
+        """The ring's reduced basis lifted to this module: each ring
+        relation times each generator, relation-major, packed in this
+        module's order.  It is a reduced basis of I*F, so reducing a vector
+        against it reduces every component modulo the ring.  Built on
+        first use."""
+        if self._ring_basis is None:
+            self._ring_basis = self.ring.gb.lift(self.order)
+        return self._ring_basis
+
+    def ring_reduce(self, v: dict) -> dict:
+        """Normal form modulo the ring of a packed vector of this module,
+        which it consumes."""
+        return _reduce(v, self.ring_basis)
+
     def ring_adjunction(self) -> list[dict]:
         """Ring relations times each generator: the vectors that make
         ambient-ring Groebner computations compute over R."""
-        out = []
-        for g in self.ring.gb.vectors:
-            for i in range(self.rank):
-                out.append({(i, m): c for (_p, m), c in g.items()})
-        return out
+        return list(self.ring_basis.vectors)
 
 
 def ring_reduce_vec(ring: QuotientRing, v: dict) -> dict:
-    """Componentwise normal form against the ring's relation ideal."""
-    comps: dict = {}
-    for (pos, m), c in v.items():
-        comps.setdefault(pos, {})[m] = c
-    out: dict = {}
-    gb = ring.gb
-    for pos, terms in comps.items():
-        nf = gb.normal_form({(0, m): c for m, c in terms.items()})
-        for (_z, m), c in nf.items():
-            out[(pos, m)] = c
-    return out
+    """Normal form of a tuple-keyed vector modulo the ring's relations,
+    component by component."""
+    rank = 1 + max((pos for pos, _m in v), default=-1)
+    return FreeModule(ring, (0,) * rank).ring_basis.normal_form(v)
 
 
 class FreeMap:
@@ -144,7 +151,8 @@ class FreeMap:
 
     def is_zero_over_ring(self) -> bool:
         """True iff every column reduces to zero modulo the ring relations."""
-        return not any(ring_reduce_vec(self.ring, col) for col in self.columns)
+        basis = self.target.ring_basis
+        return not any(basis.normal_form(col) for col in self.columns)
 
 
 class ModulePresentation(Staircase):

@@ -16,6 +16,21 @@ raise it.
 One extra syzygy step beyond the requested length is computed and discarded:
 a redundant generator in the top differential only becomes visible as a unit
 entry one step later, and the elimination cascade is what prunes it.
+
+Columns are packed (see the ``groebner`` docstring), each in the order of
+its target free module.  The relations are packed once on entry and every
+finished column is unpacked once, when its ``FreeMap`` is built; in
+between there are no tuple keys.  A constant term is read off the degree
+and exponent fields, a column update ``acc + f*v`` is ``add_mul`` with one
+integer shift per term of f, and dropping freed generators rewrites rank
+bits.  Reduction modulo the ring is one ``_reduce`` against the free
+module's lifted ring basis (``FreeModule.ring_basis``, built once per
+module).  A real position packs to the same int in the tagged order, so
+the columns enter ``TaggedBasis`` as they are and the syzygies leave it
+packed, moved to F_i by a swap of rank bits.  ``comparison_map`` packs
+each differential and its previous lift once and runs the lift and the
+chain-map certificate on packed vectors.  ``Resolution``, ``FreeMap`` and
+``check_complex`` stay tuple-keyed.
 """
 
 from __future__ import annotations
@@ -24,8 +39,9 @@ from collections import Counter
 from itertools import combinations
 
 from .errors import CmwildError, InputError
-from .groebner import TaggedBasis, vec_add_mul, vec_degree
-from .modules import FreeMap, FreeModule, ModulePresentation, ring_reduce_vec
+from .groebner import MAX_DEGREE, TaggedBasis, add_mul
+from .modules import FreeMap, FreeModule, ModulePresentation
+from .modules import ring_reduce_vec  # noqa: F401  (re-exported)
 from .poly import add_terms
 from .rings import QuotientRing
 
@@ -155,75 +171,93 @@ def koszul_complex(ring: QuotientRing, elems, copies: int = 1) -> Resolution:
 # ------------------------------------------------- minimal free resolutions
 
 
-def _row_terms(col: dict, r: int, scale: int, p: int) -> dict:
-    """Row r of a column as a term dict, times a scalar."""
-    return {m: c * scale % p for (pos, m), c in col.items() if pos == r}
-
-
 def _eliminate_units(ring, frees, maps_cols, level, cols):
     """Eliminate unit entries from candidate delta_level columns.
 
-    Mutates frees[level-1] (dropping generators) and, for level >= 2, the
-    stored columns of delta_{level-1} in maps_cols[level-2].  Returns the
-    cleaned column list.
+    The columns are packed in the order of frees[level-1], the stored
+    columns of delta_{level-1} in that of frees[level-2].  Mutates
+    frees[level-1] (dropping generators) and, for level >= 2, the stored
+    columns of delta_{level-1} in maps_cols[level-2].  Returns the cleaned
+    column list.
     """
     p = ring.p
-    zero = (0,) * ring.nvars
+    order = frees[level - 1].order
+    rank_shift, pos_of, term_shift = order.rank_shift, order.pos_of, order.term_shift
+    # a constant term: complemented degree MAX_DEGREE, exponents 0
+    const, mask = MAX_DEGREE << order.deg_shift, order.term_mask
     D = list(cols)
     E = maps_cols[level - 2] if level >= 2 else None
     dropped = set()
 
     while True:
         unit = min(
-            ((pos, c) for c, col in enumerate(D)
-             for (pos, m), k in col.items() if m == zero and k % p),
+            ((pos_of[t >> rank_shift], c, t) for c, col in enumerate(D)
+             for t in col if t & mask == const),
             default=None,
         )
         if unit is None:
             break
-        r0, c0 = unit
+        r0, c0, t0 = unit
+        rank0 = t0 >> rank_shift
         pivot = D[c0]
         # a homogeneous entry with a constant term is that constant
-        uinv = pow(pivot[(r0, zero)], -1, p)
+        uinv = pow(pivot[t0], -1, p)
         # clear row r0 in the other columns (basis change of F_level)
         for c, col in enumerate(D):
             if c != c0:
-                alpha = _row_terms(col, r0, p - uinv, p)
+                alpha = [
+                    (term_shift(t), k * (p - uinv) % p)
+                    for t, k in col.items() if t >> rank_shift == rank0
+                ]
                 if alpha:
-                    D[c] = vec_add_mul(col, alpha, pivot, p)
+                    add_mul(col, alpha, pivot, p)
         # clear column c0 (basis change of F_{level-1}, mirrored on E)
         if E is not None:
-            for r in {pos for (pos, _m) in pivot} - {r0}:
-                E[r0] = vec_add_mul(E[r0], _row_terms(pivot, r, uinv, p), E[r], p)
-            # the freed column of delta_{level-1} must vanish over the ring
-            if ring_reduce_vec(ring, E[r0]):
+            rows: dict = {}
+            for t, k in pivot.items():
+                rows.setdefault(t >> rank_shift, []).append((term_shift(t), k * uinv % p))
+            for rank, f in rows.items():
+                if rank != rank0:
+                    add_mul(E[r0], f, E[pos_of[rank]], p)
+            # the freed column of delta_{level-1} must vanish over the ring;
+            # it is dropped below, so the reduction may consume it
+            if frees[level - 2].ring_reduce(E[r0]):
                 raise CmwildError("minimization produced a nonzero freed column")
         del D[c0]
         dropped.add(r0)
 
-    # drop the freed generators of F_{level-1}; no column has an entry there
-    keep = [r for r in range(frees[level - 1].rank) if r not in dropped]
-    index = {r: i for i, r in enumerate(keep)}
-    frees[level - 1] = FreeModule(ring, [frees[level - 1].twists[r] for r in keep])
-    if E is not None:
-        E[:] = [E[r] for r in keep]
+    if dropped:
+        # drop the freed generators of F_{level-1}; no column has an entry
+        # there, and every other generator keeps its place in the order
+        keep = [r for r in range(order.rank) if r not in dropped]
+        free = FreeModule(ring, [frees[level - 1].twists[r] for r in keep])
+        rank_bits = [0] * order.rank
+        for i, r in enumerate(keep):
+            rank_bits[order.rank_of[r]] = free.order.rank_bits[i]
+        D = [order.rerank(col.items(), rank_bits) for col in D]
+        frees[level - 1] = free
+        if E is not None:
+            E[:] = [E[r] for r in keep]
     out = []
     for col in D:
-        col = ring_reduce_vec(ring, {(index[pos], m): c for (pos, m), c in col.items()})
+        col = frees[level - 1].ring_reduce(col)
         if col:
             out.append(col)
     return out
 
 
 def minimal_resolution(pres: ModulePresentation, length: int) -> Resolution:
-    """Minimal graded free resolution of coker(pres) to the given length."""
+    """Minimal graded free resolution of coker(pres) to the given length.
+
+    The columns stay packed in the order of their target free module from
+    the relations to the finished maps; see the module docstring."""
     if length < 0:
         raise InputError("resolution length must be nonnegative")
     ring = pres.ring
     p = ring.p
     frees: list = [FreeModule(ring, pres.free.twists)]
     maps_cols: list = []
-    cols = [ring_reduce_vec(ring, c) for c in pres.relations]
+    cols = [frees[0].ring_reduce(frees[0].order.pack_vec(v, p)) for v in pres.relations]
     cols = [c for c in cols if c]
     terminated = False
 
@@ -238,35 +272,37 @@ def minimal_resolution(pres: ModulePresentation, length: int) -> Resolution:
         if i == length + 1:
             # the extra step exists only to prune the one below it
             break
-        src_degrees = [vec_degree(c, frees[i - 1].gen_degrees) for c in cols]
-        frees.append(FreeModule(ring, tuple(-d for d in src_degrees)))
+        target = frees[i - 1]
+        source = FreeModule(ring, [-target.order.term_degree(min(c)) for c in cols])
+        frees.append(source)
         maps_cols.append(cols)
-        tagged = TaggedBasis(
-            list(cols) + frees[i - 1].ring_adjunction(), frees[i - 1].order, p
-        )
-        k = len(cols)
+        tagged = TaggedBasis(cols + target.ring_basis.packed(), target.order, p)
         nxt = []
-        for s in tagged.syzygy_generators():
-            restr = {(pos, m): c for (pos, m), c in s.items() if pos < k}
-            restr = ring_reduce_vec(ring, restr)
-            if restr:
-                nxt.append(restr)
+        for s in tagged.syzygies(source.order, len(cols)):
+            s = source.ring_reduce(s)
+            if s:
+                nxt.append(s)
         cols = nxt
 
     maps = {
-        i + 1: FreeMap(frees[i + 1], frees[i], maps_cols[i])
+        i + 1: FreeMap(frees[i + 1], frees[i], _unpacked(frees[i], maps_cols[i]))
         for i in range(len(maps_cols))
     }
     if maps:
         pres_rels = maps[1].columns
     else:
         # length 0: the pruned relation list never became a stored map
-        pres_rels = [] if terminated else cols
+        pres_rels = [] if terminated else _unpacked(frees[0], cols)
     presentation = ModulePresentation(ring, frees[0].gen_degrees, pres_rels)
     res = Resolution(ring, frees, maps, True, presentation, terminated=terminated)
     if not res.check_complex():
         raise CmwildError("resolution differentials do not compose to zero")
     return res
+
+
+def _unpacked(free: FreeModule, cols) -> list:
+    """Packed columns of ``free`` as tuple-keyed vectors."""
+    return [free.order.unpack_vec(c.items()) for c in cols]
 
 
 # --------------------------------------------------------- comparison maps
@@ -275,41 +311,41 @@ def minimal_resolution(pres: ModulePresentation, length: int) -> Resolution:
 def comparison_map(koszul: Resolution, res: Resolution) -> list[FreeMap]:
     """Chain maps phi_i : K_i -> F_i lifting the identity on degree-zero
     generators, via normal-form division against each differential's tagged
-    basis.  Returns [phi_0, ..., phi_min(lengths)]."""
+    basis.  Returns [phi_0, ..., phi_min(lengths)].
+
+    The columns of delta_i and of phi_{i-1} are packed once; each lift and
+    its chain-map certificate run on packed vectors."""
     ring = res.ring
     p = ring.p
     k0, f0 = koszul.frees[0], res.frees[0]
     if k0.gen_degrees != f0.gen_degrees:
         raise InputError("comparison map needs matching degree-zero generators")
     phis = [FreeMap(k0, f0, [f0.gen_vec(i) for i in range(f0.rank)])]
+    prev = [f0.order.pack_vec(c, p) for c in phis[0].columns]
     top = min(koszul.length, res.length)
     for i in range(1, top + 1):
-        delta = res.maps[i]
-        cols_delta = list(delta.columns)
-        tagged = TaggedBasis(
-            cols_delta + res.frees[i - 1].ring_adjunction(),
-            res.frees[i - 1].order,
-            p,
-        )
-        k = len(cols_delta)
-        phi_cols = []
+        target, source = res.frees[i - 1], res.frees[i]
+        delta = [target.order.pack_vec(c, p) for c in res.maps[i].columns]
+        tagged = TaggedBasis(delta + target.ring_basis.packed(), target.order, p)
+        shift = target.order.shift
+        order = source.order
+        rank_shift, pos_of, term_shift = order.rank_shift, order.pos_of, order.term_shift
+        cols = []
         for w in koszul.maps[i].columns:
-            v = phis[i - 1].apply(w)
-            coords = tagged.coordinates(v)
+            v: dict = {}  # phi_{i-1}(w)
+            for (j, m), c in w.items():
+                add_mul(v, ((shift(m), c),), prev[j], p)
+            coords = tagged.solve(dict(v), order, len(delta))
             if coords is None:
                 raise CmwildError("comparison lift failed: target not in image")
-            phi_cols.append(
-                {(pos, m): c for (pos, m), c in coords.items() if pos < k}
-            )
-        phi = FreeMap(koszul.frees[i], res.frees[i], phi_cols)
-        # certify the chain-map identity delta_i phi_i = phi_{i-1} d_i
-        lhs = delta.compose(phi)
-        rhs = phis[i - 1].compose(koszul.maps[i])
-        for a, b in zip(lhs.columns, rhs.columns):
-            diff = dict(a)
-            add_terms(diff, b, p, -1)
-            if ring_reduce_vec(ring, diff):
+            # certify the chain-map identity delta_i phi_i = phi_{i-1} d_i
+            diff: dict = {}
+            for t, c in coords.items():
+                add_mul(diff, ((term_shift(t), c),), delta[pos_of[t >> rank_shift]], p)
+            add_terms(diff, v, p, -1)
+            if target.ring_reduce(diff):
                 raise CmwildError("comparison map is not a chain map")
-        phis.append(phi)
+            cols.append(coords)
+        phis.append(FreeMap(koszul.frees[i], source, _unpacked(source, cols)))
+        prev = cols
     return phis
-

@@ -15,6 +15,7 @@ from cmwild.groebner import (
     ModuleOrder,
     TaggedBasis,
     _normal_form,
+    add_mul,
     buchberger,
     divide_by_one_minus_t,
     module_numerator,
@@ -28,7 +29,7 @@ from cmwild.groebner import (
     vec_mono_shift,
 )
 from cmwild.matalg import rank as mat_rank
-from cmwild.modules import ModulePresentation
+from cmwild.modules import FreeMap, FreeModule, ModulePresentation, ring_reduce_vec
 from cmwild.poly import (
     Poly,
     PolyRing,
@@ -460,7 +461,7 @@ class TestGrownBases:
 
 def pack(order, term):
     """The kernel's packed int of one term."""
-    (t,) = order.pack_vec({term: 1})
+    (t,) = order.pack_vec({term: 1}, 101)
     return t
 
 
@@ -521,6 +522,94 @@ class TestPackedTerms:
         assert pack(order, c) + (ta - tb) == pack(order, (cpos, mono_mul(c[1], q)))
 
 
+KERNEL_P = 31
+
+
+@st.composite
+def column_orders(draw):
+    """Free-module orders of rank 1-3 with twists, in 1-6 variables."""
+    gen_degrees = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3))
+    return ModuleOrder(gen_degrees, draw(st.integers(1, 6)))
+
+
+@st.composite
+def small_monomials(draw, nvars):
+    return tuple(draw(st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars)))
+
+
+@st.composite
+def column_vectors(draw, order, max_terms=6):
+    """Tuple-keyed vectors over F_31 with small exponents, any degrees."""
+    keys = draw(st.lists(
+        st.tuples(st.integers(0, order.rank - 1), small_monomials(order.nvars)),
+        max_size=max_terms, unique=True,
+    ))
+    return {k: draw(st.integers(1, KERNEL_P - 1)) for k in keys}
+
+
+@st.composite
+def quotient_rings(draw, nvars):
+    """F_31[x_1..x_n] modulo 0-2 random sparse forms of degree 2 or 3."""
+    amb = PolyRing([f"x{i}" for i in range(nvars)], KERNEL_P)
+    rels = []
+    for _ in range(draw(st.integers(0, 2))):
+        monos = monomials_of_degree(nvars, draw(st.integers(2, 3)))
+        chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True))
+        rels.append(Poly(amb, {m: draw(st.integers(1, KERNEL_P - 1)) for m in chosen}))
+    return QuotientRing(amb, rels)
+
+
+class TestPackedColumnKernels:
+    """The kernels that keep resolution columns packed, against tuple
+    references: ``add_mul`` (acc + f * v, f read off a packed row as in
+    unit elimination) against ``mono_mul`` and ``add_terms``, and the
+    lifted ring basis against per-component normal forms in the ring."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_column_update_matches_tuples(self, data):
+        order = data.draw(column_orders())
+        acc = data.draw(column_vectors(order))
+        v = data.draw(column_vectors(order))
+        # f is row r of a packed column, as unit elimination reads it
+        r = data.draw(st.integers(0, order.rank - 1))
+        f = {m: c for (_pos, m), c in data.draw(column_vectors(order, 4)).items()}
+        row = order.pack_vec({(r, m): c for m, c in f.items()}, KERNEL_P)
+        shifts = [(order.term_shift(t), c) for t, c in row.items()]
+        assert [s for s, _c in shifts] == [order.shift(m) for m in f]
+
+        ref = dict(acc)
+        for m, c in f.items():
+            add_terms(ref, {(pos, mono_mul(mv, m)): k for (pos, mv), k in v.items()}, KERNEL_P, c)
+        out = order.pack_vec(acc, KERNEL_P)
+        add_mul(out, shifts, order.pack_vec(v, KERNEL_P), KERNEL_P)
+        # the same packed ints (rank, degree field and exponents) in the
+        # same dict order
+        assert list(out.items()) == list(order.pack_vec(ref, KERNEL_P).items())
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_lifted_ring_reduction_matches_components(self, data):
+        order = data.draw(column_orders())
+        ring = data.draw(quotient_rings(order.nvars))
+        free = FreeModule(ring, [-d for d in order.gen_degrees])
+        v = data.draw(column_vectors(free.order, 8))
+        ref = {}
+        for pos in range(free.rank):
+            comp = {(0, m): c for (q, m), c in v.items() if q == pos}
+            ref.update({(pos, m): c for (_z, m), c in ring.gb.normal_form(comp).items()})
+        out = free.ring_reduce(free.order.pack_vec(v, KERNEL_P))
+        assert out == free.order.pack_vec(ref, KERNEL_P)
+        # descending order: the smallest int first
+        assert list(out) == sorted(out)
+        assert ring_reduce_vec(ring, v) == ref
+        # the lift is the adjunction: each ring relation times each generator
+        assert free.ring_adjunction() == [
+            {(i, m): c for (_z, m), c in g.items()}
+            for g in ring.gb.vectors for i in range(free.rank)
+        ]
+
+
 class TestPackedLimit:
     """A degree past the packed fields is an InputError where a term enters
     the kernel and where an S-pair would form, never a wrapped exponent."""
@@ -550,6 +639,44 @@ class TestPackedLimit:
         # the product criterion skips a coprime pair before any S-vector
         gb = buchberger([{(0, (e, 0)): 1}, {(0, (0, e)): 1}], order, 101)
         assert gb.lts == [(0, (e, 0)), (0, (0, e))]
+
+
+class TestCoefficientsZeroModP:
+    """A tuple-keyed vector enters the kernel with its coefficients reduced
+    mod p and its zero terms dropped: a multiple of p is zero."""
+
+    P = 7
+    order = ModuleOrder((0,), 2)
+
+    def basis(self):
+        return buchberger([{(0, (1, 0)): 1}], self.order, self.P)
+
+    def ring(self):
+        return QuotientRing.from_strings(["x", "y"], ["x"], self.P)
+
+    def test_generator_that_is_zero_mod_p(self):
+        gb = buchberger([{(0, (1, 0)): 7}], self.order, self.P)
+        assert len(gb) == 0
+        gb = buchberger([{(0, (1, 0)): 7}, {(0, (0, 1)): 9}], self.order, self.P)
+        assert gb.vectors == [{(0, (0, 1)): 1}]
+
+    def test_zero_coefficient_reduces_to_zero(self):
+        assert self.basis().reduces_to_zero({(0, (0, 1)): 0})
+
+    def test_normal_form_reduces_coefficients(self):
+        assert self.basis().normal_form({(0, (0, 1)): 8}) == {(0, (0, 1)): 1}
+        assert self.basis().normal_form({(0, (1, 1)): 3, (0, (0, 2)): -1}) == {(0, (0, 2)): 6}
+
+    def test_ring_reduction_of_a_multiple_of_p(self):
+        assert ring_reduce_vec(self.ring(), {(0, (0, 1)): 14}) == {}
+        assert ring_reduce_vec(self.ring(), {(1, (0, 1)): 15}) == {(1, (0, 1)): 1}
+
+    def test_map_with_a_multiple_of_p_is_zero_over_the_ring(self):
+        ring = QuotientRing.from_strings(["x", "y"], ["x^2"], self.P)
+        F = FreeModule(ring, (0,))
+        G = FreeModule(ring, (-1,))
+        assert FreeMap(G, F, [{(0, (1, 0)): 7}]).is_zero_over_ring()
+        assert not FreeMap(G, F, [{(0, (1, 0)): 8}]).is_zero_over_ring()
 
 
 class TestHilbert:

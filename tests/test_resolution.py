@@ -1,6 +1,9 @@
 """Koszul complexes, minimal resolutions, and comparison maps."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from test_matalg import brute_rref
 
 from cmwild.errors import InputError
 from cmwild.groebner import GroebnerBasis, TaggedBasis, buchberger
@@ -11,6 +14,7 @@ from cmwild.resolution import (
     minimal_resolution,
     ring_reduce_vec,
 )
+from cmwild.poly import Poly, PolyRing, mono_mul, monomials_of_degree
 from cmwild.rings import QuotientRing
 
 P = 32003
@@ -321,3 +325,101 @@ def test_reduce_mod_collapses_to_artinian():
     )
     reduced = pres.reduce_mod([R.parse("z")])
     assert reduced.hilbert_function() == {0: 1, 1: 2, 2: 1}
+
+
+# ----------------------------------------------------- Macaulay-matrix oracle
+#
+# Each differential delta_i, restricted to degree t, is a linear map
+# (F_i)_t -> (F_{i-1})_t.  On the bases of standard terms of R it is an F_p
+# matrix whose columns are x^s * (column j), reduced modulo the ring one
+# component at a time.  Its rank comes from the row reduction written in
+# tests/test_matalg.py, not from the package's Groebner machinery.
+
+ORACLE_P = 31
+ORACLE_TOP_DEGREE = 5
+
+
+@st.composite
+def small_presentations(draw):
+    """(presentation, length): at most 3 variables, ring and module
+    relations of degree at most 3, rank at most 2, length at most 3."""
+    nvars = draw(st.integers(1, 3))
+    names = ["x", "y", "z"][:nvars]
+    amb = PolyRing(names, ORACLE_P)
+
+    def form(degree):
+        terms = {}
+        for m in monomials_of_degree(nvars, degree):
+            if draw(st.booleans()):
+                terms[m] = draw(st.integers(1, ORACLE_P - 1))
+        return terms
+
+    rels = [Poly(amb, form(draw(st.integers(2, 3)))) for _ in range(draw(st.integers(0, 2)))]
+    ring = QuotientRing(amb, [f for f in rels if not f.is_zero()])
+    gen_degrees = draw(st.lists(st.integers(0, 1), min_size=1, max_size=2))
+    relations = []
+    for _ in range(draw(st.integers(1, 3))):
+        degree = draw(st.integers(1, 3)) + min(gen_degrees)
+        vec = {}
+        for pos, gd in enumerate(gen_degrees):
+            if 0 <= degree - gd <= 3:
+                vec.update({(pos, m): c for m, c in form(degree - gd).items()})
+        relations.append(vec)
+    return ModulePresentation(ring, gen_degrees, relations), draw(st.integers(1, 3))
+
+
+def graded_basis(ring, free, t):
+    """{(generator, standard monomial): index} spanning (F)_t."""
+    basis = {}
+    for j, gd in enumerate(free.gen_degrees):
+        if t >= gd:
+            for _pos, m in ring.component_terms(t - gd):
+                basis[(j, m)] = len(basis)
+    return basis
+
+
+def degree_matrix(ring, delta, t):
+    """The F_p matrix of delta in degree t, rows indexing (target)_t."""
+    rows = graded_basis(ring, delta.target, t)
+    cols = graded_basis(ring, delta.source, t)
+    A = [[0] * len(cols) for _ in rows]
+    for (j, s), col_index in cols.items():
+        for pos in range(delta.target.rank):
+            entry = delta.entry(pos, j)
+            if entry.is_zero():
+                continue
+            shifted = Poly(ring.ambient, {mono_mul(m, s): c for m, c in entry.terms.items()})
+            for m, c in ring.normal_form(shifted).terms.items():
+                A[rows[(pos, m)]][col_index] = c
+    return A, len(rows), len(cols)
+
+
+def oracle_rank(A):
+    return len(brute_rref(A, ORACLE_P)[1]) if A and A[0] else 0
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_presentations())
+def test_resolution_is_exact_degree_by_degree(case):
+    pres, length = case
+    ring = pres.ring
+    res = minimal_resolution(pres, length)
+    zero = (0,) * ring.nvars
+    for delta in res.maps.values():
+        assert all(m != zero for col in delta.columns for (_pos, m) in col)
+    top = max(res.maps, default=0)
+    for t in range(ORACLE_TOP_DEGREE + 1):
+        ranks, dims = {}, {}
+        for i in range(top + 1):
+            dims[i] = len(graded_basis(ring, res.frees[i], t))
+        for i, delta in res.maps.items():
+            A, n_rows, n_cols = degree_matrix(ring, delta, t)
+            assert (n_rows, n_cols) == (dims[i - 1], dims[i])
+            ranks[i] = oracle_rank(A)
+        # coker delta_1 is M
+        assert dims[0] - ranks.get(1, 0) == pres.hilbert_dim(t)
+        for i in range(1, top):
+            assert ranks[i] + ranks[i + 1] == dims[i]
+        if res.terminated and top:
+            # nothing maps into F_top, so delta_top is injective
+            assert ranks[top] == dims[top]

@@ -1,0 +1,63 @@
+"""Compare the work counts of a traced benchmark pass with pinned values.
+
+    python3 perfbench/run.py --workload family --seed 0 --seconds 0 --trace 1 \\
+        | python3 tools/check_trace_counts.py family
+
+reads the JSON result (the last line of stdin) and compares every
+per-layer metric with unit ``count`` against ``trace_counts.json`` next to
+this script.  It exits 1 and lists the metrics that differ.  With
+``--pin`` it records the workload's counts instead.
+
+Two count metrics are left out because they count call routing, not work:
+``groebner.GroebnerBasis.normal_form.calls`` (a caller may reduce through
+the packed kernel instead of the tuple-keyed method) and ``trace.spans``.
+A change that only changes how data is represented should leave every
+other count as it was.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import sys
+
+PINS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "trace_counts.json")
+EXCLUDED = {"groebner.GroebnerBasis.normal_form.calls", "trace.spans"}
+
+
+def counts(result: dict) -> dict:
+    return {
+        name: m["value"]
+        for name, m in sorted(result["metrics"].items())
+        if m["unit"] == "count" and name not in EXCLUDED
+    }
+
+
+def main(argv) -> int:
+    pin = "--pin" in argv
+    workload = next(a for a in argv if a != "--pin")
+    lines = sys.stdin.read().strip().splitlines()
+    got = counts(json.loads(lines[-1]))
+    pins = {}
+    if os.path.exists(PINS):
+        with open(PINS, encoding="utf-8") as fh:
+            pins = json.load(fh)
+    if pin:
+        pins[workload] = got
+        with open(PINS, "w", encoding="utf-8") as fh:
+            json.dump(pins, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        return 0
+    want = pins[workload]
+    diffs = [
+        f"{name}: pinned {want.get(name)}, got {got.get(name)}"
+        for name in sorted(set(want) | set(got))
+        if want.get(name) != got.get(name)
+    ]
+    for line in diffs:
+        print(f"{workload}: {line}")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
