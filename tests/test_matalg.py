@@ -1,10 +1,13 @@
 """Dense mod-p linear algebra, univariate splitting, conjugacy, and
 indecomposability certificates."""
 
+import hashlib
+import json
 import random
 from itertools import product as iter_product
 
 import numpy as np
+import pytest
 
 from cmwild.matalg import (
     as_matrix,
@@ -618,3 +621,119 @@ def test_intertwiner_rectangular():
     assert all(h.shape == (2, 1) for h in homs)
     for h in homs:
         assert np.array_equal(mat_mul(h, A, P), mat_mul(B, h, P))
+
+
+# ------------------------------------------------------------ pinned bases
+#
+# The intertwiner and commutant bases of fixed inputs, pinned as values:
+# the witnesses of ``simultaneous_conjugacy`` and the idempotents of
+# ``endomorphism_indecomposability`` are combinations of these bases, so a
+# change to how the basis is computed must return the same matrices in
+# the same order.  Each case is hashed as the SHA-256 of the JSON list of
+# its basis matrices.
+
+PIN_RINGS = {
+    "fermat": (["x", "y", "z"], ["x^4+y^4+z^4"], ["x^2", "y^2"], 4),
+    "binary": (["x", "y"], ["x^4+y^4"], ["x^2"], 3),
+}
+
+
+def jordan(n, lam):
+    return [[lam if j == i else int(j == i + 1) for j in range(n)] for i in range(n)]
+
+
+def squared(A):
+    return (np.array(A) @ np.array(A)).tolist()
+
+
+# name -> ((ring, Ax, Ay) of the source member, the same for the target)
+PIN_MEMBERS = {
+    "fermat-n1": (
+        ("fermat", jordan(1, 1), squared(jordan(1, 1))),
+        ("fermat", jordan(1, 2), squared(jordan(1, 2))),
+    ),
+    # the target's Ax is conjugate to the Jordan block, so Hom holds units
+    "fermat-n2": (
+        ("fermat", jordan(2, 1), squared(jordan(2, 1))),
+        ("fermat", [[0, 1], [-1, 2]], squared([[0, 1], [-1, 2]])),
+    ),
+    "fermat-n3": (
+        ("fermat", jordan(3, 1), squared(jordan(3, 1))),
+        ("fermat", jordan(3, 2), squared(jordan(3, 2))),
+    ),
+    "binary-n2": (("binary", [[2, 1], [0, 3]], None), ("binary", [[3, 0], [5, 2]], None)),
+    "binary-n3": (
+        ("binary", jordan(3, 1), None),
+        ("binary", [[1, 2, 0], [0, 3, 1], [1, 0, 2]], None),
+    ),
+}
+
+# name -> (dim Hom(M, N), its digest, dim End(M), its digest)
+PIN_DIGESTS = {
+    "fermat-n1": (
+        13, "b73572e0a1fed8abf38175ffc92c533dbed4df209842681876672d1cc245efd2",
+        14, "ea1be46ebe12b8948d5d80df8be5c754f496428009188c392dc782d9c62ae582",
+    ),
+    "fermat-n2": (
+        54, "f076a0e6b18b77bb9cc3f50b6f0f1bca905fb95288ceefbdaa8e9d5f74eaf14b",
+        54, "dce06ede3bf9e36f0c02643aa39697c7892ccccc478c901c4f4ac492099e4840",
+    ),
+    "fermat-n3": (
+        117, "eb3322309f9834941ed5588370706f92bee62ef8f7661962a192db2b1d08f1f8",
+        120, "a08687de9a949dc3cac31409d00b5527afb1f7431a1d26edc9a1ef079b97e2a8",
+    ),
+    "binary-n2": (
+        22, "84fc02b93c1763050a017ba2e912f501539171af0bb52744c629e8328370703c",
+        22, "333ae245de7d5362a64ee5cc3d9882c393a5fb0ac12d47d2e84d85b3bbb9a4ea",
+    ),
+    "binary-n3": (
+        45, "2b13d7b4475b143000586e657b232e6c06fa4fc6bd851b64e7c4a9e761526304",
+        48, "d26df39c823b45530b09b5240fe8e9f6bebd4c4be46c0169210c516dcaec1317",
+    ),
+    "commuting-n12": (
+        12, "42f7e1ec059572daab7269d6a5474a3cd986084814a69434389b3d31c17630ba",
+        12, "b67b0afd1a9f403325f0bb7fbb2666c2aea7b21bdb769c65e0bdfe1f3d808df3",
+    ),
+}
+
+
+def basis_digest(basis) -> str:
+    return hashlib.sha256(json.dumps([b.tolist() for b in basis]).encode()).hexdigest()
+
+
+def member_actions(rname, Ax, Ay):
+    from cmwild.family import FamilySpec, action_matrices, build_family_member
+    from cmwild.rings import QuotientRing
+
+    names, rels, seq, c = PIN_RINGS[rname]
+    ring = QuotientRing.from_strings(names, rels, P)
+    return action_matrices(build_family_member(FamilySpec(ring, seq, c, Ax, Ay=Ay)))[0]
+
+
+def commuting_pair_n12():
+    """A seeded 12 x 12 matrix A with B = A^2 + 3A, and the same pair
+    conjugated by a seeded invertible S."""
+    rng = random.Random(12)
+    A = as_matrix([[rng.randrange(P) for _ in range(12)] for _ in range(12)], P)
+    B = (mat_mul(A, A, P) + 3 * A) % P
+    while True:
+        S = as_matrix([[rng.randrange(P) for _ in range(12)] for _ in range(12)], P)
+        if is_invertible(S, P):
+            break
+    S_inv = inverse(S, P)
+    return [A, B], [mat_mul(mat_mul(S, X, P), S_inv, P) for X in (A, B)]
+
+
+def pinned_case(name):
+    if name == "commuting-n12":
+        return commuting_pair_n12()
+    source, target = PIN_MEMBERS[name]
+    return member_actions(*source), member_actions(*target)
+
+
+@pytest.mark.parametrize("name", sorted(PIN_DIGESTS))
+def test_intertwiner_and_commutant_bases_are_pinned(name):
+    As, Bs = pinned_case(name)
+    homs = intertwiner_basis(list(zip(As, Bs)), P)
+    endos = commutant_basis(As, P)
+    assert (len(homs), basis_digest(homs), len(endos), basis_digest(endos)) == PIN_DIGESTS[name]
