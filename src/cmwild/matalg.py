@@ -17,9 +17,15 @@ Elimination is sparsity-aware: each pivot step updates only the trailing
 columns, and, when few rows have a nonzero in the pivot column, only
 those rows.  The skipped entries are ones the full update would leave
 unchanged (a zero multiplier, or a zero in the pivot row), so the result
-is still the canonical reduced row echelon form, entry for entry.  The
-intertwiner systems of the isomorphism test are tall and mostly zero,
-which is where this pays.
+is still the canonical reduced row echelon form, entry for entry.
+
+Hom spaces {sigma : sigma A_i = B_i sigma} are found by spinning the source
+module (the standard-basis method of Parker's MeatAxe): a module map is
+fixed by the images of the generators the spin picks, so the linear system
+has g*m unknowns for g generators instead of the n*m entries of sigma.  The
+basis returned is still the canonical nullspace basis of the n*m-column
+system, so witnesses and idempotents built from it do not depend on the
+spin.
 """
 
 from __future__ import annotations
@@ -405,9 +411,78 @@ def min_poly(A: np.ndarray, p: int):
         vecs.append(target)
 
 
+def _spin(stacked: np.ndarray, p: int):
+    """Spin F^n under the n x n blocks A_i of stacked = [A_1; A_2; ...]
+    from e_0; whenever the span closes early, the first standard vector
+    outside it is the next generator.
+
+    Returns (S, S_inv, origin): the columns of S are a basis of F^n, and
+    origin[l] is (i, j) when column l is A_i @ S[:, j], or None when it
+    is a generator.  Each generator is followed by the vectors it spans
+    before the next one.  Membership is tested against a reduced echelon
+    basis of the span, one row per kept vector; each row also carries the
+    combination of kept vectors it equals.  Once the span is F^n the rows
+    are unit vectors, so those combinations are the columns of S^-1.
+    """
+    n = stacked.shape[1]
+    # row r is [u_r | c_r] with u_r = S @ c_r
+    echelon = np.zeros((n, 2 * n), dtype=np.int64)
+    pivots, vecs, origin = [], [], []
+
+    def keep(v, reduced, src):
+        """Add v, whose remainder modulo the span is reduced[:n] != 0."""
+        reduced[n + len(vecs)] = 1
+        c = int(reduced[:n].nonzero()[0][0])
+        row = reduced * pow(int(reduced[c]), -1, p) % p
+        r = len(pivots)
+        echelon[:r] = (echelon[:r] - echelon[:r, c, None] * row) % p
+        echelon[r] = row
+        pivots.append(c)
+        vecs.append(v)
+        origin.append(src)
+        return c, row
+
+    j = 0
+    while len(vecs) < n:
+        if j == len(vecs):
+            e = np.zeros(2 * n, dtype=np.int64)
+            e[min(set(range(n)).difference(pivots))] = 1
+            keep(e[:n], e, None)
+            continue
+        images = mat_mul(stacked, vecs[j][:, None], p).reshape(-1, n)
+        reduced = -mat_mul(images[:, pivots], echelon[: len(pivots)], p)
+        reduced[:, :n] += images
+        reduced %= p
+        for i, v in enumerate(images):
+            if reduced[i, :n].any():
+                c, row = keep(v, reduced[i], (i, j))
+                if len(vecs) == n:
+                    break
+                # the later images, reduced against the vector just kept
+                reduced = (reduced - reduced[:, c, None] * row) % p
+        j += 1
+    S_inv = np.empty((n, n), dtype=np.int64)
+    S_inv[:, pivots] = echelon[:, n:].T
+    return np.array(vecs).T, S_inv, origin
+
+
 def intertwiner_basis(pairs, p: int):
     """Basis of {sigma : sigma A = B sigma for every (A, B) in pairs},
-    as a list of matrices."""
+    as a list of matrices.
+
+    sigma is fixed by the images t_q of the g generators the spin of F^n
+    under the A's picks, so those g*m coordinates are the only unknowns:
+    a spun vector s_l = A_i s_j has sigma s_l = B_i sigma s_j = W_l t_q,
+    where q is its generator.  Every product A_i s_j the spin did not keep
+    gives m equations B_i sigma s_j = sum_l (S^-1 A_i S)[l, j] sigma s_l,
+    and each solution maps back to sigma = [sigma s_0 | sigma s_1 | ...] S^-1.
+
+    The basis returned is the one the nullspace of the (m*n)-column system
+    sigma A = B sigma would give, whatever the spin picked: each element,
+    as a row-major vector, has a 1 at its own free coordinate and 0 at the
+    others, in ascending order of that coordinate.  Those are the rows of
+    the reduced echelon form of the column-reversed vectors, in reverse.
+    """
     if not pairs:
         raise InputError("need at least one matrix pair")
     n = pairs[0][0].shape[0]
@@ -416,14 +491,48 @@ def intertwiner_basis(pairs, p: int):
         raise InputError("matrix pair shapes are inconsistent")
     if m * n == 0:
         return []
-    eye_n = identity_matrix(n)
-    eye_m = identity_matrix(m)
-    # row-major vec: vec(sigma A) = (I (x) A^T) vec, vec(B sigma) = (B (x) I) vec
-    system = np.concatenate(
-        [(np.kron(eye_m, A.T) - np.kron(B, eye_n)) % p for A, B in pairs], axis=0
-    )
-    basis = nullspace(system, p)
-    return [row.reshape(m, n) for row in basis]
+    k = len(pairs)
+    # [A_1; A_2; ...] and [B_1; B_2; ...]
+    As = np.concatenate([A for A, _ in pairs]).astype(np.int64, copy=False) % p
+    Bs = np.concatenate([B for _, B in pairs]).astype(np.int64, copy=False) % p
+    S, S_inv, origin = _spin(As, p)
+    # generator q spans columns lo:hi of S, and root[l] is the generator of s_l
+    starts = [l for l, src in enumerate(origin) if src is None] + [n]
+    spans = list(zip(starts, starts[1:]))
+    root = np.cumsum([src is None for src in origin]) - 1
+    # sigma s_l = W[l] t_q for q = root[l]
+    W = np.empty((n, m, m), dtype=np.int64)
+    for l, src in enumerate(origin):
+        if src is None:
+            W[l] = identity_matrix(m)
+        else:
+            i, j = src
+            W[l] = mat_mul(Bs[i * m : (i + 1) * m], W[j], p)
+    # the products A_i s_j the spin did not keep, as indices i*n + j
+    kept = set(origin)
+    loose = np.array([i * n + j for i in range(k) for j in range(n) if (i, j) not in kept])
+    AS = mat_mul(As, S, p).reshape(k, n, n).transpose(1, 0, 2).reshape(n, k * n)
+    C = mat_mul(S_inv, AS[:, loose], p)
+    BW = mat_mul(Bs, W.transpose(1, 0, 2).reshape(m, n * m), p)
+    BW = BW.reshape(k, m, n, m).transpose(0, 2, 1, 3).reshape(k * n, m, m)
+    # rows[e, :, q, :] is the coefficient of t_q in the equations of loose[e]
+    rows = np.zeros((len(loose), m, len(spans), m), dtype=np.int64)
+    rows[np.arange(len(loose)), :, root[loose % n], :] = BW[loose]
+    for q, (lo, hi) in enumerate(spans):
+        CW = mat_mul(C[lo:hi].T, W[lo:hi].reshape(hi - lo, m * m), p)
+        rows[:, :, q, :] -= CW.reshape(-1, m, m)
+    X = nullspace(rows.reshape(len(loose) * m, -1) % p, p)
+    d = len(X)
+    if not d:
+        return []
+    # V[l] = sigma s_l for every solution, one column each
+    V = np.empty((n, m, d), dtype=np.int64)
+    for q, (lo, hi) in enumerate(spans):
+        Xq = X[:, q * m : (q + 1) * m].T
+        V[lo:hi] = mat_mul(W[lo:hi].reshape(-1, m), Xq, p).reshape(hi - lo, m, d)
+    sigmas = mat_mul(V.transpose(2, 1, 0).reshape(d * m, n), S_inv, p).reshape(d, m * n)
+    canon = rref(sigmas[:, ::-1], p)[0][::-1, ::-1]
+    return [row.reshape(m, n) for row in np.ascontiguousarray(canon)]
 
 
 def commutant_basis(mats, p: int):

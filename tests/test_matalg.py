@@ -8,6 +8,8 @@ from itertools import product as iter_product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmwild.matalg import (
     as_matrix,
@@ -202,8 +204,9 @@ def test_rref_matches_reference_on_dense_and_degenerate_inputs():
 
 
 def test_rref_matches_reference_on_intertwiner_system():
-    # the Kronecker system intertwiner_basis builds for two members of the
-    # Fermat quartic family, as the module-level isomorphism test sees it
+    # the Kronecker system of sigma A = B sigma (kron_intertwiner_basis,
+    # the oracle of intertwiner_basis) for two members of the Fermat
+    # quartic family: tall and mostly zero
     from cmwild.family import FamilySpec, action_matrices, build_family_member
     from cmwild.rings import QuotientRing
 
@@ -737,3 +740,133 @@ def test_intertwiner_and_commutant_bases_are_pinned(name):
     homs = intertwiner_basis(list(zip(As, Bs)), P)
     endos = commutant_basis(As, P)
     assert (len(homs), basis_digest(homs), len(endos), basis_digest(endos)) == PIN_DIGESTS[name]
+
+
+# ------------------------------------------------- intertwiners vs Kronecker
+
+
+def kron_intertwiner_basis(pairs, p):
+    """The nullspace of the Kronecker system, as an oracle: for row-major
+    vec, vec(sigma A) = (I (x) A^T) vec(sigma) and vec(B sigma) =
+    (B (x) I) vec(sigma)."""
+    n = pairs[0][0].shape[0]
+    m = pairs[0][1].shape[0]
+    if m * n == 0:
+        return []
+    eye_n, eye_m = identity_matrix(n), identity_matrix(m)
+    system = np.concatenate(
+        [(np.kron(eye_m, A.T) - np.kron(B, eye_n)) % p for A, B in pairs]
+    )
+    return [row.reshape(m, n) for row in nullspace(system, p)]
+
+
+def assert_matches_oracle(pairs, p):
+    """intertwiner_basis equals the oracle's basis, element by element and
+    in order, and every element intertwines."""
+    got = intertwiner_basis(pairs, p)
+    want = kron_intertwiner_basis(pairs, p)
+    assert len(got) == len(want)
+    for sigma, expected in zip(got, want):
+        assert sigma.dtype == np.int64 and sigma.shape == expected.shape
+        assert np.array_equal(sigma, expected)
+        for A, B in pairs:
+            assert np.array_equal(mat_mul(sigma, A % p, p), mat_mul(B % p, sigma, p))
+    return got
+
+
+def conjugate_tuple(mats, S, p):
+    S_inv = inverse(S, p)
+    return [mat_mul(mat_mul(S, X, p), S_inv, p) for X in mats]
+
+
+ORACLE_PRIMES = (2, 3, 5, P, 2**31 - 1)
+TUPLE_KINDS = ("zero", "scalar", "diagonal", "nilpotent", "commuting", "noncommuting")
+
+
+def draw_matrix(data, size, values, where=lambda i, j: True):
+    rows = [[data.draw(values) if where(i, j) else 0 for j in range(size)] for i in range(size)]
+    return np.array(rows, dtype=np.int64).reshape(size, size)
+
+
+def draw_tuple(data, size, k, p):
+    kind = data.draw(st.sampled_from(TUPLE_KINDS))
+    entry = st.integers(0, p - 1)
+    # few distinct values, so eigenvalues repeat and hom spaces are large
+    small = st.integers(0, min(p, 3) - 1)
+    if kind == "zero":
+        return [np.zeros((size, size), dtype=np.int64) for _ in range(k)]
+    if kind == "scalar":
+        return [data.draw(small) * identity_matrix(size) for _ in range(k)]
+    if kind == "diagonal":
+        return [draw_matrix(data, size, small, lambda i, j: i == j) for _ in range(k)]
+    if kind == "nilpotent":
+        return [draw_matrix(data, size, entry, lambda i, j: i < j) for _ in range(k)]
+    if kind == "noncommuting":
+        return [draw_matrix(data, size, entry) for _ in range(k)]
+    X = draw_matrix(data, size, entry)
+    return [mat_pow(X, e, p) for e in range(1, k + 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_intertwiner_basis_matches_kronecker_oracle(data):
+    p = data.draw(st.sampled_from(ORACLE_PRIMES))
+    k = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(0, 6))
+    As = draw_tuple(data, n, k, p)
+    target = data.draw(st.sampled_from(("conjugate", "same", "independent")))
+    if target == "independent":
+        Bs = draw_tuple(data, data.draw(st.integers(0, 6)), k, p)
+    elif target == "conjugate" and n:
+        # unit lower times unit upper triangular: always invertible
+        entry = st.integers(0, p - 1)
+        L = draw_matrix(data, n, entry, lambda i, j: i > j) + identity_matrix(n)
+        U = draw_matrix(data, n, entry, lambda i, j: i < j) + identity_matrix(n)
+        Bs = conjugate_tuple(As, mat_mul(L, U, p), p)
+    else:
+        Bs = As
+    assert_matches_oracle(list(zip(As, Bs)), p)
+
+
+def dense_matrix(rng, n, p):
+    return as_matrix(random_matrix(rng, n, n, p, density=1.0), p)
+
+
+def invertible_matrix(rng, n, p):
+    while True:
+        S = dense_matrix(rng, n, p)
+        if is_invertible(S, p):
+            return S
+
+
+def test_intertwiner_basis_at_the_largest_characteristic():
+    # a product adds up to n terms of size up to (p - 1)^2 ~ 2^62, so only
+    # the chunked products stay exact; sums of uniform residues overflow
+    # int64 on average from about 8 terms, hence one larger size
+    p = 2**31 - 1
+    rng = random.Random(31)
+    for n in (4, 5, 6, 7, 12):
+        A = dense_matrix(rng, n, p)
+        for As in ([A, mat_mul(A, A, p)], [A, dense_matrix(rng, n, p)]):
+            S = invertible_matrix(rng, n, p)
+            assert assert_matches_oracle(list(zip(As, conjugate_tuple(As, S, p))), p)
+            others = [dense_matrix(rng, n, p) for _ in As]
+            assert_matches_oracle(list(zip(As, others)), p)
+
+
+def test_intertwiner_basis_reduces_negative_and_unreduced_entries():
+    rng = random.Random(5)
+    for p in (5, P, 2**31 - 1):
+        n = 4
+        A = dense_matrix(rng, n, p)
+        As = [A, mat_mul(A, A, p)]
+        Bs = conjugate_tuple(As, invertible_matrix(rng, n, p), p)
+        pairs = list(zip(As, Bs))
+        want = kron_intertwiner_basis(pairs, p)
+        assert want
+        shifts = lambda: np.array([[rng.randrange(-3, 4) for _ in range(n)] for _ in range(n)])
+        shifted = [(A - p * shifts(), B + p * shifts()) for A, B in pairs]
+        assert any((A < 0).any() for A, _ in shifted)
+        assert any((B >= p).any() for _, B in shifted)
+        got = assert_matches_oracle(shifted, p)
+        assert [g.tolist() for g in got] == [w.tolist() for w in want]
