@@ -829,7 +829,7 @@ def test_intertwiner_basis_matches_kronecker_oracle(data):
 
 
 def dense_matrix(rng, n, p):
-    return as_matrix(random_matrix(rng, n, n, p, density=1.0), p)
+    return as_matrix([[rng.randrange(p) for _ in range(n)] for _ in range(n)], p)
 
 
 def invertible_matrix(rng, n, p):
