@@ -409,9 +409,10 @@ def verify_resolution_shape(spec: FamilySpec, bundle: FamilyMember | None = None
     for i in range(spec.d + 1):
         phi = phis[i]
         const = np.zeros((phi.target.rank, phi.source.rank), dtype=np.int64)
-        for r in range(phi.target.rank):
-            for s in range(phi.source.rank):
-                const[r, s] = phi.entry(r, s).terms.get(zero, 0)
+        for s, col in enumerate(phi.columns):
+            for (r, m), c in col.items():
+                if m == zero:
+                    const[r, s] = c
         split = mat_rank(const, p) == phi.source.rank
         kos_counts = Counter(kos.free(i).gen_degrees)
         res_counts = Counter(res.free(i).gen_degrees)

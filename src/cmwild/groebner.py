@@ -64,18 +64,19 @@ raises InputError; no exponent ever wraps.
 
 At the boundary.  ``ModuleOrder.pack_vec`` is where a tuple-keyed vector
 enters the kernel: its coefficients are reduced mod p and its zero terms
-dropped there, so a multiple of p is zero everywhere.  ``gens``,
-``normal_form``, ``vectors``, ``lts``, ``syzygy_generators`` and
-``coordinates`` keep the tuple-keyed form.  Callers that hold vectors
-across many kernel calls keep them packed instead, in the order of their
-free module: the resolution columns and comparison maps of
-``resolution``.  For them ``add_mul`` is acc += f * v with f given as
-shifts (``ModuleOrder.shift``, ``term_shift``), ``GroebnerBasis.lift``
-turns the ring's basis into a reduced basis of I*F for one ``_reduce``
-per vector, and ``TaggedBasis`` takes packed generators and hands back
-packed syzygies and coordinates, moved to the caller's order by
-``ModuleOrder.rerank``.  ``buchberger`` and ``TaggedBasis`` accept
-either form, told apart by the key type in ``pack_vec``.
+dropped there, so a multiple of p is zero everywhere.  ``normal_form``
+(which consumes a packed input), ``vectors`` and ``lts`` give the
+tuple-keyed form.  Below the presentation, vectors stay packed in the
+order of their free module: the columns of every ``modules.FreeMap``, so
+of every resolution differential and comparison map.  For them
+``add_mul`` is acc += f * v with f given as shifts (``ModuleOrder.shift``,
+``term_shift``), ``GroebnerBasis.lift`` turns the ring's basis into a
+reduced basis of I*F for one ``_reduce`` per vector (and is the base
+every module basis grows from), and ``TaggedBasis`` takes packed
+generators and hands back packed syzygies and coordinates, moved to the
+caller's order by ``ModuleOrder.rerank``.  ``buchberger``,
+``normal_form`` and ``TaggedBasis`` accept either form, told apart by the
+key type in ``pack_vec``.
 
 Normal forms keep the working vector ordered instead of rescanning it for
 its leading term.  Next to the packed dict ``work`` sits a min-heap of its
@@ -90,7 +91,6 @@ filled in the same descending order as by a rescan.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from operator import add
 from struct import Struct
 
 from .errors import InputError
@@ -214,6 +214,15 @@ class ModuleOrder:
             for t, c in items
         }
 
+    def degree(self, v: dict) -> int | None:
+        """Uniform degree of a homogeneous packed vector, None for zero."""
+        deg_shift = self.deg_shift
+        tops = {t >> deg_shift for t in v}  # rank and complemented degree
+        degs = {self.term_degree(u << deg_shift) for u in tops}
+        if len(degs) > 1:
+            raise InputError("vector is not homogeneous")
+        return degs.pop() if degs else None
+
     def term_degree(self, t: int) -> int:
         """deg(m) + gen_degrees[pos] of a packed term (pos, m)."""
         return (
@@ -272,14 +281,6 @@ def add_mul(acc: dict, f, v: dict, p: int) -> None:
                 del acc[t]
 
 
-def vec_mono_shift(v: Vec, shift, c: int, p: int) -> Vec:
-    """c * x^shift * v."""
-    c %= p
-    if c == 0:
-        return {}
-    return {(pos, tuple(map(add, m, shift))): k * c % p for (pos, m), k in v.items()}
-
-
 class GroebnerBasis:
     """A monic basis held as packed terms: leading terms, tails and a
     divisor index by rank; also the working set that ``buchberger`` grows.
@@ -334,9 +335,6 @@ class GroebnerBasis:
     def normal_form(self, v: Vec) -> Vec:
         return _normal_form(v, self)
 
-    def reduces_to_zero(self, v: Vec) -> bool:
-        return not self.normal_form(v)
-
     def lift(self, order: ModuleOrder) -> "GroebnerBasis":
         """This rank-one basis times each generator of a free module over
         the same variables: g e_0, g e_1, ..., then the next g.  Each
@@ -352,8 +350,9 @@ class GroebnerBasis:
 
 
 def _normal_form(v: Vec, basis: GroebnerBasis) -> Vec:
-    """Full normal form of a tuple-keyed vector: every term of the result
-    is irreducible, and the result lists its terms in descending order."""
+    """Full normal form of a tuple-keyed or packed vector (a packed one is
+    consumed), as a tuple-keyed vector: every term of the result is
+    irreducible, and the result lists its terms in descending order."""
     order = basis.order
     return order.unpack_vec(_reduce(order.pack_vec(v, basis.p), basis).items())
 
@@ -464,9 +463,7 @@ def buchberger(
         if v:
             # reduction keeps the degree of every term only for homogeneous
             # vectors, and the degree limit rests on that
-            tops = {t >> deg_shift for t in v}  # rank and complemented degree
-            if len({order.term_degree(u << deg_shift) for u in tops}) > 1:
-                raise InputError("vector is not homogeneous")
+            order.degree(v)
             queue_pairs(gb._add(*_make_monic(v, p)))
 
     treated: set = set()
@@ -544,10 +541,9 @@ class TaggedBasis:
     same int in the tagged order, so packed generators enter as they are,
     and ``syzygies`` and ``solve`` hand packed results back in the order of
     the caller's choice, with one swap of rank bits per term.
-    ``syzygy_generators`` and ``coordinates`` are their tuple-keyed views.
     """
 
-    __slots__ = ("p", "real_rank", "count", "order", "gb", "tag_degrees")
+    __slots__ = ("p", "real_rank", "order", "gb")
 
     def __init__(self, gens, base_order: ModuleOrder, p: int):
         r = base_order.rank
@@ -562,16 +558,10 @@ class TaggedBasis:
         tagged = [{**g, (r + i) << order.rank_shift | tag: 1} for i, g in enumerate(gens)]
         self.p = p
         self.real_rank = r
-        self.count = len(gens)
         self.order = order
-        self.tag_degrees = tuple(tag_degrees)
         # two or more generators give a tagged order of rank >= 2, so the
         # product criterion is off whenever a pair exists
         self.gb = buchberger(tagged, order, p)
-
-    def _tag_order(self) -> ModuleOrder:
-        """The free module whose position j is generator j."""
-        return ModuleOrder(self.tag_degrees, self.order.nvars)
 
     def syzygies(self, order: ModuleOrder, count: int) -> list:
         """Generators of the syzygy module of the input generators, cut to
@@ -598,19 +588,6 @@ class TaggedBasis:
         if any(t >> rank_shift < r for t in w):
             return None
         return self.order.rerank(((t, -c % p) for t, c in w.items()), order.rank_bits[:count], r)
-
-    def syzygy_generators(self) -> list:
-        """Generators of the syzygy module of the input list, as vectors
-        over positions 0..count-1."""
-        order = self._tag_order()
-        return [order.unpack_vec(s.items()) for s in self.syzygies(order, self.count)]
-
-    def coordinates(self, v: Vec):
-        """Coordinates of v over the input generators, or None if v is not
-        in their span.  Any valid coordinate vector may be returned."""
-        order = self._tag_order()
-        w = self.solve(self.order.pack_vec(v, self.p), order, self.count)
-        return None if w is None else order.unpack_vec(w.items())
 
 
 # ------------------------------------------------- staircase combinatorics

@@ -3,25 +3,29 @@ module presentations.
 
 A free module stores its twists: the module is (+)_i R(twists[i]), so the
 i-th generator sits in degree -twists[i].  A map is stored by columns (the
-images of the source generators), each column a homogeneous vector in the
-target.  A presentation is a cokernel: ambient free module plus a list of
-relation vectors; Groebner computations adjoin the ring's relation ideal
-times each generator, so everything runs in the ambient polynomial ring.
+images of the source generators), each column a homogeneous vector of the
+target packed in its order, so ``apply`` and ``compose`` run on
+``add_mul``.  A presentation is a cokernel: ambient free module plus a
+list of tuple-keyed relation vectors.  Its Groebner basis grows the free
+module's lifted ring basis (the ring's relation ideal times each
+generator) by the relations, so everything runs in the ambient polynomial
+ring.
 """
 
 from __future__ import annotations
 
 from .errors import InputError
 from .groebner import (
+    MAX_DEGREE,
     GroebnerBasis,
     ModuleOrder,
     Staircase,
     _reduce,
+    add_mul,
     buchberger,
     vec_degree,
-    vec_mono_shift,
 )
-from .poly import Poly, add_terms
+from .poly import Poly
 from .rings import QuotientRing
 
 
@@ -85,53 +89,59 @@ class FreeModule:
         which it consumes."""
         return _reduce(v, self.ring_basis)
 
-    def ring_adjunction(self) -> list[dict]:
-        """Ring relations times each generator: the vectors that make
-        ambient-ring Groebner computations compute over R."""
-        return list(self.ring_basis.vectors)
-
-
-def ring_reduce_vec(ring: QuotientRing, v: dict) -> dict:
-    """Normal form of a tuple-keyed vector modulo the ring's relations,
-    component by component."""
-    rank = 1 + max((pos for pos, _m in v), default=-1)
-    return FreeModule(ring, (0,) * rank).ring_basis.normal_form(v)
-
 
 class FreeMap:
-    """A graded map source -> target, stored by columns."""
+    """A graded map source -> target, stored by columns: the images of the
+    source generators, each packed in the target's order (see the
+    ``groebner`` docstring).  ``columns`` is their tuple-keyed view.
 
-    __slots__ = ("source", "target", "columns")
+    A tuple-keyed column is packed on entry, with its coefficients reduced
+    mod p; a packed one must hold residues in [1, p) and is copied."""
+
+    __slots__ = ("source", "target", "packed")
 
     def __init__(self, source: FreeModule, target: FreeModule, columns):
         if source.ring != target.ring:
             raise InputError("source and target live over different rings")
-        columns = [dict(c) for c in columns]
-        if len(columns) != source.rank:
+        order, p = target.order, target.ring.p
+        packed = []
+        for col in columns:
+            v = order.pack_vec(col, p)
+            packed.append(dict(v) if v is col else v)
+        if len(packed) != source.rank:
             raise InputError("column count does not match source rank")
-        for j, col in enumerate(columns):
-            d = vec_degree(col, target.gen_degrees)
+        for j, col in enumerate(packed):
+            d = order.degree(col)
             if d is not None and d != source.gen_degrees[j]:
                 raise InputError(
                     f"column {j} has degree {d}, expected {source.gen_degrees[j]}"
                 )
         self.source = source
         self.target = target
-        self.columns = columns
+        self.packed = packed
 
     @property
     def ring(self) -> QuotientRing:
         return self.source.ring
 
+    @property
+    def columns(self) -> list:
+        """The columns as tuple-keyed vectors, unpacked on each read."""
+        unpack = self.target.order.unpack_vec
+        return [unpack(col.items()) for col in self.packed]
+
     def entry(self, i: int, j: int) -> Poly:
-        terms = {m: c for (pos, m), c in self.columns[j].items() if pos == i}
-        return Poly(self.ring.ambient, terms)
+        col = self.target.order.unpack_vec(self.packed[j].items())
+        return Poly(self.ring.ambient, {m: c for (pos, m), c in col.items() if pos == i})
 
     def apply(self, v: dict) -> dict:
+        """The image of a packed vector of the source, packed in the
+        target's order."""
+        order, cols, p = self.source.order, self.packed, self.ring.p
+        rank_shift, pos_of, term_shift = order.rank_shift, order.pos_of, order.term_shift
         out: dict = {}
-        p = self.ring.p
-        for (j, m), c in v.items():
-            add_terms(out, vec_mono_shift(self.columns[j], m, c, p), p)
+        for t, c in v.items():
+            add_mul(out, ((term_shift(t), c),), cols[pos_of[t >> rank_shift]], p)
         return out
 
     def compose(self, other: "FreeMap") -> "FreeMap":
@@ -139,20 +149,21 @@ class FreeMap:
         if other.target != self.source:
             raise InputError("maps are not composable")
         return FreeMap(
-            other.source, self.target, [self.apply(c) for c in other.columns]
+            other.source, self.target, [self.apply(c) for c in other.packed]
         )
 
     def is_minimal(self) -> bool:
         """True iff no entry has a unit (nonzero constant) coefficient."""
-        zero = (0,) * self.ring.nvars
-        return not any(
-            m == zero for col in self.columns for (_pos, m) in col
-        )
+        order = self.target.order
+        # a constant term: complemented degree MAX_DEGREE, exponents 0
+        const, mask = MAX_DEGREE << order.deg_shift, order.term_mask
+        return not any(t & mask == const for col in self.packed for t in col)
 
     def is_zero_over_ring(self) -> bool:
         """True iff every column reduces to zero modulo the ring relations."""
         basis = self.target.ring_basis
-        return not any(basis.normal_form(col) for col in self.columns)
+        # the normal form consumes a packed vector
+        return not any(basis.normal_form(dict(col)) for col in self.packed)
 
 
 class ModulePresentation(Staircase):
@@ -164,9 +175,10 @@ class ModulePresentation(Staircase):
     def __init__(self, ring: QuotientRing, gen_degrees, relations):
         self.ring = ring
         self.free = FreeModule(ring, tuple(-int(d) for d in gen_degrees))
+        p = ring.p
         rels = []
         for v in relations:
-            v = {t: c for t, c in dict(v).items() if c % ring.p}
+            v = {t: c % p for t, c in dict(v).items() if c % p}
             vec_degree(v, self.free.gen_degrees)  # homogeneity check
             for (pos, _m) in v:
                 if not 0 <= pos < self.free.rank:
@@ -187,19 +199,17 @@ class ModulePresentation(Staircase):
     def gen_degrees(self):
         return self.free.gen_degrees
 
-    def all_generators(self) -> list[dict]:
-        """Module relations plus the ring-relation adjunction."""
-        return list(self.relations) + self.free.ring_adjunction()
-
     @property
     def gb(self) -> GroebnerBasis:
-        """Reduced Groebner basis of ``all_generators()``.  A presentation
+        """Reduced Groebner basis of the relations plus the ring relations
+        times each generator.  It grows the free module's lifted ring
+        basis, which is already reduced, by the relations; a presentation
         made by ``quotient`` grows its parent's basis by the extra
-        relations."""
+        relations instead."""
         if self._gb is None:
             parent, self._parent = self._parent, None
             if parent is None:
-                gens, base = self.all_generators(), None
+                gens, base = self.relations, self.free.ring_basis
             else:
                 gens, base = self.relations[len(parent.relations):], parent.gb
             self._gb = buchberger(gens, self.free.order, self.ring.p, base=base)

@@ -18,19 +18,18 @@ a redundant generator in the top differential only becomes visible as a unit
 entry one step later, and the elimination cascade is what prunes it.
 
 Columns are packed (see the ``groebner`` docstring), each in the order of
-its target free module.  The relations are packed once on entry and every
-finished column is unpacked once, when its ``FreeMap`` is built; in
-between there are no tuple keys.  A constant term is read off the degree
-and exponent fields, a column update ``acc + f*v`` is ``add_mul`` with one
+its target free module.  The relations are packed once on entry, and the
+finished columns become ``FreeMap``s as they are; a map's ``columns`` is
+the tuple-keyed view.  A constant term is read off the degree and
+exponent fields, a column update ``acc + f*v`` is ``add_mul`` with one
 integer shift per term of f, and dropping freed generators rewrites rank
 bits.  Reduction modulo the ring is one ``_reduce`` against the free
 module's lifted ring basis (``FreeModule.ring_basis``, built once per
 module).  A real position packs to the same int in the tagged order, so
 the columns enter ``TaggedBasis`` as they are and the syzygies leave it
-packed, moved to F_i by a swap of rank bits.  ``comparison_map`` packs
-each differential and its previous lift once and runs the lift and the
-chain-map certificate on packed vectors.  ``Resolution``, ``FreeMap`` and
-``check_complex`` stay tuple-keyed.
+packed, moved to F_i by a swap of rank bits.  ``comparison_map`` lifts
+with ``FreeMap.apply`` and certifies each lift with the differential's
+``apply``; ``check_complex`` composes the maps the same way.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from itertools import combinations
 from .errors import CmwildError, InputError
 from .groebner import MAX_DEGREE, TaggedBasis, add_mul
 from .modules import FreeMap, FreeModule, ModulePresentation
-from .modules import ring_reduce_vec  # noqa: F401  (re-exported)
 from .poly import add_terms
 from .rings import QuotientRing
 
@@ -285,24 +283,21 @@ def minimal_resolution(pres: ModulePresentation, length: int) -> Resolution:
         cols = nxt
 
     maps = {
-        i + 1: FreeMap(frees[i + 1], frees[i], _unpacked(frees[i], maps_cols[i]))
+        i + 1: FreeMap(frees[i + 1], frees[i], maps_cols[i])
         for i in range(len(maps_cols))
     }
     if maps:
         pres_rels = maps[1].columns
+    elif terminated:
+        pres_rels = []
     else:
         # length 0: the pruned relation list never became a stored map
-        pres_rels = [] if terminated else _unpacked(frees[0], cols)
+        pres_rels = [frees[0].order.unpack_vec(c.items()) for c in cols]
     presentation = ModulePresentation(ring, frees[0].gen_degrees, pres_rels)
     res = Resolution(ring, frees, maps, True, presentation, terminated=terminated)
     if not res.check_complex():
         raise CmwildError("resolution differentials do not compose to zero")
     return res
-
-
-def _unpacked(free: FreeModule, cols) -> list:
-    """Packed columns of ``free`` as tuple-keyed vectors."""
-    return [free.order.unpack_vec(c.items()) for c in cols]
 
 
 # --------------------------------------------------------- comparison maps
@@ -313,39 +308,29 @@ def comparison_map(koszul: Resolution, res: Resolution) -> list[FreeMap]:
     generators, via normal-form division against each differential's tagged
     basis.  Returns [phi_0, ..., phi_min(lengths)].
 
-    The columns of delta_i and of phi_{i-1} are packed once; each lift and
-    its chain-map certificate run on packed vectors."""
+    Each lift and its chain-map certificate run on packed columns."""
     ring = res.ring
     p = ring.p
     k0, f0 = koszul.frees[0], res.frees[0]
     if k0.gen_degrees != f0.gen_degrees:
         raise InputError("comparison map needs matching degree-zero generators")
     phis = [FreeMap(k0, f0, [f0.gen_vec(i) for i in range(f0.rank)])]
-    prev = [f0.order.pack_vec(c, p) for c in phis[0].columns]
     top = min(koszul.length, res.length)
     for i in range(1, top + 1):
         target, source = res.frees[i - 1], res.frees[i]
-        delta = [target.order.pack_vec(c, p) for c in res.maps[i].columns]
-        tagged = TaggedBasis(delta + target.ring_basis.packed(), target.order, p)
-        shift = target.order.shift
-        order = source.order
-        rank_shift, pos_of, term_shift = order.rank_shift, order.pos_of, order.term_shift
+        delta = res.maps[i]
+        tagged = TaggedBasis(delta.packed + target.ring_basis.packed(), target.order, p)
         cols = []
-        for w in koszul.maps[i].columns:
-            v: dict = {}  # phi_{i-1}(w)
-            for (j, m), c in w.items():
-                add_mul(v, ((shift(m), c),), prev[j], p)
-            coords = tagged.solve(dict(v), order, len(delta))
+        for w in koszul.maps[i].packed:
+            v = phis[-1].apply(w)  # phi_{i-1}(w)
+            coords = tagged.solve(dict(v), source.order, source.rank)
             if coords is None:
                 raise CmwildError("comparison lift failed: target not in image")
             # certify the chain-map identity delta_i phi_i = phi_{i-1} d_i
-            diff: dict = {}
-            for t, c in coords.items():
-                add_mul(diff, ((term_shift(t), c),), delta[pos_of[t >> rank_shift]], p)
+            diff = delta.apply(coords)
             add_terms(diff, v, p, -1)
             if target.ring_reduce(diff):
                 raise CmwildError("comparison map is not a chain map")
             cols.append(coords)
-        phis.append(FreeMap(koszul.frees[i], source, _unpacked(source, cols)))
-        prev = cols
+        phis.append(FreeMap(koszul.frees[i], source, cols))
     return phis

@@ -26,10 +26,9 @@ from cmwild.groebner import (
     standard_terms,
     strip_one_minus_t,
     vec_degree,
-    vec_mono_shift,
 )
 from cmwild.matalg import rank as mat_rank
-from cmwild.modules import FreeMap, FreeModule, ModulePresentation, ring_reduce_vec
+from cmwild.modules import FreeMap, FreeModule, ModulePresentation
 from cmwild.poly import (
     Poly,
     PolyRing,
@@ -52,6 +51,43 @@ def vec_add(u, v, p):
         elif t in out:
             del out[t]
     return out
+
+
+def vec_mono_shift(v, shift, c, p):
+    """c * x^shift * v on tuple-keyed vectors: the reference for shifts by
+    packed ints."""
+    c %= p
+    if c == 0:
+        return {}
+    return {(pos, mono_mul(m, shift)): k * c % p for (pos, m), k in v.items()}
+
+
+def tuple_apply(columns, v, p):
+    """The image of the tuple-keyed vector v under the map with the given
+    tuple-keyed columns: the reference for ``FreeMap.apply``."""
+    out = {}
+    for (j, m), c in v.items():
+        add_terms(out, vec_mono_shift(columns[j], m, c, p), p)
+    return out
+
+
+def generator_order(gens, base_order):
+    """The free module whose position j is generator j of a tagged basis."""
+    return ModuleOrder([vec_degree(g, base_order.gen_degrees) for g in gens], base_order.nvars)
+
+
+def syzygy_generators(tb, gens, base_order):
+    """The tagged basis's syzygies of ``gens``, tuple-keyed over positions
+    0..len(gens)-1."""
+    order = generator_order(gens, base_order)
+    return [order.unpack_vec(s.items()) for s in tb.syzygies(order, len(gens))]
+
+
+def coordinates(tb, gens, base_order, v, p):
+    """Coordinates of the tuple-keyed v over ``gens``, tuple-keyed, or None."""
+    order = generator_order(gens, base_order)
+    w = tb.solve(base_order.pack_vec(v, p), order, len(gens))
+    return None if w is None else order.unpack_vec(w.items())
 
 
 def gauss_rank_mod_p(rows, p):
@@ -133,7 +169,7 @@ class TestBuchbergerIdeals:
                         vec_mono_shift(vecs[j], tuple(l - a for l, a in zip(lcm, mj)), p - 1, p),
                         p,
                     )
-                    assert gb.reduces_to_zero(s)
+                    assert not gb.normal_form(s)
             for f in gens:
                 assert q.is_zero_element(f)
 
@@ -159,7 +195,7 @@ class TestModuleBasesAndSyzygies:
         order = ModuleOrder((0,), 2)
         gens = [{(0, (2, 0)): 1}, {(0, (0, 2)): 1}]
         tb = TaggedBasis(gens, order, p)
-        syz = tb.syzygy_generators()
+        syz = syzygy_generators(tb, gens, order)
         assert syz == [{(0, (0, 2)): 1, (1, (2, 0)): p - 1}]
 
     def test_product_criterion_not_applied_to_modules(self):
@@ -171,7 +207,7 @@ class TestModuleBasesAndSyzygies:
         v = {(0, (0, 1)): 1, (1, (1, 0)): 1}
         gb = buchberger([u, v], order, 101)
         w = {(1, (0, 2)): 1, (1, (2, 0)): 100}
-        assert gb.reduces_to_zero(w)
+        assert not gb.normal_form(w)
 
     def test_tagged_coordinates_solve_membership(self):
         ring = PolyRing(["x", "y"], 101)
@@ -180,14 +216,14 @@ class TestModuleBasesAndSyzygies:
         tb = TaggedBasis(gens, order, 101)
         # x^3 + x*y^2 = x * x^2 + x * y^2
         target = {(0, (3, 0)): 1, (0, (1, 2)): 1}
-        coords = tb.coordinates(target)
-        assert coords is not None
         p = 101
+        coords = coordinates(tb, gens, order, target, p)
+        assert coords is not None
         rebuilt = {}
         for (idx, m), c in coords.items():
             rebuilt = vec_add(rebuilt, vec_mono_shift(gens[idx], m, c, p), p)
         assert rebuilt == target
-        assert tb.coordinates({(0, (1, 0)): 1}) is None
+        assert coordinates(tb, gens, order, {(0, (1, 0)): 1}, p) is None
 
     def test_syzygies_are_syzygies_random(self):
         rng = random.Random(4)
@@ -207,7 +243,7 @@ class TestModuleBasesAndSyzygies:
             if not gens:
                 continue
             tb = TaggedBasis(gens, order, p)
-            for s in tb.syzygy_generators():
+            for s in syzygy_generators(tb, gens, order):
                 total = {}
                 for (idx, m), c in s.items():
                     total = vec_add(total, vec_mono_shift(gens[idx], m, c, p), p)
@@ -455,6 +491,20 @@ class TestGrownBases:
                                    gen_degrees, rels + extra)
         assert listing(grown.gb) == listing(fresh.gb)
 
+    @pytest.mark.parametrize("rank", sorted(GROW_RANKS))
+    @GROW_SETTINGS
+    @given(data=st.data())
+    def test_presentation_basis_grows_the_lifted_ring_basis(self, rank, data):
+        # a presentation's basis starts from its free module's lifted ring
+        # basis; rebuilt without a base it must come out the same
+        gen_degrees = GROW_RANKS[rank]
+        amb = PolyRing(["x", "y", "z"], GROW_P)
+        ring = QuotientRing(amb, polys_from(amb, data.draw(homogeneous_vectors((0,), 0, 2))))
+        pres = ModulePresentation(ring, gen_degrees, data.draw(homogeneous_vectors(gen_degrees, 0, 3)))
+        free = pres.free
+        rebuilt = buchberger(list(pres.relations) + free.ring_basis.vectors, free.order, GROW_P)
+        assert listing(pres.gb) == listing(rebuilt)
+
 
 # ------------------------------------------------- packed terms
 
@@ -517,7 +567,11 @@ class TestPackedTerms:
         a = (pos, mono_mul(mb, q))
         ta = pack(order, a)
         assert divides(tb, ta) and mono_divides(mb, a[1])
-        cpos = data.draw(st.integers(0, order.rank - 1))
+        # a position where some term times x^q stays within the limit; pos
+        # itself is one
+        cpos = data.draw(st.sampled_from(
+            [i for i in range(order.rank) if degree_limit(order, i) >= mono_deg(q)]
+        ))
         c = data.draw(limit_terms(order, cpos, degree_limit(order, cpos) - mono_deg(q)))
         assert pack(order, c) + (ta - tb) == pack(order, (cpos, mono_mul(c[1], q)))
 
@@ -602,12 +656,91 @@ class TestPackedColumnKernels:
         assert out == free.order.pack_vec(ref, KERNEL_P)
         # descending order: the smallest int first
         assert list(out) == sorted(out)
-        assert ring_reduce_vec(ring, v) == ref
+        assert free.ring_basis.normal_form(v) == ref
         # the lift is the adjunction: each ring relation times each generator
-        assert free.ring_adjunction() == [
+        assert free.ring_basis.vectors == [
             {(i, m): c for (_z, m), c in g.items()}
             for g in ring.gb.vectors for i in range(free.rank)
         ]
+
+
+@st.composite
+def free_modules(draw, ring, low):
+    """A free module over ``ring`` of rank 1-3 with generator degrees in
+    low..low+2."""
+    degrees = draw(st.lists(st.integers(low, low + 2), min_size=1, max_size=3))
+    return FreeModule(ring, [-d for d in degrees])
+
+
+@st.composite
+def map_columns(draw, source, target):
+    """Homogeneous tuple-keyed columns of a graded map source -> target;
+    some may be zero."""
+    nvars = target.ring.nvars
+    cols = []
+    for d in source.gen_degrees:
+        terms = [
+            (pos, m)
+            for pos, gd in enumerate(target.gen_degrees) if d >= gd
+            for m in monomials_of_degree(nvars, d - gd)
+        ]
+        chosen = draw(st.lists(st.sampled_from(terms), max_size=4, unique=True)) if terms else []
+        cols.append({t: draw(st.integers(1, KERNEL_P - 1)) for t in chosen})
+    return cols
+
+
+class TestFreeMapColumns:
+    """``FreeMap`` keeps its columns packed in the target's order.  Its
+    ``apply`` and ``compose`` run on ``add_mul``; the tuple formula
+    (``tuple_apply``) is the reference."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_apply_and_compose_match_tuples(self, data):
+        ring = data.draw(quotient_rings(data.draw(st.integers(1, 3))))
+        E = data.draw(free_modules(ring, data.draw(st.integers(-1, 1))))
+        F = data.draw(free_modules(ring, min(E.gen_degrees)))
+        G = data.draw(free_modules(ring, min(F.gen_degrees)))
+        f = FreeMap(F, E, data.draw(map_columns(F, E)))
+        g = FreeMap(G, F, data.draw(map_columns(G, F)))
+        v = data.draw(column_vectors(F.order))
+        got = f.apply(F.order.pack_vec(v, KERNEL_P))
+        assert E.order.unpack_vec(got.items()) == tuple_apply(f.columns, v, KERNEL_P)
+        h = f.compose(g)
+        assert (h.source, h.target) == (G, E)
+        assert h.columns == [tuple_apply(f.columns, c, KERNEL_P) for c in g.columns]
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_tuple_and_packed_columns_give_the_same_map(self, data):
+        ring = data.draw(quotient_rings(data.draw(st.integers(1, 3))))
+        E = data.draw(free_modules(ring, 0))
+        F = data.draw(free_modules(ring, min(E.gen_degrees)))
+        cols = data.draw(map_columns(F, E))
+        packed = [E.order.pack_vec(c, KERNEL_P) for c in cols]
+        a, b = FreeMap(F, E, cols), FreeMap(F, E, packed)
+        assert [list(c.items()) for c in a.packed] == [list(c.items()) for c in b.packed]
+        assert a.columns == b.columns == cols
+        # a packed column is copied, not aliased
+        assert all(x is not y for x, y in zip(b.packed, packed))
+
+    def test_column_errors(self):
+        ring = QuotientRing.from_strings(["x", "y"], ["x^2"], 101)
+        F, G = FreeModule(ring, (0,)), FreeModule(ring, (-2,))
+        uneven = {(0, (2, 0)): 1, (0, (0, 1)): 1}
+        high = {(0, (1, 2)): 1}
+        # tuple-keyed and packed columns
+        for form in (dict, lambda v: F.order.pack_vec(v, 101)):
+            with pytest.raises(InputError, match="vector is not homogeneous"):
+                FreeMap(G, F, [form(uneven)])
+            with pytest.raises(InputError, match="column 0 has degree 3, expected 2"):
+                FreeMap(G, F, [form(high)])
+
+    def test_is_minimal_sees_a_unit_entry(self):
+        ring = QuotientRing.from_strings(["x", "y"], ["x^2"], 101)
+        F, G = FreeModule(ring, (0, -1)), FreeModule(ring, (-1,))
+        assert FreeMap(G, F, [{(0, (1, 0)): 1}]).is_minimal()
+        assert not FreeMap(G, F, [{(0, (0, 1)): 1, (1, (0, 0)): 5}]).is_minimal()
 
 
 class TestPackedLimit:
@@ -661,15 +794,26 @@ class TestCoefficientsZeroModP:
         assert gb.vectors == [{(0, (0, 1)): 1}]
 
     def test_zero_coefficient_reduces_to_zero(self):
-        assert self.basis().reduces_to_zero({(0, (0, 1)): 0})
+        assert not self.basis().normal_form({(0, (0, 1)): 0})
 
     def test_normal_form_reduces_coefficients(self):
         assert self.basis().normal_form({(0, (0, 1)): 8}) == {(0, (0, 1)): 1}
         assert self.basis().normal_form({(0, (1, 1)): 3, (0, (0, 2)): -1}) == {(0, (0, 2)): 6}
 
     def test_ring_reduction_of_a_multiple_of_p(self):
-        assert ring_reduce_vec(self.ring(), {(0, (0, 1)): 14}) == {}
-        assert ring_reduce_vec(self.ring(), {(1, (0, 1)): 15}) == {(1, (0, 1)): 1}
+        free = FreeModule(self.ring(), (0, 0))
+        reduce = free.ring_reduce
+        assert reduce(free.order.pack_vec({(0, (0, 1)): 14}, self.P)) == {}
+        assert free.order.unpack_vec(
+            reduce(free.order.pack_vec({(1, (0, 1)): 15}, self.P)).items()
+        ) == {(1, (0, 1)): 1}
+
+    def test_presentation_reduces_relation_coefficients(self):
+        P = self.P
+        pres = ModulePresentation(
+            self.ring(), [0, 1], [{(0, (0, 1)): P + 1, (1, (0, 0)): 2 * P}, {(0, (1, 0)): -1}]
+        )
+        assert pres.relations == ({(0, (0, 1)): 1}, {(0, (1, 0)): P - 1})
 
     def test_map_with_a_multiple_of_p_is_zero_over_the_ring(self):
         ring = QuotientRing.from_strings(["x", "y"], ["x^2"], self.P)

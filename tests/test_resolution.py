@@ -5,16 +5,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_matalg import brute_rref
 
-from cmwild.errors import InputError
+from cmwild import resolution
+from cmwild.errors import CmwildError, InputError
 from cmwild.groebner import GroebnerBasis, TaggedBasis, buchberger
 from cmwild.modules import ModulePresentation
 from cmwild.resolution import (
     comparison_map,
     koszul_complex,
     minimal_resolution,
-    ring_reduce_vec,
 )
-from cmwild.poly import Poly, PolyRing, mono_mul, monomials_of_degree
+from cmwild.poly import Poly, PolyRing, add_terms, mono_mul, monomials_of_degree
 from cmwild.rings import QuotientRing
 
 P = 32003
@@ -122,23 +122,15 @@ def test_resolution_is_exact_at_step_one():
     )
     res = minimal_resolution(pres, 2)
     d1, d2 = res.maps[1], res.maps[2]
+    F0, F1 = res.frees[0], res.frees[1]
     # ker(d1) is generated by the tagged syzygies of d1's columns; each must
     # lie in the span of d2's columns plus the ring adjunction
-    tagged = TaggedBasis(
-        list(d1.columns) + res.frees[0].ring_adjunction(),
-        res.frees[0].order,
-        P,
-    )
-    span = buchberger(
-        list(d2.columns) + res.frees[1].ring_adjunction(),
-        res.frees[1].order,
-        P,
-    )
-    k = len(d1.columns)
+    tagged = TaggedBasis(d1.packed + F0.ring_basis.packed(), F0.order, P)
+    span = buchberger(d2.packed + F1.ring_basis.packed(), F1.order, P)
+    k = len(d1.packed)
     checked = 0
-    for s in tagged.syzygy_generators():
-        restr = {(pos, m): c for (pos, m), c in s.items() if pos < k}
-        restr = ring_reduce_vec(R, restr)
+    for s in tagged.syzygies(F1.order, k):
+        restr = F1.ring_reduce(s)
         if restr:
             assert not span.normal_form(restr)
             checked += 1
@@ -307,12 +299,29 @@ def test_comparison_map_certifies_chain_identity():
     lhs = res.maps[1].compose(phis[1])
     rhs = phis[0].compose(K.maps[1])
     p = R.p
-    for a, b in zip(lhs.columns, rhs.columns):
+    for a, b in zip(lhs.packed, rhs.packed):
         diff = dict(a)
-        for t, c in b.items():
-            diff[t] = (diff.get(t, 0) - c) % p
-        diff = {t: c for t, c in diff.items() if c}
-        assert not ring_reduce_vec(R, diff)
+        add_terms(diff, b, p, -1)
+        assert not res.frees[0].ring_reduce(diff)
+
+
+def test_comparison_map_rejects_a_lift_that_is_not_a_chain_map(monkeypatch):
+    R = fermat_quartic()
+    ys = [R.parse("x^2"), R.parse("y^2")]
+    K = koszul_complex(R, ys)
+    pres = ModulePresentation(R, [0], [{(0, (2, 0, 0)): 1}, {(0, (0, 2, 0)): 1}])
+    res = minimal_resolution(pres, 2)
+
+    class Doubled(TaggedBasis):
+        """Hands back twice the coordinates it finds."""
+
+        def solve(self, v, order, count):
+            w = super().solve(v, order, count)
+            return None if w is None else {t: 2 * c % self.p for t, c in w.items()}
+
+    monkeypatch.setattr(resolution, "TaggedBasis", Doubled)
+    with pytest.raises(CmwildError, match="not a chain map"):
+        comparison_map(K, res)
 
 
 # --------------------------------------------------------------- reductions

@@ -5,7 +5,8 @@
 
 reads the JSON result (the last line of stdin) and compares every
 per-layer metric with unit ``count`` against ``trace_counts.json`` next to
-this script.  It exits 1 and lists the metrics that differ.  With
+this script.  It exits 1 and lists the metrics that differ, or prints
+``no pinned counts for <workload>`` when the workload has none.  With
 ``--pin`` it records the workload's counts instead.
 
 Two count metrics are left out because they count call routing, not work:
@@ -48,6 +49,9 @@ def main(argv) -> int:
             json.dump(pins, fh, indent=1, sort_keys=True)
             fh.write("\n")
         return 0
+    if workload not in pins:
+        print(f"no pinned counts for {workload}")
+        return 1
     want = pins[workload]
     diffs = [
         f"{name}: pinned {want.get(name)}, got {got.get(name)}"
