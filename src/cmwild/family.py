@@ -28,6 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError
+from .groebner import MAX_DEGREE
 from .matalg import (
     as_matrix,
     endomorphism_indecomposability,
@@ -403,16 +404,16 @@ def verify_resolution_shape(spec: FamilySpec, bundle: FamilyMember | None = None
     res = bundle.resolution
     phis = comparison_map(kos, res)
     p = spec.p
-    zero = (0,) * spec.ring.nvars
     rows = []
     passed = True
     for i in range(spec.d + 1):
         phi = phis[i]
+        order = phi.target.order
         const = np.zeros((phi.target.rank, phi.source.rank), dtype=np.int64)
-        for s, col in enumerate(phi.columns):
-            for (r, m), c in col.items():
-                if m == zero:
-                    const[r, s] = c
+        for s, col in enumerate(phi.packed):
+            for t, c in col.items():
+                if t & order.term_mask == order.const_term:
+                    const[order.pos_of[t >> order.rank_shift], s] = c
         split = mat_rank(const, p) == phi.source.rank
         kos_counts = Counter(kos.free(i).gen_degrees)
         res_counts = Counter(res.free(i).gen_degrees)
@@ -452,23 +453,24 @@ def action_matrices(pres: ModulePresentation):
     Returns (mats, terms): one square matrix per ring variable and the
     basis terms indexing its rows and columns.
     """
-    top = pres.top_degree()
+    top, order = pres.top_degree(), pres.free.order
+    # the shifted terms must fit the packed degree fields
+    if top + 1 - min(order.gen_degrees) > MAX_DEGREE:
+        raise InputError(f"module of top degree {top} is past the Groebner kernel's limit")
     terms: list = []
     for t in range(top + 1):
         terms.extend(pres.component_terms(t))
     index = {term: k for k, term in enumerate(terms)}
-    nv = pres.ring.nvars
     dim = len(terms)
     mats = []
-    for v in range(nv):
+    for x in range(order.nvars):
+        shift = order.shift(tuple(int(a == x) for a in range(order.nvars)))
         mat = np.zeros((dim, dim), dtype=np.int64)
-        for k, (pos, mono) in enumerate(terms):
-            shifted = tuple(e + (1 if a == v else 0) for a, e in enumerate(mono))
-            nf = pres.gb.normal_form({(pos, shifted): 1})
-            for term, coeff in nf.items():
-                mat[index[term], k] = coeff
+        for k, term in enumerate(terms):
+            for u, coeff in pres.gb.normal_form({term + shift: 1}).items():
+                mat[index[u], k] = coeff
         mats.append(mat)
-    return mats, terms
+    return mats, list(order.unpack_vec((term, 1) for term in terms))
 
 
 def family_report(spec: FamilySpec, seed: int = 0) -> dict:

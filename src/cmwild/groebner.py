@@ -1,8 +1,9 @@
 """Groebner machinery for submodules of graded free modules over F_p[x].
 
-A module element is a dict {(position, exponent_tuple): coefficient}.  The
-term order is position-over-term: positions carry a fixed priority (ascending
-twist, then index), and ties within a position fall back to grevlex on the
+A module element is given as a dict {(position, exponent_tuple):
+coefficient} and held packed (see "Packed terms" below).  The term order
+is position-over-term: positions carry a fixed priority (ascending twist,
+then index), and ties within a position fall back to grevlex on the
 monomial.  All inputs are homogeneous, which keeps every intermediate vector
 homogeneous and every staircase finite in each degree.
 
@@ -63,20 +64,21 @@ degree of its lcm, before its S-vector is formed.  A term past the limit
 raises InputError; no exponent ever wraps.
 
 At the boundary.  ``ModuleOrder.pack_vec`` is where a tuple-keyed vector
-enters the kernel: its coefficients are reduced mod p and its zero terms
-dropped there, so a multiple of p is zero everywhere.  ``normal_form``
-(which consumes a packed input), ``vectors`` and ``lts`` give the
-tuple-keyed form.  Below the presentation, vectors stay packed in the
-order of their free module: the columns of every ``modules.FreeMap``, so
-of every resolution differential and comparison map.  For them
+enters the kernel: each term is checked there (position, exponents,
+degree limit), its coefficients are reduced mod p and its zero terms
+dropped, so a multiple of p is zero everywhere.  Past it, vectors stay
+packed in the order of their free module: presentation relations,
+``FreeMap`` columns, ``normal_form`` results (its input is consumed) and
+standard terms.  For them
 ``add_mul`` is acc += f * v with f given as shifts (``ModuleOrder.shift``,
 ``term_shift``), ``GroebnerBasis.lift`` turns the ring's basis into a
 reduced basis of I*F for one ``_reduce`` per vector (and is the base
 every module basis grows from), and ``TaggedBasis`` takes packed
 generators and hands back packed syzygies and coordinates, moved to the
-caller's order by ``ModuleOrder.rerank``.  ``buchberger``,
-``normal_form`` and ``TaggedBasis`` accept either form, told apart by the
-key type in ``pack_vec``.
+caller's order by ``ModuleOrder.rerank``.  ``buchberger`` and
+``TaggedBasis`` accept either form, told apart by the key type in
+``pack_vec``.  ``lts`` stays tuple-keyed for the Hilbert numerator's
+exponent-tuple recursion; ``vectors`` is a view.
 
 Normal forms keep the working vector ordered instead of rescanning it for
 its leading term.  Next to the packed dict ``work`` sits a min-heap of its
@@ -133,6 +135,7 @@ class ModuleOrder:
     __slots__ = (
         "gen_degrees", "rank_of", "nvars", "pos_of", "deg_shift", "rank_shift",
         "exp_mask", "guards", "fields", "degree_cap", "rank_bits", "term_mask",
+        "const_term",
     )
 
     def __init__(self, gen_degrees, nvars, rank_of=None):
@@ -157,6 +160,9 @@ class ModuleOrder:
         self.rank_shift = self.deg_shift + FIELD_BITS
         self.rank_bits = [r << self.rank_shift for r in self.rank_of]
         self.term_mask = (1 << self.rank_shift) - 1  # the monomial: all but the rank
+        # t is a constant term iff t & term_mask == const_term: complemented
+        # degree MAX_DEGREE, exponents 0
+        self.const_term = MAX_DEGREE << self.deg_shift
         # the largest deg(m) a term (pos, m) may enter with
         low = min(self.gen_degrees, default=0)
         self.degree_cap = [MAX_DEGREE + low - gd for gd in self.gen_degrees]
@@ -183,18 +189,24 @@ class ModuleOrder:
 
     def pack_vec(self, v: Vec, p: int) -> dict:
         """A tuple-keyed vector as {packed term: coefficient}, in its order,
-        with its coefficients reduced mod p and its zero terms dropped;
-        InputError for a term past the degree limit.  A vector that is
-        packed already (its keys are ints) is returned as it is."""
+        with its coefficients reduced mod p and its zero terms dropped.  A
+        vector that is packed already (its keys are ints) is returned as it
+        is.  InputError for a term whose position is not one of this
+        order's, whose exponents are not ``nvars`` nonnegative integers, or
+        which is past the degree limit."""
         if v and type(next(iter(v))) is int:
             return v
         cap, rank_bits, shift = self.degree_cap, self.rank_bits, self.deg_shift
-        fields = self.fields.pack
+        fields, rank, n = self.fields.pack, len(rank_bits), self.nvars
         out = {}
         for (pos, m), c in v.items():
             c %= p
             if not c:
                 continue
+            if not 0 <= pos < rank:
+                raise InputError("relation position out of range")
+            if len(m) != n or min(m, default=0) < 0:
+                raise InputError(f"exponents {m} are not {n} nonnegative integers")
             d = sum(m)
             if d > cap[pos]:
                 raise _past_limit("term", d - cap[pos] + MAX_DEGREE)
@@ -238,7 +250,7 @@ class ModuleOrder:
     def term_shift(self, t: int) -> int:
         """The shift of the monomial of the packed term t; it is the same in
         every order over the same variables."""
-        return (t & self.term_mask) - (MAX_DEGREE << self.deg_shift)
+        return (t & self.term_mask) - self.const_term
 
     def rerank(self, items, rank_bits, first: int = 0) -> dict:
         """The packed vector with the given (term, coefficient) pairs, whose
@@ -255,16 +267,6 @@ class ModuleOrder:
 
 
 # ----------------------------------------------------------------- vectors
-
-
-def vec_degree(v: Vec, gen_degrees) -> int | None:
-    """Uniform degree of a homogeneous vector, None for zero."""
-    degs = {mono_deg(m) + gen_degrees[pos] for (pos, m) in v}
-    if not degs:
-        return None
-    if len(degs) > 1:
-        raise InputError("vector is not homogeneous")
-    return degs.pop()
 
 
 def add_mul(acc: dict, f, v: dict, p: int) -> None:
@@ -329,11 +331,11 @@ class GroebnerBasis:
     def __len__(self):
         return len(self._lts)
 
-    def __iter__(self):
-        return iter(self.vectors)
-
-    def normal_form(self, v: Vec) -> Vec:
-        return _normal_form(v, self)
+    def normal_form(self, v: dict) -> dict:
+        """Full normal form of the packed vector v, which it consumes: every
+        term of the result is irreducible, and the result lists its terms
+        in descending order."""
+        return _reduce(v, self)
 
     def lift(self, order: ModuleOrder) -> "GroebnerBasis":
         """This rank-one basis times each generator of a free module over
@@ -347,14 +349,6 @@ class GroebnerBasis:
             for bits in order.rank_bits:
                 out._add(lt | bits, tuple((t | bits, c) for t, c in tail))
         return out
-
-
-def _normal_form(v: Vec, basis: GroebnerBasis) -> Vec:
-    """Full normal form of a tuple-keyed or packed vector (a packed one is
-    consumed), as a tuple-keyed vector: every term of the result is
-    irreducible, and the result lists its terms in descending order."""
-    order = basis.order
-    return order.unpack_vec(_reduce(order.pack_vec(v, basis.p), basis).items())
 
 
 def _reduce(work: dict, basis: GroebnerBasis) -> dict:
@@ -554,7 +548,7 @@ class TaggedBasis:
         tag_degrees = [base_order.term_degree(min(g)) if g else low for g in gens]
         order = base_order.with_tags(tag_degrees)
         # tag i is the constant term of rank r + i
-        tag = MAX_DEGREE << order.deg_shift
+        tag = order.const_term
         tagged = [{**g, (r + i) << order.rank_shift | tag: 1} for i, g in enumerate(gens)]
         self.p = p
         self.real_rank = r
@@ -620,24 +614,27 @@ def _packed_monomials(nvars: int, d: int) -> list:
     return [v | r for v, r in level]
 
 
-def standard_terms(lts, gen_degrees, nvars: int, t: int) -> list:
-    """Degree-t (position, monomial) pairs outside the leading-term
-    staircase: position ascending, grevlex descending within a position."""
-    fields, _mask, guards = _layout(nvars)
-    by_pos: dict = {}
-    for pos, m in lts:
-        by_pos.setdefault(pos, []).append(int.from_bytes(fields.pack(*m), "little"))
+def standard_terms(basis: GroebnerBasis, t: int) -> list:
+    """Degree-t terms outside the staircase of the basis's leading terms,
+    packed in its order: position ascending, grevlex descending within a
+    position."""
+    order = basis.order
+    exp_mask, guards, rank_shift = order.exp_mask, order.guards, order.rank_shift
+    by_rank: dict = {}
+    for lt in basis._lts:
+        by_rank.setdefault(lt >> rank_shift, []).append(lt & exp_mask)
     out = []
-    for pos, gd in enumerate(gen_degrees):
+    for pos, gd in enumerate(order.gen_degrees):
         d = t - gd
         if d < 0:
             continue
         if d > MAX_DEGREE:
             raise _past_limit("staircase degree", d)
-        blockers = by_pos.get(pos, ())
-        for e in _packed_monomials(nvars, d):
+        blockers = by_rank.get(order.rank_of[pos], ())
+        head = order.rank_bits[pos] | (MAX_DEGREE - d) << order.deg_shift
+        for e in _packed_monomials(order.nvars, d):
             if all((e - b) & guards for b in blockers):
-                out.append((pos, fields.unpack(e.to_bytes(2 * nvars, "little"))))
+                out.append(head | e)
     return out
 
 
@@ -737,9 +734,8 @@ class Staircase:
     __slots__ = ("_numerator",)
 
     def component_terms(self, t: int) -> list:
-        """Standard (position, monomial) terms of degree t."""
-        order = self.gb.order
-        return standard_terms(self.gb.lts, order.gen_degrees, order.nvars, t)
+        """Standard terms of degree t, packed in the order of ``gb``."""
+        return standard_terms(self.gb, t)
 
     def hilbert_dim(self, t: int) -> int:
         return len(self.component_terms(t))

@@ -5,25 +5,23 @@ A free module stores its twists: the module is (+)_i R(twists[i]), so the
 i-th generator sits in degree -twists[i].  A map is stored by columns (the
 images of the source generators), each column a homogeneous vector of the
 target packed in its order, so ``apply`` and ``compose`` run on
-``add_mul``.  A presentation is a cokernel: ambient free module plus a
-list of tuple-keyed relation vectors.  Its Groebner basis grows the free
+``add_mul``.  A presentation is a cokernel: ambient free module plus
+relation vectors, packed the same way.  Its Groebner basis grows the free
 module's lifted ring basis (the ring's relation ideal times each
-generator) by the relations, so everything runs in the ambient polynomial
-ring.
+generator) by the relations, so everything runs in the ambient
+polynomial ring.  ``columns`` and ``relations`` are tuple-keyed views.
 """
 
 from __future__ import annotations
 
 from .errors import InputError
 from .groebner import (
-    MAX_DEGREE,
     GroebnerBasis,
     ModuleOrder,
     Staircase,
     _reduce,
     add_mul,
     buchberger,
-    vec_degree,
 )
 from .poly import Poly
 from .rings import QuotientRing
@@ -154,9 +152,7 @@ class FreeMap:
 
     def is_minimal(self) -> bool:
         """True iff no entry has a unit (nonzero constant) coefficient."""
-        order = self.target.order
-        # a constant term: complemented degree MAX_DEGREE, exponents 0
-        const, mask = MAX_DEGREE << order.deg_shift, order.term_mask
+        const, mask = self.target.order.const_term, self.target.order.term_mask
         return not any(t & mask == const for col in self.packed for t in col)
 
     def is_zero_over_ring(self) -> bool:
@@ -168,28 +164,32 @@ class FreeMap:
 
 class ModulePresentation(Staircase):
     """M = coker(relations -> free) over ``ring``; its Hilbert data is the
-    staircase of the relations plus the ring-relation adjunction."""
+    staircase of the relations plus the ring-relation adjunction.  The
+    nonzero relations are kept ``packed`` in ``free.order``, taken as
+    ``FreeMap`` takes its columns."""
 
-    __slots__ = ("ring", "free", "relations", "_gb", "_parent")
+    __slots__ = ("ring", "free", "packed", "_gb", "_parent")
 
     def __init__(self, ring: QuotientRing, gen_degrees, relations):
         self.ring = ring
         self.free = FreeModule(ring, tuple(-int(d) for d in gen_degrees))
-        p = ring.p
-        rels = []
+        order, p = self.free.order, ring.p
+        self.packed: list = []
         for v in relations:
-            v = {t: c % p for t, c in dict(v).items() if c % p}
-            vec_degree(v, self.free.gen_degrees)  # homogeneity check
-            for (pos, _m) in v:
-                if not 0 <= pos < self.free.rank:
-                    raise InputError("relation position out of range")
-            if v:
-                rels.append(v)
-        self.relations = tuple(rels)
+            w = order.pack_vec(v, p)
+            if w:
+                order.degree(w)  # homogeneity check
+                self.packed.append(dict(w) if w is v else w)
         self._gb: GroebnerBasis | None = None
         self._numerator: dict | None = None
         # set by ``quotient``: the presentation whose basis this one grows
         self._parent: ModulePresentation | None = None
+
+    @property
+    def relations(self) -> tuple:
+        """The relations as tuple-keyed vectors, unpacked on each read."""
+        unpack = self.free.order.unpack_vec
+        return tuple(unpack(v.items()) for v in self.packed)
 
     @property
     def rank(self) -> int:
@@ -209,9 +209,9 @@ class ModulePresentation(Staircase):
         if self._gb is None:
             parent, self._parent = self._parent, None
             if parent is None:
-                gens, base = self.relations, self.free.ring_basis
+                gens, base = self.packed, self.free.ring_basis
             else:
-                gens, base = self.relations[len(parent.relations):], parent.gb
+                gens, base = self.packed[len(parent.packed):], parent.gb
             self._gb = buchberger(gens, self.free.order, self.ring.p, base=base)
         return self._gb
 
@@ -226,7 +226,7 @@ class ModulePresentation(Staircase):
         child = ModulePresentation(
             self.ring,
             self.free.gen_degrees,
-            list(self.relations) + [dict(v) for v in extra_relations],
+            self.packed + list(extra_relations),
         )
         child._parent = self
         return child
@@ -234,12 +234,12 @@ class ModulePresentation(Staircase):
     def reduce_mod(self, ys) -> "ModulePresentation":
         """The same presentation over R/(ys)."""
         return ModulePresentation(
-            self.ring.extend(ys), self.free.gen_degrees, self.relations
+            self.ring.extend(ys), self.free.gen_degrees, self.packed
         )
 
     def __repr__(self):
         return (
             f"ModulePresentation(gens={list(self.free.gen_degrees)}, "
-            f"relations={len(self.relations)})"
+            f"relations={len(self.packed)})"
         )
 

@@ -18,9 +18,9 @@ a redundant generator in the top differential only becomes visible as a unit
 entry one step later, and the elimination cascade is what prunes it.
 
 Columns are packed (see the ``groebner`` docstring), each in the order of
-its target free module.  The relations are packed once on entry, and the
-finished columns become ``FreeMap``s as they are; a map's ``columns`` is
-the tuple-keyed view.  A constant term is read off the degree and
+its target free module, from the presentation's packed relations to the
+finished ``FreeMap``s, whose packed columns are in turn the relations of
+the syzygy presentations.  A constant term is read off the degree and
 exponent fields, a column update ``acc + f*v`` is ``add_mul`` with one
 integer shift per term of f, and dropping freed generators rewrites rank
 bits.  Reduction modulo the ring is one ``_reduce`` against the free
@@ -38,7 +38,7 @@ from collections import Counter
 from itertools import combinations
 
 from .errors import CmwildError, InputError
-from .groebner import MAX_DEGREE, TaggedBasis, add_mul
+from .groebner import TaggedBasis, add_mul
 from .modules import FreeMap, FreeModule, ModulePresentation
 from .poly import add_terms
 from .rings import QuotientRing
@@ -89,7 +89,7 @@ class Resolution:
         if i < 0 or i > self.length:
             raise InputError(f"syzygy index {i} outside computed range")
         if i + 1 in self.maps:
-            rels = self.maps[i + 1].columns
+            rels = self.maps[i + 1].packed
         elif self.terminated and i == self.length:
             rels = []
         else:
@@ -161,7 +161,7 @@ def koszul_complex(ring: QuotientRing, elems, copies: int = 1) -> Resolution:
         maps[i] = FreeMap(frees[i], frees[i - 1], columns)
 
     presentation = ModulePresentation(
-        ring, frees[0].gen_degrees, maps[1].columns if d >= 1 else []
+        ring, frees[0].gen_degrees, maps[1].packed if d >= 1 else []
     )
     return Resolution(ring, frees, maps, True, presentation, terminated=(d >= 0))
 
@@ -181,8 +181,7 @@ def _eliminate_units(ring, frees, maps_cols, level, cols):
     p = ring.p
     order = frees[level - 1].order
     rank_shift, pos_of, term_shift = order.rank_shift, order.pos_of, order.term_shift
-    # a constant term: complemented degree MAX_DEGREE, exponents 0
-    const, mask = MAX_DEGREE << order.deg_shift, order.term_mask
+    const, mask = order.const_term, order.term_mask
     D = list(cols)
     E = maps_cols[level - 2] if level >= 2 else None
     dropped = set()
@@ -253,10 +252,10 @@ def minimal_resolution(pres: ModulePresentation, length: int) -> Resolution:
         raise InputError("resolution length must be nonnegative")
     ring = pres.ring
     p = ring.p
-    frees: list = [FreeModule(ring, pres.free.twists)]
+    frees: list = [pres.free]
     maps_cols: list = []
-    cols = [frees[0].ring_reduce(frees[0].order.pack_vec(v, p)) for v in pres.relations]
-    cols = [c for c in cols if c]
+    # the reduction consumes its input, so it gets copies of the relations
+    cols = [c for c in (pres.free.ring_reduce(dict(v)) for v in pres.packed) if c]
     terminated = False
 
     for i in range(1, length + 2):
@@ -286,13 +285,8 @@ def minimal_resolution(pres: ModulePresentation, length: int) -> Resolution:
         i + 1: FreeMap(frees[i + 1], frees[i], maps_cols[i])
         for i in range(len(maps_cols))
     }
-    if maps:
-        pres_rels = maps[1].columns
-    elif terminated:
-        pres_rels = []
-    else:
-        # length 0: the pruned relation list never became a stored map
-        pres_rels = [frees[0].order.unpack_vec(c.items()) for c in cols]
+    # at length 0 the pruned relations never became a stored map
+    pres_rels = maps[1].packed if maps else cols
     presentation = ModulePresentation(ring, frees[0].gen_degrees, pres_rels)
     res = Resolution(ring, frees, maps, True, presentation, terminated=terminated)
     if not res.check_complex():

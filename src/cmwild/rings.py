@@ -131,13 +131,19 @@ class QuotientRing(Staircase):
         descending, monic."""
         return [_vec_to_poly(self.ambient, v) for v in self.gb.vectors]
 
-    def normal_form(self, f: Poly) -> Poly:
+    def _packed_normal_form(self, f: Poly) -> dict:
+        """The normal form of f, packed in the order of ``gb``."""
         if f.ring != self.ambient:
             raise InputError("element does not live in the ambient ring")
-        return _vec_to_poly(self.ambient, self.gb.normal_form(_poly_to_vec(f)))
+        gb = self.gb
+        return gb.normal_form(gb.order.pack_vec(_poly_to_vec(f), self.p))
+
+    def normal_form(self, f: Poly) -> Poly:
+        nf = self._packed_normal_form(f)
+        return _vec_to_poly(self.ambient, self.gb.order.unpack_vec(nf.items()))
 
     def is_zero_element(self, f: Poly) -> bool:
-        return self.normal_form(f).is_zero()
+        return not self._packed_normal_form(f)
 
     # -- numerical invariants
 
@@ -147,7 +153,8 @@ class QuotientRing(Staircase):
 
     def component_basis(self, t: int) -> list[Poly]:
         """Monomial basis of R_t, grevlex descending."""
-        return [self.ambient.monomial(m) for (_pos, m) in self.component_terms(t)]
+        terms = self.gb.order.unpack_vec((u, 1) for u in self.component_terms(t))
+        return [self.ambient.monomial(m) for (_pos, m) in terms]
 
     # -- derived rings
 

@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import os
 import random
+import sys
 import warnings
 
 import numpy as np
@@ -23,6 +25,7 @@ from cmwild.family import (
     verify_resolution_shape,
     verify_shift_embedding,
 )
+from cmwild.groebner import MAX_DEGREE, ModuleOrder
 from cmwild.matalg import (
     as_matrix,
     identity_matrix,
@@ -32,6 +35,7 @@ from cmwild.matalg import (
     simultaneous_conjugacy,
     solve_many,
 )
+from cmwild.modules import ModulePresentation
 from cmwild.rings import QuotientRing
 from cmwild.wildness import verify_regular_element, wildness_certificate
 
@@ -437,6 +441,45 @@ def test_action_matrices_respect_ring_relations(binary):
     # x^2 = 0 in the reduction, and the variables commute on the module
     assert not mat_mul(mats[0], mats[0], P).any()
     assert np.array_equal(mat_mul(mats[0], mats[1], P), mat_mul(mats[1], mats[0], P))
+
+
+def test_member_pipeline_keeps_vectors_packed(fermat, monkeypatch):
+    # past the spec and the member's own tuple-keyed columns, no layer
+    # unpacks a vector for the next one to pack again: the only unpacks are
+    # the leading terms read by the Hilbert numerator, and the action
+    # matrices pack no tuple-keyed vector
+    spec = two_param(fermat, [[1]], [[2]])
+    member = build_family_member(spec)
+    pack, unpack = ModuleOrder.pack_vec, ModuleOrder.unpack_vec
+    unpacked_by, tuple_packs = [], []
+
+    def traced_unpack(self, items):
+        code = sys._getframe(1).f_code
+        unpacked_by.append((os.path.basename(code.co_filename), code.co_name))
+        return unpack(self, items)
+
+    def traced_pack(self, v, p):
+        if v and type(next(iter(v))) is not int:
+            tuple_packs.append(v)
+        return pack(self, v, p)
+
+    monkeypatch.setattr(ModuleOrder, "unpack_vec", traced_unpack)
+    family_report(spec)
+    assert unpacked_by and set(unpacked_by) == {("groebner.py", "lts")}
+    monkeypatch.setattr(ModuleOrder, "pack_vec", traced_pack)
+    mats, terms = action_matrices(member)
+    assert len(terms) == 14 and len(mats) == 3
+    assert tuple_packs == []
+
+
+def test_action_matrices_refuse_shifts_past_the_degree_limit():
+    # k e_0 + k e_1 with e_1 in degree MAX_DEGREE: x e_1 is a term past the
+    # packed fields, counted from the lowest generator degree
+    ring = QuotientRing.from_strings(["x"], ["x"])
+    pres = ModulePresentation(ring, [0, MAX_DEGREE], [])
+    assert pres.hilbert_function() == {0: 1, MAX_DEGREE: 1}
+    with pytest.raises(InputError, match="past the Groebner kernel's limit"):
+        action_matrices(pres)
 
 
 # ---------------------------------------------- the window's lower end

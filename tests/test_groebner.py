@@ -14,7 +14,7 @@ from cmwild.groebner import (
     MAX_DEGREE,
     ModuleOrder,
     TaggedBasis,
-    _normal_form,
+    _reduce,
     add_mul,
     buchberger,
     divide_by_one_minus_t,
@@ -25,7 +25,6 @@ from cmwild.groebner import (
     series_add,
     standard_terms,
     strip_one_minus_t,
-    vec_degree,
 )
 from cmwild.matalg import rank as mat_rank
 from cmwild.modules import FreeMap, FreeModule, ModulePresentation
@@ -71,9 +70,23 @@ def tuple_apply(columns, v, p):
     return out
 
 
+def tuple_degree(v, gen_degrees):
+    """Uniform degree of a homogeneous tuple-keyed vector, None for zero."""
+    degs = {mono_deg(m) + gen_degrees[pos] for (pos, m) in v}
+    assert len(degs) <= 1
+    return degs.pop() if degs else None
+
+
+def tuple_normal_form(basis, v):
+    """The normal form of the tuple-keyed v, tuple-keyed: ``normal_form``
+    between ``pack_vec`` and ``unpack_vec``."""
+    order = basis.order
+    return order.unpack_vec(basis.normal_form(order.pack_vec(v, basis.p)).items())
+
+
 def generator_order(gens, base_order):
     """The free module whose position j is generator j of a tagged basis."""
-    return ModuleOrder([vec_degree(g, base_order.gen_degrees) for g in gens], base_order.nvars)
+    return ModuleOrder([tuple_degree(g, base_order.gen_degrees) for g in gens], base_order.nvars)
 
 
 def syzygy_generators(tb, gens, base_order):
@@ -169,7 +182,7 @@ class TestBuchbergerIdeals:
                         vec_mono_shift(vecs[j], tuple(l - a for l, a in zip(lcm, mj)), p - 1, p),
                         p,
                     )
-                    assert not gb.normal_form(s)
+                    assert not tuple_normal_form(gb, s)
             for f in gens:
                 assert q.is_zero_element(f)
 
@@ -207,7 +220,7 @@ class TestModuleBasesAndSyzygies:
         v = {(0, (0, 1)): 1, (1, (1, 0)): 1}
         gb = buchberger([u, v], order, 101)
         w = {(1, (0, 2)): 1, (1, (2, 0)): 100}
-        assert not gb.normal_form(w)
+        assert not tuple_normal_form(gb, w)
 
     def test_tagged_coordinates_solve_membership(self):
         ring = PolyRing(["x", "y"], 101)
@@ -328,13 +341,13 @@ def rescan_normal_form(v, basis):
 
 
 class TestNormalFormOracle:
-    """The heap-ordered ``_normal_form`` against the rescan loop, compared
+    """The heap-ordered ``normal_form`` against the rescan loop, compared
     as ordered dicts: same terms, same coefficients, same term order."""
 
     @staticmethod
     def check(basis, vectors):
         for v in vectors:
-            got = _normal_form(v, basis)
+            got = tuple_normal_form(basis, v)
             assert list(got.items()) == list(rescan_normal_form(v, basis).items())
 
     @pytest.mark.parametrize(
@@ -384,7 +397,7 @@ class TestNormalFormOracle:
         )
         assert gb.lts == [(0, (2, 0)), (0, (1, 1)), (0, (0, 3))]
         v = {(0, (2, 0)): 1, (0, (1, 1)): 1, (0, (0, 2)): 1}
-        assert _normal_form(v, gb) == {(0, (0, 2)): 1}
+        assert tuple_normal_form(gb, v) == {(0, (0, 2)): 1}
         self.check(gb, [v])
 
 
@@ -504,6 +517,39 @@ class TestGrownBases:
         free = pres.free
         rebuilt = buchberger(list(pres.relations) + free.ring_basis.vectors, free.order, GROW_P)
         assert listing(pres.gb) == listing(rebuilt)
+
+
+class TestPackedPresentations:
+    """A presentation keeps its relations packed in its free module's
+    order.  Built from packed or from tuple-keyed relations it is the same
+    presentation, and its packed normal forms unpack to the tuple-keyed
+    normal form of the former ``_normal_form``: ``unpack_vec`` of
+    ``_reduce`` of ``pack_vec``."""
+
+    @pytest.mark.parametrize("rank", sorted(GROW_RANKS))
+    @GROW_SETTINGS
+    @given(data=st.data())
+    def test_packed_and_tuple_relations_agree(self, rank, data):
+        gen_degrees = GROW_RANKS[rank]
+        amb = PolyRing(["x", "y", "z"], GROW_P)
+        ring = QuotientRing(amb, polys_from(amb, data.draw(homogeneous_vectors((0,), 0, 2))))
+        rels = data.draw(homogeneous_vectors(gen_degrees, 0, 3))
+        a = ModulePresentation(ring, gen_degrees, rels)
+        order = a.free.order
+        packed = [order.pack_vec(v, GROW_P) for v in rels]
+        b = ModulePresentation(ring, gen_degrees, packed)
+        assert a.relations == b.relations == tuple(rels)
+        # packed relations are copied, not aliased
+        assert all(x is not y for x, y in zip(b.packed, packed))
+        assert [list(v.items()) for v in a.gb.packed()] == [
+            list(v.items()) for v in b.gb.packed()
+        ]
+        assert a.hilbert_numerator == b.hilbert_numerator
+        for v in data.draw(homogeneous_vectors(gen_degrees, 1, 3, max_excess=4)):
+            old = order.unpack_vec(_reduce(order.pack_vec(v, GROW_P), a.gb).items())
+            got = order.unpack_vec(a.gb.normal_form(order.pack_vec(v, GROW_P)).items())
+            assert list(got.items()) == list(old.items())
+            assert list(got.items()) == list(rescan_normal_form(v, a.gb).items())
 
 
 # ------------------------------------------------- packed terms
@@ -651,12 +697,12 @@ class TestPackedColumnKernels:
         ref = {}
         for pos in range(free.rank):
             comp = {(0, m): c for (q, m), c in v.items() if q == pos}
-            ref.update({(pos, m): c for (_z, m), c in ring.gb.normal_form(comp).items()})
+            ref.update({(pos, m): c for (_z, m), c in tuple_normal_form(ring.gb, comp).items()})
         out = free.ring_reduce(free.order.pack_vec(v, KERNEL_P))
         assert out == free.order.pack_vec(ref, KERNEL_P)
         # descending order: the smallest int first
         assert list(out) == sorted(out)
-        assert free.ring_basis.normal_form(v) == ref
+        assert tuple_normal_form(free.ring_basis, v) == ref
         # the lift is the adjunction: each ring relation times each generator
         assert free.ring_basis.vectors == [
             {(i, m): c for (_z, m), c in g.items()}
@@ -736,6 +782,25 @@ class TestFreeMapColumns:
             with pytest.raises(InputError, match="column 0 has degree 3, expected 2"):
                 FreeMap(G, F, [form(high)])
 
+    def test_malformed_terms_are_refused(self):
+        # ``pack_vec`` is where tuple-keyed columns and relations enter
+        ring = QuotientRing.from_strings(["x", "y"], ["x^2"], 101)
+        F, G = FreeModule(ring, (0, 0)), FreeModule(ring, (-1,))
+        cases = [
+            ({(-1, (1, 0)): 1}, "relation position out of range"),
+            ({(2, (1, 0)): 1}, "relation position out of range"),
+            ({(0, (1,)): 1}, r"exponents \(1,\) are not 2 nonnegative integers"),
+            ({(0, (1, 0, 0)): 1}, "are not 2 nonnegative integers"),
+            ({(1, (2, -1)): 1}, "are not 2 nonnegative integers"),
+        ]
+        for v, message in cases:
+            with pytest.raises(InputError, match=message):
+                FreeMap(G, F, [v])
+            with pytest.raises(InputError, match=message):
+                ModulePresentation(ring, [0, 0], [{(0, (1, 0)): 1}, v])
+        # a zero coefficient drops its term before any check
+        assert ModulePresentation(ring, [0, 0], [{(2, (1, 0)): 101}]).relations == ()
+
     def test_is_minimal_sees_a_unit_entry(self):
         ring = QuotientRing.from_strings(["x", "y"], ["x^2"], 101)
         F, G = FreeModule(ring, (0, -1)), FreeModule(ring, (-1,))
@@ -794,11 +859,13 @@ class TestCoefficientsZeroModP:
         assert gb.vectors == [{(0, (0, 1)): 1}]
 
     def test_zero_coefficient_reduces_to_zero(self):
-        assert not self.basis().normal_form({(0, (0, 1)): 0})
+        assert not tuple_normal_form(self.basis(), {(0, (0, 1)): 0})
 
     def test_normal_form_reduces_coefficients(self):
-        assert self.basis().normal_form({(0, (0, 1)): 8}) == {(0, (0, 1)): 1}
-        assert self.basis().normal_form({(0, (1, 1)): 3, (0, (0, 2)): -1}) == {(0, (0, 2)): 6}
+        assert tuple_normal_form(self.basis(), {(0, (0, 1)): 8}) == {(0, (0, 1)): 1}
+        assert tuple_normal_form(self.basis(), {(0, (1, 1)): 3, (0, (0, 2)): -1}) == {
+            (0, (0, 2)): 6
+        }
 
     def test_ring_reduction_of_a_multiple_of_p(self):
         free = FreeModule(self.ring(), (0, 0))

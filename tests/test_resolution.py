@@ -382,7 +382,8 @@ def graded_basis(ring, free, t):
     basis = {}
     for j, gd in enumerate(free.gen_degrees):
         if t >= gd:
-            for _pos, m in ring.component_terms(t - gd):
+            for mono in ring.component_basis(t - gd):
+                (m,) = mono.terms
                 basis[(j, m)] = len(basis)
     return basis
 

@@ -8,15 +8,54 @@ from pathlib import Path
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
-def test_trace_count_check_names_a_workload_without_pins():
-    result = {"metrics": {"resolution.minimal_resolution.calls": {"unit": "count", "value": 1.0}}}
-    proc = subprocess.run(
-        [sys.executable, str(TOOLS / "check_trace_counts.py"), "no_such_workload"],
+def check_trace_counts(workload, metrics):
+    """Run the trace-count check on a result with the given metrics."""
+    result = {"metrics": metrics}
+    return subprocess.run(
+        [sys.executable, str(TOOLS / "check_trace_counts.py"), workload],
         input=json.dumps(result) + "\n",
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+def family_pins():
+    """The pinned ``family`` counts as result metrics; the pins are only
+    read here."""
+    pins = json.loads((TOOLS / "trace_counts.json").read_text(encoding="utf-8"))
+    return {name: {"unit": "count", "value": v} for name, v in pins["family"].items()}
+
+
+def test_trace_count_check_names_a_workload_without_pins():
+    proc = check_trace_counts(
+        "no_such_workload", {"resolution.minimal_resolution.calls": {"unit": "count", "value": 1.0}}
+    )
     assert proc.returncode == 1
     assert proc.stdout == "no pinned counts for no_such_workload\n"
     assert proc.stderr == ""
+
+
+def test_trace_count_check_passes_the_pinned_counts():
+    metrics = family_pins()
+    # metrics of other units are not counts, whatever their value
+    metrics["trace.wall_s"] = {"unit": "s", "value": 12.5}
+    proc = check_trace_counts("family", metrics)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+
+def test_trace_count_check_names_a_changed_count():
+    metrics = family_pins()
+    name = "resolution.minimal_resolution.total_rank"
+    pinned = metrics[name]["value"]
+    metrics[name] = {"unit": "count", "value": pinned + 1}
+    proc = check_trace_counts("family", metrics)
+    assert proc.returncode == 1
+    assert proc.stdout == f"family: {name}: pinned {pinned}, got {pinned + 1}\n"
+
+
+def test_trace_count_check_ignores_normal_form_calls():
+    metrics = family_pins()
+    metrics["groebner.GroebnerBasis.normal_form.calls"] = {"unit": "count", "value": 12345.0}
+    proc = check_trace_counts("family", metrics)
+    assert (proc.returncode, proc.stdout) == (0, "")
