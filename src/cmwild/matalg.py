@@ -3,10 +3,11 @@ decision procedures the module-family machinery needs: simultaneous
 conjugacy (module isomorphism for a pair of commuting actions) and
 indecomposability via the endomorphism algebra.
 
-The endomorphism algebra is held in structure constants: its regular
-representation L, with L[i] @ coords(y) = coords(basis[i] @ y), is
-solved for once, and the trace-form radical, the commutativity of the
-quotient by it and Frobenius on its cosets are all read off L.  Every
+The endomorphism algebra is held as its canonical commutant basis alone:
+an element's coordinates are its entries at the basis's free positions,
+with no elimination.  The trace-form radical, the commutativity of the
+quotient by it and Frobenius on its cosets are read off those entries, and
+every product read is checked to be the combination they give.  Every
 linear combination of a basis goes through ``combine``.
 
 Matrices are numpy int64 arrays with entries reduced mod p.  Products are
@@ -549,28 +550,20 @@ def combine(coeffs, mats, p: int) -> np.ndarray:
     return out
 
 
-def regular_representation(basis, p: int):
-    """Left multiplication by each element of a matrix-algebra basis, in
-    basis coordinates: L[i] @ coords(y) = coords(basis[i] @ y).  All dim**2
-    products are solved for in one elimination; coordinates are unique."""
-    dim = len(basis)
-    stacked = np.stack([b.reshape(-1) for b in basis], axis=1)
-    prods = np.stack(
-        [mat_mul(a, b, p).reshape(-1) for a in basis for b in basis], axis=1
-    )
-    cols = solve_many(stacked, prods, p)
-    if any(c is None for c in cols):
-        raise CmwildError("algebra basis is not multiplicatively closed")
-    return [np.stack(cols[i * dim : (i + 1) * dim], axis=1) for i in range(dim)]
-
-
-def trace_form_radical(L, p: int):
-    """Coordinate rows of the radical of an algebra given by its regular
-    representation L: the kernel of the trace form tr(L_i L_j).  Valid for
-    p > dim."""
-    # tr(L_i L_j) = vec(L_i) . vec(L_j^T)
-    rows = np.stack([Li.reshape(-1) for Li in L])
-    cols = np.stack([Li.T.reshape(-1) for Li in L], axis=1)
+def trace_form_radical(basis, f, p: int):
+    """Coordinate rows of the radical of a matrix algebra with canonical
+    basis `basis` and free positions f: the kernel of its regular trace
+    form, the trace of left multiplication by b_i b_j.  Valid for p > dim.
+    That trace at z is sum_k (z b_k)[f_k] = tr(z Q), where column r of Q
+    sums column s of b_k over f_k = r*n + s."""
+    n = basis[0].shape[0]
+    Q = np.zeros((n, n), dtype=np.int64)
+    for b, fk in zip(basis, f):
+        Q[:, fk // n] += b[:, fk % n]
+    # tr(b_i b_j Q) = vec(b_i) . vec((b_j Q)^T), all b_j Q in one product
+    BQ = mat_mul(np.concatenate(basis), Q % p, p).reshape(-1, n, n)
+    rows = np.stack([b.reshape(-1) for b in basis])
+    cols = BQ.transpose(0, 2, 1).reshape(len(basis), -1).T
     return nullspace(mat_mul(rows, cols, p), p)
 
 
@@ -708,11 +701,11 @@ def endomorphism_indecomposability(
     indecomposable, by testing whether its endomorphism algebra is local.
 
     The endomorphism algebra is the joint commutant.  For p > dim End the
-    radical comes from the trace form of the regular representation; the
-    module is indecomposable exactly when the semisimple quotient is a
-    field, detected as: commutative with one-dimensional Frobenius-fixed
-    subspace.  Decomposable verdicts carry an exact idempotent witness when
-    one is found (always, in the commutative case).
+    radical is the kernel of the regular trace form, read off the canonical
+    basis (``trace_form_radical``); the module is indecomposable exactly
+    when the semisimple quotient is a field, detected as: commutative with
+    one-dimensional Frobenius-fixed subspace.  Decomposable verdicts carry
+    an exact idempotent witness when one is found (always, if commutative).
     """
     if not mats:
         raise InputError("need at least one action matrix")
@@ -734,26 +727,33 @@ def endomorphism_indecomposability(
         return out
     rng = random.Random(seed)
     if p > dim:
-        L = regular_representation(basis, p)
-        R, pivots = rref(trace_form_radical(L, p), p)
+        # canonical: b_k has a 1 at its last nonzero entry f_k, where the
+        # other elements have a 0, so y in End has coordinates y.flat[f]
+        flat = np.stack([b.reshape(-1) for b in basis])
+        f = flat.shape[1] - 1 - np.argmax(flat[:, ::-1] != 0, axis=1)
+        if not np.array_equal(flat[:, f], identity_matrix(dim)):
+            raise CmwildError("algebra basis is not in canonical form")
+        R, pivots = rref(trace_form_radical(basis, f, p), p)
         R = R[: len(pivots)]
         # never empty: the identity is not in the radical
         free = [c for c in range(dim) if c not in pivots]
 
-        def reduce(X):
-            """Coordinate columns X modulo the radical."""
+        def reduce(mats):
+            """Coordinate columns of mats, read at f, modulo the radical."""
+            Y = np.stack([M.reshape(-1) for M in mats]) % p
+            if np.any(mat_mul(Y[:, f], flat, p) != Y):
+                raise CmwildError("algebra basis is not multiplicatively closed")
+            X = Y[:, f].T
             return (X - mat_mul(R.T, X[pivots], p)) % p
 
         # the quotient is spanned by the cosets of basis[c], c in free
         if not any(
-            reduce(L[a][:, [b]] - L[b][:, [a]]).any()
+            reduce([mat_mul(basis[a], basis[b], p) - mat_mul(basis[b], basis[a], p)]).any()
             for i, a in enumerate(free)
             for b in free[i + 1 :]
         ):
-            # Frobenius on the cosets: coords(b_c^p) = L_c^(p-1) e_c
-            frob = reduce(
-                np.stack([mat_pow(L[c], p - 1, p)[:, c] for c in free], axis=1)
-            )[free]
+            # Frobenius on the cosets
+            frob = reduce([mat_pow(basis[c], p, p) for c in free])[free]
             fixed = nullspace((frob - identity_matrix(len(free))) % p, p)
             r = len(fixed)
             out["field_count"] = r

@@ -6,7 +6,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
 from cmwild.errors import InputError
@@ -38,6 +38,7 @@ from cmwild.poly import (
     monomials_of_degree,
 )
 from cmwild.rings import QuotientRing
+from cmwild.wildness import verify_regular_element
 
 
 def vec_add(u, v, p):
@@ -1174,3 +1175,27 @@ class TestMacaulayOracle:
                 h * comb(t - k + n - 1, n - 1) for k, h in hn.items() if k <= t
             )
             assert ring.hilbert_dim(t) == from_series == macaulay_dim(ring, t)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ring=homogeneous_ideals(), data=st.data())
+    def test_regular_elements_match_macaulay_ranks(self, ring, data):
+        """Multiplication by y of degree e gives, in each degree t,
+        dim (S/(I+(y)))_t = dim (S/I)_t - dim (S/I)_{t-e} + dim (0 : y)_{t-e},
+        so y is regular exactly when the excess over the first two terms
+        vanishes in every degree."""
+        e = data.draw(st.integers(1, 2))
+        monos = monomials_of_degree(ring.nvars, e)
+        chosen = data.draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
+        coeffs = data.draw(st.lists(st.integers(1, 30), min_size=len(chosen), max_size=len(chosen)))
+        y = Poly(ring.ambient, dict(zip(chosen, coeffs)))
+        cut = QuotientRing(ring.ambient, ring.relations + (y,))
+        dims = [macaulay_dim(ring, t) for t in range(9)]
+        excess = [macaulay_dim(cut, t) - dims[t] + (dims[t - e] if t >= e else 0) for t in range(9)]
+        assert min(excess) >= 0
+        regular = verify_regular_element(ring, y) is not None
+        event("regular" if regular else "not regular")
+        if regular:
+            assert not any(excess)
+        else:
+            # the first excess may lie past degree 8
+            assume(any(excess))

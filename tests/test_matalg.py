@@ -4,15 +4,21 @@ indecomposability certificates."""
 import hashlib
 import json
 import random
+import tracemalloc
 from itertools import product as iter_product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+from cmwild import matalg
+from cmwild.errors import CmwildError
 from cmwild.matalg import (
+    SAMPLES,
+    _idempotent_from_element,
     as_matrix,
+    combine,
     commutant_basis,
     coprime_split,
     endomorphism_indecomposability,
@@ -24,7 +30,6 @@ from cmwild.matalg import (
     min_poly,
     nullspace,
     rank,
-    regular_representation,
     rref,
     simultaneous_conjugacy,
     solve,
@@ -372,7 +377,7 @@ def test_commutant_dimensions():
 def test_trace_form_radical_of_jordan_block():
     J = as_matrix([[0, 1], [0, 0]], P)
     basis = commutant_basis([J, as_matrix([[0, 0], [0, 0]], P)], P)
-    rad = trace_form_radical(regular_representation(basis, P), P)
+    rad = trace_form_radical(basis, free_positions(basis), P)
     assert len(rad) == 1
     lift = np.zeros((2, 2), dtype=np.int64)
     for c, b in zip(rad[0], basis):
@@ -870,3 +875,221 @@ def test_intertwiner_basis_reduces_negative_and_unreduced_entries():
         assert any((B >= p).any() for _, B in shifted)
         got = assert_matches_oracle(shifted, p)
         assert [g.tolist() for g in got] == [w.tolist() for w in want]
+
+
+# ------------------------------------- trace form vs regular representation
+#
+# endomorphism_indecomposability reads coordinates off the canonical
+# commutant basis.  The regular representation L of End, solved for from
+# all dim**2 basis products, is kept here as the oracle: the radical as
+# the kernel of tr(L_i L_j), and the whole trace-form branch read off L.
+
+
+def regular_representation(basis, p):
+    """Left multiplication by each element of a matrix-algebra basis, in
+    basis coordinates: L[i] @ coords(y) = coords(basis[i] @ y).  All dim**2
+    products are solved for in one elimination; coordinates are unique."""
+    dim = len(basis)
+    stacked = np.stack([b.reshape(-1) for b in basis], axis=1)
+    prods = np.stack(
+        [mat_mul(a, b, p).reshape(-1) for a in basis for b in basis], axis=1
+    )
+    cols = solve_many(stacked, prods, p)
+    if any(c is None for c in cols):
+        raise CmwildError("algebra basis is not multiplicatively closed")
+    return [np.stack(cols[i * dim : (i + 1) * dim], axis=1) for i in range(dim)]
+
+
+def regular_trace_form_radical(L, p):
+    """Coordinate rows of the kernel of the trace form tr(L_i L_j)."""
+    # tr(L_i L_j) = vec(L_i) . vec(L_j^T)
+    rows = np.stack([Li.reshape(-1) for Li in L])
+    cols = np.stack([Li.T.reshape(-1) for Li in L], axis=1)
+    return nullspace(mat_mul(rows, cols, p), p)
+
+
+def regular_indecomposability(mats, p, seed=0):
+    """endomorphism_indecomposability for p > dim End, with the radical,
+    the commutators and Frobenius all read off L."""
+    mats = [as_matrix(M, p) for M in mats]
+    basis = commutant_basis(mats, p)
+    dim = len(basis)
+    assert p > dim
+    out = {"verdict": "Undecided", "endo_dim": dim, "idempotent": None,
+           "field_count": None}
+    if dim == 1:
+        out.update(verdict="Indecomposable",
+                   reason="endomorphism algebra is the ground field",
+                   field_count=1)
+        return out
+    rng = random.Random(seed)
+    L = regular_representation(basis, p)
+    R, pivots = rref(regular_trace_form_radical(L, p), p)
+    R = R[: len(pivots)]
+    free = [c for c in range(dim) if c not in pivots]
+
+    def reduce(X):
+        return (X - mat_mul(R.T, X[pivots], p)) % p
+
+    if not any(
+        reduce(L[a][:, [b]] - L[b][:, [a]]).any()
+        for i, a in enumerate(free)
+        for b in free[i + 1 :]
+    ):
+        # coords(b_c^p) = L_c^(p-1) e_c
+        frob = reduce(
+            np.stack([mat_pow(L[c], p - 1, p)[:, c] for c in free], axis=1)
+        )[free]
+        fixed = nullspace((frob - identity_matrix(len(free))) % p, p)
+        out["field_count"] = len(fixed)
+        if len(fixed) <= 1:
+            out.update(verdict="Indecomposable",
+                       reason="semisimple quotient of the endomorphism algebra"
+                       " is a field")
+            return out
+        for v in fixed:
+            e = _idempotent_from_element(combine(v, [basis[c] for c in free], p), p, rng)
+            if e is not None:
+                out.update(verdict="Decomposable", idempotent=e.tolist(),
+                           reason="Frobenius-fixed subspace splits off an idempotent")
+                return out
+        raise AssertionError("no idempotent from the Frobenius-fixed space")
+    out["verdict"] = "Decomposable"
+    out["reason"] = "semisimple quotient of the endomorphism algebra is noncommutative"
+    for _ in range(SAMPLES):
+        a = combine([rng.randrange(p) for _ in basis], basis, p)
+        e = _idempotent_from_element(a, p, rng)
+        if e is not None:
+            out["idempotent"] = e.tolist()
+            break
+    return out
+
+
+def free_positions(basis):
+    """The last nonzero entry of each element, row-major: ascending, and
+    the coordinates of the span in the canonical basis."""
+    f = [int(np.flatnonzero(b)[-1]) for b in basis]
+    assert f == sorted(f)
+    return f
+
+
+TRACE_PRIMES = (3, 5, 7, 11, 13, 31, 101, P, 2**31 - 1)
+ENDO_KINDS = ("random", "powers", "jordan", "diagonal", "scalar", "block")
+
+
+def draw_endo_tuple(data, n, p):
+    """Action matrices of one of ENDO_KINDS, optionally conjugated by a
+    unit lower times unit upper triangular matrix."""
+    kind = data.draw(st.sampled_from(ENDO_KINDS))
+    entry = st.integers(0, p - 1)
+    small = st.integers(0, min(p, 3) - 1)
+    if kind == "random":
+        mats = [draw_matrix(data, n, entry) for _ in range(data.draw(st.integers(1, 2)))]
+    elif kind == "powers":
+        X = draw_matrix(data, n, entry)
+        mats = [X, mat_pow(X, data.draw(st.integers(2, 3)), p)]
+    elif kind == "jordan":
+        # Jordan blocks of few distinct eigenvalues, and their squares
+        sizes, left = [], n
+        while left:
+            sizes.append(data.draw(st.integers(1, left)))
+            left -= sizes[-1]
+        J = np.zeros((n, n), dtype=np.int64)
+        at = 0
+        for size in sizes:
+            J[at : at + size, at : at + size] = jordan(size, data.draw(small))
+            at += size
+        mats = [J, mat_mul(J, J, p)]
+    elif kind == "diagonal":
+        mats = [draw_matrix(data, n, small, lambda i, j: i == j) for _ in range(2)]
+    elif kind == "scalar":
+        mats = [data.draw(small) * identity_matrix(n) for _ in range(2)]
+    else:
+        # a direct sum of two dense blocks
+        a = data.draw(st.integers(0, n))
+        mats = []
+        for _ in range(2):
+            X = np.zeros((n, n), dtype=np.int64)
+            X[:a, :a] = draw_matrix(data, a, entry)
+            X[a:, a:] = draw_matrix(data, n - a, entry)
+            mats.append(X)
+    if data.draw(st.booleans()):
+        L = draw_matrix(data, n, entry, lambda i, j: i > j) + identity_matrix(n)
+        U = draw_matrix(data, n, entry, lambda i, j: i < j) + identity_matrix(n)
+        mats = conjugate_tuple(mats, mat_mul(L, U, p), p)
+    return [M % p for M in mats]
+
+
+@settings(max_examples=250, deadline=None)
+@given(data=st.data())
+def test_trace_form_matches_the_regular_representation(data):
+    p = data.draw(st.sampled_from(TRACE_PRIMES))
+    n = data.draw(st.integers(1, min(6, p - 1)))
+    mats = draw_endo_tuple(data, n, p)
+    basis = commutant_basis(mats, p)
+    assume(p > len(basis))
+    seed = data.draw(st.integers(0, 3))
+    got = endomorphism_indecomposability(mats, p, seed=seed)
+    want = regular_indecomposability(mats, p, seed=seed)
+    event(got["reason"])
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    flat = np.stack([b.reshape(-1) for b in basis])
+    f = free_positions(basis)
+    assert np.array_equal(flat[:, f], identity_matrix(len(basis)))
+    if len(basis) > 1:
+        rad = trace_form_radical(basis, f, p)
+        want = regular_trace_form_radical(regular_representation(basis, p), p)
+        assert rad.tolist() == want.tolist()
+    # every product of two basis elements is the combination of its entries
+    # at the free positions
+    prods = np.stack([mat_mul(a, b, p).reshape(-1) for a in basis for b in basis])
+    assert np.array_equal(mat_mul(prods[:, f], flat, p), prods)
+
+
+def test_a_scaled_basis_element_is_refused(monkeypatch):
+    J = as_matrix(jordan(3, 0), P)
+    Z = np.zeros((3, 3), dtype=np.int64)
+    basis = commutant_basis([J, Z], P)
+    assert endomorphism_indecomposability([J, Z], P)["verdict"] == "Indecomposable"
+    scaled = [b.copy() for b in basis]
+    scaled[1] = 2 * scaled[1] % P
+    monkeypatch.setattr(matalg, "commutant_basis", lambda mats, p: scaled)
+    with pytest.raises(CmwildError, match="canonical form"):
+        endomorphism_indecomposability([J, Z], P)
+
+
+def test_a_product_outside_the_span_is_refused(monkeypatch):
+    # E_12 and E_21 are a canonical basis (free positions 1 and 2), but
+    # their commutator E_11 - E_22 is not in their span
+    E12 = as_matrix([[0, 1], [0, 0]], P)
+    E21 = as_matrix([[0, 0], [1, 0]], P)
+    monkeypatch.setattr(matalg, "commutant_basis", lambda mats, p: [E12, E21])
+    with pytest.raises(CmwildError, match="not multiplicatively closed"):
+        endomorphism_indecomposability([E12], P)
+
+
+def fermat_jordan_member(n):
+    return member_actions("fermat", jordan(n, 1), squared(jordan(n, 1)))
+
+
+@pytest.mark.parametrize("n, size, dim", [(3, 42, 120), (4, 56, 212)])
+def test_module_level_fermat_member_is_indecomposable(n, size, dim):
+    As = fermat_jordan_member(n)
+    assert As[0].shape == (size, size)
+    cert = endomorphism_indecomposability(As, P)
+    assert (cert["verdict"], cert["endo_dim"]) == ("Indecomposable", dim)
+
+
+def test_scalar_data_decides_in_small_memory():
+    # End is all of M_16: dim 256, and its regular representation alone
+    # would take 256**3 entries
+    eye = identity_matrix(16)
+    tracemalloc.start()
+    try:
+        cert = endomorphism_indecomposability([eye, 2 * eye], P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (cert["verdict"], cert["endo_dim"]) == ("Decomposable", 256)
+    check_idempotent(cert, eye, 2 * eye, P)
+    assert peak < 64 * 2**20
