@@ -10,7 +10,14 @@ quotient by it and Frobenius on its cosets are read off those entries, and
 every product read is checked to be the combination they give.  Every
 linear combination of a basis goes through ``combine``.
 
-Matrices are numpy int64 arrays with entries reduced mod p.  Products are
+The small products of both decisions run stacked: the commutators of the
+free cosets in chunks of 1, 2, 4, ... pairs (one product and one coordinate
+read per chunk; the chunk with the first noncommuting pair ends the test),
+Frobenius as one power of the stack of cosets, and the ranks of the
+conjugacy word invariants in one elimination over all words (``ranks``).
+
+Matrices are numpy int64 arrays with entries reduced mod p; ``mat_mul``
+and ``mat_pow`` also take stacks of them along leading axes.  Products are
 chunked so intermediate sums never overflow 63 bits, which keeps every
 routine exact for any characteristic the field layer admits.
 
@@ -48,35 +55,46 @@ EXHAUSTIVE_LIMIT = 100_000
 
 
 def as_matrix(data, p: int) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.int64)
+    """data as an int64 matrix with entries reduced mod p.  Entries must be
+    integers (bool, float and str are refused); Python ints beyond int64
+    are reduced exactly."""
+    # a signed integer array is checked by its dtype; anything else entry by
+    # entry, so a bool among ints or an int beyond int64 is seen
+    arr = data if isinstance(data, np.ndarray) else np.asarray(data, dtype=object)
     if arr.ndim != 2:
         raise InputError("expected a two-dimensional matrix")
-    return arr % p
+    if arr.dtype.kind == "i":
+        return arr.astype(np.int64, copy=False) % p
+    entries = arr.ravel().tolist()
+    if any(not isinstance(x, (int, np.integer)) or isinstance(x, bool) for x in entries):
+        raise InputError("matrix entries must be integers")
+    return np.array([int(x) % p for x in entries], dtype=np.int64).reshape(arr.shape)
+
 
 def identity_matrix(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
 
 
 def mat_mul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """A @ B mod p, chunked along the inner dimension to avoid overflow."""
-    if A.shape[1] != B.shape[0]:
+    """A @ B mod p over any leading batch axes (A[..., n, k] @ B[..., k, m]),
+    chunked along k to avoid overflow."""
+    k = A.shape[-1]
+    if k != B.shape[-2]:
         raise InputError("matrix shapes do not compose")
-    k = A.shape[1]
-    if k == 0:
-        return np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
     limit = max(1, (2**62) // max(1, (p - 1) ** 2))
     if k <= limit:
         return (A @ B) % p
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    out = 0
     for s in range(0, k, limit):
-        out = (out + A[:, s : s + limit] @ B[s : s + limit, :]) % p
+        out = (out + A[..., s : s + limit] @ B[..., s : s + limit, :]) % p
     return out
 
 
 def mat_pow(A: np.ndarray, e: int, p: int) -> np.ndarray:
-    if A.shape[0] != A.shape[1]:
+    """A**e mod p for a square matrix or a stack of them (A[..., n, n])."""
+    if A.shape[-1] != A.shape[-2]:
         raise InputError("matrix power needs a square matrix")
-    result = identity_matrix(A.shape[0])
+    result = np.broadcast_to(identity_matrix(A.shape[-1]), A.shape).copy()
     base = A % p
     while e:
         if e & 1:
@@ -130,6 +148,37 @@ def rank(A: np.ndarray, p: int) -> int:
     if A.size == 0:
         return 0
     return len(rref(A, p)[1])
+
+
+def ranks(stack: np.ndarray, p: int) -> list:
+    """The rank of every matrix of a same-shape stack (stack[s, r, c]), by
+    one elimination run on all of them at once.
+
+    Column c takes, in each matrix, its first unused row with a nonzero
+    there as pivot, marks it used, and clears column c from the rows that
+    were unused by row <- pivot * row - row[c] * pivot_row (the pivot row
+    itself goes to zero; it is never read again).  Scaling a row by a unit
+    keeps the rank, so no inverse is needed.
+    """
+    R = np.array(stack, dtype=np.int64) % p
+    if not R.size:
+        return [0] * len(R)
+    at = np.arange(len(R))
+    used = np.zeros(R.shape[:2], dtype=bool)
+    for c in range(R.shape[2]):
+        live = (R[:, :, c] != 0) & ~used
+        hit = live.argmax(axis=1)
+        found = live[at, hit]
+        if not found.any():
+            continue
+        used[at[found], hit[found]] = True
+        pivot_rows = R[at, hit, c:]
+        scale = np.where(found, pivot_rows[:, 0], 1)
+        mult = np.where(live, R[:, :, c], 0)
+        R[:, :, c:] = (
+            scale[:, None, None] * R[:, :, c:] - mult[:, :, None] * pivot_rows[:, None, :]
+        ) % p
+    return used.sum(axis=1).tolist()
 
 
 def nullspace(A: np.ndarray, p: int) -> np.ndarray:
@@ -571,15 +620,13 @@ def trace_form_radical(basis, f, p: int):
 
 
 def _word_invariants(mats, p: int):
-    words = list(mats)
-    words.append(combine([1] * len(mats), mats, p))
-    for i, X in enumerate(mats):
-        for j, Y in enumerate(mats):
-            if i != j:
-                words.append(mat_mul(X, Y, p))
-    for X in mats:
-        words.append(mat_mul(X, X, p))
-    return [rank(W, p) for W in words]
+    """Ranks of the words X_i, sum X_i, X_i X_j (i != j) and X_i^2."""
+    k = len(mats)
+    pairs = [(i, j) for i in range(k) for j in range(k) if i != j]
+    left, right = np.array(pairs + [(i, i) for i in range(k)]).T
+    M = np.stack(mats)
+    sum_all = combine([1] * k, mats, p)[None]
+    return ranks(np.concatenate([M, sum_all, mat_mul(M[left], M[right], p)]), p)
 
 
 def simultaneous_conjugacy(
@@ -739,21 +786,32 @@ def endomorphism_indecomposability(
         free = [c for c in range(dim) if c not in pivots]
 
         def reduce(mats):
-            """Coordinate columns of mats, read at f, modulo the radical."""
-            Y = np.stack([M.reshape(-1) for M in mats]) % p
+            """Coordinate columns of a stack of matrices, read at f, modulo
+            the radical."""
+            Y = mats.reshape(len(mats), -1) % p
             if np.any(mat_mul(Y[:, f], flat, p) != Y):
                 raise CmwildError("algebra basis is not multiplicatively closed")
             X = Y[:, f].T
             return (X - mat_mul(R.T, X[pivots], p)) % p
 
+        def commutative(cosets):
+            """Whether the cosets commute, tested on the pairs a < b in
+            chunks of 1, 2, 4, ... pairs: one stacked product per chunk,
+            and a noncommuting pair ends the test at its chunk."""
+            a, b = np.triu_indices(len(cosets), 1)
+            at, size = 0, 1
+            while at < len(a):
+                X, Y = cosets[a[at : at + size]], cosets[b[at : at + size]]
+                if reduce(mat_mul(X, Y, p) - mat_mul(Y, X, p)).any():
+                    return False
+                at, size = at + size, 2 * size
+            return True
+
         # the quotient is spanned by the cosets of basis[c], c in free
-        if not any(
-            reduce([mat_mul(basis[a], basis[b], p) - mat_mul(basis[b], basis[a], p)]).any()
-            for i, a in enumerate(free)
-            for b in free[i + 1 :]
-        ):
+        cosets = np.stack([basis[c] for c in free])
+        if commutative(cosets):
             # Frobenius on the cosets
-            frob = reduce([mat_pow(basis[c], p, p) for c in free])[free]
+            frob = reduce(mat_pow(cosets, p, p))[free]
             fixed = nullspace((frob - identity_matrix(len(free))) % p, p)
             r = len(fixed)
             out["field_count"] = r
@@ -769,9 +827,7 @@ def endomorphism_indecomposability(
             # whose minimal polynomial has no coprime split, so it yields
             # None without drawing from rng
             for v in fixed:
-                e = _idempotent_from_element(
-                    combine(v, [basis[c] for c in free], p), p, rng
-                )
+                e = _idempotent_from_element(combine(v, cosets, p), p, rng)
                 if e is not None:
                     out.update(
                         verdict="Decomposable",

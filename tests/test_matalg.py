@@ -13,7 +13,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from cmwild import matalg
-from cmwild.errors import CmwildError
+from cmwild.errors import CmwildError, InputError
 from cmwild.matalg import (
     SAMPLES,
     _idempotent_from_element,
@@ -30,6 +30,7 @@ from cmwild.matalg import (
     min_poly,
     nullspace,
     rank,
+    ranks,
     rref,
     simultaneous_conjugacy,
     solve,
@@ -141,6 +142,72 @@ def test_mat_mul_chunked_large_characteristic():
         for j in range(3):
             want = sum(int(A[i, k]) * int(B[k, j]) for k in range(5)) % p
             assert int(got[i, j]) == want
+
+
+def test_as_matrix_refuses_non_integer_entries():
+    for data in ([[0.5]], [["3"]], [[True]], [[1, True]], np.array([[1.0]])):
+        with pytest.raises(InputError, match="integers"):
+            as_matrix(data, 7)
+
+
+def test_as_matrix_reduces_large_integers_exactly():
+    # 2**70 = 2 and 2**64 = 2 mod 7
+    assert as_matrix([[2**70, -(2**70)], [2**64 - 1, -3]], 7).tolist() == [[2, 5], [1, 4]]
+    assert as_matrix(np.array([[2**64 - 1]], dtype=np.uint64), 7).tolist() == [[1]]
+    assert as_matrix(np.zeros((0, 0)), 7).dtype == np.int64
+
+
+RANK_PRIMES = (2, 3, 5, P, 2**31 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_ranks_match_rank_slice_by_slice(data):
+    p = data.draw(st.sampled_from(RANK_PRIMES))
+    shape = data.draw(st.sampled_from(("row", "column", "any")))
+    k = data.draw(st.integers(1, 7))
+    if shape == "row":
+        rows, cols = 1, k
+    elif shape == "column":
+        rows, cols = k, 1
+    else:
+        rows, cols = data.draw(st.integers(0, 7)), k
+    count = data.draw(st.integers(0, 5))
+    # mostly few distinct values, so ranks fall short of full
+    values = st.sampled_from([0, 1, p - 1]) | st.integers(0, p - 1)
+    stack = np.array(
+        [[[data.draw(values) for _ in range(cols)] for _ in range(rows)] for _ in range(count)],
+        dtype=np.int64,
+    ).reshape(count, rows, cols)
+    if count and data.draw(st.booleans()):
+        stack[data.draw(st.integers(0, count - 1))] = 0
+    if rows >= 3 and data.draw(st.booleans()):
+        stack[:, -1] = (stack[:, 0] + 2 * stack[:, 1]) % p
+    got = ranks(stack, p)
+    event(f"{shape}, ranks {got}"[:40])
+    assert got == [rank(W, p) for W in stack]
+    assert all(type(r) is int for r in got)
+
+
+@pytest.mark.parametrize("p", [5, 2**31 - 1])
+def test_stacked_products_match_slice_by_slice(p):
+    # at 2**31 - 1 the inner dimension is chunked one term at a time
+    rng = np.random.default_rng(3)
+    A = rng.integers(0, p, size=(2, 3, 4, 5))
+    B = rng.integers(0, p, size=(3, 5, 2))
+    got = mat_mul(A, B, p)
+    assert got.shape == (2, 3, 4, 2)
+    assert np.array_equal(got, (A.astype(object) @ B.astype(object)) % p)
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(got[i, j], mat_mul(A[i, j], B[j], p))
+    S = rng.integers(0, p, size=(4, 3, 3))
+    for e in (0, 1, 5, p):
+        assert np.array_equal(mat_pow(S, e, p), np.stack([mat_pow(W, e, p) for W in S]))
+    # e = 0 gives writable identity copies, not one broadcast identity
+    eye = mat_pow(S, 0, p)
+    eye[0, 0, 0] = 7
+    assert eye[1, 0, 0] == 1
 
 
 def test_rref_preserves_row_space():
@@ -1093,3 +1160,67 @@ def test_scalar_data_decides_in_small_memory():
     assert (cert["verdict"], cert["endo_dim"]) == ("Decomposable", 256)
     check_idempotent(cert, eye, 2 * eye, P)
     assert peak < 64 * 2**20
+
+
+# ------------------------------------------- batched End(M) decisions at scale
+#
+# The commutators of the free cosets are tested in stacked chunks of 1, 2,
+# 4, ... pairs, and Frobenius is one stacked power; the oracle reads the
+# same verdict off the regular representation.
+
+
+def stacked_product_sizes(monkeypatch):
+    """The leading size of every stacked (3-D) mat_mul call from matalg."""
+    sizes = []
+
+    def counted(A, B, p):
+        if A.ndim == 3:
+            sizes.append(A.shape[0])
+        return mat_mul(A, B, p)
+
+    monkeypatch.setattr(matalg, "mat_mul", counted)
+    return sizes
+
+
+def test_many_commuting_cosets_match_the_oracle(monkeypatch):
+    # distinct eigenvalues: End is F^12, so 12 free cosets and 66 pairs
+    S = invertible_matrix(random.Random(5), 12, P)
+    D = as_matrix(np.diag(np.arange(1, 13)), P)
+    mats = conjugate_tuple([D, mat_mul(D, D, P)], S, P)
+    want = regular_indecomposability(mats, P)
+    sizes = stacked_product_sizes(monkeypatch)
+    got = endomorphism_indecomposability(mats, P)
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    assert (got["verdict"], got["endo_dim"], got["field_count"]) == ("Decomposable", 12, 12)
+    # two products per chunk of 1, 2, ..., 32 pairs and the last 3, then
+    # every product of the Frobenius power on all 12 cosets at once
+    chunks = [1, 2, 4, 8, 16, 32, 3]
+    assert sizes[: 2 * len(chunks)] == [c for c in chunks for _ in range(2)]
+    assert set(sizes[2 * len(chunks) :]) == {12}
+
+
+def test_noncommuting_cosets_match_the_oracle(monkeypatch):
+    # End is F^6 x M_2, with free cosets E_00, E_11, E_22, E_23, ... in
+    # order, so the first noncommuting pair, (E_22, E_23), is pair 17 of 45
+    D = as_matrix(np.diag([1, 2, 3, 3, 4, 5, 6, 7]), P)
+    mats = [D, mat_mul(D, D, P)]
+    want = regular_indecomposability(mats, P)
+    sizes = stacked_product_sizes(monkeypatch)
+    got = endomorphism_indecomposability(mats, P)
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    assert (got["verdict"], got["endo_dim"]) == ("Decomposable", 10)
+    assert got["reason"] == (
+        "semisimple quotient of the endomorphism algebra is noncommutative"
+    )
+    # the chunk of 16 (pairs 15..30) ends the test; pairs 31..44 are skipped
+    assert sizes == [c for c in (1, 2, 4, 8, 16) for _ in range(2)]
+
+
+def test_scalar_data_stops_after_one_commutator_chunk(monkeypatch):
+    # End is M_24: the first pair of cosets already fails to commute
+    eye = identity_matrix(24)
+    sizes = stacked_product_sizes(monkeypatch)
+    cert = endomorphism_indecomposability([eye, 2 * eye], P)
+    assert (cert["verdict"], cert["endo_dim"]) == ("Decomposable", 576)
+    check_idempotent(cert, eye, 2 * eye, P)
+    assert sizes == [1, 1]
