@@ -13,6 +13,17 @@ position; basis elements whose real part vanished are exactly a generating
 set of the syzygy module, and full normal forms against the same basis solve
 membership with explicit coordinates.
 
+Syzygies modulo a submodule N of F (over a quotient ring: the ring
+relations times each generator, ``FreeModule.ring_basis``) take the
+reduced basis of N as an untagged ``base``.  Tagging each of its
+elements as well gives a larger module whose extra tags rank lowest.
+Dropping those tag coordinates maps it onto the untagged module, and
+maps the elements of its reduced basis whose leading term is off the
+extra tags one to one onto the untagged reduced basis, keeping each
+leading term; the other elements lie wholly at the extra tags and map
+to zero.  So both give the same syzygies, in the same listing, and the
+same solves.
+
 Buchberger's product criterion is applied only in rank one.  It fails for
 genuine modules: with u = x*e1 + y*e2 and v = y*e1 + x*e2 the S-vector
 (y^2 - x^2)*e2 reduces to neither.  The chain criterion is restricted to
@@ -31,6 +42,17 @@ basis of N + (new), and ``_interreduce`` turns it into the reduced basis,
 which is unique: the same monic vectors, listed by the same leading-term
 key, each filled leading term first and then in descending order.  Grown
 and rebuilt bases are therefore equal as ordered dicts.
+
+A basis can be cut at a degree: ``buchberger(..., bound=b)`` drops the
+generators and ``base`` elements of degree above b and queues no pair
+whose S-vector is of degree above b.  The inputs are homogeneous and
+pairs go by ascending degree, so every element of degree at most b of
+the submodule reduces to zero against the result, and an element above
+b never takes part in reducing one of degree at most b.  The reduced
+basis made this way is unique, so it is the part of the full reduced
+basis of degree at most b.  The listing ascends in degree, so it is a
+prefix of the full listing, and a normal form of degree at most b is
+the same against both.
 
 Packed terms.  Inside the kernel (``_reduce``, ``buchberger``,
 ``_interreduce``) a term (pos, m) of an order in n variables is one int,
@@ -93,6 +115,7 @@ filled in the same descending order as by a rescan.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from math import inf
 from struct import Struct
 
 from .errors import InputError
@@ -406,11 +429,17 @@ def _make_monic(v: dict, p: int):
 
 
 def buchberger(
-    gens, order: ModuleOrder, p: int, base: GroebnerBasis | None = None
+    gens,
+    order: ModuleOrder,
+    p: int,
+    base: GroebnerBasis | None = None,
+    bound: int | None = None,
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the submodule generated by ``gens``, or by
     ``gens`` and the reduced basis ``base`` when one is given; ``base``
-    must have been computed for the same order and field.
+    must have been computed over the same field, for ``order`` or for an
+    order whose terms pack to the same ints (the real part of a tagged
+    order, see ``ModuleOrder.with_tags``).
 
     Pairs are processed in ascending S-vector degree (normal strategy) with
     deterministic tie-breaks, so the reduced result is canonical for the
@@ -418,6 +447,10 @@ def buchberger(
     applied in rank one only (see the module docstring).  Pairs of two
     ``base`` elements are never queued; see the module docstring for why
     the grown basis equals the rebuilt one.
+
+    With a degree ``bound``, generators and ``base`` elements above it are
+    dropped and no pair past it is queued: the result is the part of the
+    reduced basis in degrees up to ``bound`` (see the module docstring).
     """
     product_criterion = order.rank == 1
     gb = GroebnerBasis(order, p)
@@ -427,11 +460,13 @@ def buchberger(
     fields = order.fields
     nbytes = 2 * order.nvars
     heap: list = []
+    top = inf if bound is None else bound
     # pairs (i, j) with j < n_base join two base elements: already treated
     n_base = 0
     if base is not None:
         for lt, tail in zip(base._lts, base._tails):
-            gb._add(lt, tail)
+            if order.term_degree(lt) <= top:
+                gb._add(lt, tail)
         n_base = len(gb)
 
     def queue_pairs(j):
@@ -449,15 +484,15 @@ def buchberger(
             keep = (((e_i | guards) - e_j) & guards) >> (FIELD_BITS - 1)
             lcm = e_j ^ ((e_i ^ e_j) & keep * _VALUE_MASK)
             dl = sum(fields.unpack(lcm.to_bytes(nbytes, "little")))
-            # ascending S-vector degree, then grevlex ascending on the lcm
-            heappush(heap, (dl + gd, dl, -lcm, i, j))
+            if dl + gd <= top:
+                # ascending S-vector degree, then grevlex ascending on the lcm
+                heappush(heap, (dl + gd, dl, -lcm, i, j))
 
     for g in gens:
         v = order.pack_vec(g, p)
-        if v:
-            # reduction keeps the degree of every term only for homogeneous
-            # vectors, and the degree limit rests on that
-            order.degree(v)
+        # reduction keeps the degree of every term only for homogeneous
+        # vectors, and the degree limit rests on that
+        if v and order.degree(v) <= top:
             queue_pairs(gb._add(*_make_monic(v, p)))
 
     treated: set = set()
@@ -524,22 +559,40 @@ def _interreduce(gb: GroebnerBasis) -> GroebnerBasis:
 
 
 class TaggedBasis:
-    """Groebner basis of [g_i + eps_i] with elimination tags.
+    """Groebner basis of [g_i + eps_i] with elimination tags, grown from an
+    untagged ``base``.
 
     Provides syzygy generators (pure-tag basis elements) and coordinate
     solves (normal form of (v, 0); a vanishing real part certifies
-    membership and the tag residue encodes the coordinates).
+    membership and the tag residue encodes the coordinates).  Both are
+    taken modulo the submodule that ``base`` (a reduced basis in
+    ``base_order``, such as ``FreeModule.ring_basis``) generates: its
+    elements enter the tagged basis as they are, without tags.
 
     The generators are vectors of the free module of ``base_order``,
     tuple-keyed or packed in ``base_order``.  A real position packs to the
     same int in the tagged order, so packed generators enter as they are,
     and ``syzygies`` and ``solve`` hand packed results back in the order of
     the caller's choice, with one swap of rank bits per term.
+
+    With a degree ``bound``, only the part of the basis up to ``bound`` is
+    built (see ``buchberger``): ``syzygies`` then lists the syzygies of
+    degree at most ``bound``, a prefix of the unbounded listing, and
+    ``solve`` is exact on vectors of degree at most ``bound``.  Degrees are
+    those of the tagged order, where a zero generator has the lowest real
+    degree.
     """
 
     __slots__ = ("p", "real_rank", "order", "gb")
 
-    def __init__(self, gens, base_order: ModuleOrder, p: int):
+    def __init__(
+        self,
+        gens,
+        base_order: ModuleOrder,
+        p: int,
+        base: GroebnerBasis | None = None,
+        bound: int | None = None,
+    ):
         r = base_order.rank
         gens = [base_order.pack_vec(g, p) for g in gens]
         # a zero generator's tag is immaterial; its degree is the lowest
@@ -553,9 +606,9 @@ class TaggedBasis:
         self.p = p
         self.real_rank = r
         self.order = order
-        # two or more generators give a tagged order of rank >= 2, so the
-        # product criterion is off whenever a pair exists
-        self.gb = buchberger(tagged, order, p)
+        # a generator and a real position give a tagged order of rank >= 2,
+        # so the product criterion is off whenever a pair exists
+        self.gb = buchberger(tagged, order, p, base=base, bound=bound)
 
     def syzygies(self, order: ModuleOrder, count: int) -> list:
         """Generators of the syzygy module of the input generators, cut to

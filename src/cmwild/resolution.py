@@ -2,8 +2,9 @@
 Betti tables, and comparison maps.
 
 Resolutions are built stepwise: syzygies of the current differential's
-columns (with the ring-relation adjunction) come from a tagged elimination
-basis, and unit entries of the new differential are eliminated immediately.
+columns (modulo the lifted ring basis, which enters untagged) come from a
+tagged elimination basis, and unit entries of the new differential are
+eliminated immediately.
 Eliminating a unit at (r, c) of delta_i clears its row by column operations
 (a basis change of F_i, invisible to anything already built), clears its
 column by row operations whose mirror is a column operation on delta_{i-1},
@@ -13,9 +14,18 @@ Row/column mirrors never create new unit entries upstream: a degree-zero
 entry of a minimal matrix is already zero, and the graded operations cannot
 raise it.
 
-One extra syzygy step beyond the requested length is computed and discarded:
-a redundant generator in the top differential only becomes visible as a unit
-entry one step later, and the elimination cascade is what prunes it.
+One step past the requested length k prunes the top differential: a
+redundant generator of F_k only becomes visible as a unit entry of
+delta_{k+1}, and the elimination cascade is what prunes it.  A unit of
+delta_{k+1} sits in a syzygy of the degree of a generator of F_k, so that
+step is cut at the top generator degree of F_k (see ``buchberger``'s
+bound).  The syzygies are listed by ascending degree, so the cut ones are
+a prefix of the full list.  A column past it is of a degree above every
+generator degree of F_k, before and after the updates, so it holds no
+unit, and the same pivots make the same changes to delta_k.  If the cut step leaves no
+column, before or after its units are eliminated, the cut cannot tell
+whether delta_k is injective.  ``terminated`` is then the Euler identity
+HS(M) = sum_{i <= k} (-1)^i HS(F_i), which holds exactly when it is.
 
 Columns are packed (see the ``groebner`` docstring), each in the order of
 its target free module, from the presentation's packed relations to the
@@ -27,9 +37,11 @@ bits.  Reduction modulo the ring is one ``_reduce`` against the free
 module's lifted ring basis (``FreeModule.ring_basis``, built once per
 module).  A real position packs to the same int in the tagged order, so
 the columns enter ``TaggedBasis`` as they are and the syzygies leave it
-packed, moved to F_i by a swap of rank bits.  ``comparison_map`` lifts
-with ``FreeMap.apply`` and certifies each lift with the differential's
-``apply``; ``check_complex`` composes the maps the same way.
+packed, moved to F_i by a swap of rank bits.  ``comparison_map`` solves
+only in the degrees of the Koszul generators, so its tagged bases are cut
+there; it lifts with ``FreeMap.apply`` and certifies each lift with the
+differential's ``apply``; ``check_complex`` composes the maps the same
+way.
 """
 
 from __future__ import annotations
@@ -38,7 +50,7 @@ from collections import Counter
 from itertools import combinations
 
 from .errors import CmwildError, InputError
-from .groebner import TaggedBasis, add_mul
+from .groebner import TaggedBasis, add_mul, series_add
 from .modules import FreeMap, FreeModule, ModulePresentation
 from .poly import add_terms
 from .rings import QuotientRing
@@ -259,12 +271,12 @@ def minimal_resolution(pres: ModulePresentation, length: int) -> Resolution:
     terminated = False
 
     for i in range(1, length + 2):
+        if cols:
+            cols = _eliminate_units(ring, frees, maps_cols, i, cols)
         if not cols:
-            terminated = True
-            break
-        cols = _eliminate_units(ring, frees, maps_cols, i, cols)
-        if not cols:
-            terminated = True
+            # a step past the requested length was cut at a degree bound,
+            # so only the Euler identity tells whether it is empty
+            terminated = i <= max(length, 1) or _euler_identity_holds(pres, frees)
             break
         if i == length + 1:
             # the extra step exists only to prune the one below it
@@ -273,7 +285,10 @@ def minimal_resolution(pres: ModulePresentation, length: int) -> Resolution:
         source = FreeModule(ring, [-target.order.term_degree(min(c)) for c in cols])
         frees.append(source)
         maps_cols.append(cols)
-        tagged = TaggedBasis(cols + target.ring_basis.packed(), target.order, p)
+        # a unit of the pruning step sits in a syzygy of the degree of a
+        # generator of F_length, and the syzygies are listed by degree
+        bound = max(source.gen_degrees) if i == length else None
+        tagged = TaggedBasis(cols, target.order, p, base=target.ring_basis, bound=bound)
         nxt = []
         for s in tagged.syzygies(source.order, len(cols)):
             s = source.ring_reduce(s)
@@ -292,6 +307,20 @@ def minimal_resolution(pres: ModulePresentation, length: int) -> Resolution:
     if not res.check_complex():
         raise CmwildError("resolution differentials do not compose to zero")
     return res
+
+
+def _euler_identity_holds(pres: ModulePresentation, frees) -> bool:
+    """HS(M) = sum_i (-1)^i HS(F_i), as numerators over (1 - t)^nvars.
+
+    F_k -> ... -> F_0 -> M -> 0 is exact except at the top F_k, so the
+    two sides differ by +-HS(K) for the kernel K of delta_k, and the
+    identity holds iff K = 0."""
+    rest = pres.hilbert_numerator
+    ring_numerator = pres.ring.hilbert_numerator
+    for i, free in enumerate(frees):
+        for d in free.gen_degrees:
+            series_add(rest, ring_numerator, d, (-1) ** (i + 1))
+    return not rest
 
 
 # --------------------------------------------------------- comparison maps
@@ -313,7 +342,11 @@ def comparison_map(koszul: Resolution, res: Resolution) -> list[FreeMap]:
     for i in range(1, top + 1):
         target, source = res.frees[i - 1], res.frees[i]
         delta = res.maps[i]
-        tagged = TaggedBasis(delta.packed + target.ring_basis.packed(), target.order, p)
+        # every vector solved here has the degree of a generator of K_i
+        tagged = TaggedBasis(
+            delta.packed, target.order, p, base=target.ring_basis,
+            bound=max(koszul.frees[i].gen_degrees),
+        )
         cols = []
         for w in koszul.maps[i].packed:
             v = phis[-1].apply(w)  # phi_{i-1}(w)

@@ -423,14 +423,22 @@ def test_family_report_deterministic(fermat):
     assert rep1["member"]["length"] == 14
 
 
-def test_fermat_member_n4_report_digest(fermat):
-    # Ax the 4x4 Jordan block with eigenvalue 1, Ay = Ax^2; the report is
-    # pinned by the first 16 hex digits of the SHA-256 of its sorted JSON
-    Ax = [[int(j in (i, i + 1)) for j in range(4)] for i in range(4)]
+def jordan_report_digest(fermat, n):
+    """The first 16 hex digits of the SHA-256 of the sorted JSON report of
+    the member with Ax the n x n Jordan block with eigenvalue 1, Ay = Ax^2."""
+    Ax = [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]
     Ay = mat_mul(as_matrix(Ax, P), as_matrix(Ax, P), P).tolist()
     rep = family_report(two_param(fermat, Ax, Ay))
-    digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
-    assert digest[:16] == "6b5818eedd27f707"
+    return hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def test_fermat_member_n4_report_digest(fermat):
+    assert jordan_report_digest(fermat, 4) == "6b5818eedd27f707"
+
+
+@pytest.mark.parametrize("n, digest", [(5, "0417d090afbc3e06"), (6, "e7727bd3399a4b15")])
+def test_fermat_jordan_member_report_digest(fermat, n, digest):
+    assert jordan_report_digest(fermat, n) == digest
 
 
 def test_action_matrices_respect_ring_relations(binary):

@@ -520,6 +520,149 @@ class TestGrownBases:
         assert listing(pres.gb) == listing(rebuilt)
 
 
+# ------------------------------------------------- the ring basis as a base
+
+TAGGED_RINGS = [["x^3+y^3+z^3"], ["x^2*y+y*z^2+z^3"], ["x^2+y*z", "y^2+x*z"]]
+
+
+@st.composite
+def tagged_inputs(draw):
+    """(free module, generators): a free module of rank 1-3 over a
+    hypersurface (fixed or random) or the complete intersection
+    (x^2+yz, y^2+xz) in 3 variables over F_31, and 1-3 homogeneous
+    tuple-keyed generators, one of them maybe zero."""
+    amb = PolyRing(["x", "y", "z"], GROW_P)
+    rels = draw(st.one_of(
+        st.sampled_from(TAGGED_RINGS).map(lambda strs: [amb.parse(s) for s in strs]),
+        homogeneous_vectors((0,), 1, 1).map(lambda vs: polys_from(amb, vs)),
+    ))
+    gen_degrees = GROW_RANKS[draw(st.sampled_from(sorted(GROW_RANKS)))]
+    free = FreeModule(QuotientRing(amb, rels), [-d for d in gen_degrees])
+    gens = draw(homogeneous_vectors(gen_degrees, 1, 3))
+    if draw(st.booleans()):
+        gens.insert(draw(st.integers(0, len(gens))), {})
+    return free, gens
+
+
+def tag_order(tb, count):
+    """The free module whose position j is generator j of a tagged basis,
+    in its tag degrees: a zero generator has the lowest real degree."""
+    r = tb.real_rank
+    return ModuleOrder(tb.order.gen_degrees[r : r + count], tb.order.nvars)
+
+
+def ring_tagged(gens, free):
+    """The tagged basis with the ring basis tagged like the generators:
+    the construction an untagged ``base`` replaces, kept as its oracle."""
+    return TaggedBasis(gens + free.ring_basis.packed(), free.order, GROW_P)
+
+
+def span_vectors(rng, gens, free, degrees):
+    """Random elements of the span of ``gens`` and the ring basis, one in
+    each of the given degrees; tuple-keyed."""
+    p, nvars = GROW_P, free.ring.nvars
+    spanning = [g for g in gens if g] + free.ring_basis.vectors
+    out = []
+    for deg in degrees:
+        v = {}
+        for g in spanning:
+            d = tuple_degree(g, free.gen_degrees)
+            if d > deg:
+                continue
+            for m in monomials_of_degree(nvars, deg - d):
+                if rng.random() < 0.3:
+                    v = vec_add(v, vec_mono_shift(g, m, rng.randrange(1, p), p), p)
+        out.append(v)
+    return out
+
+
+def items(vectors):
+    """Packed vectors as (term, coefficient) lists, so that equality also
+    compares the order of each dict."""
+    return [list(v.items()) for v in vectors]
+
+
+class TestUntaggedRingBase:
+    """``TaggedBasis(gens, order, p, base=ring_basis)`` against the ring
+    basis entered with tags of its own: dropping the ring-tag coordinates
+    of the tagged construction gives the untagged one, so both list the
+    same syzygies (the tagged one also lists the syzygies among ring
+    relations, which project to zero) and solve to the same coordinates.
+    A degree bound keeps the part of both up to the bound."""
+
+    @GROW_SETTINGS
+    @given(inputs=tagged_inputs(), seed=st.integers(0, 2**16))
+    def test_untagged_base_matches_tagged_ring_basis(self, inputs, seed):
+        free, gens = inputs
+        rng = random.Random(seed)
+        k = len(gens)
+        new = TaggedBasis(gens, free.order, GROW_P, base=free.ring_basis)
+        old = ring_tagged(gens, free)
+        order = tag_order(new, k)
+        assert items(new.syzygies(order, k)) == items(s for s in old.syzygies(order, k) if s)
+        low = min(free.gen_degrees)
+        for v in span_vectors(rng, gens, free, range(low + 1, low + 5)):
+            got = new.solve(free.order.pack_vec(v, GROW_P), order, k)
+            assert got is not None
+            assert list(got.items()) == list(
+                old.solve(free.order.pack_vec(v, GROW_P), order, k).items()
+            )
+        for _ in range(4):
+            v = random_homogeneous_vec(rng, free.gen_degrees, 3, GROW_P, rng.randint(low, low + 4))
+            got = new.solve(free.order.pack_vec(v, GROW_P), order, k)
+            want = old.solve(free.order.pack_vec(v, GROW_P), order, k)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert list(got.items()) == list(want.items())
+
+    @GROW_SETTINGS
+    @given(inputs=tagged_inputs(), data=st.data())
+    def test_bounded_basis_is_the_unbounded_one_up_to_the_bound(self, inputs, data):
+        free, gens = inputs
+        rng = random.Random(data.draw(st.integers(0, 2**16)))
+        k = len(gens)
+        full = TaggedBasis(gens, free.order, GROW_P, base=free.ring_basis)
+        order = tag_order(full, k)
+        bound = data.draw(st.integers(min(order.gen_degrees), max(order.gen_degrees) + 3))
+        cut = TaggedBasis(gens, free.order, GROW_P, base=free.ring_basis, bound=bound)
+        basis, basis_cut = full.gb.packed(), cut.gb.packed()
+        assert items(basis_cut) == items(basis[: len(basis_cut)])
+        assert all(full.order.degree(v) <= bound for v in basis_cut)
+        assert all(full.order.degree(v) > bound for v in basis[len(basis_cut) :])
+        syz, syz_cut = full.syzygies(order, k), cut.syzygies(order, k)
+        assert items(syz_cut) == items(syz[: len(syz_cut)])
+        assert all(order.degree(s) <= bound for s in syz_cut)
+        assert all(order.degree(s) > bound for s in syz[len(syz_cut) :])
+        low = min(free.gen_degrees)
+        degrees = range(low + 1, bound + 1)
+        vectors = span_vectors(rng, gens, free, degrees) + [
+            random_homogeneous_vec(rng, free.gen_degrees, 3, GROW_P, d) for d in degrees
+        ]
+        for v in vectors:
+            got = cut.solve(free.order.pack_vec(v, GROW_P), order, k)
+            want = full.solve(free.order.pack_vec(v, GROW_P), order, k)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert list(got.items()) == list(want.items())
+
+    def test_zero_generator_bound_in_tag_degrees(self):
+        # generators in degree 2 and 3 of a module generated in degree 2:
+        # the zero generator's tag has degree 2, so its syzygy eps_0 is the
+        # only one a bound of 2 keeps
+        free = FreeModule(QuotientRing.from_strings(["x", "y", "z"], ["x^2+y*z"], GROW_P), [-2])
+        gens = [{}, {(0, (1, 0, 0)): 1}]
+        full = TaggedBasis(gens, free.order, GROW_P, base=free.ring_basis)
+        cut = TaggedBasis(gens, free.order, GROW_P, base=free.ring_basis, bound=2)
+        order = tag_order(full, 2)
+        assert order.gen_degrees == (2, 3)
+        syz = full.syzygies(order, 2)
+        assert items(cut.syzygies(order, 2)) == items(syz[:1]) == [[(order.rank_bits[0] | order.const_term, 1)]]
+        # x is a nonzerodivisor, so the other syzygy is the ring relation
+        # x^2 + y z on the degree-3 generator
+        assert [order.degree(s) for s in syz] == [2, 5]
+        assert items(syz) == items(s for s in ring_tagged(gens, free).syzygies(order, 2) if s)
+
+
 class TestPackedPresentations:
     """A presentation keeps its relations packed in its free module's
     order.  Built from packed or from tuple-keyed relations it is the same

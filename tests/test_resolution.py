@@ -4,9 +4,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_matalg import brute_rref
+from test_resolution_pins import MEMBERS, SEQUENCES
+from test_resolution_pins import ring as pin_ring
 
 from cmwild import resolution
 from cmwild.errors import CmwildError, InputError
+from cmwild.family import FamilyMember, FamilySpec
 from cmwild.groebner import GroebnerBasis, TaggedBasis, buchberger
 from cmwild.modules import ModulePresentation
 from cmwild.resolution import (
@@ -216,6 +219,78 @@ def test_resolution_is_deterministic():
     assert [F.twists for F in r1.frees] == [F.twists for F in r2.frees]
     for i in r1.maps:
         assert r1.maps[i].columns == r2.maps[i].columns
+
+
+# ------------------------------------------------------- the pruning step
+#
+# The step past the requested length only prunes the one below it, so it
+# is cut at the largest generator degree of F_length.  When it comes out
+# empty, ``terminated`` is the verdict of the Euler identity.
+
+
+def euler_verdicts(monkeypatch) -> list:
+    """The verdicts of the Euler-identity checks that ``minimal_resolution``
+    makes from now on, in order."""
+    seen = []
+    check = resolution._euler_identity_holds
+
+    def spy(pres, frees):
+        seen.append(check(pres, frees))
+        return seen[-1]
+
+    monkeypatch.setattr(resolution, "_euler_identity_holds", spy)
+    return seen
+
+
+def test_pruning_step_terminates_exactly_at_the_length(monkeypatch):
+    R = QuotientRing.from_strings(["x", "y"], ["x^4+y^4"], P)
+    # x^2 is regular on R, so F_1 = R(-2) is the last module; the step past
+    # it, cut at degree 2, is empty, and only the identity tells it ends
+    pres = ModulePresentation(R, [0], [{(0, (2, 0)): 1}])
+    seen = euler_verdicts(monkeypatch)
+    res = minimal_resolution(pres, 1)
+    assert seen == [True]
+    assert res.terminated
+    assert res.betti() == {(0, 0): 1, (1, 2): 1}
+    assert res.syzygy_presentation(1).relations == ()
+    # resolved further, the unbounded step 2 is empty: no check needed
+    assert minimal_resolution(pres, 3).terminated
+    assert seen == [True]
+
+
+def test_pruning_step_empty_below_the_bound_does_not_terminate(monkeypatch):
+    binary = QuotientRing.from_strings(["x", "y"], ["x^4+y^4"], P)
+    spec = FamilySpec(binary, ["x^2"], 3, [[1, 1], [0, 1]])
+    member = FamilyMember(spec)
+    top = spec.d + 1
+    seen = euler_verdicts(monkeypatch)
+    res = minimal_resolution(member.over_ring, top)
+    # no syzygy of F_top has degree <= 5, but syzygies exist
+    assert max(res.frees[top].gen_degrees) == 5
+    assert seen == [False]
+    assert not res.terminated
+    longer = minimal_resolution(member.over_ring, top + 1)
+    assert [f.twists for f in longer.frees[: top + 1]] == [f.twists for f in res.frees]
+    assert longer.frees[top + 1].gen_degrees == (6, 6, 7, 7)
+
+
+PIN_CASES = [("member", name) for name in sorted(MEMBERS)] + [
+    ("sequence", name) for name in sorted(SEQUENCES)
+]
+
+
+@pytest.mark.parametrize("kind, name", PIN_CASES)
+def test_euler_identity_closes_exactly_when_terminated(kind, name):
+    if kind == "member":
+        rname, seq, c, Ax, Ay = MEMBERS[name]
+        member = FamilyMember(FamilySpec(pin_ring(rname), seq, c, Ax, Ay=Ay))
+        pres, res = member.over_ring, member.resolution
+    else:
+        R = pin_ring(name)
+        ys = [R.parse(s) for s in SEQUENCES[name]]
+        pres = ModulePresentation(R, [0], [{(0, m): c for m, c in y.terms.items()} for y in ys])
+        res = minimal_resolution(pres, len(ys))
+    assert resolution._euler_identity_holds(pres, res.frees) == res.terminated
 
 
 # -------------------------------------------------------- syzygy modules
