@@ -22,10 +22,11 @@ step is cut at the top generator degree of F_k (see ``buchberger``'s
 bound).  The syzygies are listed by ascending degree, so the cut ones are
 a prefix of the full list.  A column past it is of a degree above every
 generator degree of F_k, before and after the updates, so it holds no
-unit, and the same pivots make the same changes to delta_k.  If the cut step leaves no
-column, before or after its units are eliminated, the cut cannot tell
-whether delta_k is injective.  ``terminated`` is then the Euler identity
-HS(M) = sum_{i <= k} (-1)^i HS(F_i), which holds exactly when it is.
+unit, and the same pivots make the same changes to delta_k.  If the cut
+step leaves no column, before or after its units are eliminated, the cut
+cannot tell whether delta_k is injective.  ``terminated`` is then the
+Euler identity HS(M) = sum_{i <= k} (-1)^i HS(F_i), which holds exactly
+when it is.
 
 Columns are packed (see the ``groebner`` docstring), each in the order of
 its target free module, from the presentation's packed relations to the
@@ -274,8 +275,9 @@ def minimal_resolution(pres: ModulePresentation, length: int) -> Resolution:
         if cols:
             cols = _eliminate_units(ring, frees, maps_cols, i, cols)
         if not cols:
-            # a step past the requested length was cut at a degree bound,
-            # so only the Euler identity tells whether it is empty
+            # past the requested length the step was cut at a degree bound
+            # (step 1 is the relations themselves), so there only the
+            # Euler identity tells whether the full step is empty
             terminated = i <= max(length, 1) or _euler_identity_holds(pres, frees)
             break
         if i == length + 1:
