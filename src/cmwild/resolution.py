@@ -66,11 +66,12 @@ class Resolution:
     requested length (finite projective dimension).
     """
 
-    def __init__(self, ring, frees, maps, minimal, presentation, terminated=False):
+    minimal = True  # both constructors leave no unit entry in a differential
+
+    def __init__(self, ring, frees, maps, presentation, terminated=False):
         self.ring = ring
         self.frees = list(frees)
         self.maps = dict(maps)  # {i: FreeMap for delta_i}, i >= 1
-        self.minimal = minimal
         self.presentation = presentation
         self.terminated = terminated
 
@@ -176,7 +177,7 @@ def koszul_complex(ring: QuotientRing, elems, copies: int = 1) -> Resolution:
     presentation = ModulePresentation(
         ring, frees[0].gen_degrees, maps[1].packed if d >= 1 else []
     )
-    return Resolution(ring, frees, maps, True, presentation, terminated=(d >= 0))
+    return Resolution(ring, frees, maps, presentation, terminated=True)
 
 
 # ------------------------------------------------- minimal free resolutions
@@ -305,7 +306,7 @@ def minimal_resolution(pres: ModulePresentation, length: int) -> Resolution:
     # at length 0 the pruned relations never became a stored map
     pres_rels = maps[1].packed if maps else cols
     presentation = ModulePresentation(ring, frees[0].gen_degrees, pres_rels)
-    res = Resolution(ring, frees, maps, True, presentation, terminated=terminated)
+    res = Resolution(ring, frees, maps, presentation, terminated=terminated)
     if not res.check_complex():
         raise CmwildError("resolution differentials do not compose to zero")
     return res

@@ -19,7 +19,7 @@ Regularity of an element on a module is decided exactly through Hilbert
 series numerators: y of degree e is a nonzerodivisor on N iff the numerator
 of N/yN equals (1 - t^e) times the numerator of N.  Both directions are
 sound because the numerator of the kernel (0 :_N y) is the difference of
-the two sides.
+the two sides.  N/yN is presented over R/(y), as R/(y) is for a ring.
 """
 
 from __future__ import annotations
@@ -60,9 +60,7 @@ def verify_regular_element(target, y: Poly) -> QuotientRing | ModulePresentation
     if isinstance(target, QuotientRing):
         quotient = target.extend([y])
     elif isinstance(target, ModulePresentation):
-        quotient = target.quotient(
-            [{(j, m): c for m, c in y.terms.items()} for j in range(target.rank)]
-        )
+        quotient = target.reduce_mod([y])
     else:
         raise InputError("regularity target must be a ring or a module presentation")
     # (1 - t^e) N; each hilbert_numerator read is a fresh copy, so N is

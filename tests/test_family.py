@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cmwild import rings
+from cmwild import modules, rings
 from cmwild.errors import InputError
 from cmwild.family import (
     FamilyMember,
@@ -185,14 +185,32 @@ def test_mcm_module_certified(fermat, binary):
 
 
 def test_chained_module_quotient_matches_reduce_mod(fermat):
-    # mcm_verified carries N/y1 N over R to the next stage; it presents the
-    # same module as the syzygy over R/(y1)
+    # the MCM walk carries N/y1 N, presented over R/(y1), to the next stage;
+    # it is the same module as the syzygy over R with y1 times each
+    # generator added
     spec = two_param(fermat, [[0, 1], [0, 0]], [[1, 0], [0, 1]])
     syzygy = FamilyMember(spec).syzygy
     y1 = spec.sequence[0]
     chained = verify_regular_element(syzygy, y1)
     assert chained is not None
-    assert chained.hilbert_numerator == syzygy.reduce_mod([y1]).hilbert_numerator
+    assert chained.ring == fermat.extend([y1])
+    along = [{(j, m): c for m, c in y1.terms.items()} for j in range(syzygy.rank)]
+    assert chained.hilbert_numerator == syzygy.quotient(along).hilbert_numerator
+
+
+def per_degree_shift_rows(bundle):
+    """The shift-embedding rows counted degree by degree in standard terms,
+    over the syzygy reduced by the whole sequence at once."""
+    spec, M = bundle.spec, bundle.member
+    omega_bar = bundle.syzygy.reduce_mod(spec.sequence)
+    quot = omega_bar.quotient([{t: 1} for t in omega_bar.component_terms(spec.m)])
+    top = max(omega_bar.top_degree(), spec.m + max(M.top_degree(), 0))
+    rows = []
+    for t in range(top + 2):
+        sub = omega_bar.hilbert_dim(t) - quot.hilbert_dim(t)
+        shifted = M.hilbert_dim(t - spec.m)
+        rows.append({"t": t, "submodule": sub, "shifted_member": shifted, "match": sub == shifted})
+    return rows
 
 
 def test_mcm_rejects_a_finite_length_module(binary):
@@ -202,6 +220,41 @@ def test_mcm_rejects_a_finite_length_module(binary):
     assert verify_regular_element(bundle.over_ring, bundle.spec.sequence[0]) is None
     bundle.__dict__["syzygy"] = bundle.over_ring
     assert bundle.mcm_verified is False
+    # the walk still ends at the reduction by the whole sequence
+    rows = verify_shift_embedding(bundle.spec, bundle)["rows"]
+    assert rows == per_degree_shift_rows(bundle)
+
+
+def test_mcm_rejects_at_the_second_stage(fermat):
+    # N = R/(the variable y): x^2 is regular on N, but y^2 kills N/x^2 N,
+    # so the walk stops at the second stage and finishes the reduction there
+    bundle = FamilyMember(two_param(fermat, [[1]], [[2]]))
+    bundle.__dict__["syzygy"] = ModulePresentation(fermat, [0], [{(0, (0, 1, 0)): 1}])
+    x2, y2 = bundle.spec.sequence
+    assert verify_regular_element(bundle.syzygy, x2) is not None
+    assert bundle.mcm_verified is False
+    omega_bar = bundle.reduced_syzygy[0]
+    one_shot = bundle.syzygy.reduce_mod([x2, y2])
+    assert omega_bar.ring == one_shot.ring
+    assert list(omega_bar.gb.vectors) == list(one_shot.gb.vectors)
+    rows = verify_shift_embedding(bundle.spec, bundle)["rows"]
+    assert rows == per_degree_shift_rows(bundle)
+
+
+def test_family_report_builds_one_basis_per_stage(monkeypatch, fermat):
+    calls = []
+    real = modules.buchberger
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(modules, "buchberger", counting)
+    spec = two_param(fermat, [[1]], [[2]])
+    family_report(spec)
+    # N = Omega^2(M), N/x^2 N, N/(x^2, y^2)N (read by the MCM check and the
+    # shift check alike), its quotient by the degree-m component, and M
+    assert len(calls) == 5
 
 
 def test_syzygy_nonzero_after_full_reduction(fermat):
@@ -219,12 +272,14 @@ def test_syzygy_nonzero_after_full_reduction(fermat):
 
 def test_shift_embedding_fermat(fermat):
     spec = two_param(fermat, [[1]], [[2]])
-    rep = verify_shift_embedding(spec)
+    bundle = FamilyMember(spec)
+    rep = verify_shift_embedding(spec, bundle)
     assert rep["passed"] is True
     rows = {r["t"]: r for r in rep["rows"]}
     assert rows[4]["submodule"] == 1 and rows[4]["shifted_member"] == 1
     assert rows[6]["submodule"] == 4
     assert all(r["match"] for r in rep["rows"])
+    assert rep["rows"] == per_degree_shift_rows(bundle)
 
 
 def test_resolution_shape_fermat(fermat):

@@ -489,7 +489,7 @@ class TestGrownBases:
         ring = QuotientRing(amb, polys_from(amb, data.draw(homogeneous_vectors((0,), 0, 1))))
         rels = data.draw(homogeneous_vectors(gen_degrees, 1, 2))
         seq = polys_from(amb, data.draw(homogeneous_vectors((0,), 1, 2, max_excess=2)))
-        # as in FamilyMember.mcm_verified: stage i is N/(y_1..y_i)N
+        # stage i is N/(y_1..y_i)N over R, each y_i times every generator
         stage = ModulePresentation(ring, gen_degrees, rels)
         for y in seq:
             stage.gb
@@ -497,6 +497,16 @@ class TestGrownBases:
         all_rels = rels + [v for y in seq for v in along(y, len(gen_degrees))]
         fresh = ModulePresentation(ring, gen_degrees, all_rels)
         assert listing(stage.gb) == listing(fresh.gb)
+        # as in FamilyMember.reduced_syzygy: stage i is N presented over
+        # R/(y_1..y_i); the walk, the chain above and the one-shot
+        # reduction reach the same basis
+        walked = ModulePresentation(ring, gen_degrees, rels)
+        for y in seq:
+            walked.gb
+            walked = walked.reduce_mod([y])
+        assert walked.ring == ring.extend(seq)
+        one_shot = ModulePresentation(ring, gen_degrees, rels).reduce_mod(seq)
+        assert listing(walked.gb) == listing(stage.gb) == listing(one_shot.gb)
         # as in verify_shift_embedding: reduce mod the sequence, then
         # divide by more relations
         extra = data.draw(homogeneous_vectors(gen_degrees, 1, 2))

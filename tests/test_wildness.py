@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cmwild import rings, wildness
 from cmwild.errors import BudgetExhausted, InputError
 from cmwild.modules import ModulePresentation
-from cmwild.poly import Poly, compose, monomials_of_degree
+from cmwild.poly import Poly, PolyRing, compose, monomials_of_degree
 from cmwild.rings import QuotientRing
 from cmwild.wildness import (
     artinian_reduction,
@@ -131,6 +131,14 @@ def test_regularity_rejects_bad_candidates():
         verify_regular_element(R, R.parse("5"))
     with pytest.raises(InputError):
         verify_regular_element(R, R.parse("x^2+y"))
+
+
+@pytest.mark.parametrize("target", ["ring", "module"])
+def test_regularity_rejects_a_candidate_from_another_ring(target):
+    R = QuotientRing.polynomial_ring(["x", "y"], P)
+    N = R if target == "ring" else ModulePresentation(R, [0], [])
+    with pytest.raises(InputError, match="ambient ring"):
+        verify_regular_element(N, PolyRing(["a", "b"], 7).parse("a"))
 
 
 # --------------------------------------------------------- sequence search
