@@ -59,3 +59,30 @@ def test_trace_count_check_ignores_normal_form_calls():
     metrics["groebner.GroebnerBasis.normal_form.calls"] = {"unit": "count", "value": 12345.0}
     proc = check_trace_counts("family", metrics)
     assert (proc.returncode, proc.stdout) == (0, "")
+
+
+def run_check_trace_counts(args, stdin):
+    return subprocess.run(
+        [sys.executable, str(TOOLS / "check_trace_counts.py"), *args],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def test_trace_count_check_without_a_workload_prints_usage():
+    result = json.dumps({"metrics": family_pins()}) + "\n"
+    for args in ([], ["--pin"]):
+        proc = run_check_trace_counts(args, result)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage: ") and proc.stderr.count("\n") == 1
+
+
+def test_trace_count_check_with_empty_stdin_prints_usage():
+    for stdin in ("", "\n  \n"):
+        proc = run_check_trace_counts(["family"], stdin)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage: ") and proc.stderr.count("\n") == 1

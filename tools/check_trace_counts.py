@@ -7,7 +7,8 @@ reads the JSON result (the last line of stdin) and compares every
 per-layer metric with unit ``count`` against ``trace_counts.json`` next to
 this script.  It exits 1 and lists the metrics that differ, or prints
 ``no pinned counts for <workload>`` when the workload has none.  With
-``--pin`` it records the workload's counts instead.
+``--pin`` it records the workload's counts instead.  Without a workload,
+or with nothing on stdin, it prints a usage line and exits 2.
 
 Two count metrics are left out because they count call routing, not work:
 ``groebner.GroebnerBasis.normal_form.calls`` (a caller may reduce through
@@ -34,10 +35,16 @@ def counts(result: dict) -> dict:
     }
 
 
+USAGE = "usage: check_trace_counts.py WORKLOAD [--pin] < result.json"
+
+
 def main(argv) -> int:
     pin = "--pin" in argv
-    workload = next(a for a in argv if a != "--pin")
+    workload = next((a for a in argv if a != "--pin"), None)
     lines = sys.stdin.read().strip().splitlines()
+    if workload is None or not lines:
+        print(USAGE, file=sys.stderr)
+        return 2
     got = counts(json.loads(lines[-1]))
     pins = {}
     if os.path.exists(PINS):
