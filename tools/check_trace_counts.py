@@ -35,15 +35,12 @@ def counts(result: dict) -> dict:
     }
 
 
-USAGE = "usage: check_trace_counts.py WORKLOAD [--pin] < result.json"
-
-
 def main(argv) -> int:
     pin = "--pin" in argv
     workload = next((a for a in argv if a != "--pin"), None)
     lines = sys.stdin.read().strip().splitlines()
     if workload is None or not lines:
-        print(USAGE, file=sys.stderr)
+        print("usage: check_trace_counts.py WORKLOAD [--pin] < result.json", file=sys.stderr)
         return 2
     got = counts(json.loads(lines[-1]))
     pins = {}
