@@ -11,6 +11,10 @@ zero coefficients never stored.  The ``Poly`` class is a thin wrapper; the
 Groebner engine works on the raw dicts.  ``add_terms`` is the one update
 of such a dict that every layer shares, for any key type: module vectors
 key it by (position, exponent tuple).
+
+``PolyRing.parse`` reads polynomial text (grammar above ``PolyRing``) with
+one term regex, matched once per signed term, and one pass over that
+term's factors; a syntax error names the position where parsing stops.
 """
 
 from __future__ import annotations
@@ -77,8 +81,27 @@ def add_terms(out: dict, terms: dict, p: int, c: int = 1) -> None:
 
 
 # ------------------------------------------------------------------- rings
+#
+# Parser grammar:
+#
+# poly := ['+'|'-'] term (('+'|'-') term)*
+# term := coeff | coeff '*' factors | factors
+# factors := var ('^' exp)? ('*' var ('^' exp)?)*
+#
+# '**' reads as '^' and whitespace may separate any two tokens.  A repeated
+# variable adds its exponents; coefficients are reduced mod p.  The optional
+# leading sign and bare integer terms are tolerated extensions.  Every part
+# of _TERM_RE is optional, so it matches at any position: a '*' that no
+# variable follows lands in ``star`` and a missing term leaves ``body``
+# empty, so the error can name where the input stops.
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+_FACTOR_RE = re.compile(rf"({_NAME})\s*(?:(?:\^|\*\*)\s*(\d+))?")
+_TERM_RE = re.compile(
+    r"\s*(?P<sign>[+-]?)\s*(?P<body>(?P<coeff>\d+)?"
+    rf"(?:(?(coeff)\s*\*\s*){_FACTOR_RE.pattern}"
+    rf"(?:\s*\*\s*{_FACTOR_RE.pattern})*)?)\s*(?P<star>\*?)\s*"
+)
 
 
 class PolyRing:
@@ -91,7 +114,7 @@ class PolyRing:
         if not variables:
             raise InputError("a ring needs at least one variable")
         for v in variables:
-            if not _NAME_RE.match(v):
+            if not re.fullmatch(_NAME, v):
                 raise InputError(f"invalid variable name {v!r}")
         if len(set(variables)) != len(variables):
             raise InputError("duplicate variable names")
@@ -145,7 +168,37 @@ class PolyRing:
         return Poly(self, {exps: coeff} if coeff else {})
 
     def parse(self, text: str) -> "Poly":
-        return _parse_poly(self, text)
+        """The polynomial ``text`` spells in the grammar above."""
+        if not text.strip():
+            raise InputError(f"empty polynomial in {text!r}")
+        terms: dict = {}
+        pos = 0
+        while pos < len(text):
+            m = _TERM_RE.match(text, pos)
+            if pos and not m["sign"]:
+                raise _expected("'+' or '-'", pos, text)
+            if not m["body"]:
+                raise _expected("a term", m.start("body"), text)
+            if m["star"]:
+                raise _expected("a variable", m.end(), text)
+            exps = [0] * self.nvars
+            try:
+                for f in _FACTOR_RE.finditer(text, m.start("body"), m.end("body")):
+                    if f[1] not in self._var_index:
+                        raise InputError(
+                            f"unknown variable {f[1]!r} at position {f.start()} in {text!r}"
+                        )
+                    exps[self._var_index[f[1]]] += int(f[2] or 1)
+                coeff = int(m["coeff"] or 1)
+            except ValueError:  # more digits than int() takes
+                raise _expected("a shorter integer", m.start("body"), text) from None
+            add_terms(terms, {tuple(exps): coeff}, self.p, -1 if m["sign"] == "-" else 1)
+            pos = m.end()
+        return Poly(self, terms)
+
+
+def _expected(what: str, at: int, text: str) -> InputError:
+    return InputError(f"expected {what} at position {at} in {text!r}")
 
 
 # ---------------------------------------------------------------- elements
@@ -288,130 +341,3 @@ def compose(poly: Poly, images) -> Poly:
                 term = term * img
         out = out + term
     return out
-
-
-# ------------------------------------------------------------------ parser
-#
-# poly := ['+'|'-'] term (('+'|'-') term)*
-# term := coeff | coeff '*' factors | factors
-# factors := var ('^' exp)? ('*' var ('^' exp)?)*
-#
-# The optional leading sign and bare integer terms are tolerated extensions.
-
-_SCANNER = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\*\*|[*^+\-]))"
-)
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _SCANNER.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise InputError(
-                f"unexpected character {stripped[0]!r} at position {at}"
-            )
-        if m.group("num") is not None:
-            tokens.append(("num", int(m.group("num")), m.start("num")))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            op = m.group("op")
-            if op == "**":
-                op = "^"
-            tokens.append(("op", op, m.start("op")))
-        pos = m.end()
-    return tokens
-
-
-class _TokenStream:
-    def __init__(self, tokens, text):
-        self.tokens = tokens
-        self.text = text
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def next(self):
-        t = self.peek()
-        if t is not None:
-            self.i += 1
-        return t
-
-    def fail(self, message, token=None):
-        where = token[2] if token else len(self.text)
-        raise InputError(f"{message} at position {where} in {self.text!r}")
-
-
-def _parse_factor(ring, ts, exps):
-    tok = ts.next()
-    if tok is None or tok[0] != "name":
-        ts.fail("expected a variable name", tok)
-    if tok[1] not in ring._var_index:
-        ts.fail(f"unknown variable {tok[1]!r}", tok)
-    idx = ring._var_index[tok[1]]
-    exp = 1
-    nxt = ts.peek()
-    if nxt is not None and nxt[0] == "op" and nxt[1] == "^":
-        ts.next()
-        etok = ts.next()
-        if etok is None or etok[0] != "num":
-            ts.fail("expected an integer exponent", etok)
-        exp = etok[1]
-    exps[idx] += exp
-
-
-def _parse_term(ring, ts):
-    coeff = 1
-    exps = [0] * ring.nvars
-    tok = ts.peek()
-    if tok is None:
-        ts.fail("expected a term", tok)
-    if tok[0] == "num":
-        ts.next()
-        coeff = tok[1]
-        nxt = ts.peek()
-        if nxt is not None and nxt[0] == "op" and nxt[1] == "*":
-            ts.next()
-            _parse_factor(ring, ts, exps)
-        else:
-            return coeff, tuple(exps)  # bare constant
-    else:
-        _parse_factor(ring, ts, exps)
-    while True:
-        nxt = ts.peek()
-        if nxt is None or nxt[0] != "op" or nxt[1] != "*":
-            break
-        ts.next()
-        _parse_factor(ring, ts, exps)
-    return coeff, tuple(exps)
-
-
-def _parse_poly(ring: PolyRing, text: str) -> Poly:
-    ts = _TokenStream(_tokenize(text), text)
-    if ts.peek() is None:
-        raise InputError(f"empty polynomial in {text!r}")
-    p = ring.p
-    terms: dict = {}
-    sign = 1
-    tok = ts.peek()
-    if tok[0] == "op" and tok[1] in "+-":
-        ts.next()
-        sign = -1 if tok[1] == "-" else 1
-    while True:
-        coeff, exps = _parse_term(ring, ts)
-        add_terms(terms, {exps: coeff}, p, sign)
-        tok = ts.next()
-        if tok is None:
-            break
-        if tok[0] != "op" or tok[1] not in "+-":
-            ts.fail(f"expected '+' or '-', got {tok[1]!r}", tok)
-        sign = -1 if tok[1] == "-" else 1
-    return Poly(ring, terms)

@@ -1,8 +1,12 @@
 """Field scalars, polynomial arithmetic, parser/printer, and the term order."""
 
 import random
+import re
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmwild.errors import InputError
 from cmwild.field import PrimeField, is_prime
@@ -15,6 +19,46 @@ from cmwild.poly import (
     mono_mul,
     monomials_of_degree,
 )
+
+SPELL_RING = PolyRing(["x", "y", "z_1"], 7)
+SPACES = st.sampled_from(["", "", " ", "  ", "\t"])
+
+
+@st.composite
+def spelled_polys(draw):
+    """(text, poly): signed terms with repeated monomials, zero coefficients
+    and multiples of p, written in one of the legal spellings of their sum."""
+    p, names = SPELL_RING.p, SPELL_RING.vars
+    exps = st.tuples(*[st.integers(0, 3)] * len(names))
+    terms = draw(st.lists(st.tuples(exps, st.integers(-3 * p, 3 * p)), min_size=1, max_size=5))
+    poly, parts = SPELL_RING.zero(), []
+    for i, (e, c) in enumerate(terms):
+        poly = poly + SPELL_RING.monomial(e, c)
+        factors = []
+        for name, k in zip(names, e):
+            while k:  # x^3 as x^3, x**2*x, x*x*x, ...
+                part = draw(st.integers(1, k))
+                k -= part
+                if part == 1 and draw(st.booleans()):
+                    factors.append(name)
+                else:
+                    op = draw(st.sampled_from(["^", "**"]))
+                    factors.append(f"{name}{draw(SPACES)}{op}{draw(SPACES)}{part}")
+        factors = draw(st.permutations(factors))
+        star = f"{draw(SPACES)}*{draw(SPACES)}"
+        if not factors:
+            body = str(abs(c))
+        elif abs(c) == 1 and draw(st.booleans()):
+            body = star.join(factors)
+        else:
+            body = f"{abs(c)}{star}" + star.join(factors)
+        sign = "-" if c < 0 else draw(st.sampled_from(["+", ""] if i == 0 else ["+"]))
+        parts.append(f"{draw(SPACES)}{sign}{draw(SPACES)}{body}{draw(SPACES)}")
+    return "".join(parts), poly
+
+
+SOUP_TOKENS = ["x", "y", "z_1", "w", "x2", "0", "1", "7", "12", "+", "-", "*", "**", "^", " ", "\t"]
+SOUP = st.lists(st.one_of(st.sampled_from(SOUP_TOKENS), st.text(max_size=2)), max_size=12)
 
 
 def xgcd(a, b):
@@ -169,6 +213,34 @@ class TestParsePrint:
             ring.parse("x+")
         with pytest.raises(InputError, match="expected a variable"):
             ring.parse("2*3")
+
+    @settings(max_examples=300, deadline=None)
+    @given(spelled=spelled_polys())
+    def test_legal_spellings_parse_to_their_sum(self, spelled):
+        text, poly = spelled
+        assert SPELL_RING.parse(text) == poly
+
+    @settings(max_examples=300, deadline=None)
+    @given(tokens=SOUP)
+    def test_token_soup_parses_or_names_the_fault(self, tokens):
+        try:
+            SPELL_RING.parse("".join(tokens))
+        except InputError as exc:
+            assert re.search(r"at position \d+|unknown variable|empty polynomial", str(exc))
+
+    @pytest.mark.parametrize("text", ["2x", "x y", "--x", "x^2^3", "2**x", "x*", "x^"])
+    def test_rejected_spellings(self, text):
+        with pytest.raises(InputError, match=r"at position \d+"):
+            PolyRing(["x", "y"]).parse(text)
+
+    def test_integer_past_the_int_digit_limit_is_an_input_error(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("int() takes any number of digits in this interpreter")
+        ring = PolyRing(["x"])
+        for text in ("1" * (limit + 1), "x^" + "1" * (limit + 1)):
+            with pytest.raises(InputError, match="at position 0"):
+                ring.parse(text)
 
     def test_print_sorted_descending(self):
         ring = PolyRing(["x", "y", "z"])
