@@ -459,7 +459,7 @@ def action_matrices(pres: ModulePresentation):
     """
     top, order = pres.top_degree(), pres.free.order
     # the shifted terms must fit the packed degree fields
-    if top + 1 - min(order.gen_degrees) > MAX_DEGREE:
+    if top + 1 - min(order.gen_degrees, default=0) > MAX_DEGREE:
         raise InputError(f"module of top degree {top} is past the Groebner kernel's limit")
     terms: list = []
     for t in range(top + 1):

@@ -545,6 +545,15 @@ def test_action_matrices_refuse_shifts_past_the_degree_limit():
         action_matrices(pres)
 
 
+def test_action_matrices_of_the_zero_module(binary):
+    # a rank-0 presentation has no generator degrees: one empty matrix per
+    # variable and an empty basis
+    rbar = binary.extend([binary.parse("x^2"), binary.parse("y^2")])
+    mats, terms = action_matrices(ModulePresentation(rbar, [], []))
+    assert terms == []
+    assert [mat.shape for mat in mats] == [(0, 0), (0, 0)]
+
+
 # ---------------------------------------------- the window's lower end
 #
 # Two cubics in four variables with the linear sequence z, w: m - d + 1 = 1,
