@@ -86,3 +86,20 @@ def test_trace_count_check_with_empty_stdin_prints_usage():
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("usage: ") and proc.stderr.count("\n") == 1
+
+
+def test_trace_count_check_rejects_a_last_line_without_metrics():
+    result = json.dumps({"metrics": family_pins()})
+    for stdin in ("not json\n", result + "\ntrailing\n", '{"workload": "family"}\n', "[1, 2]\n"):
+        proc = run_check_trace_counts(["family"], stdin)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "not a result with metrics" in proc.stderr and proc.stderr.count("\n") == 1
+
+
+def test_trace_count_check_pins_nothing_from_a_bad_result():
+    before = (TOOLS / "trace_counts.json").read_bytes()
+    proc = run_check_trace_counts(["family", "--pin"], '{"metrics": 3}\n')
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.count("\n") == 1
+    assert (TOOLS / "trace_counts.json").read_bytes() == before

@@ -8,7 +8,8 @@ per-layer metric with unit ``count`` against ``trace_counts.json`` next to
 this script.  It exits 1 and lists the metrics that differ, or prints
 ``no pinned counts for <workload>`` when the workload has none.  With
 ``--pin`` it records the workload's counts instead.  Without a workload,
-or with nothing on stdin, it prints a usage line and exits 2.
+or with nothing on stdin, it prints a usage line and exits 2; when the last
+line is not JSON with ``"metrics"``, it says so in one line and exits 2.
 
 Two count metrics are left out because they count call routing, not work:
 ``groebner.GroebnerBasis.normal_form.calls`` (a caller may reduce through
@@ -42,7 +43,11 @@ def main(argv) -> int:
     if workload is None or not lines:
         print("usage: check_trace_counts.py WORKLOAD [--pin] < result.json", file=sys.stderr)
         return 2
-    got = counts(json.loads(lines[-1]))
+    try:
+        got = counts(json.loads(lines[-1]))
+    except (ValueError, LookupError, TypeError, AttributeError):
+        print("check_trace_counts.py: the last line of stdin is not a result with metrics", file=sys.stderr)
+        return 2
     pins = {}
     if os.path.exists(PINS):
         with open(PINS, encoding="utf-8") as fh:
