@@ -1,5 +1,6 @@
-"""Golden reports: SHA-256 digests of the ``--format json`` stdout of the
-command line on fixed inputs, with the exit code.
+"""Golden reports: SHA-256 digests of the ``--format json`` and the
+``--format text`` stdout of the command line on fixed inputs, with the
+exit code.
 
 The digests were pinned once and are the byte-level specification of the
 reports: a refactor must reproduce every one of them.  A command that ends
@@ -98,6 +99,36 @@ DIGESTS = {
     "verify-fermat_n1": (0, "63013c32d72b1cc9b357bb14596a3f3a3cba70689b1b78281ded06bacdf15b4c"),
 }
 
+# case name -> (exit code, SHA-256 of the ``--format text`` stdout)
+TEXT_DIGESTS = {
+    "check-binary": (0, "4c3caedd1d194d527aa431d25fab5ee4cbcb0389f7492887f4aacc2bb097ceeb"),
+    "check-binary-sequence": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "check-binary-window": (0, "a521bcedb44519d46fcb9c2c3a3b2e0392d8f3c904508738ab8ab5e7000712ef"),
+    "check-ci": (0, "2c3c80875c809f8706bf09bb5037f616cf92998826b3da3b82b2af7b08217b75"),
+    "check-ci-sequence": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "check-ci-window": (0, "96397560098bd196194f0f4d54a67cb783793fccbc72e8bd0078fd9b251c1d32"),
+    "check-cubic": (0, "a59d59e7e152c0463343f03a013aaf407f4148f7a3ad130d7b5dfc985e64447e"),
+    "check-cubic-sequence": (0, "a59d59e7e152c0463343f03a013aaf407f4148f7a3ad130d7b5dfc985e64447e"),
+    "check-cubic-window": (0, "c309e66c677d5f53a6e312eb04c1f5a0222f6533253ac2db56646f7925cb3c60"),
+    "check-fermat": (0, "4c5ed3dc8e011b1b57ba654afbcbe749038b2c590518496ff752845d9339e620"),
+    "check-fermat-sequence": (0, "4c5ed3dc8e011b1b57ba654afbcbe749038b2c590518496ff752845d9339e620"),
+    "check-fermat-window": (0, "673c78319d9adaaebf185e06e48e308314c891cd420df6bf76fb41add3f80145"),
+    "ci-ci": (0, "2c3c80875c809f8706bf09bb5037f616cf92998826b3da3b82b2af7b08217b75"),
+    "ci-fermat": (0, "4c5ed3dc8e011b1b57ba654afbcbe749038b2c590518496ff752845d9339e620"),
+    "family-binary_n2": (0, "1e9c972195f5b41e30e6cc712c7188df3e98de8d17133e2da40aff952ef1f77a"),
+    "family-fermat_n1": (0, "9eb7e5fa363dd73d4f38a0ea4a90ce3f2122793d258815a32045056e72419a7c"),
+    "hilbert-artinian": (0, "2abb102eeb950a04c157ca7a8b2eb28729e0bbcd42f460ccf66e16f8fe190a86"),
+    "hypersurface-binary": (0, "4c3caedd1d194d527aa431d25fab5ee4cbcb0389f7492887f4aacc2bb097ceeb"),
+    "hypersurface-cubic": (0, "a59d59e7e152c0463343f03a013aaf407f4148f7a3ad130d7b5dfc985e64447e"),
+    "hypersurface-fermat": (0, "4c5ed3dc8e011b1b57ba654afbcbe749038b2c590518496ff752845d9339e620"),
+    "iso-conjugate": (0, "1ff46d0893ce23c6942ffcbda5dd9f81f893181bc582fe943b3f1d25307588d1"),
+    "resolve-binary_n2": (0, "61a1481f8aa930f0c3ec6209510010aaafe9fec071cb892f452d34b3ca7dbdcd"),
+    "resolve-fermat_n1": (0, "6a2af0be11c93c06a1f8018b92201f62b8a1e5b49e1152ba598f8af9942fea9a"),
+    "resolve-ring-sequence": (0, "6b21383825e0c256e84606c7f47bfa149244d49f8a3bed6290064cb654b3be41"),
+    "verify-binary_n2": (0, "fc8b97587fe9f36ad07ccb7f67fd39497a9f5f1546149bb112824ba81b476edc"),
+    "verify-fermat_n1": (0, "fc8b97587fe9f36ad07ccb7f67fd39497a9f5f1546149bb112824ba81b476edc"),
+}
+
 
 def _files(tmp_path) -> dict:
     data = {
@@ -112,9 +143,9 @@ def _files(tmp_path) -> dict:
     return out
 
 
-def run_case(name, tmp_path, capsys):
+def run_case(name, tmp_path, capsys, fmt="json"):
     files = _files(tmp_path)
-    argv = [arg.format(**files) for arg in CASES[name]] + ["--format", "json"]
+    argv = [arg.format(**files) for arg in CASES[name]] + ["--format", fmt]
     code = main(argv)
     out = capsys.readouterr().out
     return code, hashlib.sha256(out.encode("utf-8")).hexdigest()
@@ -122,8 +153,14 @@ def run_case(name, tmp_path, capsys):
 
 def test_every_case_is_pinned():
     assert set(DIGESTS) == set(CASES)
+    assert set(TEXT_DIGESTS) == set(CASES)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_report(name, tmp_path, capsys):
     assert run_case(name, tmp_path, capsys) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_text_report(name, tmp_path, capsys):
+    assert run_case(name, tmp_path, capsys, "text") == TEXT_DIGESTS[name]
