@@ -1,22 +1,19 @@
 """Command-line interface.
 
-Subcommands:
-    check         run the wildness criterion on a ring file
-    hypersurface  the same, insisting on exactly one defining form
-    ci            the same, insisting the relations cut a complete intersection
-    family        build a family member and report the full member pipeline
-    iso           compare two family instances
-    resolve       Betti table of a minimal free resolution
-    hilbert       Hilbert data of a ring
-    verify        structural checks for a family instance
+Each subcommand is one row of ``_COMMANDS``: its help text, its options,
+its handler and its text renderer.  ``build_parser`` makes the
+subparsers from the table, and ``main`` dispatches and renders from the
+row (``cmwild --help`` lists the subcommands).
 
-``hypersurface`` and ``ci`` are ``check`` behind a guard, served by one
-handler: they scan the same window (from m - d + 2 to the top degree of
-the reduction) and, when the guard passes, print the bytes ``check``
-prints.  Only ``check`` takes ``--sequence``.
+``hypersurface`` and ``ci`` are ``check`` behind a guard: the three rows
+share one handler and differ in the certificate function it calls.  They
+scan the same window (from m - d + 2 to the top degree of the reduction)
+and, when the guard passes, print the bytes ``check`` prints.  Only
+``check`` takes ``--sequence``.
 
-Every report echoes the schema tag, the field characteristic, and the
-seed.  JSON output is stable: re-running a command with the same inputs
+A handler returns the field characteristic ``p`` and its own fields;
+``main`` adds the schema tag and the seed, so every report echoes all
+three.  JSON output is stable: re-running a command with the same inputs
 and seed produces byte-identical bytes.  Exit codes: 0 when a verdict was
 computed (Inconclusive and Undecided included), 2 for input errors, 3
 when a search budget ran out.
@@ -29,6 +26,7 @@ import functools
 import json
 import sys
 from collections import Counter
+from typing import Callable, NamedTuple
 
 from .errors import BudgetExhausted, CmwildError, InputError
 from .family import (
@@ -82,9 +80,8 @@ def _load_instance(path: str, char: int | None) -> FamilySpec:
 def _parse_window(text: str | None):
     if text is None:
         return None
-    parts = text.split("..")
     try:
-        a, b = (int(s) for s in parts)
+        a, b = (int(s) for s in text.split(".."))
     except ValueError:
         raise InputError(f"window {text!r} is not of the form a..b") from None
     if a > b:
@@ -105,16 +102,20 @@ def _pairs(d: dict) -> list:
     return [[k, v] for k, v in sorted(d.items())]
 
 
-def _emit(payload: dict, lines, fmt: str) -> None:
-    if fmt == "json":
-        sys.stdout.write(
-            json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-        )
-    else:
-        sys.stdout.write("\n".join(lines) + "\n")
+def _check_line(rep: dict) -> str:
+    return f"{'pass' if rep['passed'] else 'FAIL'}: {rep['check']}"
 
 
-# ------------------------------------------------------------- renderers
+# ----------------------------------------------------------- subcommands
+
+
+def _cmd_verdict(certificate, args) -> dict:
+    """check, hypersurface and ci: the one criterion, behind the guard of
+    ``certificate``; only check has a ``--sequence``."""
+    ring = _load_ring(args.ring, args.field_char)
+    seq = {"sequence": _split_sequence(args.sequence)} if "sequence" in args else {}
+    window = _parse_window(args.c_window)
+    return certificate(ring, seed=args.seed, c_window=window, **seq).to_json()
 
 
 def _wildness_lines(data: dict) -> list[str]:
@@ -126,73 +127,34 @@ def _wildness_lines(data: dict) -> list[str]:
         f"sequence: {', '.join(data['sequence']) or '(empty)'}   m = {data['m']}",
         f"scan window: {data['window'][0]}..{data['window'][1]}",
     ]
-    for row in data["scan"]:
-        lines.append(f"  c = {row['c']}   dim = {row['dim']}")
+    lines += [f"  c = {row['c']}   dim = {row['dim']}" for row in data["scan"]]
+    witness = ""
     if data["witness_c"] is not None:
-        lines.append(
-            f"verdict: {data['verdict']}"
-            f" (c = {data['witness_c']}, dim = {data['witness_dim']})"
-        )
-    else:
-        lines.append(f"verdict: {data['verdict']}")
+        witness = f" (c = {data['witness_c']}, dim = {data['witness_dim']})"
+    lines.append(f"verdict: {data['verdict']}{witness}")
     if "note" in data:
         lines.append(f"note: {data['note']}")
     return lines
 
 
-def _check_lines(rep: dict) -> list[str]:
-    return [f"{'pass' if rep['passed'] else 'FAIL'}: {rep['check']}"]
+def _cmd_family(args) -> dict:
+    spec = _load_instance(args.instance, args.field_char)
+    return {"p": spec.p, **family_report(spec, seed=args.seed)}
 
 
-def _family_lines(data: dict) -> list[str]:
-    rep = data
+def _family_lines(rep: dict) -> list[str]:
+    ind = rep["indecomposability"]
     lines = [
         f"member: n = {rep['instance']['n']}, c = {rep['instance']['c']},"
         f" length = {rep['member']['length']}",
         f"mcm verified: {rep['mcm']['verified']}",
+        _check_line(rep["shift_embedding"]),
+        _check_line(rep["resolution_shape"]),
+        f"indecomposability: {ind['verdict']} ({ind['reason']})",
     ]
-    lines += _check_lines(rep["shift_embedding"])
-    lines += _check_lines(rep["resolution_shape"])
-    ind = rep["indecomposability"]
-    lines.append(f"indecomposability: {ind['verdict']} ({ind['reason']})")
     if "syzygy_claim" in ind:
         lines.append(f"claim: {ind['syzygy_claim']}")
     return lines
-
-
-def _betti_lines(data: dict) -> list[str]:
-    lines = [f"minimal: {data['minimal']}"]
-    for row in data["betti"]:
-        lines.append(f"  i = {row['i']}   j = {row['j']}   rank = {row['rank']}")
-    return lines
-
-
-# ----------------------------------------------------------- subcommands
-
-
-_VERDICTS = {
-    "check": wildness_certificate,
-    "hypersurface": hypersurface_certificate,
-    "ci": complete_intersection_certificate,
-}
-
-
-def _cmd_verdict(args) -> dict:
-    """check, hypersurface and ci: the one criterion, behind the guard of
-    the command; only check takes a sequence."""
-    ring = _load_ring(args.ring, args.field_char)
-    options = {"seed": args.seed}
-    if args.command == "check":
-        options["sequence"] = _split_sequence(args.sequence)
-    options["c_window"] = _parse_window(args.c_window)
-    return _VERDICTS[args.command](ring, **options).to_json()
-
-
-def _cmd_family(args) -> dict:
-    spec = _load_instance(args.instance, args.field_char)
-    rep = family_report(spec, seed=args.seed)
-    rep.update(schema=SCHEMA, p=spec.p, seed=args.seed)
-    return rep
 
 
 def _cmd_iso(args) -> dict:
@@ -200,10 +162,16 @@ def _cmd_iso(args) -> dict:
         raise InputError("iso needs exactly two --instance files")
     a = _load_instance(args.instance[0], args.field_char)
     b = _load_instance(args.instance[1], args.field_char)
-    cert = iso_test(a, b, seed=args.seed)
-    payload = {"schema": SCHEMA, "p": a.p, "seed": args.seed}
-    payload.update(cert.to_json())
-    return payload
+    return {"p": a.p, **iso_test(a, b, seed=args.seed).to_json()}
+
+
+def _iso_lines(data: dict) -> list[str]:
+    lines = [f"outcome: {data['outcome']}"]
+    if data.get("reason"):
+        lines.append(f"reason: {data['reason']}")
+    if data.get("solution_space_dim") is not None:
+        lines.append(f"solution space dimension: {data['solution_space_dim']}")
+    return lines
 
 
 def _cmd_resolve(args) -> dict:
@@ -211,9 +179,7 @@ def _cmd_resolve(args) -> dict:
         if args.ring is not None or args.sequence is not None:
             raise InputError("resolve takes --instance or --ring with --sequence, not both")
         spec = _load_instance(args.instance, args.field_char)
-        length = args.length if args.length is not None else spec.d + 1
-        res = minimal_resolution(FamilyMember(spec).over_ring, length)
-        p = spec.p
+        pres, length, p = FamilyMember(spec).over_ring, spec.d + 1, spec.p
     else:
         if args.ring is None:
             raise InputError("resolve needs --instance or --ring")
@@ -225,24 +191,30 @@ def _cmd_resolve(args) -> dict:
         pres = ModulePresentation(
             ring, [0], [{(0, m): c for m, c in y.terms.items()} for y in ys]
         )
-        length = args.length if args.length is not None else len(ys)
-        res = minimal_resolution(pres, length)
-        p = ring.p
-    payload = {"schema": SCHEMA, "p": p, "seed": args.seed, "length": res.length}
-    payload.update(res.betti_json())
-    payload["generators"] = [
-        [i, sorted(Counter(res.free(i).gen_degrees).items())]
-        for i in range(res.length + 1)
-    ]
-    return payload
+        length, p = len(ys), ring.p
+    res = minimal_resolution(pres, length if args.length is None else args.length)
+    return {
+        "p": p,
+        "length": res.length,
+        **res.betti_json(),
+        "generators": [
+            [i, sorted(Counter(res.free(i).gen_degrees).items())]
+            for i in range(res.length + 1)
+        ],
+    }
+
+
+def _betti_lines(data: dict) -> list[str]:
+    lines = [f"minimal: {data['minimal']}"]
+    for row in data["betti"]:
+        lines.append(f"  i = {row['i']}   j = {row['j']}   rank = {row['rank']}")
+    return lines
 
 
 def _cmd_hilbert(args) -> dict:
     ring = _load_ring(args.ring, args.field_char)
     payload = {
-        "schema": SCHEMA,
         "p": ring.p,
-        "seed": args.seed,
         "ring": ring.to_json(),
         "krull_dimension": ring.krull_dimension,
         "numerator": _pairs(ring.hilbert_numerator),
@@ -252,23 +224,6 @@ def _cmd_hilbert(args) -> dict:
         payload["hilbert_function"] = _pairs(ring.hilbert_function())
         payload["top_degree"] = ring.top_degree()
     return payload
-
-
-def _cmd_verify(args) -> dict:
-    spec = _load_instance(args.instance, args.field_char)
-    bundle = FamilyMember(spec)
-    shift = verify_shift_embedding(spec, bundle)
-    shape = verify_resolution_shape(spec, bundle)
-    return {
-        "schema": SCHEMA,
-        "p": spec.p,
-        "seed": args.seed,
-        "instance": spec.to_json(),
-        "mcm_verified": bundle.mcm_verified,
-        "shift_embedding": shift,
-        "resolution_shape": shape,
-        "passed": bundle.mcm_verified and shift["passed"] and shape["passed"],
-    }
 
 
 def _hilbert_lines(data: dict) -> list[str]:
@@ -282,47 +237,88 @@ def _hilbert_lines(data: dict) -> list[str]:
     return lines
 
 
-def _iso_lines(data: dict) -> list[str]:
-    lines = [f"outcome: {data['outcome']}"]
-    if data.get("reason"):
-        lines.append(f"reason: {data['reason']}")
-    if data.get("solution_space_dim") is not None:
-        lines.append(f"solution space dimension: {data['solution_space_dim']}")
-    return lines
+def _cmd_verify(args) -> dict:
+    spec = _load_instance(args.instance, args.field_char)
+    bundle = FamilyMember(spec)
+    shift = verify_shift_embedding(spec, bundle)
+    shape = verify_resolution_shape(spec, bundle)
+    return {
+        "p": spec.p,
+        "instance": spec.to_json(),
+        "mcm_verified": bundle.mcm_verified,
+        "shift_embedding": shift,
+        "resolution_shape": shape,
+        "passed": bundle.mcm_verified and shift["passed"] and shape["passed"],
+    }
 
 
 def _verify_lines(data: dict) -> list[str]:
     return [
         f"mcm verified: {data['mcm_verified']}",
-        *_check_lines(data["shift_embedding"]),
-        *_check_lines(data["resolution_shape"]),
+        _check_line(data["shift_embedding"]),
+        _check_line(data["resolution_shape"]),
         f"{'pass' if data['passed'] else 'FAIL'}: all checks",
     ]
 
 
-_RENDERERS = {
-    **dict.fromkeys(_VERDICTS, _wildness_lines),
-    "family": _family_lines,
-    "iso": _iso_lines,
-    "resolve": _betti_lines,
-    "hilbert": _hilbert_lines,
-    "verify": _verify_lines,
-}
+# ----------------------------------------------------------- the table
 
-_HANDLERS = {
-    **dict.fromkeys(_VERDICTS, _cmd_verdict),
-    "family": _cmd_family,
-    "iso": _cmd_iso,
-    "resolve": _cmd_resolve,
-    "hilbert": _cmd_hilbert,
-    "verify": _cmd_verify,
+
+class _Command(NamedTuple):
+    help: str
+    options: dict  # flag -> add_argument keywords, in --help order
+    handler: Callable  # args -> report fields, "p" included
+    render: Callable  # report -> text lines
+
+
+_RING = {"--ring": {"required": True, "help": "ring JSON file"}}
+_INSTANCE = {"--instance": {"required": True, "help": "instance JSON file"}}
+_VERDICT = {**_RING, "--c-window": {"help": "degree window a..b"}}
+
+_COMMANDS = {
+    "check": _Command(
+        "wildness criterion on a ring file",
+        {**_VERDICT, "--sequence": {"help": "comma-separated regular sequence"}},
+        functools.partial(_cmd_verdict, wildness_certificate), _wildness_lines,
+    ),
+    "hypersurface": _Command(
+        "criterion for a single-form quotient", _VERDICT,
+        functools.partial(_cmd_verdict, hypersurface_certificate), _wildness_lines,
+    ),
+    "ci": _Command(
+        "criterion for a complete intersection", _VERDICT,
+        functools.partial(_cmd_verdict, complete_intersection_certificate),
+        _wildness_lines,
+    ),
+    "family": _Command(
+        "full pipeline for one family instance", _INSTANCE, _cmd_family, _family_lines,
+    ),
+    "iso": _Command(
+        "isomorphism test between two instances",
+        {"--instance": {"action": "append", "help": "instance JSON file (give twice)"}},
+        _cmd_iso, _iso_lines,
+    ),
+    "resolve": _Command(
+        "Betti table of a minimal resolution",
+        {
+            "--instance": {"help": "instance JSON file"},
+            "--ring": {"help": "ring JSON file"},
+            "--sequence": {"help": "with --ring: resolve R/(sequence) over R"},
+            "--length": {"type": int},
+        },
+        _cmd_resolve, _betti_lines,
+    ),
+    "hilbert": _Command("Hilbert data of a ring", _RING, _cmd_hilbert, _hilbert_lines),
+    "verify": _Command(
+        "structural checks for a family instance", _INSTANCE, _cmd_verify, _verify_lines,
+    ),
 }
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: ``parse_args`` leaves
-    it unchanged, so every ``main`` call can share it."""
+    """The argument parser, built once per process from ``_COMMANDS``:
+    ``parse_args`` leaves it unchanged, so every ``main`` call can share it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--field-char", type=int, default=None,
                         help="override the field characteristic from the file")
@@ -334,54 +330,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="decide and witness CM-wildness of graded algebras",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, help_text in (
-        ("check", "wildness criterion on a ring file"),
-        ("hypersurface", "criterion for a single-form quotient"),
-        ("ci", "criterion for a complete intersection"),
-    ):
-        sp = sub.add_parser(name, parents=[common], help=help_text)
-        sp.add_argument("--ring", required=True, help="ring JSON file")
-        sp.add_argument("--c-window", default=None, help="degree window a..b")
-        if name == "check":
-            sp.add_argument("--sequence", default=None,
-                            help="comma-separated regular sequence")
-
-    sp = sub.add_parser("family", parents=[common],
-                        help="full pipeline for one family instance")
-    sp.add_argument("--instance", required=True, help="instance JSON file")
-
-    sp = sub.add_parser("iso", parents=[common],
-                        help="isomorphism test between two instances")
-    sp.add_argument("--instance", action="append",
-                    help="instance JSON file (give twice)")
-
-    sp = sub.add_parser("resolve", parents=[common],
-                        help="Betti table of a minimal resolution")
-    sp.add_argument("--instance", default=None, help="instance JSON file")
-    sp.add_argument("--ring", default=None, help="ring JSON file")
-    sp.add_argument("--sequence", default=None,
-                    help="with --ring: resolve R/(sequence) over R")
-    sp.add_argument("--length", type=int, default=None)
-
-    sp = sub.add_parser("hilbert", parents=[common],
-                        help="Hilbert data of a ring")
-    sp.add_argument("--ring", required=True, help="ring JSON file")
-
-    sp = sub.add_parser("verify", parents=[common],
-                        help="structural checks for a family instance")
-    sp.add_argument("--instance", required=True, help="instance JSON file")
-
+    for name, command in _COMMANDS.items():
+        sp = sub.add_parser(name, parents=[common], help=command.help)
+        for flag, keywords in command.options.items():
+            sp.add_argument(flag, **keywords)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = _COMMANDS[args.command]
     try:
-        payload = _HANDLERS[args.command](args)
-        lines = _RENDERERS[args.command](payload)
-        _emit(payload, lines, args.format)
+        report = {"schema": SCHEMA, "seed": args.seed, **command.handler(args)}
+        if args.format == "json":
+            out = json.dumps(report, sort_keys=True, separators=(",", ":"))
+        else:
+            out = "\n".join(command.render(report))
+        sys.stdout.write(out + "\n")
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -78,11 +78,6 @@ def _is_int_matrix(x) -> bool:
     )
 
 
-def _reduce_mod_p(rows, p: int):
-    """Integer rows reduced mod p, so that any JSON integer fits int64."""
-    return None if rows is None else [[e % p for e in row] for row in rows]
-
-
 # instance JSON fields: the required keys, and the type of every field
 _REQUIRED_FIELDS = ("ring", "sequence", "c", "Ax")
 _FIELD_TYPES = (
@@ -220,8 +215,8 @@ class FamilySpec:
             ring,
             data["sequence"],
             data["c"],
-            _reduce_mod_p(data["Ax"], ring.p),
-            Ay=_reduce_mod_p(data.get("Ay"), ring.p),
+            data["Ax"],
+            Ay=data.get("Ay"),
             basis=data.get("basis"),
             n=data.get("n"),
         )

@@ -1,6 +1,9 @@
 """Koszul complexes, minimal resolutions, and comparison maps."""
 
+from math import comb
+
 import pytest
+from acm_rings import generic_minors
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_matalg import brute_rref
@@ -175,6 +178,30 @@ def test_finite_projective_dimension_over_hypersurface():
     assert res.length == 1
     assert res.frees[1].twists == (-2,)
     assert res.betti() == {(0, 0): 1, (1, 2): 1}
+
+
+@pytest.mark.parametrize("c", [3, 4, 5])
+def test_eagon_northcott_resolves_generic_2_by_c_minors(c):
+    # Eagon-Northcott (1962): S/I_2 of the generic 2 x c matrix has a linear
+    # resolution of length c - 1 with beta_{i,i+1} = i*C(c, i+1), and its
+    # Hilbert numerator over (1 - t)^(2c) is (1 + (c-1)t)(1 - t)^(c-1)
+    variables, minors = generic_minors(c)
+    S = QuotientRing.polynomial_ring(variables, P)
+    pres = ModulePresentation(
+        S, [0], [{(0, m): a for m, a in S.parse(f).terms.items()} for f in minors]
+    )
+    res = minimal_resolution(pres, c - 1)
+    assert res.terminated
+    assert res.betti() == {
+        (0, 0): 1, **{(i, i + 1): i * comb(c, i + 1) for i in range(1, c)}
+    }
+    numerator = {0: 1, 1: c - 1}
+    for _ in range(c - 1):
+        numerator = {
+            k: numerator.get(k, 0) - numerator.get(k - 1, 0)
+            for k in range(max(numerator) + 2)
+        }
+    assert pres.hilbert_numerator == {k: a for k, a in numerator.items() if a}
 
 
 def test_family_member_resolution_shape():
