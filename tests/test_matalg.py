@@ -1,6 +1,7 @@
 """Dense mod-p linear algebra, univariate splitting, conjugacy, and
 indecomposability certificates."""
 
+import collections
 import hashlib
 import json
 import random
@@ -9,7 +10,7 @@ from itertools import product as iter_product
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from cmwild import matalg
@@ -402,6 +403,125 @@ def test_coprime_split_cases():
     assert u_gcd(g, h, 5) == [1]
     # T^2 + 1 is irreducible mod 32003 (p = 3 mod 4)
     assert coprime_split([1, 0, 1], P, rng) is None
+    # characteristic 2, vanishing derivative: T^2 + 1 = (T + 1)^2 is a
+    # prime power, and T^3 + T = T (T + 1)^2 splits into T and (T + 1)^2
+    assert coprime_split([1, 0, 1], 2, rng) is None
+    assert sorted(coprime_split([0, 1, 0, 1], 2, rng)) == [[0, 1], [1, 0, 1]]
+
+
+# The exact splits of seeded minimal polynomials, and the next draw of the
+# generator after each: the idempotent witnesses are polynomials in the
+# split factors, and the equal-degree split draws from the same generator
+# as the decision that calls it.  Hashed as the SHA-256 of the JSON list of
+# [p, mu, split, next draw].
+SPLIT_PRIMES = (2, 3, 5, 7, 31, P)
+SPLIT_DIGEST = "76aa2818f493b5672a539e5caa0f33d49ef2ebee3d3bffad59f2e4686511b3e6"
+
+
+def seeded_mu(rng, p):
+    """A product of 1-3 random monic factors of degree 1-3 (of one common
+    degree a third of the time), each to a power 1-3, or a random monic
+    polynomial of degree 1-9."""
+    shape = rng.randrange(3)
+    if shape == 2:
+        return [rng.randrange(p) for _ in range(rng.randint(1, 9))] + [1]
+    mu, common = [1], rng.randint(1, 3)
+    for _ in range(rng.randint(1, 3)):
+        d = common if shape == 1 else rng.randint(1, 3)
+        f = [rng.randrange(p) for _ in range(d)] + [1]
+        for _ in range(rng.randint(1, 3)):
+            mu = u_mul(mu, f, p)
+    return mu
+
+
+def test_coprime_splits_of_seeded_polynomials_are_pinned():
+    cases, drew = [], 0
+    for p in SPLIT_PRIMES:
+        for i in range(50):
+            rng = random.Random(f"{p}-{i}")
+            mu = seeded_mu(rng, p)
+            state = rng.getstate()
+            split = coprime_split(mu, p, rng)
+            drew += rng.getstate() != state
+            cases.append([p, mu, split, rng.random()])
+    digest = hashlib.sha256(json.dumps(cases).encode()).hexdigest()
+    assert (sum(c[2] is None for c in cases), drew, digest) == (86, 88, SPLIT_DIGEST)
+
+
+def monic_factors(mu, p):
+    """{factor: multiplicity} of a monic mu of degree <= 7, by trial
+    division by every monic polynomial of degree 1, 2, 3 in turn (a
+    reducible divisor's factors are gone before it is tried); what is left
+    has no factor of degree <= 3, so it is 1 or irreducible."""
+    assert u_deg(mu) <= 7
+    factors, rest = {}, mu
+    for d in (1, 2, 3):
+        for low in iter_product(range(p), repeat=d):
+            q = [*low, 1]
+            while u_deg(rest) >= d:
+                quo, rem = u_divmod(rest, q, p)
+                if rem:
+                    break
+                factors[tuple(q)] = factors.get(tuple(q), 0) + 1
+                rest = quo
+    if u_deg(rest) > 0:
+        factors[tuple(rest)] = 1
+    return factors
+
+
+def u_power(f, e, p):
+    out = [1]
+    for _ in range(e):
+        out = u_mul(out, f, p)
+    return out
+
+
+@st.composite
+def small_mu(draw):
+    """(p, monic mu) of degree 1-7 over F_2, F_3 or F_5: random, or a
+    product of powers of random monic factors of degree 1-3."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    if draw(st.booleans()):
+        deg = draw(st.integers(1, 7))
+        return p, [*draw(st.lists(st.integers(0, p - 1), min_size=deg, max_size=deg)), 1]
+    mu = [1]
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(1, 3))
+        f = [*draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d)), 1]
+        e = draw(st.integers(1, 3))
+        if u_deg(mu) + d * e > 7:
+            break
+        mu = u_mul(mu, u_power(f, e, p), p)
+    assume(u_deg(mu) >= 1)
+    return p, mu
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=small_mu(), seed=st.integers(0, 3))
+# inseparable: (T^2 + 1)^2 = (T + 1)^4 and (T^2 + T + 1)^2 over F_2,
+# T (T + 1)^2 over F_2, (T - 1)^3 and (T^2 + T)^3 over F_3, and an
+# irreducible cubic squared over F_3
+@example(case=(2, [1, 0, 0, 0, 1]), seed=0)
+@example(case=(2, [1, 0, 1, 0, 1]), seed=0)
+@example(case=(2, [0, 1, 0, 1]), seed=0)
+@example(case=(3, [2, 0, 0, 1]), seed=0)
+@example(case=(3, [0, 0, 0, 1, 0, 0, 1]), seed=0)
+@example(case=(3, u_power([1, 2, 0, 1], 2, 3)), seed=0)
+def test_coprime_split_matches_trial_division(case, seed):
+    p, mu = case
+    factors = monic_factors(mu, p)
+    split = coprime_split(mu, p, random.Random(seed))
+    event(f"{len(factors)} distinct factors")
+    assert (split is None) == (len(factors) == 1)
+    if split is None:
+        return
+    G, H = split
+    assert u_mul(G, H, p) == mu
+    assert u_gcd(G, H, p) == [1]
+    assert u_deg(G) >= 1 and u_deg(H) >= 1
+    for q, e in factors.items():
+        full = u_power(list(q), e, p)
+        assert not u_divmod(G, full, p)[1] or not u_divmod(H, full, p)[1]
 
 
 def test_divmod_roundtrip():
@@ -686,6 +806,48 @@ def test_trace_form_verdicts_agree_with_idempotent_enumeration():
             check_idempotent(cert, *mats, p)
         checked += 1
     assert checked > 150
+
+
+# The certificates of seeded commuting pairs (A, A^2 + 3A), n = 2..8: A is
+# dense, or a conjugated direct sum of Jordan blocks or of scalar blocks
+# with eigenvalues 0, 1, 2.  Hashed as the SHA-256 of the JSON list of
+# certificates, so the idempotent witnesses are pinned entry for entry.
+ENDO_PIN_PRIMES = (7, 31, P)
+ENDO_PIN_DIGEST = "d8362f5d07bb9a7a92e99ead5480dd346d35c5cc8958b836a69cf07c303cc137"
+
+
+def seeded_commuting_pair(n, copy, p):
+    rng = random.Random(100 * n + copy)
+    if copy % 3 == 0:
+        A = dense_matrix(rng, n, p)
+    else:
+        A = np.zeros((n, n), dtype=np.int64)
+        at = 0
+        while at < n:
+            size = rng.randint(1, n - at)
+            block = jordan(size, rng.randrange(3)) if copy % 3 == 1 else (
+                rng.randrange(3) * identity_matrix(size))
+            A[at : at + size, at : at + size] = block
+            at += size
+        A = conjugate_tuple([A], invertible_matrix(rng, n, p), p)[0]
+    return [A, (mat_mul(A, A, p) + 3 * A) % p]
+
+
+def test_idempotents_of_seeded_commuting_pairs_are_pinned():
+    certs = [
+        endomorphism_indecomposability(seeded_commuting_pair(n, copy, p), p, seed=copy)
+        for n in range(2, 9)
+        for copy in range(3)
+        for p in ENDO_PIN_PRIMES
+    ]
+    verdicts = collections.Counter(
+        (c["verdict"], c["idempotent"] is not None) for c in certs
+    )
+    digest = hashlib.sha256(json.dumps(certs, sort_keys=True).encode()).hexdigest()
+    assert verdicts == {
+        ("Decomposable", True): 45, ("Indecomposable", False): 6, ("Undecided", False): 12
+    }
+    assert digest == ENDO_PIN_DIGEST
 
 
 def test_intertwiner_rectangular():
