@@ -39,17 +39,22 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_characteristic(p: int) -> int:
+    """p, when it is a prime <= 2**31; an InputError otherwise."""
+    if not isinstance(p, int) or not is_prime(p):
+        raise InputError(f"characteristic {p!r} is not prime")
+    if p > MAX_CHARACTERISTIC:
+        raise InputError(f"characteristic {p} exceeds 2^31")
+    return p
+
+
 class PrimeField:
     """F_p with p an odd prime, p <= 2**31."""
 
     __slots__ = ("p",)
 
     def __init__(self, p: int = DEFAULT_PRIME):
-        if not isinstance(p, int) or not is_prime(p):
-            raise InputError(f"characteristic {p!r} is not prime")
-        if p > MAX_CHARACTERISTIC:
-            raise InputError(f"characteristic {p} exceeds 2^31")
-        if p == 2:
+        if check_characteristic(p) == 2:
             raise InputError("characteristic 2 is not supported at ring level")
         self.p = p
 

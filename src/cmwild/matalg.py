@@ -19,7 +19,8 @@ conjugacy word invariants in one elimination over all words (``ranks``).
 Matrices are numpy int64 arrays with entries reduced mod p; ``mat_mul``
 and ``mat_pow`` also take stacks of them along leading axes.  Products are
 chunked so intermediate sums never overflow 63 bits, which keeps every
-routine exact for any characteristic the field layer admits.
+routine exact for any prime p <= 2**31, p = 2 included (rings refuse it);
+both decisions refuse any other p.
 
 Elimination is sparsity-aware: each pivot step updates only the trailing
 columns, and, when few rows have a nonzero in the pivot column, only
@@ -34,6 +35,12 @@ has g*m unknowns for g generators instead of the n*m entries of sigma.  The
 basis returned is still the canonical nullspace basis of the n*m-column
 system, so witnesses and idempotents built from it do not depend on the
 spin.
+
+A Decomposable verdict's idempotent is a polynomial in one endomorphism a:
+its minimal polynomial mu is split into coprime factors G * H by one
+distinct-degree scan on mu itself (``coprime_split``; the equal-degree
+split of Cantor-Zassenhaus when every factor has one degree), and the
+idempotent is (u G)(a) for the Bezout cofactor u of G modulo H.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ from itertools import product as iter_product
 import numpy as np
 
 from .errors import CmwildError, InputError
+from .field import check_characteristic
 
 # The decision procedures try SAMPLES random combinations of a basis before
 # giving up on sampling, and enumerate a space of p**dim elements only when
@@ -285,13 +293,6 @@ def u_divmod(f, g, p):
     return u_trim(q), r
 
 
-def u_div_exact(f, g, p):
-    q, r = u_divmod(f, g, p)
-    if r:
-        raise CmwildError("inexact univariate division")
-    return q
-
-
 def u_gcd(f, g, p):
     a, b = u_trim([c % p for c in f]), u_trim([c % p for c in g])
     while b:
@@ -327,10 +328,6 @@ def u_powmod(f, e, mod, p):
     return result
 
 
-def u_deriv(f, p):
-    return u_trim([i * f[i] % p for i in range(1, len(f))])
-
-
 def u_eval_matrix(f, A: np.ndarray, p: int) -> np.ndarray:
     """f(A) by Horner."""
     n = A.shape[0]
@@ -341,37 +338,11 @@ def u_eval_matrix(f, A: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def u_radical(f, p):
-    """Product of the distinct monic irreducible factors of f."""
-    f = u_monic(f, p)
-    if u_deg(f) <= 0:
-        return [1]
-    df = u_deriv(f, p)
-    if not df:
-        # f = g(T^p) = (compressed g)(T)^p over F_p
-        compressed = u_trim([f[i] for i in range(0, len(f), p)])
-        return u_radical(compressed, p)
-    g = u_gcd(f, df, p)
-    w = u_div_exact(f, g, p)
-    if u_deg(g) == 0:
-        return w
-    rest = g
-    while True:
-        c = u_gcd(rest, w, p)
-        if u_deg(c) == 0:
-            break
-        rest = u_div_exact(rest, c, p)
-    if u_deg(rest) == 0:
-        return w
-    return u_mul(w, u_radical(rest, p), p)
-
-
-def _equal_degree_split(v, k, p, rng, tries=128):
+def _equal_degree_split(v, k, p, rng):
     """Split a squarefree product of >= 2 irreducibles, all of degree k."""
     d = u_deg(v)
-    for _ in range(tries):
-        rho = [rng.randrange(p) for _ in range(d)]
-        rho = u_trim(rho)
+    for _ in range(128):
+        rho = u_trim([rng.randrange(p) for _ in range(d)])
         if u_deg(rho) < 1:
             continue
         c = u_gcd(v, rho, p)
@@ -392,53 +363,36 @@ def _equal_degree_split(v, k, p, rng, tries=128):
     raise CmwildError("equal-degree splitting did not converge")
 
 
-def _lift_multiplicity(mu, g, p):
-    """The full-multiplicity part of mu supported on the factors of g."""
-    G = u_gcd(mu, g, p)
-    while True:
-        rem = u_div_exact(mu, G, p)
-        c = u_gcd(rem, G, p)
-        if u_deg(c) == 0:
-            return G
-        G = u_mul(G, c, p)
-
-
 def coprime_split(mu, p, rng):
-    """A nontrivial factorization mu = g * h with gcd(g, h) = 1, or None
-    when mu is a power of a single irreducible."""
+    """A nontrivial factorization mu = G * H with gcd(G, H) = 1, or None
+    when mu is a power of a single irreducible.
+
+    One distinct-degree scan on mu itself (Cantor-Zassenhaus): at step k,
+    g = gcd(mu, T^(p^k) - T) is the product of the distinct irreducible
+    factors of mu whose degree divides k, and G = gcd(mu, g^deg(mu)) is the
+    part of mu on those factors, with full multiplicity.  The first k with
+    g != 1 is the least factor degree; if G = mu there, every factor has
+    degree k and g is the squarefree radical of mu, which the equal-degree
+    split cuts in two unless it is one irreducible.
+    """
     mu = u_monic(mu, p)
-    if u_deg(mu) <= 1:
-        return None
-    w = u_radical(mu, p)
-    if u_deg(w) == 1:
-        return None  # single irreducible factor
-    # distinct-degree scan on the squarefree radical
-    v = w
-    frob = u_powmod([0, 1], p, v, p)  # T^p mod v
-    k = 1
-    g_part = None
-    while u_deg(v) > 0:
-        cand = u_gcd(v, u_add(frob, [0, 1], p, -1), p)
-        if 0 < u_deg(cand) < u_deg(v):
-            g_part = cand
-            break
-        if u_deg(cand) == u_deg(v):
-            # every remaining factor has degree k
-            if u_deg(v) == k:
-                return None  # irreducible radical: mu is a prime power
-            g_part = _equal_degree_split(v, k, p, rng)
-            break
-        k += 1
-        if k > u_deg(v):
-            raise CmwildError("distinct-degree scan overran the radical")
-        frob = u_powmod(frob, p, v, p)
-    if g_part is None:
-        return None
-    G = _lift_multiplicity(mu, g_part, p)
-    H = u_div_exact(mu, G, p)
-    if u_deg(G) < 1 or u_deg(H) < 1:
-        raise CmwildError("degenerate coprime split")
-    return u_monic(G, p), u_monic(H, p)
+    n = u_deg(mu)
+    frob = [0, 1]
+    for k in range(1, n):
+        frob = u_powmod(frob, p, mu, p)  # T^(p^k) mod mu
+        g = u_gcd(mu, u_add(frob, [0, 1], p, -1), p)
+        if u_deg(g) == 0:
+            continue
+        G = u_gcd(mu, u_powmod(g, n, mu, p), p)
+        if G == mu:
+            if u_deg(g) == k:
+                return None  # mu is a power of the irreducible g
+            G = u_gcd(mu, u_powmod(_equal_degree_split(g, k, p, rng), n, mu, p), p)
+        H, rem = u_divmod(mu, G, p)
+        if rem or u_deg(G) < 1 or u_deg(H) < 1:
+            raise CmwildError("degenerate coprime split")
+        return G, H
+    return None  # no factor of degree < n: mu is irreducible, or 1
 
 
 # ----------------------------------------------------------- matrix algebra
@@ -642,6 +596,7 @@ def simultaneous_conjugacy(
     exact witness or obstruction, and the dimension of the space of
     intertwining maps.
     """
+    check_characteristic(p)
     if len(As) != len(Bs) or not As:
         raise InputError("need two equal-length nonempty matrix tuples")
     As = [as_matrix(A, p) for A in As]
@@ -754,6 +709,7 @@ def endomorphism_indecomposability(
     one-dimensional Frobenius-fixed subspace.  Decomposable verdicts carry
     an exact idempotent witness when one is found (always, if commutative).
     """
+    check_characteristic(p)
     if not mats:
         raise InputError("need at least one action matrix")
     mats = [as_matrix(M, p) for M in mats]

