@@ -94,7 +94,7 @@ class FamilySpec:
     """Frame plus matrix data for one member of a strict family.
 
     ``sequence`` must be a regular sequence of length dim R (verified here,
-    stage by stage).  ``basis`` lists two standard monomials of degree c
+    in one check).  ``basis`` lists two standard monomials of degree c
     for a one-parameter family (``Ay`` omitted) and three for a
     two-parameter family; it defaults to the first ones in the canonical
     grevlex-descending listing of the monomial basis of Rbar_c.
@@ -258,7 +258,7 @@ def member_over_ring(spec: FamilySpec) -> ModulePresentation:
 
 class FamilyMember:
     """One member with its derived data, each piece computed once.  The MCM
-    check walks the sequence once, to the reduced syzygy the shift check reads."""
+    check is one check of y on the syzygy N; the shift check reads its N/(y)N."""
 
     def __init__(self, spec: FamilySpec):
         self.spec = spec
@@ -282,14 +282,12 @@ class FamilyMember:
 
     @cached_property
     def reduced_syzygy(self) -> tuple[ModulePresentation, bool]:
-        # (N/(y)N over R/(y), y is N-regular): stage i is N/(y_1..y_i)N over
-        # R/(y_1..y_i); the rest of y reduces a failing stage at once
-        target, seq = self.syzygy, self.spec.sequence
-        for i, y in enumerate(seq):
-            if (stage := verify_regular_element(target, y)) is None:
-                return target.reduce_mod(seq[i:]), False
-            target = stage
-        return target, True
+        # (N/(y)N over R/(y), y is N-regular), from one check of the whole y
+        syzygy, seq = self.syzygy, self.spec.sequence
+        reduced = verify_regular_element(syzygy, *seq)
+        if reduced is None:
+            return syzygy.reduce_mod(seq), False
+        return reduced, True
 
     @property
     def mcm_verified(self) -> bool:
@@ -359,8 +357,8 @@ def indecomposability_test(spec: FamilySpec, seed: int = 0) -> dict:
 def verify_shift_embedding(spec: FamilySpec, bundle: FamilyMember | None = None) -> dict:
     """Check that M re-embeds into its reduced syzygy with a degree shift.
 
-    The submodule of the reduced syzygy Omega^d(M)/(y), the last stage of
-    the MCM walk, generated by its degree-m component must have the Hilbert
+    The submodule of Omega^d(M)/(y), the reduced syzygy the MCM check
+    builds, generated by its degree-m component must have the Hilbert
     function of M shifted up by m.  The report carries both Hilbert
     functions; exact equality in every degree is the pass condition.
     """

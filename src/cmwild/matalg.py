@@ -596,7 +596,7 @@ def simultaneous_conjugacy(
     exact witness or obstruction, and the dimension of the space of
     intertwining maps.
     """
-    check_characteristic(p)
+    p = check_characteristic(p)
     if len(As) != len(Bs) or not As:
         raise InputError("need two equal-length nonempty matrix tuples")
     As = [as_matrix(A, p) for A in As]
@@ -709,7 +709,7 @@ def endomorphism_indecomposability(
     one-dimensional Frobenius-fixed subspace.  Decomposable verdicts carry
     an exact idempotent witness when one is found (always, if commutative).
     """
-    check_characteristic(p)
+    p = check_characteristic(p)
     if not mats:
         raise InputError("need at least one action matrix")
     mats = [as_matrix(M, p) for M in mats]

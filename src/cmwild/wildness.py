@@ -15,11 +15,10 @@ the same scan.  A verified full-length regular sequence also certifies
 that the ring is Cohen-Macaulay, so no Cohen-Macaulayness assumption is
 carried.
 
-Regularity of an element on a module is decided exactly through Hilbert
-series numerators: y of degree e is a nonzerodivisor on N iff the numerator
-of N/yN equals (1 - t^e) times the numerator of N.  Both directions are
-sound because the numerator of the kernel (0 :_N y) is the difference of
-the two sides.  N/yN is presented over R/(y), as R/(y) is for a ring.
+A whole sequence y is checked at once, on a ring or a module N, by one
+exact Hilbert-series identity, HS(N/(y)N) = prod (1 - t^deg y_i) HS(N)
+(see ``verify_regular_element``); no intermediate quotient is built.
+N/(y)N is presented over R/(y), as R/(y) is for a ring.
 """
 
 from __future__ import annotations
@@ -48,40 +47,45 @@ INCONCLUSIVE_NOTE = (
 SCHEMA = "cmwild/1"
 
 
-def verify_regular_element(target, y: Poly) -> QuotientRing | ModulePresentation | None:
-    """Exact regularity test: y is a nonzerodivisor on the ring or module.
+def verify_regular_element(target, *ys: Poly) -> QuotientRing | ModulePresentation | None:
+    """N/(y)N if y_1..y_k is a regular sequence on the ring or module N, else
+    None (N itself for no ys), by one identity with e_i = deg y_i:
+    HS(N/(y)N) = prod_i (1 - t^e_i) HS(N).  No N_j = N/(y_1..y_j)N is built.
 
-    Compares Hilbert numerators: numerator(N/yN) == (1 - t^deg y) * numerator(N).
-    Returns the quotient N/yN when y is regular, so that a caller walking a
-    sequence carries it to the next stage, and None when y is a zerodivisor.
+    Why it decides (Stanley, "Hilbert functions of graded algebras", Adv.
+    Math. 1978, section 3): with K_j = 0 :_{N_(j-1)} y_j,
+    HS(N_j) = (1 - t^e_j) HS(N_(j-1)) + t^e_j HS(K_j), which unrolls to
+    HS(N/(y)N) - prod_i (1 - t^e_i) HS(N)
+        = sum_j t^e_j * prod_(i>j) (1 - t^e_i) * HS(K_j).
+    Each product has constant term 1, so at the least degree
+    min_j (e_j + indeg K_j) the sum has a positive coefficient unless every
+    K_j = 0.  No finite-length condition is needed.
     """
-    if y.is_zero() or not y.is_homogeneous() or y.degree() < 1:
+    if any(y.is_zero() or not y.is_homogeneous() or y.degree() < 1 for y in ys):
         raise InputError("regularity candidates must be homogeneous of positive degree")
-    if isinstance(target, QuotientRing):
-        quotient = target.extend([y])
-    elif isinstance(target, ModulePresentation):
-        quotient = target.reduce_mod([y])
-    else:
+    if not isinstance(target, (QuotientRing, ModulePresentation)):
         raise InputError("regularity target must be a ring or a module presentation")
-    # (1 - t^e) N; each hilbert_numerator read is a fresh copy, so N is
-    # never added into itself
+    if not ys:
+        return target
+    quotient = target.extend(ys) if isinstance(target, QuotientRing) else target.reduce_mod(ys)
+    # hilbert_numerator reads are fresh copies; each factor adds a copy
     expected = target.hilbert_numerator
-    series_add(expected, target.hilbert_numerator, y.degree(), -1)
-    if quotient.hilbert_numerator == expected:
-        return quotient
-    return None
+    for y in ys:
+        series_add(expected, dict(expected), y.degree(), -1)
+    return quotient if quotient.hilbert_numerator == expected else None
 
 
 def verify_regular_sequence(ring: QuotientRing, seq) -> QuotientRing:
-    """R/(seq), after checking that each element is regular on the quotient
-    by the ones before it; the first element that is not is named in an
-    InputError."""
-    current = ring
-    for i, y in enumerate(seq):
-        current = verify_regular_element(current, y)
-        if current is None:
-            raise InputError(f"sequence element {i} ({y}) is not regular at that stage")
-    return current
+    """R/(seq), after one check that seq is regular on R; if it is not, the
+    end of the shortest failing prefix, the first element not regular
+    modulo the ones before it, is named in an InputError."""
+    seq = list(seq)
+    reduced = verify_regular_element(ring, *seq)
+    if reduced is None:
+        prefixes = (verify_regular_element(ring, *seq[: i + 1]) for i in range(len(seq)))
+        i = next(i for i, stage in enumerate(prefixes) if stage is None)
+        raise InputError(f"sequence element {i} ({seq[i]}) is not regular at that stage")
+    return reduced
 
 
 # ------------------------------------------------------- sequence search
@@ -189,9 +193,9 @@ def artinian_reduction(
     """The regular sequence and the Artinian reduction R/(seq).
 
     A given ``sequence`` (strings or polynomials) must have length dim R
-    and is verified stage by stage; without one, ``find_regular_sequence``
-    searches with ``seed``.  The reduction is the last verified stage, so
-    its Groebner basis is never computed twice.
+    and is verified in one check; without one, ``find_regular_sequence``
+    searches with ``seed``.  The reduction is the quotient the check built,
+    so its Groebner basis is never computed twice.
     """
     if sequence is None:
         seq, reduced = find_regular_sequence(ring, seed=seed)
@@ -317,8 +321,8 @@ def complete_intersection_certificate(
 ) -> WildnessReport:
     """Wildness certificate for a ring whose relations are first verified
     to be a regular sequence on the ambient ring; anything else is
-    rejected.  The scan runs on the last verified stage: the same ring,
-    with its Groebner basis already computed."""
+    rejected.  The scan runs on the quotient that check built: the same
+    ring, with its Groebner basis already computed."""
     if not ring.relations:
         raise InputError("need at least one relation")
     try:

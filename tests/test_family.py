@@ -125,8 +125,9 @@ def test_spec_computes_each_stage_once(monkeypatch):
     ring = QuotientRing.from_strings(["x", "y", "z"], ["x^4+y^4+z^4"])
     spec = FamilySpec(ring, ["x^2", "y^2"], 4, [[1]], Ay=[[2]])
     assert spec.rbar == ring.extend(spec.sequence)
-    # R, R/(x^2) and R/(x^2, y^2): rbar is the last verified stage
-    assert len(calls) == 3
+    # R and R/(x^2, y^2), checked at once: rbar is the quotient the check
+    # built, and R/(x^2) is never built
+    assert len(calls) == 2
 
 
 def test_basis_validation(fermat):
@@ -185,9 +186,8 @@ def test_mcm_module_certified(fermat, binary):
 
 
 def test_chained_module_quotient_matches_reduce_mod(fermat):
-    # the MCM walk carries N/y1 N, presented over R/(y1), to the next stage;
-    # it is the same module as the syzygy over R with y1 times each
-    # generator added
+    # the MCM check presents N/(y)N over R/(y); for y = y1 it is the same
+    # module as the syzygy over R with y1 times each generator added
     spec = two_param(fermat, [[0, 1], [0, 0]], [[1, 0], [0, 1]])
     syzygy = FamilyMember(spec).syzygy
     y1 = spec.sequence[0]
@@ -220,14 +220,15 @@ def test_mcm_rejects_a_finite_length_module(binary):
     assert verify_regular_element(bundle.over_ring, bundle.spec.sequence[0]) is None
     bundle.__dict__["syzygy"] = bundle.over_ring
     assert bundle.mcm_verified is False
-    # the walk still ends at the reduction by the whole sequence
+    # a rejected check still yields the reduction by the whole sequence
     rows = verify_shift_embedding(bundle.spec, bundle)["rows"]
     assert rows == per_degree_shift_rows(bundle)
 
 
 def test_mcm_rejects_at_the_second_stage(fermat):
     # N = R/(the variable y): x^2 is regular on N, but y^2 kills N/x^2 N,
-    # so the walk stops at the second stage and finishes the reduction there
+    # so the one check of (x^2, y^2) rejects, and the reduced syzygy is the
+    # reduction by the whole sequence
     bundle = FamilyMember(two_param(fermat, [[1]], [[2]]))
     bundle.__dict__["syzygy"] = ModulePresentation(fermat, [0], [{(0, (0, 1, 0)): 1}])
     x2, y2 = bundle.spec.sequence
@@ -252,9 +253,9 @@ def test_family_report_builds_one_basis_per_stage(monkeypatch, fermat):
     monkeypatch.setattr(modules, "buchberger", counting)
     spec = two_param(fermat, [[1]], [[2]])
     family_report(spec)
-    # N = Omega^2(M), N/x^2 N, N/(x^2, y^2)N (read by the MCM check and the
-    # shift check alike), its quotient by the degree-m component, and M
-    assert len(calls) == 5
+    # N = Omega^2(M), N/(x^2, y^2)N (built by the one MCM check and read by
+    # the shift check), its quotient by the degree-m component, and M
+    assert len(calls) == 4
 
 
 def test_syzygy_nonzero_after_full_reduction(fermat):

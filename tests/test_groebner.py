@@ -470,8 +470,9 @@ class TestGrownBases:
         amb = PolyRing(["x", "y", "z"], GROW_P)
         rels = polys_from(amb, data.draw(homogeneous_vectors((0,), 0, 2)))
         seq = polys_from(amb, data.draw(homogeneous_vectors((0,), 1, 3, max_excess=2)))
-        # as in verify_regular_sequence: each stage extends the one before;
-        # with ``eager`` off, only the last stage's basis is asked for
+        # as in find_regular_sequence's slot search: each stage extends the
+        # one before; with ``eager`` off, only the last stage's basis is
+        # asked for, as when verify_regular_element checks a whole sequence
         eager = data.draw(st.booleans())
         stage = QuotientRing(amb, rels)
         for y in seq:
@@ -497,9 +498,9 @@ class TestGrownBases:
         all_rels = rels + [v for y in seq for v in along(y, len(gen_degrees))]
         fresh = ModulePresentation(ring, gen_degrees, all_rels)
         assert listing(stage.gb) == listing(fresh.gb)
-        # as in FamilyMember.reduced_syzygy: stage i is N presented over
-        # R/(y_1..y_i); the walk, the chain above and the one-shot
-        # reduction reach the same basis
+        # stage i is N presented over R/(y_1..y_i); the walk, the chain
+        # above and the one-shot reduction of FamilyMember.reduced_syzygy
+        # reach the same basis
         walked = ModulePresentation(ring, gen_degrees, rels)
         for y in seq:
             walked.gb

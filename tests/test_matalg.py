@@ -770,6 +770,14 @@ def test_decisions_refuse_a_characteristic_outside_the_field_layer(p, match):
         endomorphism_indecomposability([A], p)
 
 
+def test_decisions_read_a_numpy_integer_characteristic():
+    As, Bs = [[[1, 1], [0, 1]], [[2, 0], [0, 2]]], [[[1, 0], [1, 1]], [[2, 0], [0, 2]]]
+    cert = simultaneous_conjugacy(As, Bs, np.int64(7))
+    assert cert == simultaneous_conjugacy(As, Bs, 7)
+    assert cert["verdict"] == "Isomorphic"
+    assert endomorphism_indecomposability(As, np.int64(7)) == endomorphism_indecomposability(As, 7)
+
+
 def test_indecomposability_random_polynomial_pairs():
     rng = random.Random(43)
     for trial in range(20):

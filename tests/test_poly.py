@@ -4,12 +4,13 @@ import random
 import re
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmwild.errors import InputError
-from cmwild.field import PrimeField, is_prime
+from cmwild.field import PrimeField, check_characteristic, is_prime
 from cmwild.poly import (
     PolyRing,
     compose,
@@ -100,6 +101,34 @@ class TestPrimeField:
         primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
         for n in range(2, 50):
             assert is_prime(n) == (n in primes)
+
+    def test_is_prime_matches_a_sieve(self):
+        n = 20000
+        sieve = [True] * n
+        sieve[0] = sieve[1] = False
+        for i in range(2, n):
+            if sieve[i]:
+                sieve[i * i :: i] = [False] * len(range(i * i, n, i))
+        assert [k for k in range(n) if is_prime(k)] == [k for k in range(n) if sieve[k]]
+
+    def test_characteristic_range_of_the_four_witnesses(self):
+        # a strong pseudoprime to the bases 2, 3, 5: the base 7 rejects it
+        with pytest.raises(InputError, match="25326001 is not prime"):
+            check_characteristic(25326001)
+        assert check_characteristic(2**31 - 1) == 2**31 - 1
+        # the least strong pseudoprime to 2, 3, 5 and 7, which is_prime
+        # would pass, is refused by size before is_prime sees it
+        with pytest.raises(InputError, match="3215031751 exceeds 2\\^31"):
+            check_characteristic(3215031751)
+
+    def test_characteristic_of_any_integer_type(self):
+        p = check_characteristic(np.int64(7))
+        assert p == 7 and type(p) is int
+        assert PrimeField(np.int32(31)).p == 31
+        with pytest.raises(InputError, match="must be an integer, not float"):
+            check_characteristic(7.0)
+        with pytest.raises(InputError, match="must be an integer, not str"):
+            PrimeField("7")
 
 
 class TestGrevlex:

@@ -1,11 +1,13 @@
 """The command-line helpers under ``tools/``."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
+ROOT = Path(__file__).resolve().parent.parent
+TOOLS = ROOT / "tools"
 
 
 def check_trace_counts(workload, metrics):
@@ -103,3 +105,17 @@ def test_trace_count_check_pins_nothing_from_a_bad_result():
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.count("\n") == 1
     assert (TOOLS / "trace_counts.json").read_bytes() == before
+
+
+def test_trace_counts_pin_every_count_metric_of_every_workload():
+    # a partial re-pin would leave a workload with missing or stale names
+    path = TOOLS / "check_trace_counts.py"
+    spec = importlib.util.spec_from_file_location("check_trace_counts", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    counted = {m["name"] for m in bench["per_layer"] if m["unit"] == "count"} - tool.EXCLUDED
+    pins = json.loads((TOOLS / "trace_counts.json").read_text(encoding="utf-8"))
+    assert sorted(pins) == sorted(w["name"] for w in bench["workloads"])
+    for workload, pinned in pins.items():
+        assert set(pinned) == counted, workload

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 from acm_rings import rational_normal_curve, veronese
-from hypothesis import given, reject, settings
+from hypothesis import event, given, reject, settings
 from hypothesis import strategies as st
 
 from cmwild import rings, wildness
@@ -79,6 +79,80 @@ def test_regular_sequence_returns_the_reduction():
     # the first element that fails is named, with its position
     with pytest.raises(InputError, match=r"element 1 \(x\*y\) is not regular"):
         verify_regular_sequence(R, [R.parse("x^2"), R.parse("x*y"), R.parse("z")])
+    # ... also when it is the first element, or the last one
+    S = QuotientRing.from_strings(["x", "y"], ["x*y"], P)
+    with pytest.raises(InputError, match=r"element 0 \(x\) is not regular"):
+        verify_regular_sequence(S, [S.parse("x"), S.parse("x+y")])
+    with pytest.raises(InputError, match=r"element 2 \(z\) is not regular"):
+        verify_regular_sequence(R, [R.parse("x^2"), R.parse("y^2"), R.parse("z")])
+    # the empty sequence is regular, and its reduction is the ring itself
+    assert verify_regular_sequence(R, []) is R
+
+
+def walk(target, ys):
+    """The per-element walk: each y_i is checked, by the single-element
+    identity, on the quotient by the ones before it.  It is the oracle for
+    the one-shot check of a whole sequence."""
+    for y in ys:
+        target = verify_regular_element(target, y)
+        if target is None:
+            return None
+    return target
+
+
+@st.composite
+def regularity_cases(draw):
+    """A ring in 2-3 variables over F_31 with at most one relation, or a
+    presentation of rank 1 or 2 over it, and 1-3 homogeneous forms of
+    degree 1-2 with 1-3 terms (so both outcomes are common)."""
+    nv = draw(st.integers(2, 3))
+    amb = PolyRing(["x", "y", "z"][:nv], 31)
+
+    def form(low, high):
+        monos = monomials_of_degree(nv, draw(st.integers(low, high)))
+        chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True))
+        return Poly(amb, {m: draw(st.integers(1, 30)) for m in chosen})
+
+    ring = QuotientRing(amb, [form(2, 3) for _ in range(draw(st.integers(0, 1)))])
+    gen_degrees = draw(st.sampled_from([None, (0,), (0, 1)]))
+    target = ring
+    if gen_degrees is not None:
+        rels = []
+        for _ in range(draw(st.integers(0, 2))):
+            deg = draw(st.integers(1, max(gen_degrees) + 2))
+            terms = [
+                (pos, m)
+                for pos, gd in enumerate(gen_degrees)
+                for m in monomials_of_degree(nv, deg - gd)
+            ]
+            chosen = draw(st.lists(st.sampled_from(terms), min_size=1, max_size=4, unique=True))
+            rels.append({t: draw(st.integers(1, 30)) for t in chosen})
+        target = ModulePresentation(ring, list(gen_degrees), rels)
+    return target, [form(1, 2) for _ in range(draw(st.integers(1, 3)))]
+
+
+def gb_listing(target):
+    gb = target.gb
+    return [list(v.items()) for v in gb.vectors], list(gb.lts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(regularity_cases())
+def test_one_check_of_a_sequence_matches_the_walk(case):
+    target, ys = case
+    walked = walk(target, ys)
+    once = verify_regular_element(target, *ys)
+    event("regular" if walked is not None else "not regular")
+    event("ring" if isinstance(target, QuotientRing) else f"rank {target.rank}")
+    assert (once is None) == (walked is None)
+    if once is not None:
+        # the same quotient with the same basis, over the same ring
+        assert gb_listing(once) == gb_listing(walked)
+        if isinstance(target, QuotientRing):
+            assert once == walked
+        else:
+            assert once.ring == walked.ring
+            assert gb_listing(once.ring) == gb_listing(walked.ring)
 
 
 def test_artinian_reduction_returns_the_verified_stage(monkeypatch):
@@ -109,13 +183,17 @@ def count_ideal_buchberger(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("sequence", [None, ["x^2", "y^2"]], ids=["search", "given"])
-def test_certificate_computes_each_stage_once(monkeypatch, sequence):
+@pytest.mark.parametrize(
+    ("sequence", "bases"), [(None, 3), (["x^2", "y^2"], 2)], ids=["search", "given"]
+)
+def test_certificate_computes_each_stage_once(monkeypatch, sequence, bases):
     calls = count_ideal_buchberger(monkeypatch)
     rep = wildness_certificate(fermat_quartic(), sequence=sequence)
     assert rep.verdict == "CMWild"
-    # R, R/(x^2) and R/(x^2, y^2): the reduction is the last verified stage
-    assert len(calls) == 3
+    # the search walks R, R/(x^2) and R/(x^2, y^2), slot by slot; a given
+    # sequence is checked at once, so only R and R/(x^2, y^2) are built.
+    # Either way the reduction is the quotient the last check built
+    assert len(calls) == bases
 
 
 def test_regularity_on_modules():
