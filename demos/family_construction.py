@@ -11,10 +11,8 @@ are simultaneously conjugate, and indecomposability transfers.
 import json
 
 from cmwild import (
-    FamilyMember,
     FamilySpec,
     QuotientRing,
-    build_family_member,
     indecomposability_test,
     iso_test,
     verify_resolution_shape,
@@ -28,15 +26,14 @@ def main():
     spec = FamilySpec(ring, ["x^2", "y^2"], 4, [[1]], Ay=[[2]])
     print("frame: c =", spec.c, " basis =", [str(e) for e in spec.basis])
 
-    member = build_family_member(spec)
+    member = spec.member
     print("member relation:", [str(p) for p in member.free.component_polys(
         member.relations[0])])
     print("member Hilbert function:", member.hilbert_function())
 
-    bundle = FamilyMember(spec)
-    omega = bundle.syzygy
+    omega = spec.syzygy
     print("syzygy generators in degrees:", list(omega.gen_degrees))
-    print("sequence regular on the syzygy:", bundle.mcm_verified)
+    print("sequence regular on the syzygy:", spec.mcm_verified)
     print()
 
     # distinct scalars give non-isomorphic members, conjugate Jordan data
@@ -57,8 +54,8 @@ def main():
     print()
 
     # the two structural facts behind strictness, checked exactly
-    shift = verify_shift_embedding(spec, bundle)
-    shape = verify_resolution_shape(spec, bundle)
+    shift = verify_shift_embedding(spec)
+    shape = verify_resolution_shape(spec)
     print("shift embedding:", "pass" if shift["passed"] else "FAIL")
     for row in shift["rows"]:
         if row["submodule"] or row["shifted_member"]:

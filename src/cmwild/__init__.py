@@ -8,7 +8,6 @@ constructs and verifies the witnessing families explicitly.
 
 from .errors import BudgetExhausted, CmwildError, InputError
 from .family import (
-    FamilyMember,
     FamilySpec,
     IsoCertificate,
     action_matrices,
@@ -16,8 +15,6 @@ from .family import (
     family_report,
     indecomposability_test,
     iso_test,
-    mcm_module,
-    member_over_ring,
     verify_resolution_shape,
     verify_shift_embedding,
 )
@@ -53,7 +50,6 @@ __all__ = [
     "BudgetExhausted",
     "CmwildError",
     "DEFAULT_PRIME",
-    "FamilyMember",
     "FamilySpec",
     "FreeMap",
     "FreeModule",
@@ -79,8 +75,6 @@ __all__ = [
     "indecomposability_test",
     "iso_test",
     "koszul_complex",
-    "mcm_module",
-    "member_over_ring",
     "minimal_resolution",
     "simultaneous_conjugacy",
     "verify_regular_element",

@@ -30,7 +30,6 @@ from typing import Callable, NamedTuple
 
 from .errors import BudgetExhausted, CmwildError, InputError
 from .family import (
-    FamilyMember,
     FamilySpec,
     family_report,
     iso_test,
@@ -179,7 +178,7 @@ def _cmd_resolve(args) -> dict:
         if args.ring is not None or args.sequence is not None:
             raise InputError("resolve takes --instance or --ring with --sequence, not both")
         spec = _load_instance(args.instance, args.field_char)
-        pres, length, p = FamilyMember(spec).over_ring, spec.d + 1, spec.p
+        pres, length, p = spec.over_ring, spec.d + 1, spec.p
     else:
         if args.ring is None:
             raise InputError("resolve needs --instance or --ring")
@@ -239,16 +238,15 @@ def _hilbert_lines(data: dict) -> list[str]:
 
 def _cmd_verify(args) -> dict:
     spec = _load_instance(args.instance, args.field_char)
-    bundle = FamilyMember(spec)
-    shift = verify_shift_embedding(spec, bundle)
-    shape = verify_resolution_shape(spec, bundle)
+    shift = verify_shift_embedding(spec)
+    shape = verify_resolution_shape(spec)
     return {
         "p": spec.p,
         "instance": spec.to_json(),
-        "mcm_verified": bundle.mcm_verified,
+        "mcm_verified": spec.mcm_verified,
         "shift_embedding": shift,
         "resolution_shape": shape,
-        "passed": bundle.mcm_verified and shift["passed"] and shape["passed"],
+        "passed": spec.mcm_verified and shift["passed"] and shape["passed"],
     }
 
 

@@ -11,11 +11,12 @@ and the MCM module attached to it is the d-th syzygy of M over R.  The
 point of the construction: members are isomorphic exactly when their
 matrix data are simultaneously conjugate, and that correspondence
 survives taking syzygies, so matrix-level verdicts transfer to the MCM
-modules.  This module builds members, extracts and certifies the syzygy,
-runs the matrix-level isomorphism and indecomposability tests, and checks
-the two structural facts the transfer rests on (the degree-shift
-embedding of M into its reduced syzygy, and the Koszul-plus-high-degrees
-shape of the resolution).
+modules.  One ``FamilySpec`` is one member, and it computes the member's
+derived data once, on first use.  This module builds members, extracts
+and certifies the syzygy, runs the matrix-level isomorphism and
+indecomposability tests, and checks the two structural facts the
+transfer rests on (the degree-shift embedding of M into its reduced
+syzygy, and the Koszul-plus-high-degrees shape of the resolution).
 """
 
 from __future__ import annotations
@@ -44,11 +45,8 @@ from .wildness import artinian_reduction, first_scan_degree, verify_regular_elem
 
 __all__ = [
     "FamilySpec",
-    "FamilyMember",
     "IsoCertificate",
     "build_family_member",
-    "member_over_ring",
-    "mcm_module",
     "iso_test",
     "indecomposability_test",
     "verify_shift_embedding",
@@ -98,6 +96,14 @@ class FamilySpec:
     for a one-parameter family (``Ay`` omitted) and three for a
     two-parameter family; it defaults to the first ones in the canonical
     grevlex-descending listing of the monomial basis of Rbar_c.
+
+    The member's derived data are cached properties, each computed once:
+    ``member`` (M over Rbar), ``over_ring`` (M presented over R),
+    ``resolution`` (its minimal resolution over R to length d+1),
+    ``syzygy`` (the d-th syzygy N), and ``reduced_syzygy``, the pair
+    (N/(y)N over R/(y), y is N-regular) from one check of the whole
+    sequence on N; ``mcm_verified`` reads its flag (depth = dim, so N is
+    MCM).  The shift check reads the same N/(y)N.
     """
 
     def __init__(self, ring: QuotientRing, sequence, c: int, Ax, Ay=None,
@@ -177,6 +183,42 @@ class FamilySpec:
     def actions(self) -> list[np.ndarray]:
         return [self.Ax] if self.Ay is None else [self.Ax, self.Ay]
 
+    @cached_property
+    def member(self) -> ModulePresentation:
+        return build_family_member(self)
+
+    @cached_property
+    def over_ring(self) -> ModulePresentation:
+        """The member presented over R: matrix columns plus y times each
+        generator."""
+        cols = _member_columns(self)
+        for y in self.sequence:
+            for i in range(self.n):
+                cols.append({(i, mono): c for mono, c in y.terms.items()})
+        return ModulePresentation(self.ring, [0] * self.n, cols)
+
+    @cached_property
+    def resolution(self):
+        # one step past d so the d-th syzygy comes with its relations
+        return minimal_resolution(self.over_ring, self.d + 1)
+
+    @cached_property
+    def syzygy(self) -> ModulePresentation:
+        return self.resolution.syzygy_presentation(self.d)
+
+    @cached_property
+    def reduced_syzygy(self) -> tuple[ModulePresentation, bool]:
+        # (N/(y)N over R/(y), y is N-regular), from one check of the whole y
+        syzygy, seq = self.syzygy, self.sequence
+        reduced = verify_regular_element(syzygy, *seq)
+        if reduced is None:
+            return syzygy.reduce_mod(seq), False
+        return reduced, True
+
+    @property
+    def mcm_verified(self) -> bool:
+        return self.reduced_syzygy[1]
+
     def frame(self):
         """Everything two specs must share for their members to be comparable."""
         return (
@@ -246,62 +288,6 @@ def build_family_member(spec: FamilySpec) -> ModulePresentation:
     return ModulePresentation(spec.rbar, [0] * spec.n, _member_columns(spec))
 
 
-def member_over_ring(spec: FamilySpec) -> ModulePresentation:
-    """The same member presented over R: matrix columns plus y times each
-    generator."""
-    cols = _member_columns(spec)
-    for y in spec.sequence:
-        for i in range(spec.n):
-            cols.append({(i, mono): c for mono, c in y.terms.items()})
-    return ModulePresentation(spec.ring, [0] * spec.n, cols)
-
-
-class FamilyMember:
-    """One member with its derived data, each piece computed once.  The MCM
-    check is one check of y on the syzygy N; the shift check reads its N/(y)N."""
-
-    def __init__(self, spec: FamilySpec):
-        self.spec = spec
-
-    @cached_property
-    def member(self) -> ModulePresentation:
-        return build_family_member(self.spec)
-
-    @cached_property
-    def over_ring(self) -> ModulePresentation:
-        return member_over_ring(self.spec)
-
-    @cached_property
-    def resolution(self):
-        # one step past d so the d-th syzygy comes with its relations
-        return minimal_resolution(self.over_ring, self.spec.d + 1)
-
-    @cached_property
-    def syzygy(self) -> ModulePresentation:
-        return self.resolution.syzygy_presentation(self.spec.d)
-
-    @cached_property
-    def reduced_syzygy(self) -> tuple[ModulePresentation, bool]:
-        # (N/(y)N over R/(y), y is N-regular), from one check of the whole y
-        syzygy, seq = self.syzygy, self.spec.sequence
-        reduced = verify_regular_element(syzygy, *seq)
-        if reduced is None:
-            return syzygy.reduce_mod(seq), False
-        return reduced, True
-
-    @property
-    def mcm_verified(self) -> bool:
-        return self.reduced_syzygy[1]
-
-
-def mcm_module(spec: FamilySpec) -> tuple[ModulePresentation, bool]:
-    """The d-th syzygy of the member over R, with a flag certifying that
-    the defining sequence is regular on it (depth = dim, so the module is
-    MCM)."""
-    bundle = FamilyMember(spec)
-    return bundle.syzygy, bundle.mcm_verified
-
-
 # ----------------------------------------------------------- isomorphism
 
 
@@ -354,7 +340,7 @@ def indecomposability_test(spec: FamilySpec, seed: int = 0) -> dict:
 # ------------------------------------------------- structural verification
 
 
-def verify_shift_embedding(spec: FamilySpec, bundle: FamilyMember | None = None) -> dict:
+def verify_shift_embedding(spec: FamilySpec) -> dict:
     """Check that M re-embeds into its reduced syzygy with a degree shift.
 
     The submodule of Omega^d(M)/(y), the reduced syzygy the MCM check
@@ -362,9 +348,8 @@ def verify_shift_embedding(spec: FamilySpec, bundle: FamilyMember | None = None)
     function of M shifted up by m.  The report carries both Hilbert
     functions; exact equality in every degree is the pass condition.
     """
-    bundle = bundle or FamilyMember(spec)
-    M = bundle.member
-    omega_bar = bundle.reduced_syzygy[0]
+    M = spec.member
+    omega_bar = spec.reduced_syzygy[0]
     m = spec.m
     gens = [{term: 1} for term in omega_bar.component_terms(m)]
     quot = omega_bar.quotient(gens)
@@ -386,7 +371,7 @@ def verify_shift_embedding(spec: FamilySpec, bundle: FamilyMember | None = None)
     }
 
 
-def verify_resolution_shape(spec: FamilySpec, bundle: FamilyMember | None = None) -> dict:
+def verify_resolution_shape(spec: FamilySpec) -> dict:
     """Check the Koszul-plus-high-degrees shape of the member's resolution.
 
     The n-fold Koszul complex on y maps into the minimal resolution of M
@@ -396,9 +381,8 @@ def verify_resolution_shape(spec: FamilySpec, bundle: FamilyMember | None = None
     at least c+i-1.  Equivalently, the Betti numbers below that bound
     agree exactly with the n-fold Koszul pattern.
     """
-    bundle = bundle or FamilyMember(spec)
     kos = koszul_complex(spec.ring, spec.sequence, copies=spec.n)
-    res = bundle.resolution
+    res = spec.resolution
     phis = comparison_map(kos, res)
     p = spec.p
     rows = []
@@ -473,11 +457,10 @@ def action_matrices(pres: ModulePresentation):
 def family_report(spec: FamilySpec, seed: int = 0) -> dict:
     """Full member pipeline: build, certify MCM, verify the two structural
     checks, and test indecomposability, as one JSON-ready report."""
-    bundle = FamilyMember(spec)
     indec = indecomposability_test(spec, seed=seed)
-    shift = verify_shift_embedding(spec, bundle)
-    shape = verify_resolution_shape(spec, bundle)
-    member_hf = sorted(bundle.member.hilbert_function().items())
+    shift = verify_shift_embedding(spec)
+    shape = verify_resolution_shape(spec)
+    member_hf = sorted(spec.member.hilbert_function().items())
     report = {
         "instance": spec.to_json(),
         "member": {
@@ -485,11 +468,11 @@ def family_report(spec: FamilySpec, seed: int = 0) -> dict:
             "length": sum(v for _t, v in member_hf),
         },
         "mcm": {
-            "verified": bundle.mcm_verified,
+            "verified": spec.mcm_verified,
             "syzygy_generators": sorted(
-                Counter(bundle.syzygy.free.gen_degrees).items()
+                Counter(spec.syzygy.free.gen_degrees).items()
             ),
-            "betti": bundle.resolution.betti_json(),
+            "betti": spec.resolution.betti_json(),
         },
         "shift_embedding": shift,
         "resolution_shape": shape,

@@ -115,8 +115,6 @@ class Resolution:
     def check_complex(self) -> bool:
         """delta_i o delta_{i+1} = 0 over the ring, for every computed i."""
         for i in range(1, self.length):
-            if (i + 1) not in self.maps:
-                continue
             comp = self.maps[i].compose(self.maps[i + 1])
             if not comp.is_zero_over_ring():
                 return False

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from cmwild.family import (
-    FamilyMember,
     FamilySpec,
     family_report,
     verify_resolution_shape,
@@ -176,7 +175,7 @@ def _random_commuting_pair(rng, n):
 
 @pytest.fixture(scope="module")
 def family_corpus():
-    """20 random instances per base ring, with their derived bundles."""
+    """20 random instances per base ring; each spec caches its derived data."""
     rng = random.Random(2026)
     fermat = QuotientRing.from_strings(["x", "y", "z"], ["x^4+y^4+z^4"], P)
     binary = QuotientRing.from_strings(["x", "y"], ["x^4+y^4"], P)
@@ -185,21 +184,21 @@ def family_corpus():
         n = rng.choice([1, 1, 2])
         Ax, Ay = _random_commuting_pair(rng, n)
         spec = FamilySpec(fermat, ["x^2", "y^2"], 4, Ax, Ay=Ay)
-        corpus.append(("fermat", spec, FamilyMember(spec)))
+        corpus.append(("fermat", spec))
     for _ in range(20):
         n = rng.choice([1, 2])
         Ax = np.array([[rng.randrange(P) for _ in range(n)] for _ in range(n)],
                       dtype=np.int64)
         spec = FamilySpec(binary, ["x^2"], 3, Ax)
-        corpus.append(("binary", spec, FamilyMember(spec)))
+        corpus.append(("binary", spec))
     return corpus
 
 
 def test_criterion_6_shift_embedding_suite(family_corpus):
     t0 = time.monotonic()
     passed = 0
-    for _name, spec, bundle in family_corpus:
-        rep = verify_shift_embedding(spec, bundle)
+    for _name, spec in family_corpus:
+        rep = verify_shift_embedding(spec)
         if rep["passed"]:
             passed += 1
     dt = time.monotonic() - t0
@@ -211,8 +210,8 @@ def test_criterion_6_shift_embedding_suite(family_corpus):
 def test_criterion_7_resolution_shape_suite(family_corpus):
     t0 = time.monotonic()
     passed = 0
-    for _name, spec, bundle in family_corpus:
-        rep = verify_resolution_shape(spec, bundle)
+    for _name, spec in family_corpus:
+        rep = verify_resolution_shape(spec)
         if rep["passed"]:
             passed += 1
     dt = time.monotonic() - t0
@@ -223,7 +222,7 @@ def test_criterion_7_resolution_shape_suite(family_corpus):
 
 def test_criterion_9_mcm_certification(family_corpus):
     t0 = time.monotonic()
-    verified = sum(1 for _n, _s, bundle in family_corpus if bundle.mcm_verified)
+    verified = sum(1 for _n, spec in family_corpus if spec.mcm_verified)
     dt = time.monotonic() - t0
     ok = verified == len(family_corpus)
     record(9, "every syzygy module passes the MCM regularity check", ok,

@@ -10,18 +10,15 @@ import warnings
 import numpy as np
 import pytest
 
-from cmwild import modules, rings
+from cmwild import family, modules, rings
 from cmwild.errors import InputError
 from cmwild.family import (
-    FamilyMember,
     FamilySpec,
     action_matrices,
     build_family_member,
     family_report,
     indecomposability_test,
     iso_test,
-    mcm_module,
-    member_over_ring,
     verify_resolution_shape,
     verify_shift_embedding,
 )
@@ -87,7 +84,7 @@ def test_jordan_member_columns(fermat):
 
 def test_over_ring_adds_sequence_multiples(fermat):
     spec = two_param(fermat, [[1]], [[2]])
-    pres = member_over_ring(spec)
+    pres = spec.over_ring
     assert {(0, (2, 0, 0)): 1} in pres.relations
     assert {(0, (0, 2, 0)): 1} in pres.relations
     assert pres.ring is fermat
@@ -177,19 +174,19 @@ def test_json_round_trip(fermat, binary):
 
 
 def test_mcm_module_certified(fermat, binary):
-    om, ok = mcm_module(two_param(fermat, [[1]], [[2]]))
-    assert ok
-    assert om.gen_degrees == (4, 5, 5, 6)
-    om1, ok1 = mcm_module(FamilySpec(binary, ["x^2"], 3, [[0]]))
-    assert ok1
-    assert all(d >= 2 for d in om1.gen_degrees)
+    spec = two_param(fermat, [[1]], [[2]])
+    assert spec.mcm_verified
+    assert spec.syzygy.gen_degrees == (4, 5, 5, 6)
+    one = FamilySpec(binary, ["x^2"], 3, [[0]])
+    assert one.mcm_verified
+    assert all(d >= 2 for d in one.syzygy.gen_degrees)
 
 
 def test_chained_module_quotient_matches_reduce_mod(fermat):
     # the MCM check presents N/(y)N over R/(y); for y = y1 it is the same
     # module as the syzygy over R with y1 times each generator added
     spec = two_param(fermat, [[0, 1], [0, 0]], [[1, 0], [0, 1]])
-    syzygy = FamilyMember(spec).syzygy
+    syzygy = spec.syzygy
     y1 = spec.sequence[0]
     chained = verify_regular_element(syzygy, y1)
     assert chained is not None
@@ -198,11 +195,11 @@ def test_chained_module_quotient_matches_reduce_mod(fermat):
     assert chained.hilbert_numerator == syzygy.quotient(along).hilbert_numerator
 
 
-def per_degree_shift_rows(bundle):
+def per_degree_shift_rows(spec):
     """The shift-embedding rows counted degree by degree in standard terms,
     over the syzygy reduced by the whole sequence at once."""
-    spec, M = bundle.spec, bundle.member
-    omega_bar = bundle.syzygy.reduce_mod(spec.sequence)
+    M = spec.member
+    omega_bar = spec.syzygy.reduce_mod(spec.sequence)
     quot = omega_bar.quotient([{t: 1} for t in omega_bar.component_terms(spec.m)])
     top = max(omega_bar.top_degree(), spec.m + max(M.top_degree(), 0))
     rows = []
@@ -216,30 +213,30 @@ def per_degree_shift_rows(bundle):
 def test_mcm_rejects_a_finite_length_module(binary):
     # the member over R is killed by the sequence, so y1 is a zerodivisor
     # on it; standing in for the syzygy, it fails the MCM check
-    bundle = FamilyMember(FamilySpec(binary, ["x^2"], 3, [[1]]))
-    assert verify_regular_element(bundle.over_ring, bundle.spec.sequence[0]) is None
-    bundle.__dict__["syzygy"] = bundle.over_ring
-    assert bundle.mcm_verified is False
+    spec = FamilySpec(binary, ["x^2"], 3, [[1]])
+    assert verify_regular_element(spec.over_ring, spec.sequence[0]) is None
+    spec.__dict__["syzygy"] = spec.over_ring
+    assert spec.mcm_verified is False
     # a rejected check still yields the reduction by the whole sequence
-    rows = verify_shift_embedding(bundle.spec, bundle)["rows"]
-    assert rows == per_degree_shift_rows(bundle)
+    rows = verify_shift_embedding(spec)["rows"]
+    assert rows == per_degree_shift_rows(spec)
 
 
 def test_mcm_rejects_at_the_second_stage(fermat):
     # N = R/(the variable y): x^2 is regular on N, but y^2 kills N/x^2 N,
     # so the one check of (x^2, y^2) rejects, and the reduced syzygy is the
     # reduction by the whole sequence
-    bundle = FamilyMember(two_param(fermat, [[1]], [[2]]))
-    bundle.__dict__["syzygy"] = ModulePresentation(fermat, [0], [{(0, (0, 1, 0)): 1}])
-    x2, y2 = bundle.spec.sequence
-    assert verify_regular_element(bundle.syzygy, x2) is not None
-    assert bundle.mcm_verified is False
-    omega_bar = bundle.reduced_syzygy[0]
-    one_shot = bundle.syzygy.reduce_mod([x2, y2])
+    spec = two_param(fermat, [[1]], [[2]])
+    spec.__dict__["syzygy"] = ModulePresentation(fermat, [0], [{(0, (0, 1, 0)): 1}])
+    x2, y2 = spec.sequence
+    assert verify_regular_element(spec.syzygy, x2) is not None
+    assert spec.mcm_verified is False
+    omega_bar = spec.reduced_syzygy[0]
+    one_shot = spec.syzygy.reduce_mod([x2, y2])
     assert omega_bar.ring == one_shot.ring
     assert list(omega_bar.gb.vectors) == list(one_shot.gb.vectors)
-    rows = verify_shift_embedding(bundle.spec, bundle)["rows"]
-    assert rows == per_degree_shift_rows(bundle)
+    rows = verify_shift_embedding(spec)["rows"]
+    assert rows == per_degree_shift_rows(spec)
 
 
 def test_family_report_builds_one_basis_per_stage(monkeypatch, fermat):
@@ -258,13 +255,47 @@ def test_family_report_builds_one_basis_per_stage(monkeypatch, fermat):
     assert len(calls) == 4
 
 
+def test_derived_data_is_computed_once_per_spec(monkeypatch, fermat):
+    resolutions, bases = [], []
+    real_resolution, real_buchberger = family.minimal_resolution, modules.buchberger
+
+    def counting_resolution(*args, **kwargs):
+        resolutions.append(args)
+        return real_resolution(*args, **kwargs)
+
+    def counting_buchberger(*args, **kwargs):
+        bases.append(args)
+        return real_buchberger(*args, **kwargs)
+
+    monkeypatch.setattr(family, "minimal_resolution", counting_resolution)
+    monkeypatch.setattr(modules, "buchberger", counting_buchberger)
+    reported = two_param(fermat, [[1]], [[2]])
+    family_report(reported)
+    fresh = len(bases)
+    # on a spec that holds its derived data, a check builds only its own
+    # quotient of N/(y)N by the degree-m component
+    verify_shift_embedding(reported)
+    verify_resolution_shape(reported)
+    own = len(bases) - fresh
+    assert own == 1
+    resolutions.clear()
+    bases.clear()
+    spec = two_param(fermat, [[1]], [[2]])
+    verify_shift_embedding(spec)
+    verify_resolution_shape(spec)
+    family_report(spec)
+    # the two checks and the report read one member, one resolution and
+    # one reduced syzygy
+    assert len(resolutions) == 1
+    assert len(bases) == fresh + own
+
+
 def test_syzygy_nonzero_after_full_reduction(fermat):
     # MCM of positive rank: killing the whole system of parameters must
     # leave a nonzero finite-length module
     spec = two_param(fermat, [[1]], [[2]])
-    om, ok = mcm_module(spec)
-    assert ok
-    hf = om.reduce_mod(list(spec.sequence)).hilbert_function()
+    assert spec.mcm_verified
+    hf = spec.syzygy.reduce_mod(list(spec.sequence)).hilbert_function()
     assert sum(hf.values()) > 0
 
 
@@ -273,14 +304,13 @@ def test_syzygy_nonzero_after_full_reduction(fermat):
 
 def test_shift_embedding_fermat(fermat):
     spec = two_param(fermat, [[1]], [[2]])
-    bundle = FamilyMember(spec)
-    rep = verify_shift_embedding(spec, bundle)
+    rep = verify_shift_embedding(spec)
     assert rep["passed"] is True
     rows = {r["t"]: r for r in rep["rows"]}
     assert rows[4]["submodule"] == 1 and rows[4]["shifted_member"] == 1
     assert rows[6]["submodule"] == 4
     assert all(r["match"] for r in rep["rows"])
-    assert rep["rows"] == per_degree_shift_rows(bundle)
+    assert rep["rows"] == per_degree_shift_rows(spec)
 
 
 def test_resolution_shape_fermat(fermat):
@@ -296,9 +326,8 @@ def test_resolution_shape_fermat(fermat):
 
 def test_structural_checks_one_parameter(binary):
     spec = FamilySpec(binary, ["x^2"], 3, [[0, 1], [0, 0]])
-    bundle = FamilyMember(spec)
-    assert verify_shift_embedding(spec, bundle)["passed"]
-    shape = verify_resolution_shape(spec, bundle)
+    assert verify_shift_embedding(spec)["passed"]
+    shape = verify_resolution_shape(spec)
     assert shape["passed"]
     # Koszul part doubled by the two copies
     assert shape["rows"][1]["koszul"] == [(2, 2)]
@@ -386,10 +415,10 @@ def test_strictness_forward_syzygy_invariants(fermat):
     inv = inverse(sigma, P)
     Bx = mat_mul(mat_mul(sigma, Ax, P), inv, P)
     By = mat_mul(mat_mul(sigma, Ay, P), inv, P)
-    a = FamilyMember(two_param(fermat, Ax, Ay))
-    b = FamilyMember(two_param(fermat, Bx, By))
+    a = two_param(fermat, Ax, Ay)
+    b = two_param(fermat, Bx, By)
     assert a.resolution.betti() == b.resolution.betti()
-    ys = list(a.spec.sequence)
+    ys = list(a.sequence)
     assert (a.syzygy.reduce_mod(ys).hilbert_function()
             == b.syzygy.reduce_mod(ys).hilbert_function())
 

@@ -499,7 +499,7 @@ class TestGrownBases:
         fresh = ModulePresentation(ring, gen_degrees, all_rels)
         assert listing(stage.gb) == listing(fresh.gb)
         # stage i is N presented over R/(y_1..y_i); the walk, the chain
-        # above and the one-shot reduction of FamilyMember.reduced_syzygy
+        # above and the one-shot reduction of FamilySpec.reduced_syzygy
         # reach the same basis
         walked = ModulePresentation(ring, gen_degrees, rels)
         for y in seq:

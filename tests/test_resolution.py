@@ -12,7 +12,7 @@ from test_resolution_pins import ring as pin_ring
 
 from cmwild import resolution
 from cmwild.errors import CmwildError, InputError
-from cmwild.family import FamilyMember, FamilySpec
+from cmwild.family import FamilySpec
 from cmwild.groebner import GroebnerBasis, TaggedBasis, buchberger
 from cmwild.modules import ModulePresentation
 from cmwild.resolution import (
@@ -288,15 +288,14 @@ def test_pruning_step_terminates_exactly_at_the_length(monkeypatch):
 def test_pruning_step_empty_below_the_bound_does_not_terminate(monkeypatch):
     binary = QuotientRing.from_strings(["x", "y"], ["x^4+y^4"], P)
     spec = FamilySpec(binary, ["x^2"], 3, [[1, 1], [0, 1]])
-    member = FamilyMember(spec)
     top = spec.d + 1
     seen = euler_verdicts(monkeypatch)
-    res = minimal_resolution(member.over_ring, top)
+    res = minimal_resolution(spec.over_ring, top)
     # no syzygy of F_top has degree <= 5, but syzygies exist
     assert max(res.frees[top].gen_degrees) == 5
     assert seen == [False]
     assert not res.terminated
-    longer = minimal_resolution(member.over_ring, top + 1)
+    longer = minimal_resolution(spec.over_ring, top + 1)
     assert [f.twists for f in longer.frees[: top + 1]] == [f.twists for f in res.frees]
     assert longer.frees[top + 1].gen_degrees == (6, 6, 7, 7)
 
@@ -310,8 +309,8 @@ PIN_CASES = [("member", name) for name in sorted(MEMBERS)] + [
 def test_euler_identity_closes_exactly_when_terminated(kind, name):
     if kind == "member":
         rname, seq, c, Ax, Ay = MEMBERS[name]
-        member = FamilyMember(FamilySpec(pin_ring(rname), seq, c, Ax, Ay=Ay))
-        pres, res = member.over_ring, member.resolution
+        spec = FamilySpec(pin_ring(rname), seq, c, Ax, Ay=Ay)
+        pres, res = spec.over_ring, spec.resolution
     else:
         R = pin_ring(name)
         ys = [R.parse(s) for s in SEQUENCES[name]]

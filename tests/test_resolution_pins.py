@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from cmwild.family import FamilyMember, FamilySpec
+from cmwild.family import FamilySpec
 from cmwild.modules import ModulePresentation
 from cmwild.resolution import comparison_map, koszul_complex, minimal_resolution
 from cmwild.rings import QuotientRing
@@ -79,7 +79,7 @@ def resolution_payload(res):
 def member_payloads(name):
     rname, seq, c, Ax, Ay = MEMBERS[name]
     spec = FamilySpec(ring(rname), seq, c, Ax, Ay=Ay)
-    res = FamilyMember(spec).resolution
+    res = spec.resolution
     kos = koszul_complex(spec.ring, spec.sequence, copies=spec.n)
     return resolution_payload(res), canonical(comparison_map(kos, res))
 
