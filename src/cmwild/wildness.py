@@ -18,7 +18,10 @@ carried.
 A whole sequence y is checked at once, on a ring or a module N, by one
 exact Hilbert-series identity, HS(N/(y)N) = prod (1 - t^deg y_i) HS(N)
 (see ``verify_regular_element``); no intermediate quotient is built.
-N/(y)N is presented over R/(y), as R/(y) is for a ring.
+N/(y)N is presented over R/(y), as R/(y) is for a ring.  The sequence
+search checks its ring-shape recipe by the same one identity first, and
+walks slot by slot, drawing random fallback candidates, only when the
+recipe is not a regular sequence.
 """
 
 from __future__ import annotations
@@ -91,45 +94,54 @@ def verify_regular_sequence(ring: QuotientRing, seq) -> QuotientRing:
 # ------------------------------------------------------- sequence search
 
 
+def _recipe_term(ring: QuotientRing, slot: int) -> tuple | None:
+    """The exponent of the ring-shape recipe's element for one slot of the
+    regular sequence, or None when the recipe has none there.
+
+    For a hypersurface the sequence starts with the squares of the first
+    two variables and continues with the later variables; for a
+    higher-codimension complete intersection shape with k relations it
+    starts with vars[k]^2 and continues with the later variables; with no
+    relations it is the variables.
+    """
+    k = len(ring.relations)
+    if k == 1:
+        i, power = slot, 2 if slot < 2 else 1
+    elif k >= 2:
+        i, power = k + slot, 2 if slot == 0 else 1
+    else:
+        i, power = slot, 1
+    if i >= ring.nvars:
+        return None
+    return tuple(power * (j == i) for j in range(ring.nvars))
+
+
 def _slot_candidates(ring: QuotientRing, slot: int, rng):
     """Ordered candidate pool for one slot of the regular sequence, built
     lazily: each candidate is made only when the search asks for it.
 
-    The leading entries encode the ring-shape recipe: for a hypersurface the
-    sequence starts with the squares of the first two variables; for a
-    higher-codimension complete intersection shape with k relations it
-    starts with vars[k]^2 and continues with the later variables.  The rest
-    of the pool is a fallback ladder: the squares, the variables, 12 random
+    The pool starts with the slot's recipe element (``_recipe_term``).  The
+    rest is a fallback ladder: the squares, the variables, 12 random
     linear forms and 12 random quadrics, without zero forms and repeats.
 
-    Later slots draw from the same ``rng``, so its coefficients are drawn
-    here, all of them and in a fixed order, before any candidate is made.
-    The last slot, ``dim R - 1``, has no later slot: it draws each row of
-    coefficients when the pool reaches it, in the same order, so a last
-    slot decided by its recipe draws nothing.
+    The search walks slots only when the whole recipe is not a regular
+    sequence.  Later slots draw from the same ``rng``, so its coefficients
+    are drawn here, all of them and in a fixed order, before any candidate
+    is made.  The last slot, ``dim R - 1``, has no later slot: it draws
+    each row of coefficients when the pool reaches it, in the same order,
+    so a last slot decided by its recipe draws nothing.
     """
     amb = ring.ambient
     nv = ring.nvars
-    k = len(ring.relations)
     linear = [tuple(int(j == i) for j in range(nv)) for i in range(nv)]
     square = [mono_mul(e, e) for e in linear]
     quadric = [mono_mul(linear[i], linear[j]) for i in range(nv) for j in range(i, nv)]
-    recipe = []
-    if k == 1:
-        if slot < 2 and slot < nv:
-            recipe = [square[slot]]
-        elif slot < nv:
-            recipe = [linear[slot]]
-    elif k >= 2:
-        if slot == 0 and k < nv:
-            recipe = [square[k]]
-        elif 0 < slot and k + slot < nv:
-            recipe = [linear[k + slot]]
-    elif slot < nv:
-        recipe = [linear[slot]]
+    term = _recipe_term(ring, slot)
+    recipe = [] if term is None else [term]
+    p, randrange = ring.p, rng.randrange
 
     def draw_rows(monos):
-        return ([rng.randrange(ring.p) for _ in monos] for _ in range(12))
+        return ([randrange(p) for _ in monos] for _ in range(12))
 
     linear_coeffs, quadric_coeffs = draw_rows(linear), draw_rows(quadric)
     if slot != ring.krull_dimension - 1:
@@ -157,10 +169,28 @@ def find_regular_sequence(
     ring: QuotientRing, seed: int = 0, budget: int = 50
 ) -> tuple[list[Poly], QuotientRing]:
     """A verified homogeneous regular sequence of length dim R, found by
-    recipe plus fallback search, with its last verified stage R/(seq)."""
+    recipe plus fallback search, with its last verified stage R/(seq).
+
+    The whole recipe is checked first, by one ``verify_regular_element``
+    call; that check counts as the first attempt of every slot.  When it
+    holds, the recipe is the sequence: no intermediate stage is built and
+    no fallback coefficient is drawn.
+    The slot walk below would pick the same sequence: every element of a
+    regular sequence is nonzero and regular modulo the ones before it, and
+    each recipe element is the first candidate of its slot.  Its last
+    stage has the same reduced basis, and grown and rebuilt reduced bases
+    are equal as ordered dicts.  Otherwise the walk runs, slot by slot,
+    carrying each verified stage to the next slot.
+    """
     d = ring.krull_dimension
     if d < 0:
         raise InputError("the zero ring admits no regular sequence")
+    terms = [_recipe_term(ring, slot) for slot in range(d)]
+    if budget >= 1 and None not in terms:
+        recipe = [Poly(ring.ambient, {e: 1}) for e in terms]
+        reduced = verify_regular_element(ring, *recipe)
+        if reduced is not None:
+            return recipe, reduced
     rng = random.Random(seed)
     seq: list[Poly] = []
     current = ring

@@ -470,9 +470,10 @@ class TestGrownBases:
         amb = PolyRing(["x", "y", "z"], GROW_P)
         rels = polys_from(amb, data.draw(homogeneous_vectors((0,), 0, 2)))
         seq = polys_from(amb, data.draw(homogeneous_vectors((0,), 1, 3, max_excess=2)))
-        # as in find_regular_sequence's slot search: each stage extends the
-        # one before; with ``eager`` off, only the last stage's basis is
-        # asked for, as when verify_regular_element checks a whole sequence
+        # as in find_regular_sequence's slot walk, run when the recipe is
+        # not a regular sequence: each stage extends the one before; with
+        # ``eager`` off, only the last stage's basis is asked for, as when
+        # verify_regular_element checks a whole sequence or the recipe
         eager = data.draw(st.booleans())
         stage = QuotientRing(amb, rels)
         for y in seq:

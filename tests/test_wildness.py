@@ -184,14 +184,14 @@ def count_ideal_buchberger(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize(
-    ("sequence", "bases"), [(None, 3), (["x^2", "y^2"], 2)], ids=["search", "given"]
+    ("sequence", "bases"), [(None, 2), (["x^2", "y^2"], 2)], ids=["search", "given"]
 )
 def test_certificate_computes_each_stage_once(monkeypatch, sequence, bases):
     calls = count_ideal_buchberger(monkeypatch)
     rep = wildness_certificate(fermat_quartic(), sequence=sequence)
     assert rep.verdict == "CMWild"
-    # the search walks R, R/(x^2) and R/(x^2, y^2), slot by slot; a given
-    # sequence is checked at once, so only R and R/(x^2, y^2) are built.
+    # the search checks its recipe x^2, y^2 at once, as a given sequence
+    # is checked, so only R and R/(x^2, y^2) are built; R/(x^2) never is.
     # Either way the reduction is the quotient the last check built
     assert len(calls) == bases
 
@@ -239,6 +239,8 @@ def test_sequence_on_fermat_quartic_is_recipe_squares():
 
 
 def test_budget_exhaustion():
+    # the recipe check counts as each slot's first attempt, so a budget of
+    # 0 skips it too, and the walk has no attempt left
     R = QuotientRing.polynomial_ring(["x"], P)
     with pytest.raises(BudgetExhausted):
         find_regular_sequence(R, budget=0)
@@ -584,9 +586,9 @@ def _ordered_terms(f):
     return list(f.terms.items())
 
 
-def _search(ring, seed):
+def _search(ring, seed, search=find_regular_sequence):
     try:
-        seq, stage = find_regular_sequence(ring, seed=seed)
+        seq, stage = search(ring, seed=seed)
     except BudgetExhausted as exc:
         return str(exc)
     return [_ordered_terms(y) for y in seq], [list(v.items()) for v in stage.gb.vectors]
@@ -615,7 +617,8 @@ def test_lazy_pool_matches_the_eager_reference(monkeypatch, name, seed):
 )
 def test_pool_rings_reach_the_random_forms(name, degree):
     # the recipe and the variables fail on these rings, so the sequences
-    # compared above include random linear forms and random quadrics
+    # compared above and against the slot walk below include random linear
+    # forms and random quadrics
     variables, relations, p = POOL_RINGS[name]
     seq, _ = find_regular_sequence(QuotientRing.from_strings(variables, relations, p))
     assert any(len(y.terms) > 1 and y.degree() == degree for y in seq)
@@ -643,10 +646,8 @@ def test_first_candidate_builds_no_random_form(monkeypatch):
     assert rng.getstate() == ref.getstate()
 
 
-def test_last_slot_decided_by_its_recipe_draws_nothing(monkeypatch):
-    # the Fermat quartic has dimension 2: slot 0 draws its 24 rows of
-    # coefficients for the slot after it, and slot 1, the last, is decided
-    # by its recipe y^2 before the pool reaches a random form
+def count_draws(monkeypatch) -> tuple:
+    """Record every coefficient the search draws from here on."""
     draws = []
 
     class CountingRandom(random.Random):
@@ -655,11 +656,121 @@ def test_last_slot_decided_by_its_recipe_draws_nothing(monkeypatch):
             return super().randrange(*args)
 
     monkeypatch.setattr(wildness, "random", SimpleNamespace(Random=CountingRandom))
+    return draws, CountingRandom
+
+
+def test_last_slot_decided_by_its_recipe_draws_nothing(monkeypatch):
+    # the Fermat quartic has dimension 2 and its recipe x^2, y^2 is a
+    # regular sequence, so the search returns it without walking a slot and
+    # draws nothing.  Walked alone, slot 1, the last, is decided by its
+    # recipe y^2 before the pool reaches a random form
+    draws, CountingRandom = count_draws(monkeypatch)
     ring = QuotientRing.from_strings(*POOL_RINGS["fermat-quartic"])
     seq, _ = find_regular_sequence(ring)
     assert [str(y) for y in seq] == ["x^2", "y^2"]
-    assert len(draws) == 12 * 3 + 12 * 6
-    draws.clear()
+    assert draws == []
     first = next(iter(wildness._slot_candidates(ring, 1, CountingRandom(0))))
     assert str(first) == "y^2"
     assert draws == []
+
+
+def test_failed_recipe_costs_one_quotient(monkeypatch):
+    # x*y: the recipe x^2 is a zero divisor, so the search walks slot 0, the
+    # last.  Bases: R, R/(x^2) from the recipe check, then one per attempt
+    # x^2, y^2, x, y and the first random linear form, which is regular.
+    # Only that form's row of coefficients is drawn
+    calls = count_ideal_buchberger(monkeypatch)
+    draws, _ = count_draws(monkeypatch)
+    ring = QuotientRing.from_strings(*POOL_RINGS["xy"])
+    seq, _ = find_regular_sequence(ring)
+    assert len(seq[0].terms) == 2
+    assert len(calls) == 2 + 5
+    assert len(draws) == 2
+
+
+# ------------------------------------------- recipe first, slot walk as oracle
+
+
+def walk_regular_sequence(ring, seed=0, budget=50):
+    """The slot walk alone, as an oracle for ``find_regular_sequence``: each
+    slot takes the first candidate of its pool that is nonzero and regular
+    modulo the ones before it, and carries the verified stage on."""
+    rng = random.Random(seed)
+    seq, current = [], ring
+    for slot in range(ring.krull_dimension):
+        attempts = 0
+        for cand in wildness._slot_candidates(ring, slot, rng):
+            if current.is_zero_element(cand):
+                continue
+            attempts += 1
+            if attempts > budget:
+                break
+            stage = verify_regular_element(current, cand)
+            if stage is not None:
+                seq.append(cand)
+                current = stage
+                break
+        if len(seq) == slot:
+            raise BudgetExhausted(
+                f"no regular element found for position {slot} within {budget} attempts"
+            )
+    return seq, current
+
+
+def recipe_holds(ring) -> bool:
+    terms = [wildness._recipe_term(ring, slot) for slot in range(ring.krull_dimension)]
+    return None not in terms and verify_regular_element(
+        ring, *(Poly(ring.ambient, {e: 1}) for e in terms)
+    ) is not None
+
+
+# (variables, relation degrees) of the scan benchmark's dense rings
+SCAN_SHAPES = (
+    (2, (2,)), (2, (3,)), (2, (4,)), (2, (5,)),
+    (3, (2,)), (3, (3,)), (3, (4,)), (3, (5,)),
+    (3, (2, 2)), (3, (2, 3)), (3, (3, 3)), (3, (2, 4)),
+    (3, (3, 4)), (3, (4, 4)), (3, (2, 5)), (3, (5, 5)),
+    (4, (2,)), (4, (3,)), (4, (4,)), (4, (5,)),
+    (4, (2, 2)), (4, (2, 3)), (4, (3, 3)), (4, (2, 4)),
+    (4, (3, 4)), (4, (2, 5)), (4, (4, 4)),
+    (4, (2, 2, 2)), (4, (2, 2, 3)), (4, (2, 3, 3)),
+    (5, (2,)), (5, (3,)), (5, (4,)),
+    (5, (2, 2)), (5, (2, 3)), (5, (2, 4)), (5, (3, 3)),
+    (5, (2, 2, 2)), (5, (2, 2, 3)),
+)
+
+
+def dense_ring(nv, degrees, form_seed) -> QuotientRing:
+    """Every monomial of each relation's degree, with a seeded coefficient
+    in 1..P-1: a hypersurface or a complete intersection."""
+    amb = PolyRing([f"x{i}" for i in range(nv)], P)
+    rng = random.Random(form_seed)
+    return QuotientRing(amb, [
+        Poly(amb, {e: rng.randrange(1, P) for e in monomials_of_degree(nv, deg)})
+        for deg in degrees
+    ])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shape=st.sampled_from(SCAN_SHAPES),
+    form_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 3),
+)
+def test_recipe_first_matches_the_slot_walk_on_dense_rings(shape, form_seed, seed):
+    ring = dense_ring(*shape, form_seed)
+    event("recipe holds" if recipe_holds(ring) else "recipe fails")
+    # the same sequence and the same last stage, down to the dict order
+    assert _search(ring, seed) == _search(dense_ring(*shape, form_seed), seed, walk_regular_sequence)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", sorted(POOL_RINGS))
+def test_recipe_first_matches_the_slot_walk_on_pool_rings(name, seed):
+    variables, relations, p = POOL_RINGS[name]
+    ring = QuotientRing.from_strings(variables, relations, p)
+    if name in ("xy", "xyz", "xy-zw"):
+        assert not recipe_holds(ring)
+    assert _search(ring, seed) == _search(
+        QuotientRing.from_strings(variables, relations, p), seed, walk_regular_sequence
+    )
