@@ -112,13 +112,16 @@ class QuotientRing(Staircase):
     @property
     def gb(self) -> GroebnerBasis:
         """Reduced Groebner basis of the relation ideal.  A ring made by
-        ``extend`` grows its parent's basis by the extra relations."""
+        ``extend`` grows its parent's basis by the extra relations when the
+        parent already holds one; otherwise it is built from all relations,
+        and the parent's basis is not computed.  The reduced basis is
+        unique, so both give the same ordered dicts."""
         if self._gb is None:
             parent, self._parent = self._parent, None
-            if parent is None:
+            if parent is None or parent._gb is None:
                 new, base = self.relations, None
             else:
-                new, base = self.relations[len(parent.relations):], parent.gb
+                new, base = self.relations[len(parent.relations):], parent._gb
             order = ModuleOrder((0,), self.nvars)
             self._gb = buchberger(
                 [_poly_to_vec(f) for f in new], order, self.p, base=base

@@ -15,13 +15,22 @@ the same scan.  A verified full-length regular sequence also certifies
 that the ring is Cohen-Macaulay, so no Cohen-Macaulayness assumption is
 carried.
 
-A whole sequence y is checked at once, on a ring or a module N, by one
-exact Hilbert-series identity, HS(N/(y)N) = prod (1 - t^deg y_i) HS(N)
-(see ``verify_regular_element``); no intermediate quotient is built.
-N/(y)N is presented over R/(y), as R/(y) is for a ring.  The sequence
-search checks its ring-shape recipe by the same one identity first, and
-walks slot by slot, drawing random fallback candidates, only when the
-recipe is not a regular sequence.
+A whole sequence y is checked at once, on a ring or a module N (see
+``verify_regular_element``); no intermediate quotient is built.  On a ring
+S/(f) with no basis yet, whose relations and y together number the
+variables of S, a finite-length R/(y) certifies y by itself: f, y are
+then a system of parameters of S, so R's own basis is never computed.
+Every other case is decided by one exact Hilbert-series identity,
+HS(N/(y)N) = prod (1 - t^deg y_i) HS(N), and so is one where a coordinate
+axis lies in the zero set of f, y, which shows at once that R/(y) is not
+Artinian.  N/(y)N is presented over R/(y), as R/(y) is for a ring.
+
+The sequence search checks its ring-shape recipe, one element per
+variable beyond the relations, before it reads dim R; on a complete
+intersection that one check builds one Groebner basis, the reduction's.
+It walks slot by slot, drawing random fallback candidates, only when the
+recipe is not a regular sequence with an Artinian quotient, and a regular
+but short recipe seeds the walk.
 """
 
 from __future__ import annotations
@@ -50,19 +59,52 @@ INCONCLUSIVE_NOTE = (
 SCHEMA = "cmwild/1"
 
 
+def _misses_an_axis(forms, nvars: int) -> bool:
+    """Whether a coordinate axis lies in the zero set of the homogeneous
+    forms: some x_i has its pure power x_i^deg f in no form f.  S/(forms)
+    then has positive dimension, which dict lookups show where a Groebner
+    basis would cost a Buchberger run.  It orders work only: a form set
+    that misses no axis may still have positive dimension."""
+    missed = range(nvars)
+    for f in forms:
+        d = sum(next(iter(f.terms)))
+        missed = [
+            i for i in missed if (0,) * i + (d,) + (0,) * (nvars - 1 - i) not in f.terms
+        ]
+        if not missed:
+            return False
+    return True
+
+
 def verify_regular_element(target, *ys: Poly) -> QuotientRing | ModulePresentation | None:
     """N/(y)N if y_1..y_k is a regular sequence on the ring or module N, else
-    None (N itself for no ys), by one identity with e_i = deg y_i:
-    HS(N/(y)N) = prod_i (1 - t^e_i) HS(N).  No N_j = N/(y_1..y_j)N is built.
+    None (N itself for no ys).  No N_j = N/(y_1..y_j)N is built, and one of
+    two certificates decides.
 
-    Why it decides (Stanley, "Hilbert functions of graded algebras", Adv.
-    Math. 1978, section 3): with K_j = 0 :_{N_(j-1)} y_j,
+    Finite length, for a ring R = S/(f_1..f_r) that holds no Groebner basis
+    yet, with r + k = n, the number of variables of S: when R/(y) has
+    finite length, the n forms f, y generate an ideal of height n in S, so
+    they are a system of parameters of S; S is Cohen-Macaulay, so they are
+    an S-regular sequence in any order (Matsumura, "Commutative Ring
+    Theory", Thm 17.4; Bruns-Herzog, "Cohen-Macaulay Rings", Thm 2.1.2),
+    and y is regular on R.  Only R/(y)'s basis is computed; R's is not.
+    A ring that already holds its basis takes the identity below, which
+    then costs no Buchberger run beyond R/(y)'s.  When a coordinate axis
+    lies in the zero set of f, y (``_misses_an_axis``), R/(y) has positive
+    dimension, and the identity decides with R's basis built first, so
+    that R/(y) grows it instead of repeating R's work.
+
+    Otherwise one identity, with e_i = deg y_i:
+    HS(N/(y)N) = prod_i (1 - t^e_i) HS(N).  Why it decides (Stanley,
+    "Hilbert functions of graded algebras", Adv. Math. 1978, section 3):
+    with K_j = 0 :_{N_(j-1)} y_j,
     HS(N_j) = (1 - t^e_j) HS(N_(j-1)) + t^e_j HS(K_j), which unrolls to
     HS(N/(y)N) - prod_i (1 - t^e_i) HS(N)
         = sum_j t^e_j * prod_(i>j) (1 - t^e_i) * HS(K_j).
     Each product has constant term 1, so at the least degree
     min_j (e_j + indeg K_j) the sum has a positive coefficient unless every
-    K_j = 0.  No finite-length condition is needed.
+    K_j = 0.  No finite-length condition is needed, so a quotient that is
+    not Artinian, or a module, is decided here.
     """
     if any(y.is_zero() or not y.is_homogeneous() or y.degree() < 1 for y in ys):
         raise InputError("regularity candidates must be homogeneous of positive degree")
@@ -70,7 +112,18 @@ def verify_regular_element(target, *ys: Poly) -> QuotientRing | ModulePresentati
         raise InputError("regularity target must be a ring or a module presentation")
     if not ys:
         return target
-    quotient = target.extend(ys) if isinstance(target, QuotientRing) else target.reduce_mod(ys)
+    if isinstance(target, QuotientRing):
+        quotient = target.extend(ys)
+        forms = target.relations + ys
+        if (
+            target._gb is None
+            and len(forms) == target.nvars
+            and not _misses_an_axis(forms, target.nvars)
+            and quotient.is_artinian
+        ):
+            return quotient
+    else:
+        quotient = target.reduce_mod(ys)
     # hilbert_numerator reads are fresh copies; each factor adds a copy
     expected = target.hilbert_numerator
     for y in ys:
@@ -124,12 +177,13 @@ def _slot_candidates(ring: QuotientRing, slot: int, rng):
     rest is a fallback ladder: the squares, the variables, 12 random
     linear forms and 12 random quadrics, without zero forms and repeats.
 
-    The search walks slots only when the whole recipe is not a regular
-    sequence.  Later slots draw from the same ``rng``, so its coefficients
-    are drawn here, all of them and in a fixed order, before any candidate
-    is made.  The last slot, ``dim R - 1``, has no later slot: it draws
-    each row of coefficients when the pool reaches it, in the same order,
-    so a last slot decided by its recipe draws nothing.
+    The search walks slots only when the recipe does not settle the
+    sequence, and a slot the recipe seeded still calls this.  Later slots
+    draw from the same ``rng``, so its coefficients are drawn here, all of
+    them and in a fixed order, before any candidate is made.  The last
+    slot, ``dim R - 1``, has no later slot: it draws each row of
+    coefficients when the pool reaches it, in the same order, so a last
+    slot decided by its recipe draws nothing.
     """
     amb = ring.ambient
     nv = ring.nvars
@@ -171,33 +225,48 @@ def find_regular_sequence(
     """A verified homogeneous regular sequence of length dim R, found by
     recipe plus fallback search, with its last verified stage R/(seq).
 
-    The whole recipe is checked first, by one ``verify_regular_element``
-    call; that check counts as the first attempt of every slot.  When it
-    holds, the recipe is the sequence: no intermediate stage is built and
-    no fallback coefficient is drawn.
+    The recipe comes before the dimension.  For r relations in n variables
+    it has n - r elements (none when r >= n), and it is checked by one
+    ``verify_regular_element`` call, which counts as the first attempt of
+    each of its slots.  When it holds and R/(recipe) is Artinian, R is a
+    complete intersection of dimension n - r and the recipe is the
+    sequence: R's own basis is never computed, no intermediate stage is
+    built and no fallback coefficient is drawn.
     The slot walk below would pick the same sequence: every element of a
     regular sequence is nonzero and regular modulo the ones before it, and
     each recipe element is the first candidate of its slot.  Its last
     stage has the same reduced basis, and grown and rebuilt reduced bases
-    are equal as ordered dicts.  Otherwise the walk runs, slot by slot,
-    carrying each verified stage to the next slot.
+    are equal as ordered dicts.
+
+    Otherwise dim R is read and the walk runs, slot by slot, carrying each
+    verified stage to the next slot.  A recipe that is regular but short
+    (R is not a complete intersection) seeds the walk: its slots are taken
+    as the walk would take them, and each still draws its pool's
+    coefficients, so every later draw is the same.
     """
+    seq: list[Poly] = []
+    current = ring
+    if budget >= 1:
+        recipe = [
+            Poly(ring.ambient, {_recipe_term(ring, slot): 1})
+            for slot in range(ring.nvars - len(ring.relations))
+        ]
+        reduced = verify_regular_element(ring, *recipe)
+        if reduced is not None:
+            if reduced.is_artinian:
+                return recipe, reduced
+            seq, current = recipe, reduced
     d = ring.krull_dimension
     if d < 0:
         raise InputError("the zero ring admits no regular sequence")
-    terms = [_recipe_term(ring, slot) for slot in range(d)]
-    if budget >= 1 and None not in terms:
-        recipe = [Poly(ring.ambient, {e: 1}) for e in terms]
-        reduced = verify_regular_element(ring, *recipe)
-        if reduced is not None:
-            return recipe, reduced
     rng = random.Random(seed)
-    seq: list[Poly] = []
-    current = ring
     for slot in range(d):
+        candidates = _slot_candidates(ring, slot, rng)
+        if slot < len(seq):  # seeded by the recipe; its draws are made
+            continue
         attempts = 0
         found = None
-        for cand in _slot_candidates(ring, slot, rng):
+        for cand in candidates:
             if current.is_zero_element(cand):
                 continue
             attempts += 1
@@ -300,7 +369,8 @@ def wildness_certificate(
     those two ends, so an empty result scans nothing and is Inconclusive.
     """
     seq, reduced = artinian_reduction(ring, sequence, seed=seed)
-    d = ring.krull_dimension
+    # a verified regular sequence with an Artinian reduction has length dim R
+    d = len(seq)
     m = sum(y.degree() for y in seq)
     start, end = first_scan_degree(m, d), reduced.top_degree()
     if c_window is not None:

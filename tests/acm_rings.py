@@ -49,3 +49,19 @@ def rational_normal_curve(k: int) -> tuple[list[str], list[str]]:
         for j in range(i + 1, k)
     ]
     return xs, minors
+
+
+def segre(a: int, b: int) -> tuple[list[str], list[str]]:
+    """The 2 x 2 minors ``z_ik*z_jl - z_il*z_jk`` (i < j, k < l) of the
+    generic a x b matrix with entries ``z_i_k``: the Segre embedding of
+    ``P^(a-1) x P^(b-1)``, Hilbert function ``C(t + a - 1, a - 1) *
+    C(t + b - 1, b - 1)``."""
+    z = [[f"z_{i}_{k}" for k in range(b)] for i in range(a)]
+    minors = [
+        f"{z[i][k]}*{z[j][l]} - {z[i][l]}*{z[j][k]}"
+        for i in range(a)
+        for j in range(i + 1, a)
+        for k in range(b)
+        for l in range(k + 1, b)
+    ]
+    return [v for row in z for v in row], minors

@@ -119,3 +119,10 @@ def test_trace_counts_pin_every_count_metric_of_every_workload():
     assert sorted(pins) == sorted(w["name"] for w in bench["workloads"])
     for workload, pinned in pins.items():
         assert set(pinned) == counted, workload
+
+
+def test_trace_counts_file_is_what_pin_writes():
+    # --pin writes json.dump(..., indent=1, sort_keys=True) and a newline,
+    # so a hand edit that changes the layout or the key order fails here
+    text = (TOOLS / "trace_counts.json").read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n"

@@ -2,16 +2,18 @@
 
 import json
 import random
+from functools import partial
 from math import comb
 from types import SimpleNamespace
 
 import pytest
-from acm_rings import rational_normal_curve, veronese
+from acm_rings import rational_normal_curve, segre, veronese
 from hypothesis import event, given, reject, settings
 from hypothesis import strategies as st
 
 from cmwild import rings, wildness
 from cmwild.errors import BudgetExhausted, InputError
+from cmwild.groebner import series_add
 from cmwild.modules import ModulePresentation
 from cmwild.poly import Poly, PolyRing, compose, monomials_of_degree
 from cmwild.rings import QuotientRing
@@ -184,15 +186,17 @@ def count_ideal_buchberger(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize(
-    ("sequence", "bases"), [(None, 2), (["x^2", "y^2"], 2)], ids=["search", "given"]
+    ("sequence", "bases"), [(None, 1), (["x^2", "y^2"], 2)], ids=["search", "given"]
 )
 def test_certificate_computes_each_stage_once(monkeypatch, sequence, bases):
     calls = count_ideal_buchberger(monkeypatch)
     rep = wildness_certificate(fermat_quartic(), sequence=sequence)
     assert rep.verdict == "CMWild"
-    # the search checks its recipe x^2, y^2 at once, as a given sequence
-    # is checked, so only R and R/(x^2, y^2) are built; R/(x^2) never is.
-    # Either way the reduction is the quotient the last check built
+    # the search checks its recipe x^2, y^2 at once; R/(x^2, y^2) has
+    # finite length and 1 + 2 forms fill the 3 variables, so that one basis
+    # certifies it and R's is never built.  A given sequence is checked
+    # against dim R, so R and R/(x^2, y^2) are built.  R/(x^2) never is,
+    # and either way the reduction is the quotient the last check built
     assert len(calls) == bases
 
 
@@ -490,12 +494,15 @@ ACM_RINGS = {
         f"rational normal curve {k}": (rational_normal_curve(k), lambda t, k=k: k * t + 1, 2, [])
         for k in (3, 4, 5)
     },
+    # nine minors in nine variables: the recipe is empty, so dim R is read
+    # from R's own basis before the walk
+    "P^2 x P^2": (segre(3, 3), lambda t: comb(t + 2, 2) ** 2, 5, [(5, 1)]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(ACM_RINGS))
 def test_acm_rings_match_their_closed_forms(name):
-    # Veronese rings and rational normal curves are not complete
+    # Veronese rings, rational normal curves and P^2 x P^2 are not complete
     # intersections; their h-vectors leave at most one dimension per
     # degree past the threshold, so the check stays Inconclusive
     (variables, relations), hf, dim, scan = ACM_RINGS[name]
@@ -579,6 +586,15 @@ POOL_RINGS = {
     # a random quadric can be regular
     "four-lines-mod-3": (["x", "y"], ["x^3*y+2*x*y^3"], 3),
     "four-planes-mod-3": (["x", "y", "z"], ["x^3*y+2*x*y^3"], 3),
+}
+
+
+# rings whose recipe is a regular sequence but shorter than dim R: they
+# are not complete intersections, and the recipe seeds the slot walk
+SHORT_RECIPE_RINGS = {
+    "twisted cubic": (*rational_normal_curve(3), P),
+    "xy,xz,yz + w": (["x", "y", "z", "w"], ["x*y", "x*z", "y*z"], P),
+    "twisted cubic + w": (rational_normal_curve(3)[0] + ["w"], rational_normal_curve(3)[1], P),
 }
 
 
@@ -676,16 +692,31 @@ def test_last_slot_decided_by_its_recipe_draws_nothing(monkeypatch):
 
 def test_failed_recipe_costs_one_quotient(monkeypatch):
     # x*y: the recipe x^2 is a zero divisor, so the search walks slot 0, the
-    # last.  Bases: R, R/(x^2) from the recipe check, then one per attempt
-    # x^2, y^2, x, y and the first random linear form, which is regular.
-    # Only that form's row of coefficients is drawn
+    # last.  Bases: R, then R/(x^2) grown from it, from the recipe check (the
+    # axis of y lies in the zero set of x*y and x^2, so R/(x^2) is not
+    # Artinian and the identity decides).  Then one per attempt x^2, y^2,
+    # x, y and the first random linear form, which is regular, each grown
+    # from R by one generator.  Only that form's row of coefficients is drawn
     calls = count_ideal_buchberger(monkeypatch)
     draws, _ = count_draws(monkeypatch)
     ring = QuotientRing.from_strings(*POOL_RINGS["xy"])
     seq, _ = find_regular_sequence(ring)
     assert len(seq[0].terms) == 2
-    assert len(calls) == 2 + 5
+    assert [len(args[0]) for args in calls] == [1] * (2 + 5)
     assert len(draws) == 2
+
+
+def test_short_recipe_seeds_the_walk_without_rebuilding_it(monkeypatch):
+    # the twisted cubic: its recipe x3^2 is regular, but R/(x3^2) has
+    # dimension 1 (the x0-axis lies in its zero set), so the walk starts at
+    # slot 1 from that quotient.  Bases: R from its three relations and
+    # R/(x3^2) grown from it for the recipe check, then R/(x3^2, x0^2)
+    # grown from that; R/(x3^2) is never rebuilt
+    calls = count_ideal_buchberger(monkeypatch)
+    ring = QuotientRing.from_strings(*SHORT_RECIPE_RINGS["twisted cubic"])
+    seq, _ = find_regular_sequence(ring)
+    assert [str(y) for y in seq] == ["x3^2", "x0^2"]
+    assert [len(args[0]) for args in calls] == [3, 1, 1]
 
 
 # ------------------------------------------- recipe first, slot walk as oracle
@@ -717,11 +748,18 @@ def walk_regular_sequence(ring, seed=0, budget=50):
     return seq, current
 
 
+def recipe_of(ring) -> list:
+    """The search's recipe: one element per variable beyond the relations."""
+    return [
+        Poly(ring.ambient, {wildness._recipe_term(ring, slot): 1})
+        for slot in range(ring.nvars - len(ring.relations))
+    ]
+
+
 def recipe_holds(ring) -> bool:
-    terms = [wildness._recipe_term(ring, slot) for slot in range(ring.krull_dimension)]
-    return None not in terms and verify_regular_element(
-        ring, *(Poly(ring.ambient, {e: 1}) for e in terms)
-    ) is not None
+    """Whether the search returns its recipe without walking a slot."""
+    reduced = verify_regular_element(ring, *recipe_of(ring))
+    return reduced is not None and reduced.is_artinian
 
 
 # (variables, relation degrees) of the scan benchmark's dense rings
@@ -765,12 +803,86 @@ def test_recipe_first_matches_the_slot_walk_on_dense_rings(shape, form_seed, see
 
 
 @pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("name", sorted(POOL_RINGS))
+@pytest.mark.parametrize("name", sorted(POOL_RINGS) + sorted(SHORT_RECIPE_RINGS))
 def test_recipe_first_matches_the_slot_walk_on_pool_rings(name, seed):
-    variables, relations, p = POOL_RINGS[name]
+    variables, relations, p = {**POOL_RINGS, **SHORT_RECIPE_RINGS}[name]
     ring = QuotientRing.from_strings(variables, relations, p)
     if name in ("xy", "xyz", "xy-zw"):
+        assert not recipe_holds(ring)
+    if name in SHORT_RECIPE_RINGS:
+        assert verify_regular_element(ring, *recipe_of(ring)) is not None
         assert not recipe_holds(ring)
     assert _search(ring, seed) == _search(
         QuotientRing.from_strings(variables, relations, p), seed, walk_regular_sequence
     )
+
+
+def stanley_holds(ring, ys) -> bool:
+    """Stanley's identity HS(R/(y)) = prod (1 - t^deg y_i) HS(R), with R's
+    basis computed first, so that R/(y) grows it."""
+    ring.gb
+    expected = ring.hilbert_numerator
+    for y in ys:
+        series_add(expected, dict(expected), y.degree(), -1)
+    return ring.extend(ys).hilbert_numerator == expected
+
+
+@st.composite
+def full_length_cases(draw):
+    """A dense ``scan`` ring, a ``POOL_RINGS`` ring or the twisted cubic
+    (as a maker of fresh copies), and nvars - k forms for its k relations:
+    recipe terms, squares, variables and random linear forms, so that zero
+    divisors and non-Artinian quotients are common."""
+    source = draw(st.sampled_from(["dense", "pool", "twisted cubic"]))
+    if source == "dense":
+        shape, form_seed = draw(st.sampled_from(SCAN_SHAPES)), draw(st.integers(0, 2**32 - 1))
+        make = partial(dense_ring, *shape, form_seed)
+    elif source == "pool":
+        name = draw(st.sampled_from(sorted(POOL_RINGS)))
+        make = partial(QuotientRing.from_strings, *POOL_RINGS[name])
+    else:
+        make = partial(QuotientRing.from_strings, *SHORT_RECIPE_RINGS["twisted cubic"])
+    ring = make()
+    nv, amb = ring.nvars, ring.ambient
+    gens = [amb.gen(i) for i in range(nv)]
+    pool = recipe_of(ring) + [g * g for g in gens] + gens
+
+    def linear_form():
+        coeffs = draw(st.lists(st.integers(0, ring.p - 1), min_size=nv, max_size=nv))
+        return sum((amb.const(c) * g for c, g in zip(coeffs, gens)), amb.zero())
+
+    ys = []
+    for _ in range(nv - len(ring.relations)):
+        y = draw(st.one_of(st.sampled_from(pool), st.builds(linear_form)))
+        if y.is_zero():
+            reject()
+        ys.append(y)
+    return source, make, ys
+
+
+@settings(max_examples=150, deadline=None)
+@given(full_length_cases())
+def test_finite_length_certificate_matches_stanleys_identity(case):
+    source, make, ys = case
+    ring = make()
+    quotient = verify_regular_element(ring, *ys)
+    expected = stanley_holds(make(), ys)
+    event(source)
+    event("regular" if expected else "not regular")
+    event("Artinian" if ring.extend(ys).is_artinian else "not Artinian")
+    assert (quotient is not None) == expected
+    if quotient is not None:
+        assert gb_listing(quotient) == gb_listing(make().extend(ys))
+
+
+@pytest.mark.parametrize("shape", SCAN_SHAPES, ids=str)
+def test_check_of_a_complete_intersection_builds_one_basis(monkeypatch, shape):
+    # the recipe's quotient has finite length, so it certifies the recipe
+    # and R's own basis is never computed: the one basis is built from the
+    # relations and the recipe together
+    calls = count_ideal_buchberger(monkeypatch)
+    ring = dense_ring(*shape, 0)
+    rep = wildness_certificate(ring)
+    assert rep.dimension == shape[0] - len(shape[1])
+    assert ring._gb is None
+    assert [len(args[0]) for args in calls] == [shape[0]]
