@@ -17,13 +17,12 @@ carried.
 
 A whole sequence y is checked at once, on a ring or a module N (see
 ``verify_regular_element``); no intermediate quotient is built.  On a ring
-S/(f) with no basis yet, whose relations and y together number the
-variables of S, a finite-length R/(y) certifies y by itself: f, y are
-then a system of parameters of S, so R's own basis is never computed.
-Every other case is decided by one exact Hilbert-series identity,
-HS(N/(y)N) = prod (1 - t^deg y_i) HS(N), and so is one where a coordinate
-axis lies in the zero set of f, y, which shows at once that R/(y) is not
-Artinian.  N/(y)N is presented over R/(y), as R/(y) is for a ring.
+S/(f) whose relations and y together number the variables of S, a
+finite-length R/(y) certifies y by itself: f, y are then a system of
+parameters of S, so R's own Hilbert series is not needed.  Every other
+case is decided by one exact Hilbert-series identity,
+HS(N/(y)N) = prod (1 - t^deg y_i) HS(N).  N/(y)N is presented over R/(y),
+as R/(y) is for a ring.
 
 The sequence search checks its ring-shape recipe, one element per
 variable beyond the relations, before it reads dim R; on a complete
@@ -59,40 +58,20 @@ INCONCLUSIVE_NOTE = (
 SCHEMA = "cmwild/1"
 
 
-def _misses_an_axis(forms, nvars: int) -> bool:
-    """Whether a coordinate axis lies in the zero set of the homogeneous
-    forms: some x_i has its pure power x_i^deg f in no form f.  S/(forms)
-    then has positive dimension, which dict lookups show where a Groebner
-    basis would cost a Buchberger run.  It orders work only: a form set
-    that misses no axis may still have positive dimension."""
-    missed = range(nvars)
-    for f in forms:
-        d = sum(next(iter(f.terms)))
-        missed = [
-            i for i in missed if (0,) * i + (d,) + (0,) * (nvars - 1 - i) not in f.terms
-        ]
-        if not missed:
-            return False
-    return True
-
-
 def verify_regular_element(target, *ys: Poly) -> QuotientRing | ModulePresentation | None:
     """N/(y)N if y_1..y_k is a regular sequence on the ring or module N, else
     None (N itself for no ys).  No N_j = N/(y_1..y_j)N is built, and one of
     two certificates decides.
 
-    Finite length, for a ring R = S/(f_1..f_r) that holds no Groebner basis
-    yet, with r + k = n, the number of variables of S: when R/(y) has
-    finite length, the n forms f, y generate an ideal of height n in S, so
-    they are a system of parameters of S; S is Cohen-Macaulay, so they are
-    an S-regular sequence in any order (Matsumura, "Commutative Ring
-    Theory", Thm 17.4; Bruns-Herzog, "Cohen-Macaulay Rings", Thm 2.1.2),
-    and y is regular on R.  Only R/(y)'s basis is computed; R's is not.
-    A ring that already holds its basis takes the identity below, which
-    then costs no Buchberger run beyond R/(y)'s.  When a coordinate axis
-    lies in the zero set of f, y (``_misses_an_axis``), R/(y) has positive
-    dimension, and the identity decides with R's basis built first, so
-    that R/(y) grows it instead of repeating R's work.
+    Finite length, for a ring R = S/(f_1..f_r) with r + k = n, the number
+    of variables of S: when R/(y) has finite length, the n forms f, y
+    generate an ideal of height n in S, so they are a system of parameters
+    of S; S is Cohen-Macaulay, so they are an S-regular sequence in any
+    order (Matsumura, "Commutative Ring Theory", Thm 17.4; Bruns-Herzog,
+    "Cohen-Macaulay Rings", Thm 2.1.2), and y is regular on R.  HS(R) is
+    not read, so a ring with no basis yet never builds one here.  When
+    R/(y) has positive dimension, the identity below decides, and R/(y)'s
+    numerator, already computed, is reused.
 
     Otherwise one identity, with e_i = deg y_i:
     HS(N/(y)N) = prod_i (1 - t^e_i) HS(N).  Why it decides (Stanley,
@@ -114,13 +93,7 @@ def verify_regular_element(target, *ys: Poly) -> QuotientRing | ModulePresentati
         return target
     if isinstance(target, QuotientRing):
         quotient = target.extend(ys)
-        forms = target.relations + ys
-        if (
-            target._gb is None
-            and len(forms) == target.nvars
-            and not _misses_an_axis(forms, target.nvars)
-            and quotient.is_artinian
-        ):
+        if len(target.relations) + len(ys) == target.nvars and quotient.is_artinian:
             return quotient
     else:
         quotient = target.reduce_mod(ys)

@@ -692,31 +692,30 @@ def test_last_slot_decided_by_its_recipe_draws_nothing(monkeypatch):
 
 def test_failed_recipe_costs_one_quotient(monkeypatch):
     # x*y: the recipe x^2 is a zero divisor, so the search walks slot 0, the
-    # last.  Bases: R, then R/(x^2) grown from it, from the recipe check (the
-    # axis of y lies in the zero set of x*y and x^2, so R/(x^2) is not
-    # Artinian and the identity decides).  Then one per attempt x^2, y^2,
-    # x, y and the first random linear form, which is regular, each grown
-    # from R by one generator.  Only that form's row of coefficients is drawn
+    # last.  Bases: R/(x^2) from its two forms (it is not Artinian), then R
+    # for the identity, which fails.  Then one per attempt x^2, y^2, x, y
+    # and the first random linear form, which is regular, each grown from R
+    # by one generator.  Only that form's row of coefficients is drawn
     calls = count_ideal_buchberger(monkeypatch)
     draws, _ = count_draws(monkeypatch)
     ring = QuotientRing.from_strings(*POOL_RINGS["xy"])
     seq, _ = find_regular_sequence(ring)
     assert len(seq[0].terms) == 2
-    assert [len(args[0]) for args in calls] == [1] * (2 + 5)
+    assert [len(args[0]) for args in calls] == [2, 1] + [1] * 5
     assert len(draws) == 2
 
 
 def test_short_recipe_seeds_the_walk_without_rebuilding_it(monkeypatch):
     # the twisted cubic: its recipe x3^2 is regular, but R/(x3^2) has
-    # dimension 1 (the x0-axis lies in its zero set), so the walk starts at
-    # slot 1 from that quotient.  Bases: R from its three relations and
-    # R/(x3^2) grown from it for the recipe check, then R/(x3^2, x0^2)
-    # grown from that; R/(x3^2) is never rebuilt
+    # dimension 1, so the walk starts at slot 1 from that quotient.  Bases:
+    # R/(x3^2) from its four forms, then R from its three relations for the
+    # identity, then R/(x3^2, x0^2) grown from R/(x3^2), which is never
+    # rebuilt
     calls = count_ideal_buchberger(monkeypatch)
     ring = QuotientRing.from_strings(*SHORT_RECIPE_RINGS["twisted cubic"])
     seq, _ = find_regular_sequence(ring)
     assert [str(y) for y in seq] == ["x3^2", "x0^2"]
-    assert [len(args[0]) for args in calls] == [3, 1, 1]
+    assert [len(args[0]) for args in calls] == [4, 3, 1]
 
 
 # ------------------------------------------- recipe first, slot walk as oracle
@@ -817,14 +816,16 @@ def test_recipe_first_matches_the_slot_walk_on_pool_rings(name, seed):
     )
 
 
-def stanley_holds(ring, ys) -> bool:
-    """Stanley's identity HS(R/(y)) = prod (1 - t^deg y_i) HS(R), with R's
-    basis computed first, so that R/(y) grows it."""
+def stanley_quotient(ring, ys):
+    """R/(y) if Stanley's identity HS(R/(y)) = prod (1 - t^deg y_i) HS(R)
+    holds, else None, with R's basis computed first, so that R/(y) grows
+    it."""
     ring.gb
+    quotient = ring.extend(ys)
     expected = ring.hilbert_numerator
     for y in ys:
         series_add(expected, dict(expected), y.degree(), -1)
-    return ring.extend(ys).hilbert_numerator == expected
+    return quotient if quotient.hilbert_numerator == expected else None
 
 
 @st.composite
@@ -861,18 +862,23 @@ def full_length_cases(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(full_length_cases())
-def test_finite_length_certificate_matches_stanleys_identity(case):
+@given(full_length_cases(), st.booleans())
+def test_finite_length_certificate_matches_stanleys_identity(case, warm):
+    # the verdict is Stanley's identity on R/(y) grown from R's basis,
+    # whether or not R holds its basis before the check, and an accepted
+    # quotient is that grown one, dict for dict
     source, make, ys = case
     ring = make()
+    if warm:
+        ring.gb
     quotient = verify_regular_element(ring, *ys)
-    expected = stanley_holds(make(), ys)
+    grown = stanley_quotient(make(), ys)
     event(source)
-    event("regular" if expected else "not regular")
+    event("regular" if grown is not None else "not regular")
     event("Artinian" if ring.extend(ys).is_artinian else "not Artinian")
-    assert (quotient is not None) == expected
+    assert (quotient is not None) == (grown is not None)
     if quotient is not None:
-        assert gb_listing(quotient) == gb_listing(make().extend(ys))
+        assert gb_listing(quotient) == gb_listing(grown)
 
 
 @pytest.mark.parametrize("shape", SCAN_SHAPES, ids=str)
