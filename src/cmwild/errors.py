@@ -15,5 +15,6 @@ class InputError(CmwildError):
 
 
 class BudgetExhausted(CmwildError):
-    """A bounded search (regular sequence candidates, isomorphism sampling)
-    ran out of attempts without reaching a decision."""
+    """The regular-sequence search ran out of candidates: no element of
+    one slot's finite pool is nonzero and regular modulo the slots before
+    it.  Nothing else raises it."""

@@ -27,9 +27,11 @@ as R/(y) is for a ring.
 The sequence search checks its ring-shape recipe, one element per
 variable beyond the relations, before it reads dim R; on a complete
 intersection that one check builds one Groebner basis, the reduction's.
-It walks slot by slot, drawing random fallback candidates, only when the
-recipe is not a regular sequence with an Artinian quotient, and a regular
-but short recipe seeds the walk.
+It walks slot by slot only when the recipe is not a regular sequence with
+an Artinian quotient, and a regular but short recipe seeds the walk.  Each
+slot takes the first candidate of its finite pool that is nonzero and
+regular modulo the slots before it; a pool that runs out is
+BudgetExhausted.
 """
 
 from __future__ import annotations
@@ -149,14 +151,9 @@ def _slot_candidates(ring: QuotientRing, slot: int, rng):
     The pool starts with the slot's recipe element (``_recipe_term``).  The
     rest is a fallback ladder: the squares, the variables, 12 random
     linear forms and 12 random quadrics, without zero forms and repeats.
-
-    The search walks slots only when the recipe does not settle the
-    sequence, and a slot the recipe seeded still calls this.  Later slots
-    draw from the same ``rng``, so its coefficients are drawn here, all of
-    them and in a fixed order, before any candidate is made.  The last
-    slot, ``dim R - 1``, has no later slot: it draws each row of
-    coefficients when the pool reaches it, in the same order, so a last
-    slot decided by its recipe draws nothing.
+    Later slots draw from the same ``rng``, so the coefficients of all 24
+    random forms are drawn here, in a fixed order, before any candidate is
+    made; a slot the recipe seeded still calls this for its draws.
     """
     amb = ring.ambient
     nv = ring.nvars
@@ -166,13 +163,9 @@ def _slot_candidates(ring: QuotientRing, slot: int, rng):
     term = _recipe_term(ring, slot)
     recipe = [] if term is None else [term]
     p, randrange = ring.p, rng.randrange
-
-    def draw_rows(monos):
-        return ([randrange(p) for _ in monos] for _ in range(12))
-
-    linear_coeffs, quadric_coeffs = draw_rows(linear), draw_rows(quadric)
-    if slot != ring.krull_dimension - 1:
-        linear_coeffs, quadric_coeffs = list(linear_coeffs), list(quadric_coeffs)
+    linear_coeffs, quadric_coeffs = (
+        [[randrange(p) for _ in monos] for _ in range(12)] for monos in (linear, quadric)
+    )
 
     def pool():
         seen = set()
@@ -192,69 +185,54 @@ def _slot_candidates(ring: QuotientRing, slot: int, rng):
     return pool()
 
 
-def find_regular_sequence(
-    ring: QuotientRing, seed: int = 0, budget: int = 50
-) -> tuple[list[Poly], QuotientRing]:
+def find_regular_sequence(ring: QuotientRing, seed: int = 0) -> tuple[list[Poly], QuotientRing]:
     """A verified homogeneous regular sequence of length dim R, found by
     recipe plus fallback search, with its last verified stage R/(seq).
 
     The recipe comes before the dimension.  For r relations in n variables
     it has n - r elements (none when r >= n), and it is checked by one
-    ``verify_regular_element`` call, which counts as the first attempt of
-    each of its slots.  When it holds and R/(recipe) is Artinian, R is a
-    complete intersection of dimension n - r and the recipe is the
-    sequence: R's own basis is never computed, no intermediate stage is
-    built and no fallback coefficient is drawn.
+    ``verify_regular_element`` call.  When it holds and R/(recipe) is
+    Artinian, R is a complete intersection of dimension n - r and the
+    recipe is the sequence: R's own basis is never computed, no
+    intermediate stage is built and no fallback coefficient is drawn.
     The slot walk below would pick the same sequence: every element of a
     regular sequence is nonzero and regular modulo the ones before it, and
     each recipe element is the first candidate of its slot.  Its last
     stage has the same reduced basis, and grown and rebuilt reduced bases
     are equal as ordered dicts.
 
-    Otherwise dim R is read and the walk runs, slot by slot, carrying each
-    verified stage to the next slot.  A recipe that is regular but short
-    (R is not a complete intersection) seeds the walk: its slots are taken
-    as the walk would take them, and each still draws its pool's
-    coefficients, so every later draw is the same.
+    Otherwise dim R is read and the walk runs, slot by slot: each slot
+    takes the first candidate of its pool that is nonzero and regular
+    modulo the ones before it, and carries the verified stage to the next
+    slot.  A slot whose pool runs out raises BudgetExhausted.  A recipe
+    that is regular but short (R is not a complete intersection) seeds the
+    walk: its slots are taken as the walk would take them, and each still
+    draws its pool's coefficients, so every later draw is the same.
     """
+    recipe = [
+        Poly(ring.ambient, {_recipe_term(ring, slot): 1})
+        for slot in range(ring.nvars - len(ring.relations))
+    ]
     seq: list[Poly] = []
     current = ring
-    if budget >= 1:
-        recipe = [
-            Poly(ring.ambient, {_recipe_term(ring, slot): 1})
-            for slot in range(ring.nvars - len(ring.relations))
-        ]
-        reduced = verify_regular_element(ring, *recipe)
-        if reduced is not None:
-            if reduced.is_artinian:
-                return recipe, reduced
-            seq, current = recipe, reduced
-    d = ring.krull_dimension
-    if d < 0:
-        raise InputError("the zero ring admits no regular sequence")
+    reduced = verify_regular_element(ring, *recipe)
+    if reduced is not None:
+        if reduced.is_artinian:
+            return recipe, reduced
+        seq, current = recipe, reduced
     rng = random.Random(seed)
-    for slot in range(d):
+    for slot in range(ring.krull_dimension):
         candidates = _slot_candidates(ring, slot, rng)
         if slot < len(seq):  # seeded by the recipe; its draws are made
             continue
-        attempts = 0
-        found = None
         for cand in candidates:
-            if current.is_zero_element(cand):
-                continue
-            attempts += 1
-            if attempts > budget:
-                break
-            stage = verify_regular_element(current, cand)
-            if stage is not None:
-                found = cand
-                break
-        if found is None:
-            raise BudgetExhausted(
-                f"no regular element found for position {slot} within"
-                f" {budget} attempts"
-            )
-        seq.append(found)
+            if not current.is_zero_element(cand):
+                stage = verify_regular_element(current, cand)
+                if stage is not None:
+                    break
+        else:
+            raise BudgetExhausted(f"no regular element found for position {slot} in its pool")
+        seq.append(cand)
         current = stage
     return seq, current
 

@@ -126,3 +126,26 @@ def test_trace_counts_file_is_what_pin_writes():
     # so a hand edit that changes the layout or the key order fails here
     text = (TOOLS / "trace_counts.json").read_text(encoding="utf-8")
     assert text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n"
+
+
+def test_a_failing_property_prints_its_example(tmp_path):
+    # under filterwarnings = error, a third-party deprecation raised in
+    # hypothesis's report hook once ended the run in INTERNALERROR
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n < 0\n",
+        encoding="utf-8",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_fails.py"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "Falsifying example" in proc.stdout
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
