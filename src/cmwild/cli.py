@@ -16,7 +16,8 @@ A handler returns the field characteristic ``p`` and its own fields;
 three.  JSON output is stable: re-running a command with the same inputs
 and seed produces byte-identical bytes.  Exit codes: 0 when a verdict was
 computed (Inconclusive and Undecided included), 2 for input errors, 3
-when a search budget ran out.
+when a slot of the regular-sequence search ran out of candidates (stderr
+says ``budget exhausted:``), 1 when an internal check failed.
 """
 
 from __future__ import annotations

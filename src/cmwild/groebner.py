@@ -637,6 +637,47 @@ class TaggedBasis:
         return self.order.rerank(((t, -c % p) for t, c in w.items()), order.rank_bits[:count], r)
 
 
+def minimal_generators(
+    gens, order: ModuleOrder, p: int, base: GroebnerBasis | None = None
+) -> list:
+    """Indices, ascending, of the minimal generators that reverse-delete
+    keeps among the nonzero homogeneous packed vectors ``gens`` of the
+    free module of ``order``, taken modulo the submodule that the reduced
+    basis ``base`` generates.
+
+    Reverse-delete goes through the generators by ascending index and
+    drops each one that lies in the submodule spanned by the ones still
+    there.  By graded Nakayama that is decided degree by degree: a
+    generator of degree j is redundant exactly when its class in the
+    degree-j part of Im/m*Im lies in the span of the others' classes, and
+    only generators of degree below j reach that part's denominator, which
+    dropping redundant ones leaves the same.  In one such vector space the
+    kept set K is a basis: it still spans, and each kept vector lay outside
+    the span of the rest when its turn came.  So is the set G of the
+    vectors that lie outside the span of the higher-indexed ones.  A vector
+    in that span is dropped when its turn comes, since nothing of a higher
+    index has gone yet, so K is inside G and the two are equal.
+
+    G is what this builds: for each degree j in ascending order, one
+    basis of ``base`` and the kept generators below j, cut at j (see
+    ``buchberger``).  Each generator of degree j, by descending index, is
+    kept when its normal form is nonzero, and that monic normal form joins
+    the basis.  Its leading term is divisible by no leading term there, so
+    each new S-pair has degree above j and the basis stays complete
+    through degree j."""
+    degree = [order.term_degree(min(g)) for g in gens]
+    kept: list = []
+    for j in sorted(set(degree)):
+        gb = buchberger([gens[i] for i in kept], order, p, base=base, bound=j)
+        for i in reversed(range(len(gens))):
+            if degree[i] == j:
+                r = _reduce(dict(gens[i]), gb)
+                if r:
+                    gb._add(*_make_monic(r, p))
+                    kept.append(i)
+    return sorted(kept)
+
+
 # ------------------------------------------------- staircase combinatorics
 
 

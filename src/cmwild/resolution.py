@@ -14,19 +14,16 @@ Row/column mirrors never create new unit entries upstream: a degree-zero
 entry of a minimal matrix is already zero, and the graded operations cannot
 raise it.
 
-One step past the requested length k prunes the top differential: a
-redundant generator of F_k only becomes visible as a unit entry of
-delta_{k+1}, and the elimination cascade is what prunes it.  A unit of
-delta_{k+1} sits in a syzygy of the degree of a generator of F_k, so that
-step is cut at the top generator degree of F_k (see ``buchberger``'s
-bound).  The syzygies are listed by ascending degree, so the cut ones are
-a prefix of the full list.  A column past it is of a degree above every
-generator degree of F_k, before and after the updates, so it holds no
-unit, and the same pivots make the same changes to delta_k.  If the cut
-step leaves no column, before or after its units are eliminated, the cut
-cannot tell whether delta_k is injective.  ``terminated`` is then the
-Euler identity HS(M) = sum_{i <= k} (-1)^i HS(F_i), which holds exactly
-when it is.
+The last requested step k >= 1 computes no syzygies.  A redundant
+generator of F_k would show only as a unit entry of delta_{k+1}; instead
+F_k keeps the columns of delta_k that ``minimal_generators`` picks, a
+minimal generating set of the image modulo the ring.  It is the set that
+eliminating those units, smallest position of F_k first, would keep: each
+elimination drops the column it frees and writes no other.  A dropped
+column's certificate is its zero normal form against a basis complete
+through its degree.  ``terminated`` is the Euler identity HS(M) =
+sum_{i <= k} (-1)^i HS(F_i), which holds exactly when delta_k is
+injective.
 
 Columns are packed (see the ``groebner`` docstring), each in the order of
 its target free module, from the presentation's packed relations to the
@@ -51,7 +48,7 @@ from collections import Counter
 from itertools import combinations
 
 from .errors import CmwildError, InputError
-from .groebner import TaggedBasis, add_mul, series_add
+from .groebner import TaggedBasis, add_mul, minimal_generators, series_add
 from .modules import FreeMap, FreeModule, ModulePresentation
 from .poly import add_terms
 from .rings import QuotientRing
@@ -270,26 +267,28 @@ def minimal_resolution(pres: ModulePresentation, length: int) -> Resolution:
     cols = [c for c in (pres.free.ring_reduce(dict(v)) for v in pres.packed) if c]
     terminated = False
 
-    for i in range(1, length + 2):
+    for i in range(1, max(length, 1) + 1):
         if cols:
             cols = _eliminate_units(ring, frees, maps_cols, i, cols)
         if not cols:
-            # past the requested length the step was cut at a degree bound
-            # (step 1 is the relations themselves), so there only the
-            # Euler identity tells whether the full step is empty
-            terminated = i <= max(length, 1) or _euler_identity_holds(pres, frees)
+            # F_{i-1} has no syzygies left: it is the last module
+            terminated = True
             break
-        if i == length + 1:
-            # the extra step exists only to prune the one below it
+        if length == 0:
+            # step 1 only prunes F_0; its relations become no stored map
             break
         target = frees[i - 1]
+        if i == length:
+            # the last module keeps a minimal generating set of the image
+            kept = minimal_generators(cols, target.order, p, base=target.ring_basis)
+            cols = [cols[j] for j in kept]
         source = FreeModule(ring, [-target.order.term_degree(min(c)) for c in cols])
         frees.append(source)
         maps_cols.append(cols)
-        # a unit of the pruning step sits in a syzygy of the degree of a
-        # generator of F_length, and the syzygies are listed by degree
-        bound = max(source.gen_degrees) if i == length else None
-        tagged = TaggedBasis(cols, target.order, p, base=target.ring_basis, bound=bound)
+        if i == length:
+            terminated = _euler_identity_holds(pres, frees)
+            break
+        tagged = TaggedBasis(cols, target.order, p, base=target.ring_basis)
         nxt = []
         for s in tagged.syzygies(source.order, len(cols)):
             s = source.ring_reduce(s)

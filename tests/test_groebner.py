@@ -18,6 +18,7 @@ from cmwild.groebner import (
     add_mul,
     buchberger,
     divide_by_one_minus_t,
+    minimal_generators,
     module_numerator,
     mono_divides,
     minimalize_monomials,
@@ -211,6 +212,19 @@ class TestModuleBasesAndSyzygies:
         tb = TaggedBasis(gens, order, p)
         syz = syzygy_generators(tb, gens, order)
         assert syz == [{(0, (0, 2)): 1, (1, (2, 0)): p - 1}]
+
+    def test_minimal_generators_keep_the_highest_indices_per_degree(self):
+        p = 101
+        order = ModuleOrder((0,), 2)
+        x, y, xy = {(0, (1, 0)): 1}, {(0, (0, 1)): 1}, {(0, (1, 1)): 1}
+        x_plus_y = {(0, (1, 0)): 1, (0, (0, 1)): 1}
+        gens = [order.pack_vec(g, p) for g in (x, xy, y, x_plus_y)]
+        # x*y lies in (x); of x, y, x + y the last two span degree 1
+        assert minimal_generators(gens, order, p) == [2, 3]
+        # modulo (x*y, y^2), y is still needed but x*y is not
+        base = buchberger([order.pack_vec(xy, p), order.pack_vec({(0, (0, 2)): 1}, p)], order, p)
+        assert minimal_generators(gens[:3], order, p, base=base) == [0, 2]
+        assert minimal_generators([gens[1]], order, p, base=base) == []
 
     def test_product_criterion_not_applied_to_modules(self):
         # u = x*e1 + y*e2, v = y*e1 + x*e2: (y^2 - x^2)*e2 lies in the span

@@ -1,6 +1,7 @@
 """Koszul complexes, minimal resolutions, and comparison maps."""
 
 from math import comb
+from unittest.mock import patch
 
 import pytest
 from acm_rings import generic_minors
@@ -248,11 +249,14 @@ def test_resolution_is_deterministic():
         assert r1.maps[i].columns == r2.maps[i].columns
 
 
-# ------------------------------------------------------- the pruning step
+# -------------------------------------------------------- the last step
 #
-# The step past the requested length only prunes the one below it, so it
-# is cut at the largest generator degree of F_length.  When it comes out
-# empty, ``terminated`` is the verdict of the Euler identity.
+# The last requested module F_length keeps a minimal generating set of the
+# image of delta_length (``groebner.minimal_generators``), and
+# ``terminated`` is the verdict of the Euler identity.  The oracle below
+# prunes F_length by resolving one step further instead: the syzygies of
+# delta_length up to the top generator degree of F_length, whose units
+# ``_eliminate_units`` eliminates one level up.
 
 
 def euler_verdicts(monkeypatch) -> list:
@@ -271,8 +275,8 @@ def euler_verdicts(monkeypatch) -> list:
 
 def test_pruning_step_terminates_exactly_at_the_length(monkeypatch):
     R = QuotientRing.from_strings(["x", "y"], ["x^4+y^4"], P)
-    # x^2 is regular on R, so F_1 = R(-2) is the last module; the step past
-    # it, cut at degree 2, is empty, and only the identity tells it ends
+    # x^2 is regular on R, so F_1 = R(-2) is the last module; at length 1
+    # only the identity tells it ends
     pres = ModulePresentation(R, [0], [{(0, (2, 0)): 1}])
     seen = euler_verdicts(monkeypatch)
     res = minimal_resolution(pres, 1)
@@ -280,7 +284,7 @@ def test_pruning_step_terminates_exactly_at_the_length(monkeypatch):
     assert res.terminated
     assert res.betti() == {(0, 0): 1, (1, 2): 1}
     assert res.syzygy_presentation(1).relations == ()
-    # resolved further, the unbounded step 2 is empty: no check needed
+    # resolved further, step 2 has no columns: no check needed
     assert minimal_resolution(pres, 3).terminated
     assert seen == [True]
 
@@ -298,6 +302,70 @@ def test_pruning_step_empty_below_the_bound_does_not_terminate(monkeypatch):
     longer = minimal_resolution(spec.over_ring, top + 1)
     assert [f.twists for f in longer.frees[: top + 1]] == [f.twists for f in res.frees]
     assert longer.frees[top + 1].gen_degrees == (6, 6, 7, 7)
+
+
+def keep_every_column(gens, *args, **kwargs):
+    return list(range(len(gens)))
+
+
+def prune_by_syzygies(pres, length):
+    """(twists, columns, terminated) of ``minimal_resolution(pres,
+    length)`` with the last module pruned by the step past it: the
+    syzygies of delta_length cut at the top generator degree of F_length,
+    ``_eliminate_units`` at level length + 1, and the Euler identity when
+    no syzygy is left."""
+    with patch.object(resolution, "minimal_generators", keep_every_column):
+        res = minimal_resolution(pres, length)
+    frees = list(res.frees)
+    maps_cols = [[dict(c) for c in res.maps[i].packed] for i in sorted(res.maps)]
+    terminated = res.terminated
+    if res.length == length >= 1:
+        target, source = frees[-2], frees[-1]
+        cols = maps_cols[-1]
+        tagged = TaggedBasis(
+            cols, target.order, pres.ring.p, base=target.ring_basis,
+            bound=max(source.gen_degrees),
+        )
+        syz = [s for s in map(source.ring_reduce, tagged.syzygies(source.order, len(cols))) if s]
+        if syz:
+            syz = resolution._eliminate_units(pres.ring, frees, maps_cols, length + 1, syz)
+        terminated = not syz and resolution._euler_identity_holds(pres, frees)
+    columns = [[list(c.items()) for c in cols] for cols in maps_cols]
+    return [f.twists for f in frees], columns, terminated
+
+
+PRUNE_RINGS = [pin_ring(name) for name in sorted(SEQUENCES)] + [
+    QuotientRing.from_strings(["x", "y", "z"], ["x^4+y^4+z^4"], 7)
+]
+
+
+@st.composite
+def pin_ring_presentations(draw):
+    """(presentation, length) over a pin ring or the Fermat quartic over
+    F_7: rank 1-2, 1-3 relations of degree 1-3 with at most two terms per
+    position, length 1-4."""
+    ring = draw(st.sampled_from(PRUNE_RINGS))
+    gen_degrees = draw(st.lists(st.integers(0, 1), min_size=1, max_size=2))
+    relations = []
+    for _ in range(draw(st.integers(1, 3))):
+        degree = min(gen_degrees) + draw(st.integers(1, 3))
+        vec = {}
+        for pos, gd in enumerate(gen_degrees):
+            monos = monomials_of_degree(ring.nvars, degree - gd)
+            for m in draw(st.lists(st.sampled_from(monos), max_size=2, unique=True)):
+                vec[(pos, m)] = draw(st.integers(1, ring.p - 1))
+        relations.append(vec)
+    return ModulePresentation(ring, gen_degrees, relations), draw(st.integers(1, 4))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(pin_ring_presentations())
+def test_minimal_generators_prune_as_the_step_past_the_length(case):
+    pres, length = case
+    res = minimal_resolution(pres, length)
+    columns = [[list(c.items()) for c in res.maps[i].packed] for i in sorted(res.maps)]
+    got = [f.twists for f in res.frees], columns, res.terminated
+    assert got == prune_by_syzygies(pres, length)
 
 
 PIN_CASES = [("member", name) for name in sorted(MEMBERS)] + [
