@@ -103,7 +103,10 @@ class FamilySpec:
     ``syzygy`` (the d-th syzygy N), and ``reduced_syzygy``, the pair
     (N/(y)N over R/(y), y is N-regular) from one check of the whole
     sequence on N; ``mcm_verified`` reads its flag (depth = dim, so N is
-    MCM).  The shift check reads the same N/(y)N.
+    MCM).  The shift check reads the same N/(y)N.  ``over_ring`` and
+    ``syzygy`` take their Hilbert numerators from M and the resolution,
+    so a member builds three module bases: M, N/(y)N and its quotient by
+    the degree-m component.
     """
 
     def __init__(self, ring: QuotientRing, sequence, c: int, Ax, Ay=None,
@@ -190,12 +193,15 @@ class FamilySpec:
     @cached_property
     def over_ring(self) -> ModulePresentation:
         """The member presented over R: matrix columns plus y times each
-        generator."""
+        generator.  It is ``member`` over the same polynomial ring, so it
+        takes the member's Hilbert numerator."""
         cols = _member_columns(self)
         for y in self.sequence:
             for i in range(self.n):
                 cols.append({(i, mono): c for mono, c in y.terms.items()})
-        return ModulePresentation(self.ring, [0] * self.n, cols)
+        return ModulePresentation(
+            self.ring, [0] * self.n, cols, numerator=self.member.hilbert_numerator
+        )
 
     @cached_property
     def resolution(self):

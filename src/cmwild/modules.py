@@ -166,11 +166,15 @@ class ModulePresentation(Staircase):
     """M = coker(relations -> free) over ``ring``; its Hilbert data is the
     staircase of the relations plus the ring-relation adjunction.  The
     nonzero relations are kept ``packed`` in ``free.order``, taken as
-    ``FreeMap`` takes its columns."""
+    ``FreeMap`` takes its columns.
+
+    ``numerator`` is the Hilbert numerator when it is already known, from
+    another presentation of the module or from an exact sequence; reading
+    it then builds no basis."""
 
     __slots__ = ("ring", "free", "packed", "_gb", "_parent")
 
-    def __init__(self, ring: QuotientRing, gen_degrees, relations):
+    def __init__(self, ring: QuotientRing, gen_degrees, relations, numerator=None):
         self.ring = ring
         self.free = FreeModule(ring, tuple(-int(d) for d in gen_degrees))
         order, p = self.free.order, ring.p
@@ -181,7 +185,7 @@ class ModulePresentation(Staircase):
                 order.degree(w)  # homogeneity check
                 self.packed.append(dict(w) if w is v else w)
         self._gb: GroebnerBasis | None = None
-        self._numerator: dict | None = None
+        self._numerator: dict | None = numerator
         # set by ``quotient``: the presentation whose basis this one grows
         self._parent: ModulePresentation | None = None
 

@@ -25,6 +25,13 @@ through its degree.  ``terminated`` is the Euler identity HS(M) =
 sum_{i <= k} (-1)^i HS(F_i), which holds exactly when delta_k is
 injective.
 
+The same alternating sum gives every syzygy's Hilbert series: the chain
+0 -> Omega^i -> F_{i-1} -> ... -> F_0 -> M -> 0 is exact, so
+HS(Omega^i) = (-1)^i (HS(M) - sum_{j < i} (-1)^j HS(F_j)), and the
+Euler identity at k is HS(Omega^{k+1}) = 0.  ``syzygy_presentation``
+hands Omega^i back with that numerator, so reading it builds no basis of
+Omega^i; only the numerator of M is read off a basis.
+
 Columns are packed (see the ``groebner`` docstring), each in the order of
 its target free module, from the presentation's packed relations to the
 finished ``FreeMap``s, whose packed columns are in turn the relations of
@@ -60,17 +67,20 @@ class Resolution:
     ``presentation`` is the presentation of M matching F_0 and delta_1 (the
     augmentation data), so Omega^i = Im delta_i is well defined for i >= 1.
     ``terminated`` records that the module ran out of syzygies before the
-    requested length (finite projective dimension).
+    requested length (finite projective dimension).  ``module`` is M as
+    given to ``minimal_resolution``, set only on a chain exact below its
+    top; the syzygy numerators are read off its numerator.
     """
 
     minimal = True  # both constructors leave no unit entry in a differential
 
-    def __init__(self, ring, frees, maps, presentation, terminated=False):
+    def __init__(self, ring, frees, maps, presentation, terminated=False, module=None):
         self.ring = ring
         self.frees = list(frees)
         self.maps = dict(maps)  # {i: FreeMap for delta_i}, i >= 1
         self.presentation = presentation
         self.terminated = terminated
+        self.module = module
 
     @property
     def length(self) -> int:
@@ -96,7 +106,11 @@ class Resolution:
         return {"betti": entries, "minimal": bool(self.minimal)}
 
     def syzygy_presentation(self, i: int) -> ModulePresentation:
-        """Presentation of Omega^i = Im(delta_i) (for i = 0: of M itself)."""
+        """Presentation of Omega^i = Im(delta_i) (for i = 0: of M itself).
+
+        On an exact chain (one with ``module``) and for i >= 1 it carries
+        the numerator of Omega^i from the Euler sum, as exactness at F_i
+        makes coker(delta_{i+1}) equal to Omega^i."""
         if i < 0 or i > self.length:
             raise InputError(f"syzygy index {i} outside computed range")
         if i + 1 in self.maps:
@@ -107,7 +121,12 @@ class Resolution:
             raise InputError(
                 f"resolution not computed past step {i}; Omega^{i} needs delta_{i + 1}"
             )
-        return ModulePresentation(self.ring, self.frees[i].gen_degrees, rels)
+        numerator = None
+        if i and self.module is not None:
+            numerator = _syzygy_numerator(self.module, self.frees[:i])
+        return ModulePresentation(
+            self.ring, self.frees[i].gen_degrees, rels, numerator=numerator
+        )
 
     def check_complex(self) -> bool:
         """delta_i o delta_{i+1} = 0 over the ring, for every computed i."""
@@ -303,24 +322,37 @@ def minimal_resolution(pres: ModulePresentation, length: int) -> Resolution:
     # at length 0 the pruned relations never became a stored map
     pres_rels = maps[1].packed if maps else cols
     presentation = ModulePresentation(ring, frees[0].gen_degrees, pres_rels)
-    res = Resolution(ring, frees, maps, presentation, terminated=terminated)
+    res = Resolution(ring, frees, maps, presentation, terminated=terminated, module=pres)
     if not res.check_complex():
         raise CmwildError("resolution differentials do not compose to zero")
     return res
+
+
+def _syzygy_numerator(pres: ModulePresentation, frees) -> dict:
+    """HN(Omega^i) for i = len(frees), as a numerator over (1 - t)^nvars:
+    (-1)^i (HN(M) - sum_{j < i} (-1)^j HN(F_j)), where M = coker(pres)
+    and HN(F_j) is sum_g t^g HN(R) over the generator degrees g of F_j.
+
+    Here Omega^i is the kernel of F_{i-1} -> F_{i-2} (of F_0 -> M for
+    i = 1), and F_{i-1} -> ... -> F_0 -> M -> 0 must be exact, as it is
+    below the top of a minimal resolution."""
+    out = pres.hilbert_numerator
+    ring_numerator = pres.ring.hilbert_numerator
+    for j, free in enumerate(frees):
+        for d in free.gen_degrees:
+            series_add(out, ring_numerator, d, (-1) ** (j + 1))
+    if len(frees) % 2:
+        out = {d: -c for d, c in out.items()}
+    return out
 
 
 def _euler_identity_holds(pres: ModulePresentation, frees) -> bool:
     """HS(M) = sum_i (-1)^i HS(F_i), as numerators over (1 - t)^nvars.
 
     F_k -> ... -> F_0 -> M -> 0 is exact except at the top F_k, so the
-    two sides differ by +-HS(K) for the kernel K of delta_k, and the
-    identity holds iff K = 0."""
-    rest = pres.hilbert_numerator
-    ring_numerator = pres.ring.hilbert_numerator
-    for i, free in enumerate(frees):
-        for d in free.gen_degrees:
-            series_add(rest, ring_numerator, d, (-1) ** (i + 1))
-    return not rest
+    two sides differ by +-HS(K) for the kernel K of delta_k, which is
+    Omega^{k+1}: the identity holds iff its numerator is zero."""
+    return not _syzygy_numerator(pres, frees)
 
 
 # --------------------------------------------------------- comparison maps

@@ -35,6 +35,9 @@ from cmwild.matalg import (
 from cmwild.modules import ModulePresentation
 from cmwild.rings import QuotientRing
 from cmwild.wildness import verify_regular_element, wildness_certificate
+from test_resolution import with_basis_numerator
+from test_resolution_pins import MEMBERS
+from test_resolution_pins import ring as pin_ring
 
 P = 32003
 
@@ -239,6 +242,16 @@ def test_mcm_rejects_at_the_second_stage(fermat):
     assert rows == per_degree_shift_rows(spec)
 
 
+@pytest.mark.parametrize("name", ["fermat-n1", "fermat-n2", "binary-n2"])
+def test_member_over_ring_and_syzygy_take_known_numerators(name):
+    rname, seq, c, Ax, Ay = MEMBERS[name]
+    spec = FamilySpec(pin_ring(rname), seq, c, Ax, Ay=Ay)
+    family_report(spec)
+    for pres in (spec.over_ring, spec.syzygy):
+        assert pres._gb is None
+        assert pres.hilbert_numerator == with_basis_numerator(pres)
+
+
 def test_family_report_builds_one_basis_per_stage(monkeypatch, fermat):
     calls = []
     real = modules.buchberger
@@ -250,10 +263,11 @@ def test_family_report_builds_one_basis_per_stage(monkeypatch, fermat):
     monkeypatch.setattr(modules, "buchberger", counting)
     spec = two_param(fermat, [[1]], [[2]])
     family_report(spec)
-    # M over R (read by the Euler identity at the resolution's last step),
-    # N = Omega^2(M), N/(x^2, y^2)N (built by the one MCM check and read by
-    # the shift check), its quotient by the degree-m component, and M
-    assert len(calls) == 5
+    # M over Rbar, N/(x^2, y^2)N (built by the one MCM check and read by
+    # the shift check), and its quotient by the degree-m component; M over
+    # R takes M's numerator and N = Omega^2(M) the resolution's, so
+    # neither builds a basis
+    assert len(calls) == 3
 
 
 def test_derived_data_is_computed_once_per_spec(monkeypatch, fermat):

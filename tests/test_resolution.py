@@ -390,6 +390,28 @@ def test_euler_identity_closes_exactly_when_terminated(kind, name):
 # -------------------------------------------------------- syzygy modules
 
 
+def with_basis_numerator(pres):
+    """The numerator of a fresh presentation with the same relations, read
+    off its own basis."""
+    fresh = ModulePresentation(pres.ring, pres.gen_degrees, pres.packed)
+    numerator = fresh.hilbert_numerator
+    assert fresh._gb is not None
+    return numerator
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(pin_ring_presentations())
+def test_syzygy_numerators_match_their_bases(case):
+    pres, length = case
+    res = minimal_resolution(pres, length)
+    # Omega^length is known only when delta_length is injective
+    top = res.length if res.terminated else res.length - 1
+    for i in range(1, top + 1):
+        omega = res.syzygy_presentation(i)
+        assert omega.hilbert_numerator == with_basis_numerator(omega)
+        assert omega._gb is None
+
+
 def test_syzygy_presentation_hilbert_function():
     R = fermat_quartic()
     pres = ModulePresentation(
@@ -401,9 +423,12 @@ def test_syzygy_presentation_hilbert_function():
     rbar = R.extend([R.parse("x^2"), R.parse("y^2")])
     for t in range(2, 7):
         assert omega1.hilbert_dim(t) == R.hilbert_dim(t) - rbar.hilbert_dim(t)
-    # the resolution is finite, so the top syzygy is free
+    assert omega1.hilbert_numerator == with_basis_numerator(omega1)
+    # the resolution is finite, so the top syzygy is free: R(-4), whose
+    # numerator t^4 (1 - t^4) comes from the Euler sum
     omega2 = res.syzygy_presentation(2)
     assert omega2.relations == ()
+    assert omega2.hilbert_numerator == {4: 1, 8: -1}
     with pytest.raises(InputError):
         res.syzygy_presentation(3)
 

@@ -13,6 +13,7 @@ from hypothesis import event, given, reject, settings
 from hypothesis import strategies as st
 
 from cmwild import rings, wildness
+from cmwild.cli import main
 from cmwild.errors import BudgetExhausted, InputError
 from cmwild.groebner import series_add
 from cmwild.modules import ModulePresentation
@@ -287,6 +288,45 @@ def test_fermat_cubic_is_inconclusive():
     assert rep.window == (4, 4)
     assert rep.scan == [(4, 1)]
     assert rep.witness_c is None
+
+
+def check_binary_form(tmp_path, capsys, k, *sequence):
+    """The JSON report of ``cmwild check`` on x^k + y^k over F_32003."""
+    ring = tmp_path / f"binary-{k}.json"
+    ring.write_text(json.dumps({"vars": ["x", "y"], "relations": [f"x^{k}+y^{k}"], "p": P}))
+    argv = ["check", "--ring", str(ring), "--format", "json"]
+    if sequence:
+        argv += ["--sequence", ",".join(sequence)]
+    assert main(argv) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+# Binary forms as a sanity oracle: Drozd-Greuel ("Cohen-Macaulay module
+# type", Compositio Math. 1993) find x^k + y^k of finite CM type for k <= 3,
+# tame at k = 4 and wild for k >= 5.  Their classification is local and
+# over an algebraically closed field, so it is a check on the verdicts,
+# not a theorem about graded rings over F_p.  The one-sided criterion says
+# nothing at k <= 3; with the default sequence x^2 the scan sees at most a
+# two-dimensional component, and a sequence of higher degree shows k = 5, 6
+# wild.
+@pytest.mark.parametrize(
+    "k, verdict, witness",
+    [(2, "Inconclusive", (None, None)), (3, "Inconclusive", (None, None))]
+    + [(k, "StrictlyCMInfinite", (3, 2)) for k in range(4, 8)],
+)
+def test_binary_forms_by_degree(tmp_path, capsys, k, verdict, witness):
+    rep = check_binary_form(tmp_path, capsys, k)
+    assert rep["verdict"] == verdict
+    assert rep["sequence"] == ["x^2"]
+    assert (rep["witness_c"], rep["witness_dim"]) == witness
+
+
+@pytest.mark.parametrize("k, y, witness", [(5, "y^3", (4, 3)), (6, "y^4", (5, 4))])
+def test_binary_forms_are_wild_with_a_longer_sequence(tmp_path, capsys, k, y, witness):
+    rep = check_binary_form(tmp_path, capsys, k, y)
+    assert rep["verdict"] == "CMWild"
+    assert rep["sequence"] == [y]
+    assert (rep["witness_c"], rep["witness_dim"]) == witness
 
 
 def test_complete_intersection_instance_is_wild():
