@@ -214,7 +214,8 @@ class FamilySpec:
 
     @cached_property
     def reduced_syzygy(self) -> tuple[ModulePresentation, bool]:
-        # (N/(y)N over R/(y), y is N-regular), from one check of the whole y
+        # (N/(y)N over R/(y), y is N-regular), from one check of the whole
+        # y; on a rejection reduce_mod hands back the quotient it built
         syzygy, seq = self.syzygy, self.sequence
         reduced = verify_regular_element(syzygy, *seq)
         if reduced is None:

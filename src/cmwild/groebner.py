@@ -29,32 +29,51 @@ genuine modules: with u = x*e1 + y*e2 and v = y*e1 + x*e2 the S-vector
 (y^2 - x^2)*e2 reduces to neither.  The chain criterion is restricted to
 pairs already treated, so no skip can be circular.
 
-A basis can also be grown: ``buchberger(new, order, p, base=old)`` starts
-from the reduced basis ``old`` of a submodule N and returns the reduced
-basis of N + (new).  The elements of ``old`` enter the working set as they
-are, and only pairs that involve a new element are queued.  A pair of two
-elements of ``old`` needs no treatment: ``old`` is a Groebner basis, so its
-S-vector already reduces to zero against ``old`` and hence against any
-larger working set.  Such a pair also counts as treated for the chain
-criterion, since the criterion only asks that the two pairs it leans on
-reduce to zero.  Once every pair is treated the working set is a Groebner
-basis of N + (new), and ``_interreduce`` turns it into the reduced basis,
-which is unique: the same monic vectors, listed by the same leading-term
-key, each filled leading term first and then in descending order.  Grown
-and rebuilt bases are therefore equal as ordered dicts.
+A basis is made by one run, ``BuchbergerRun``, which holds the working
+set, the heap of queued pairs and the set of treated ones; ``buchberger``
+is one run taken to the end.  ``add`` queues new generators,
+``advance(t)`` treats every queued pair of S-vector degree at most t, and
+``basis`` interreduces the working set.  Pairs go by ascending S-vector
+degree (normal strategy), and a pair of degree d adds at most one vector,
+of degree d, whose new pairs are of degree above d: its leading term is
+divisible by no leading term in the working set, so each lcm with one
+exceeds it.  With homogeneous input, a set is a Groebner basis through
+degree t once every pair of degree at most t reduces to zero, so after
+``advance(t)`` every element of degree at most t of the submodule given
+so far reduces to zero against the working set.  A vector added then of
+degree above t, or of degree t and irreducible against the working set,
+makes only pairs of degree above t, so this still holds.  Stopping after
+degree t and resuming later thus treats the pairs of each degree as a run
+that never stopped (Giovini, Mora, Niesi, Robbiano and Traverso, "One
+sugar cube, please", ISSAC 1991).  Whatever the stops, once every pair is
+treated the working set is a Groebner basis of the submodule given, and
+``_interreduce`` turns it into the reduced basis, which is unique: the
+same monic vectors, listed by the same leading-term key, each filled
+leading term first and then in descending order.  A resumed run and a
+one-shot one are therefore equal as ordered dicts.
 
-A basis can be cut at a degree: ``buchberger(..., bound=b)`` drops the
+A basis can be grown: a run from ``base=old`` starts from the reduced
+basis ``old`` of a submodule N and ends at the reduced basis of N + (new).
+The elements of ``old`` enter the working set as they are, and only pairs
+that involve a new element are queued.  A pair of two elements of ``old``
+needs no treatment: ``old`` is a Groebner basis, so its S-vector already
+reduces to zero against ``old`` and hence against any larger working set.
+Such a pair also counts as treated for the chain criterion, since the
+criterion only asks that the two pairs it leans on reduce to zero.  So
+grown and rebuilt bases are equal as ordered dicts too.
+
+A basis can be cut at a degree: a run with ``bound=b`` drops the
 generators and ``base`` elements of degree above b and queues no pair
-whose S-vector is of degree above b.  The inputs are homogeneous and
-pairs go by ascending degree, so every element of degree at most b of
-the submodule reduces to zero against the result, and an element above
-b never takes part in reducing one of degree at most b.  The reduced
-basis made this way is unique, so it is the part of the full reduced
-basis of degree at most b.  The listing ascends in degree, so it is a
-prefix of the full listing, and a normal form of degree at most b is
+whose S-vector is of degree above b.  Taken to the end, it has treated
+every pair of degree at most b, so by the above every element of degree
+at most b of the submodule reduces to zero against the result, and an
+element above b never takes part in reducing one of degree at most b.
+The reduced basis made this way is unique, so it is the part of the full
+reduced basis of degree at most b.  The listing ascends in degree, so it
+is a prefix of the full listing, and a normal form of degree at most b is
 the same against both.
 
-Packed terms.  Inside the kernel (``_reduce``, ``buchberger``,
+Packed terms.  Inside the kernel (``_reduce``, ``BuchbergerRun``,
 ``_interreduce``) a term (pos, m) of an order in n variables is one int,
 from the high bits down:
 
@@ -308,7 +327,7 @@ def add_mul(acc: dict, f, v: dict, p: int) -> None:
 
 class GroebnerBasis:
     """A monic basis held as packed terms: leading terms, tails and a
-    divisor index by rank; also the working set that ``buchberger`` grows.
+    divisor index by rank; also the working set a ``BuchbergerRun`` grows.
     ``vectors`` and ``lts`` give the tuple-keyed view, unpacked on first
     read."""
 
@@ -428,48 +447,48 @@ def _make_monic(v: dict, p: int):
     return lt, tuple((t, k * inv % p) for t, k in v.items() if t != lt)
 
 
-def buchberger(
-    gens,
-    order: ModuleOrder,
-    p: int,
-    base: GroebnerBasis | None = None,
-    bound: int | None = None,
-) -> GroebnerBasis:
-    """Reduced Groebner basis of the submodule generated by ``gens``, or by
-    ``gens`` and the reduced basis ``base`` when one is given; ``base``
-    must have been computed over the same field, for ``order`` or for an
-    order whose terms pack to the same ints (the real part of a tagged
-    order, see ``ModuleOrder.with_tags``).
+class BuchbergerRun:
+    """One Buchberger run that can stop after a degree and resume.
 
-    Pairs are processed in ascending S-vector degree (normal strategy) with
-    deterministic tie-breaks, so the reduced result is canonical for the
-    order regardless of generator arrangement.  The product criterion is
-    applied in rank one only (see the module docstring).  Pairs of two
-    ``base`` elements are never queued; see the module docstring for why
-    the grown basis equals the rebuilt one.
-
-    With a degree ``bound``, generators and ``base`` elements above it are
-    dropped and no pair past it is queued: the result is the part of the
-    reduced basis in degrees up to ``bound`` (see the module docstring).
+    It owns the working set ``gb``, the heap of queued pairs, the set of
+    treated ones and the number ``n_base`` of leading ``base`` elements,
+    whose pairs among themselves count as treated.  Pairs go by ascending
+    S-vector degree (normal strategy) with deterministic tie-breaks; see
+    the module docstring for why stopping and resuming changes nothing.
+    The product criterion is applied in rank one only.  With a degree
+    ``bound``, ``base`` elements and generators above it are dropped and
+    no pair past it is queued.
     """
-    product_criterion = order.rank == 1
-    gb = GroebnerBasis(order, p)
-    lts, tails, by_rank = gb._lts, gb._tails, gb._by_rank
-    exp_mask, guards = order.exp_mask, order.guards
-    rank_shift, deg_shift = order.rank_shift, order.deg_shift
-    fields = order.fields
-    nbytes = 2 * order.nvars
-    heap: list = []
-    top = inf if bound is None else bound
-    # pairs (i, j) with j < n_base join two base elements: already treated
-    n_base = 0
-    if base is not None:
-        for lt, tail in zip(base._lts, base._tails):
-            if order.term_degree(lt) <= top:
-                gb._add(lt, tail)
-        n_base = len(gb)
 
-    def queue_pairs(j):
+    __slots__ = ("gb", "order", "p", "top", "heap", "treated", "n_base", "product_criterion")
+
+    def __init__(
+        self,
+        order: ModuleOrder,
+        p: int,
+        base: GroebnerBasis | None = None,
+        bound: int | None = None,
+    ):
+        self.gb = GroebnerBasis(order, p)
+        self.order = order
+        self.p = p
+        self.top = inf if bound is None else bound
+        self.heap: list = []
+        self.treated: set = set()
+        self.product_criterion = order.rank == 1
+        if base is not None:
+            for lt, tail in zip(base._lts, base._tails):
+                if order.term_degree(lt) <= self.top:
+                    self.gb._add(lt, tail)
+        # pairs (i, j) with j < n_base join two base elements: already treated
+        self.n_base = len(self.gb)
+
+    def _queue_pairs(self, j: int) -> None:
+        """Queue the pairs of working-set element j with the ones before it."""
+        order, heap, top = self.order, self.heap, self.top
+        lts = self.gb._lts
+        exp_mask, guards, rank_shift = order.exp_mask, order.guards, order.rank_shift
+        fields, nbytes = order.fields, 2 * order.nvars
         lt_j = lts[j]
         r = lt_j >> rank_shift
         e_j = lt_j & exp_mask
@@ -488,47 +507,100 @@ def buchberger(
                 # ascending S-vector degree, then grevlex ascending on the lcm
                 heappush(heap, (dl + gd, dl, -lcm, i, j))
 
-    for g in gens:
-        v = order.pack_vec(g, p)
-        # reduction keeps the degree of every term only for homogeneous
-        # vectors, and the degree limit rests on that
-        if v and order.degree(v) <= top:
-            queue_pairs(gb._add(*_make_monic(v, p)))
+    def add(self, vectors) -> None:
+        """Queue new generators, tuple-keyed or packed in the run's order;
+        zero ones and those above the bound are dropped.  The working set
+        stays complete through the degree t of the last ``advance`` when
+        each is of degree above t, or of degree t and irreducible against
+        the working set; the run ends at the same basis either way."""
+        order, p, top = self.order, self.p, self.top
+        for g in vectors:
+            v = order.pack_vec(g, p)
+            # reduction keeps the degree of every term only for homogeneous
+            # vectors, and the degree limit rests on that
+            if v and order.degree(v) <= top:
+                self._queue_pairs(self.gb._add(*_make_monic(v, p)))
 
-    treated: set = set()
-    while heap:
-        sdeg, dl, lcm, i, j = heappop(heap)
-        lcm = -lcm
-        treated.add((i, j))
-        lt_i, lt_j = lts[i], lts[j]
-        if product_criterion and (lt_i & exp_mask) + (lt_j & exp_mask) == lcm:
-            continue  # coprime: each field holds one of the two exponents
-        chained = False
-        for ge, k in by_rank[lt_i >> rank_shift]:
-            if k == i or k == j or (lcm - ge) & guards:
-                continue
-            a, b = (i, k) if i < k else (k, i)
-            c, d = (j, k) if j < k else (k, j)
-            if (b < n_base or (a, b) in treated) and (
-                d < n_base or (c, d) in treated
-            ):
-                chained = True
+    def advance(self, t=inf) -> None:
+        """Treat every queued pair of S-vector degree at most t, also those
+        the treated ones queue; afterwards every element of degree at most
+        t of the submodule reduces to zero against the working set."""
+        order, p, gb = self.order, self.p, self.gb
+        heap, treated, n_base = self.heap, self.treated, self.n_base
+        product_criterion, queue_pairs = self.product_criterion, self._queue_pairs
+        lts, tails, by_rank = gb._lts, gb._tails, gb._by_rank
+        exp_mask, guards = order.exp_mask, order.guards
+        rank_shift, deg_shift = order.rank_shift, order.deg_shift
+        while heap:
+            sdeg, dl, lcm, i, j = heappop(heap)
+            if sdeg > t:
+                heappush(heap, (sdeg, dl, lcm, i, j))
                 break
-        if chained:
-            continue
-        cap = order.degree_cap[order.pos_of[lt_i >> rank_shift]]
-        if dl > cap:
-            raise _past_limit("S-pair", dl - cap + MAX_DEGREE)
-        lcm |= lt_i >> rank_shift << rank_shift | (MAX_DEGREE - dl) << deg_shift
-        # the leading terms cancel: s = x^a * tail_i - x^b * tail_j
-        di, dj = lcm - lt_i, lcm - lt_j
-        s = {t + di: c % p for t, c in tails[i]}
-        add_terms(s, {t + dj: c for t, c in tails[j]}, p, -1)
-        r = _reduce(s, gb)
-        if r:
-            queue_pairs(gb._add(*_make_monic(r, p)))
+            lcm = -lcm
+            treated.add((i, j))
+            lt_i, lt_j = lts[i], lts[j]
+            if product_criterion and (lt_i & exp_mask) + (lt_j & exp_mask) == lcm:
+                continue  # coprime: each field holds one of the two exponents
+            chained = False
+            for ge, k in by_rank[lt_i >> rank_shift]:
+                if k == i or k == j or (lcm - ge) & guards:
+                    continue
+                a, b = (i, k) if i < k else (k, i)
+                c, d = (j, k) if j < k else (k, j)
+                if (b < n_base or (a, b) in treated) and (
+                    d < n_base or (c, d) in treated
+                ):
+                    chained = True
+                    break
+            if chained:
+                continue
+            cap = order.degree_cap[order.pos_of[lt_i >> rank_shift]]
+            if dl > cap:
+                raise _past_limit("S-pair", dl - cap + MAX_DEGREE)
+            lcm |= lt_i >> rank_shift << rank_shift | (MAX_DEGREE - dl) << deg_shift
+            # the leading terms cancel: s = x^a * tail_i - x^b * tail_j
+            di, dj = lcm - lt_i, lcm - lt_j
+            s = {u + di: c % p for u, c in tails[i]}
+            add_terms(s, {u + dj: c for u, c in tails[j]}, p, -1)
+            r = _reduce(s, gb)
+            if r:
+                queue_pairs(gb._add(*_make_monic(r, p)))
 
-    return _interreduce(gb)
+    def basis(self) -> GroebnerBasis:
+        """The working set interreduced: the reduced basis of what the run
+        was given once it has advanced to the end, and its part through t
+        after ``advance(t)``."""
+        return _interreduce(self.gb)
+
+
+def buchberger(
+    gens,
+    order: ModuleOrder,
+    p: int,
+    base: GroebnerBasis | None = None,
+    bound: int | None = None,
+) -> GroebnerBasis:
+    """Reduced Groebner basis of the submodule generated by ``gens``, or by
+    ``gens`` and the reduced basis ``base`` when one is given; ``base``
+    must have been computed over the same field, for ``order`` or for an
+    order whose terms pack to the same ints (the real part of a tagged
+    order, see ``ModuleOrder.with_tags``).
+
+    One ``BuchbergerRun`` taken to the end.  Pairs are processed in
+    ascending S-vector degree (normal strategy) with deterministic
+    tie-breaks, and the reduced result is canonical for the order
+    regardless of generator arrangement.  Pairs of two ``base`` elements
+    are never queued; see the module docstring for why the grown basis
+    equals the rebuilt one.
+
+    With a degree ``bound``, generators and ``base`` elements above it are
+    dropped and no pair past it is queued: the result is the part of the
+    reduced basis in degrees up to ``bound`` (see the module docstring).
+    """
+    run = BuchbergerRun(order, p, base, bound)
+    run.add(gens)
+    run.advance()
+    return run.basis()
 
 
 def _interreduce(gb: GroebnerBasis) -> GroebnerBasis:
@@ -658,22 +730,28 @@ def minimal_generators(
     in that span is dropped when its turn comes, since nothing of a higher
     index has gone yet, so K is inside G and the two are equal.
 
-    G is what this builds: for each degree j in ascending order, one
-    basis of ``base`` and the kept generators below j, cut at j (see
-    ``buchberger``).  Each generator of degree j, by descending index, is
-    kept when its normal form is nonzero, and that monic normal form joins
-    the basis.  Its leading term is divisible by no leading term there, so
-    each new S-pair has degree above j and the basis stays complete
-    through degree j."""
+    G is what this builds, on one ``BuchbergerRun`` from ``base``: for
+    each degree j in ascending order, the run advances through j, so its
+    working set is complete through degree j for ``base`` and the kept
+    generators below j.  Each generator of degree j, by descending index,
+    is kept when its normal form against the working set is nonzero, and
+    that monic normal form joins the run.  Its leading term is divisible
+    by no leading term there, so each new S-pair has degree above j and
+    the working set stays complete through degree j.  The working set is
+    never interreduced: whether a vector lies in the submodule does not
+    depend on which Groebner basis of it the vector is reduced against,
+    so the kept indices are the same as against the reduced basis."""
     degree = [order.term_degree(min(g)) for g in gens]
+    # nothing above the top generator degree is ever reduced against
+    run = BuchbergerRun(order, p, base, bound=max(degree, default=None))
     kept: list = []
     for j in sorted(set(degree)):
-        gb = buchberger([gens[i] for i in kept], order, p, base=base, bound=j)
+        run.advance(j)
         for i in reversed(range(len(gens))):
             if degree[i] == j:
-                r = _reduce(dict(gens[i]), gb)
+                r = _reduce(dict(gens[i]), run.gb)
                 if r:
-                    gb._add(*_make_monic(r, p))
+                    run.add([r])
                     kept.append(i)
     return sorted(kept)
 

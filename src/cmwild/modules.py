@@ -172,7 +172,7 @@ class ModulePresentation(Staircase):
     another presentation of the module or from an exact sequence; reading
     it then builds no basis."""
 
-    __slots__ = ("ring", "free", "packed", "_gb", "_parent")
+    __slots__ = ("ring", "free", "packed", "_gb", "_parent", "_reduced")
 
     def __init__(self, ring: QuotientRing, gen_degrees, relations, numerator=None):
         self.ring = ring
@@ -188,6 +188,8 @@ class ModulePresentation(Staircase):
         self._numerator: dict | None = numerator
         # set by ``quotient``: the presentation whose basis this one grows
         self._parent: ModulePresentation | None = None
+        # (ys, the presentation over R/(ys)) of the last ``reduce_mod``
+        self._reduced: tuple | None = None
 
     @property
     def relations(self) -> tuple:
@@ -236,10 +238,16 @@ class ModulePresentation(Staircase):
         return child
 
     def reduce_mod(self, ys) -> "ModulePresentation":
-        """The same presentation over R/(ys)."""
-        return ModulePresentation(
-            self.ring.extend(ys), self.free.gen_degrees, self.packed
-        )
+        """The same presentation over R/(ys).  Asked again for the same
+        sequence, it hands back the same presentation, so a basis built
+        for one reader (a regularity check) serves the next."""
+        ys = tuple(ys)
+        if self._reduced is None or self._reduced[0] != ys:
+            child = ModulePresentation(
+                self.ring.extend(ys), self.free.gen_degrees, self.packed
+            )
+            self._reduced = ys, child
+        return self._reduced[1]
 
     def __repr__(self):
         return (

@@ -242,6 +242,28 @@ def test_mcm_rejects_at_the_second_stage(fermat):
     assert rows == per_degree_shift_rows(spec)
 
 
+def test_rejected_mcm_check_builds_one_reduced_basis(monkeypatch, fermat):
+    # the member of test_mcm_rejects_at_the_second_stage: the check builds
+    # N/(x^2, y^2)N and rejects, and the reduced syzygy is that same
+    # quotient, not a second build of it
+    spec = two_param(fermat, [[1]], [[2]])
+    spec.__dict__["syzygy"] = ModulePresentation(fermat, [0], [{(0, (0, 1, 0)): 1}])
+    spec.syzygy.gb  # N's own basis, read by the check for HS(N)
+    calls = []
+    real = modules.buchberger
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(modules, "buchberger", counting)
+    omega_bar, verified = spec.reduced_syzygy
+    assert verified is False
+    omega_bar.gb
+    assert len(calls) == 1
+    assert omega_bar is spec.syzygy.reduce_mod(spec.sequence)
+
+
 @pytest.mark.parametrize("name", ["fermat-n1", "fermat-n2", "binary-n2"])
 def test_member_over_ring_and_syzygy_take_known_numerators(name):
     rname, seq, c, Ax, Ay = MEMBERS[name]

@@ -3,17 +3,21 @@ hand-derived values and an independent dense linear-algebra oracle."""
 
 import random
 from math import comb
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
+from cmwild import groebner
 from cmwild.errors import InputError
 from cmwild.groebner import (
     MAX_DEGREE,
+    BuchbergerRun,
     ModuleOrder,
     TaggedBasis,
+    _make_monic,
     _reduce,
     add_mul,
     buchberger,
@@ -544,6 +548,138 @@ class TestGrownBases:
         free = pres.free
         rebuilt = buchberger(list(pres.relations) + free.ring_basis.vectors, free.order, GROW_P)
         assert listing(pres.gb) == listing(rebuilt)
+
+
+# ------------------------------------------------- resumed runs
+
+RUN_SETTINGS = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@st.composite
+def run_orders(draw):
+    """(order, p): rank 1-3 with generator degrees 0-2, 2-4 variables."""
+    nvars = draw(st.integers(2, 4))
+    gen_degrees = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    return ModuleOrder(gen_degrees, nvars), draw(st.sampled_from((2, 3, 32003)))
+
+
+@st.composite
+def run_vectors(draw, order, p, min_count, max_count):
+    """Nonzero homogeneous tuple-keyed vectors of the free module of
+    ``order``, each of degree 1 or 2 above its lowest generator degree,
+    with at most four terms."""
+    low = min(order.gen_degrees)
+    out = []
+    for _ in range(draw(st.integers(min_count, max_count))):
+        deg = low + draw(st.integers(1, 2))
+        terms = [
+            (pos, m)
+            for pos, gd in enumerate(order.gen_degrees)
+            if gd <= deg
+            for m in monomials_of_degree(order.nvars, deg - gd)
+        ]
+        chosen = draw(st.lists(st.sampled_from(terms), min_size=1, max_size=4, unique=True))
+        out.append({t: draw(st.integers(1, p - 1)) for t in chosen})
+    return out
+
+
+def tuple_vec_degree(order, v):
+    pos, m = next(iter(v))
+    return sum(m) + order.gen_degrees[pos]
+
+
+def through(gb, t):
+    """The listing of the elements of degree at most t."""
+    vectors, lts = listing(gb)
+    keep = [sum(m) + gb.order.gen_degrees[pos] <= t for pos, m in lts]
+    return (
+        [v for v, k in zip(vectors, keep) if k],
+        [lt for lt, k in zip(lts, keep) if k],
+    )
+
+
+def rebuilt_minimal_generators(gens, order, p, base=None):
+    """``minimal_generators`` as it was first written: for each degree j,
+    a fresh basis of ``base`` and the generators kept below j, cut at j."""
+    degree = [order.term_degree(min(g)) for g in gens]
+    kept: list = []
+    for j in sorted(set(degree)):
+        gb = buchberger([gens[i] for i in kept], order, p, base=base, bound=j)
+        for i in reversed(range(len(gens))):
+            if degree[i] == j:
+                r = _reduce(dict(gens[i]), gb)
+                if r:
+                    gb._add(*_make_monic(r, p))
+                    kept.append(i)
+    return sorted(kept)
+
+
+class TestResumedRuns:
+    """A run stopped after each of some degrees, with generators added
+    between the stops, ends at the same reduced basis as one call of
+    ``buchberger``, and after each stop its part through that degree is
+    the cut basis of what it was given so far."""
+
+    @RUN_SETTINGS
+    @given(data=st.data())
+    def test_resumed_run_equals_one_shot(self, data):
+        order, p = data.draw(run_orders())
+        gens = data.draw(run_vectors(order, p, 1, 4))
+        base = None
+        if data.draw(st.booleans()):
+            base = buchberger(data.draw(run_vectors(order, p, 0, 2)), order, p)
+        low = min(order.gen_degrees)
+        bound = data.draw(st.none() | st.integers(low, low + 4))
+        stops = sorted(data.draw(st.sets(st.integers(low, low + 4), max_size=3)))
+        # a generator joins before the first stop or after a stop below
+        # its degree
+        stage = []
+        for g in gens:
+            deg = tuple_vec_degree(order, g)
+            stage.append(data.draw(st.sampled_from(
+                [k for k in range(len(stops) + 1) if k == 0 or stops[k - 1] < deg]
+            )))
+        run = BuchbergerRun(order, p, base, bound)
+        added = []
+        for k, t in enumerate(stops):
+            now = [g for g, s in zip(gens, stage) if s == k]
+            run.add(now)
+            added += now
+            run.advance(t)
+            cut = t if bound is None else min(t, bound)
+            assert through(run.basis(), cut) == listing(
+                buchberger(added, order, p, base=base, bound=cut)
+            )
+        run.add([g for g, s in zip(gens, stage) if s == len(stops)])
+        run.advance()
+        assert listing(run.basis()) == listing(buchberger(gens, order, p, base=base, bound=bound))
+
+    @RUN_SETTINGS
+    @given(data=st.data())
+    def test_minimal_generators_keep_what_the_rebuild_kept(self, data):
+        order, p = data.draw(run_orders())
+        gens = [order.pack_vec(v, p) for v in data.draw(run_vectors(order, p, 1, 5))]
+        # dependent generators: monomial multiples and same-degree sums
+        for _ in range(data.draw(st.integers(0, 3))):
+            g = data.draw(st.sampled_from(gens))
+            if data.draw(st.booleans()):
+                m = data.draw(st.sampled_from(monomials_of_degree(order.nvars, 1)))
+                gens.append({t + order.shift(m): c for t, c in g.items()})
+            else:
+                same = [h for h in gens if order.degree(h) == order.degree(g)]
+                w = dict(g)
+                add_terms(w, data.draw(st.sampled_from(same)), p)
+                if w:
+                    gens.append(w)
+        gens = data.draw(st.permutations(gens))
+        base = None
+        if data.draw(st.booleans()):
+            base = buchberger(data.draw(run_vectors(order, p, 0, 2)), order, p)
+        want = rebuilt_minimal_generators(gens, order, p, base)
+        with patch.object(groebner, "buchberger", side_effect=AssertionError("a basis was built")):
+            assert minimal_generators(gens, order, p, base=base) == want
 
 
 # ------------------------------------------------- the ring basis as a base

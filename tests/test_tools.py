@@ -107,6 +107,46 @@ def test_trace_count_check_pins_nothing_from_a_bad_result():
     assert (TOOLS / "trace_counts.json").read_bytes() == before
 
 
+def pin_in_copy(tmp_path, metrics):
+    """Run ``--pin family`` on a copy of the tool and its pins under
+    ``tmp_path``; returns (process, the copied pins before, after)."""
+    for name in ("check_trace_counts.py", "trace_counts.json"):
+        (tmp_path / name).write_bytes((TOOLS / name).read_bytes())
+    pins = tmp_path / "trace_counts.json"
+    before = pins.read_bytes()
+    proc = subprocess.run(
+        [sys.executable, str(tmp_path / "check_trace_counts.py"), "family", "--pin"],
+        input=json.dumps({"metrics": metrics}) + "\n",
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    return proc, before, pins.read_bytes()
+
+
+def test_trace_count_pin_of_an_unchanged_row_prints_nothing(tmp_path):
+    proc, before, after = pin_in_copy(tmp_path, family_pins())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert after == before
+
+
+def test_trace_count_pin_lists_each_changed_count(tmp_path):
+    metrics = family_pins()
+    rank, calls = "resolution.minimal_resolution.total_rank", "matalg.rref.calls"
+    old_rank, old_calls = metrics[rank]["value"], metrics[calls]["value"]
+    metrics[rank] = {"unit": "count", "value": old_rank + 1}
+    metrics[calls] = {"unit": "count", "value": old_calls - 2}
+    proc, _, after = pin_in_copy(tmp_path, metrics)
+    assert (proc.returncode, proc.stdout) == (0, "")
+    # one line per changed count, by name
+    assert proc.stderr == (
+        f"family: {calls}: {old_calls} -> {old_calls - 2}\n"
+        f"family: {rank}: {old_rank} -> {old_rank + 1}\n"
+    )
+    pinned = json.loads(after)["family"]
+    assert (pinned[rank], pinned[calls]) == (old_rank + 1, old_calls - 2)
+
+
 def test_trace_counts_pin_every_count_metric_of_every_workload():
     # a partial re-pin would leave a workload with missing or stale names
     path = TOOLS / "check_trace_counts.py"

@@ -7,9 +7,12 @@ reads the JSON result (the last line of stdin) and compares every
 per-layer metric with unit ``count`` against ``trace_counts.json`` next to
 this script.  It exits 1 and lists the metrics that differ, or prints
 ``no pinned counts for <workload>`` when the workload has none.  With
-``--pin`` it records the workload's counts instead.  Without a workload,
-or with nothing on stdin, it prints a usage line and exits 2; when the last
-line is not JSON with ``"metrics"``, it says so in one line and exits 2.
+``--pin`` it records the workload's counts instead, and lists each count
+that changed on stderr as ``<workload>: <name>: <old> -> <new>`` (nothing
+when the row stays as it was), so a re-pin can be reviewed.  Without a
+workload, or with nothing on stdin, it prints a usage line and exits 2;
+when the last line is not JSON with ``"metrics"``, it says so in one line
+and exits 2.
 
 Two count metrics are left out because they count call routing, not work:
 ``groebner.GroebnerBasis.normal_form.calls`` (a caller may reduce through
@@ -36,6 +39,16 @@ def counts(result: dict) -> dict:
     }
 
 
+def changed(want: dict, got: dict) -> list:
+    """(name, wanted value, got value) of each count that differs, by name;
+    None stands for a missing count."""
+    return [
+        (name, want.get(name), got.get(name))
+        for name in sorted(set(want) | set(got))
+        if want.get(name) != got.get(name)
+    ]
+
+
 def main(argv) -> int:
     pin = "--pin" in argv
     workload = next((a for a in argv if a != "--pin"), None)
@@ -53,6 +66,8 @@ def main(argv) -> int:
         with open(PINS, encoding="utf-8") as fh:
             pins = json.load(fh)
     if pin:
+        for name, old, new in changed(pins.get(workload, {}), got):
+            print(f"{workload}: {name}: {old} -> {new}", file=sys.stderr)
         pins[workload] = got
         with open(PINS, "w", encoding="utf-8") as fh:
             json.dump(pins, fh, indent=1, sort_keys=True)
@@ -61,14 +76,9 @@ def main(argv) -> int:
     if workload not in pins:
         print(f"no pinned counts for {workload}")
         return 1
-    want = pins[workload]
-    diffs = [
-        f"{name}: pinned {want.get(name)}, got {got.get(name)}"
-        for name in sorted(set(want) | set(got))
-        if want.get(name) != got.get(name)
-    ]
-    for line in diffs:
-        print(f"{workload}: {line}")
+    diffs = changed(pins[workload], got)
+    for name, old, new in diffs:
+        print(f"{workload}: {name}: pinned {old}, got {new}")
     return 1 if diffs else 0
 
 
