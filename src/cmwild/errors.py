@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these to exit codes: InputError -> 2, BudgetExhausted -> 3.
-Everything else is a bug and surfaces as an ordinary traceback.
+The CLI maps these to exit codes: InputError -> 2, BudgetExhausted -> 3,
+and any other CmwildError (an internal check failed) -> 1.  Any other
+exception is a bug and surfaces as an ordinary traceback.
 """
 
 

@@ -31,26 +31,32 @@ pairs already treated, so no skip can be circular.
 
 A basis is made by one run, ``BuchbergerRun``, which holds the working
 set, the heap of queued pairs and the set of treated ones; ``buchberger``
-is one run taken to the end.  ``add`` queues new generators,
-``advance(t)`` treats every queued pair of S-vector degree at most t, and
-``basis`` interreduces the working set.  Pairs go by ascending S-vector
-degree (normal strategy), and a pair of degree d adds at most one vector,
-of degree d, whose new pairs are of degree above d: its leading term is
-divisible by no leading term in the working set, so each lcm with one
-exceeds it.  With homogeneous input, a set is a Groebner basis through
-degree t once every pair of degree at most t reduces to zero, so after
-``advance(t)`` every element of degree at most t of the submodule given
-so far reduces to zero against the working set.  A vector added then of
-degree above t, or of degree t and irreducible against the working set,
-makes only pairs of degree above t, so this still holds.  Stopping after
-degree t and resuming later thus treats the pairs of each degree as a run
-that never stopped (Giovini, Mora, Niesi, Robbiano and Traverso, "One
-sugar cube, please", ISSAC 1991).  Whatever the stops, once every pair is
-treated the working set is a Groebner basis of the submodule given, and
-``_interreduce`` turns it into the reduced basis, which is unique: the
-same monic vectors, listed by the same leading-term key, each filled
-leading term first and then in descending order.  A resumed run and a
-one-shot one are therefore equal as ordered dicts.
+is one run taken to the end, or through a degree ``bound``.  ``add``
+queues new generators, ``advance(t)`` treats every queued pair of
+S-vector degree at most t, and ``basis`` interreduces the working set.
+Pairs go by ascending S-vector degree (normal strategy), and a pair of
+degree d adds at most one vector, of degree d, whose new pairs are of
+degree above d: its leading term is divisible by no leading term in the
+working set, so each lcm with one exceeds it.  With homogeneous input, a
+set is a Groebner basis through degree t once every pair of degree at
+most t reduces to zero, so after ``advance(t)`` every element of degree
+at most t of the submodule given so far reduces to zero against the
+working set.  A vector added then of degree above t, or of degree t and
+irreducible against the working set, makes only pairs of degree above t,
+so this still holds.  Stopping after degree t and resuming later thus
+treats the pairs of each degree as a run that never stopped (Giovini,
+Mora, Niesi, Robbiano and Traverso, "One sugar cube, please", ISSAC
+1991).  An element of degree above t never divides a term of degree at
+most t, so it takes no part in reducing one, and ``_interreduce`` of the
+elements of degree at most t gives a reduced basis through t.  The
+reduced basis is unique: the same monic vectors, listed by the same
+leading-term key, each filled leading term first and then in descending
+order.  So whatever the stops, after ``advance(t)`` the part through t is
+the part of degree at most t of the full reduced basis, and once every
+pair is treated (t = inf) it is the whole of it: a resumed run and a
+one-shot one are equal as ordered dicts.  The listing ascends in degree,
+so a basis cut at ``bound=b`` is a prefix of the full listing, and a
+normal form of degree at most b is the same against both.
 
 A basis can be grown: a run from ``base=old`` starts from the reduced
 basis ``old`` of a submodule N and ends at the reduced basis of N + (new).
@@ -61,17 +67,6 @@ reduces to zero against ``old`` and hence against any larger working set.
 Such a pair also counts as treated for the chain criterion, since the
 criterion only asks that the two pairs it leans on reduce to zero.  So
 grown and rebuilt bases are equal as ordered dicts too.
-
-A basis can be cut at a degree: a run with ``bound=b`` drops the
-generators and ``base`` elements of degree above b and queues no pair
-whose S-vector is of degree above b.  Taken to the end, it has treated
-every pair of degree at most b, so by the above every element of degree
-at most b of the submodule reduces to zero against the result, and an
-element above b never takes part in reducing one of degree at most b.
-The reduced basis made this way is unique, so it is the part of the full
-reduced basis of degree at most b.  The listing ascends in degree, so it
-is a prefix of the full listing, and a normal form of degree at most b is
-the same against both.
 
 Packed terms.  Inside the kernel (``_reduce``, ``BuchbergerRun``,
 ``_interreduce``) a term (pos, m) of an order in n variables is one int,
@@ -455,37 +450,29 @@ class BuchbergerRun:
     whose pairs among themselves count as treated.  Pairs go by ascending
     S-vector degree (normal strategy) with deterministic tie-breaks; see
     the module docstring for why stopping and resuming changes nothing.
-    The product criterion is applied in rank one only.  With a degree
-    ``bound``, ``base`` elements and generators above it are dropped and
-    no pair past it is queued.
+    The product criterion is applied in rank one only.  The run keeps
+    every ``base`` element and generator it is given; ``advance(t)`` is
+    how it stops at a degree.
     """
 
-    __slots__ = ("gb", "order", "p", "top", "heap", "treated", "n_base", "product_criterion")
+    __slots__ = ("gb", "order", "p", "heap", "treated", "n_base", "product_criterion")
 
-    def __init__(
-        self,
-        order: ModuleOrder,
-        p: int,
-        base: GroebnerBasis | None = None,
-        bound: int | None = None,
-    ):
+    def __init__(self, order: ModuleOrder, p: int, base: GroebnerBasis | None = None):
         self.gb = GroebnerBasis(order, p)
         self.order = order
         self.p = p
-        self.top = inf if bound is None else bound
         self.heap: list = []
         self.treated: set = set()
         self.product_criterion = order.rank == 1
         if base is not None:
             for lt, tail in zip(base._lts, base._tails):
-                if order.term_degree(lt) <= self.top:
-                    self.gb._add(lt, tail)
+                self.gb._add(lt, tail)
         # pairs (i, j) with j < n_base join two base elements: already treated
         self.n_base = len(self.gb)
 
     def _queue_pairs(self, j: int) -> None:
         """Queue the pairs of working-set element j with the ones before it."""
-        order, heap, top = self.order, self.heap, self.top
+        order, heap = self.order, self.heap
         lts = self.gb._lts
         exp_mask, guards, rank_shift = order.exp_mask, order.guards, order.rank_shift
         fields, nbytes = order.fields, 2 * order.nvars
@@ -503,22 +490,23 @@ class BuchbergerRun:
             keep = (((e_i | guards) - e_j) & guards) >> (FIELD_BITS - 1)
             lcm = e_j ^ ((e_i ^ e_j) & keep * _VALUE_MASK)
             dl = sum(fields.unpack(lcm.to_bytes(nbytes, "little")))
-            if dl + gd <= top:
-                # ascending S-vector degree, then grevlex ascending on the lcm
-                heappush(heap, (dl + gd, dl, -lcm, i, j))
+            # ascending S-vector degree, then grevlex ascending on the lcm
+            heappush(heap, (dl + gd, dl, -lcm, i, j))
 
     def add(self, vectors) -> None:
         """Queue new generators, tuple-keyed or packed in the run's order;
-        zero ones and those above the bound are dropped.  The working set
-        stays complete through the degree t of the last ``advance`` when
-        each is of degree above t, or of degree t and irreducible against
-        the working set; the run ends at the same basis either way."""
-        order, p, top = self.order, self.p, self.top
+        zero ones are dropped.  The working set stays complete through the
+        degree t of the last ``advance`` when each is of degree above t, or
+        of degree t and irreducible against the working set; the run ends
+        at the same basis either way."""
+        order, p = self.order, self.p
         for g in vectors:
             v = order.pack_vec(g, p)
-            # reduction keeps the degree of every term only for homogeneous
-            # vectors, and the degree limit rests on that
-            if v and order.degree(v) <= top:
+            if v:
+                # raises unless v is homogeneous: reduction keeps the degree
+                # of every term only for such vectors, and the degree limit
+                # rests on that
+                order.degree(v)
                 self._queue_pairs(self.gb._add(*_make_monic(v, p)))
 
     def advance(self, t=inf) -> None:
@@ -567,9 +555,11 @@ class BuchbergerRun:
                 queue_pairs(gb._add(*_make_monic(r, p)))
 
     def basis(self) -> GroebnerBasis:
-        """The working set interreduced: the reduced basis of what the run
-        was given once it has advanced to the end, and its part through t
-        after ``advance(t)``."""
+        """The working set interreduced.  Once the run has advanced to the
+        end this is the reduced basis of what it was given.  After
+        ``advance(t)`` only its part through degree t is that basis's part
+        through t: above t it holds the ``base`` elements and generators
+        of those degrees, whose pairs are not treated yet."""
         return _interreduce(self.gb)
 
 
@@ -593,24 +583,29 @@ def buchberger(
     are never queued; see the module docstring for why the grown basis
     equals the rebuilt one.
 
-    With a degree ``bound``, generators and ``base`` elements above it are
-    dropped and no pair past it is queued: the result is the part of the
-    reduced basis in degrees up to ``bound`` (see the module docstring).
+    With a degree ``bound``, the run advances through ``bound`` only and
+    the result is the part of the reduced basis in degrees up to
+    ``bound`` (see the module docstring).
     """
-    run = BuchbergerRun(order, p, base, bound)
+    t = inf if bound is None else bound
+    run = BuchbergerRun(order, p, base)
     run.add(gens)
-    run.advance()
-    return run.basis()
+    run.advance(t)
+    return _interreduce(run.gb, t)
 
 
-def _interreduce(gb: GroebnerBasis) -> GroebnerBasis:
+def _interreduce(gb: GroebnerBasis, t=inf) -> GroebnerBasis:
+    """The reduced basis made from the elements of ``gb`` of degree at
+    most t."""
     order = gb.order
     exp_mask, guards, rank_shift = order.exp_mask, order.guards, order.rank_shift
     kept = GroebnerBasis(order, gb.p)
     # smallest leading term first: the largest packed int
     for lt, tail in sorted(zip(gb._lts, gb._tails), key=lambda it: it[0], reverse=True):
         e = lt & exp_mask
-        if all((e - ke) & guards for ke, _ in kept._by_rank[lt >> rank_shift]):
+        if order.term_degree(lt) <= t and all(
+            (e - ke) & guards for ke, _ in kept._by_rank[lt >> rank_shift]
+        ):
             kept._add(lt, tail)
 
     # canonical listing: leading-term degree ascending, then the packed
@@ -647,12 +642,12 @@ class TaggedBasis:
     and ``syzygies`` and ``solve`` hand packed results back in the order of
     the caller's choice, with one swap of rank bits per term.
 
-    With a degree ``bound``, only the part of the basis up to ``bound`` is
-    built (see ``buchberger``): ``syzygies`` then lists the syzygies of
-    degree at most ``bound``, a prefix of the unbounded listing, and
-    ``solve`` is exact on vectors of degree at most ``bound``.  Degrees are
-    those of the tagged order, where a zero generator has the lowest real
-    degree.
+    With a degree ``bound``, the run stops after ``bound`` and only the
+    part of the basis up to it is kept (see ``buchberger``): ``syzygies``
+    then lists the syzygies of degree at most ``bound``, a prefix of the
+    unbounded listing, and ``solve`` is exact on vectors of degree at most
+    ``bound``.  Degrees are those of the tagged order, where a zero
+    generator has the lowest real degree.
     """
 
     __slots__ = ("p", "real_rank", "order", "gb")
@@ -740,10 +735,11 @@ def minimal_generators(
     the working set stays complete through degree j.  The working set is
     never interreduced: whether a vector lies in the submodule does not
     depend on which Groebner basis of it the vector is reduced against,
-    so the kept indices are the same as against the reduced basis."""
+    so the kept indices are the same as against the reduced basis.  The
+    run never advances past the top generator degree, so the pairs above
+    it stay queued and untreated."""
     degree = [order.term_degree(min(g)) for g in gens]
-    # nothing above the top generator degree is ever reduced against
-    run = BuchbergerRun(order, p, base, bound=max(degree, default=None))
+    run = BuchbergerRun(order, p, base)
     kept: list = []
     for j in sorted(set(degree)):
         run.advance(j)
@@ -791,10 +787,7 @@ def standard_terms(basis: GroebnerBasis, t: int) -> list:
     packed in its order: position ascending, grevlex descending within a
     position."""
     order = basis.order
-    exp_mask, guards, rank_shift = order.exp_mask, order.guards, order.rank_shift
-    by_rank: dict = {}
-    for lt in basis._lts:
-        by_rank.setdefault(lt >> rank_shift, []).append(lt & exp_mask)
+    guards = order.guards
     out = []
     for pos, gd in enumerate(order.gen_degrees):
         d = t - gd
@@ -802,10 +795,10 @@ def standard_terms(basis: GroebnerBasis, t: int) -> list:
             continue
         if d > MAX_DEGREE:
             raise _past_limit("staircase degree", d)
-        blockers = by_rank.get(order.rank_of[pos], ())
+        blockers = basis._by_rank[order.rank_of[pos]]
         head = order.rank_bits[pos] | (MAX_DEGREE - d) << order.deg_shift
         for e in _packed_monomials(order.nvars, d):
-            if all((e - b) & guards for b in blockers):
+            if all((e - b) & guards for b, _ in blockers):
                 out.append(head | e)
     return out
 

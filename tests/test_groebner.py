@@ -2,7 +2,7 @@
 hand-derived values and an independent dense linear-algebra oracle."""
 
 import random
-from math import comb
+from math import comb, inf
 from unittest.mock import patch
 
 import numpy as np
@@ -620,7 +620,8 @@ class TestResumedRuns:
     """A run stopped after each of some degrees, with generators added
     between the stops, ends at the same reduced basis as one call of
     ``buchberger``, and after each stop its part through that degree is
-    the cut basis of what it was given so far."""
+    the cut basis of what it was given so far.  The cut basis in turn is
+    the part of the full reduced basis through the cut."""
 
     @RUN_SETTINGS
     @given(data=st.data())
@@ -641,20 +642,36 @@ class TestResumedRuns:
             stage.append(data.draw(st.sampled_from(
                 [k for k in range(len(stops) + 1) if k == 0 or stops[k - 1] < deg]
             )))
-        run = BuchbergerRun(order, p, base, bound)
+        top = inf if bound is None else bound
+        run = BuchbergerRun(order, p, base)
         added = []
         for k, t in enumerate(stops):
             now = [g for g, s in zip(gens, stage) if s == k]
             run.add(now)
             added += now
-            run.advance(t)
-            cut = t if bound is None else min(t, bound)
+            cut = min(t, top)
+            run.advance(cut)
             assert through(run.basis(), cut) == listing(
                 buchberger(added, order, p, base=base, bound=cut)
             )
         run.add([g for g, s in zip(gens, stage) if s == len(stops)])
-        run.advance()
-        assert listing(run.basis()) == listing(buchberger(gens, order, p, base=base, bound=bound))
+        run.advance(top)
+        assert through(run.basis(), top) == listing(
+            buchberger(gens, order, p, base=base, bound=bound)
+        )
+
+    @RUN_SETTINGS
+    @given(data=st.data())
+    def test_cut_basis_is_the_low_part_of_the_full_one(self, data):
+        order, p = data.draw(run_orders())
+        gens = data.draw(run_vectors(order, p, 1, 4))
+        base = None
+        if data.draw(st.booleans()):
+            base = buchberger(data.draw(run_vectors(order, p, 0, 2)), order, p)
+        full = buchberger(gens, order, p, base=base)
+        low = min(order.gen_degrees)
+        for b in range(low, low + 6):
+            assert listing(buchberger(gens, order, p, base=base, bound=b)) == through(full, b)
 
     @RUN_SETTINGS
     @given(data=st.data())
