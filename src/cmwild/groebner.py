@@ -113,8 +113,9 @@ every module basis grows from), and ``TaggedBasis`` takes packed
 generators and hands back packed syzygies and coordinates, moved to the
 caller's order by ``ModuleOrder.rerank``.  ``buchberger`` and
 ``TaggedBasis`` accept either form, told apart by the key type in
-``pack_vec``.  ``lts`` stays tuple-keyed for the Hilbert numerator's
-exponent-tuple recursion; ``vectors`` is a view.
+``pack_vec``.  The staircase reads the packed leading terms as well:
+``standard_terms`` and ``module_numerator`` never unpack one.  ``lts``
+and ``vectors`` are tuple-keyed views.
 
 Normal forms keep the working vector ordered instead of rescanning it for
 its leading term.  Next to the packed dict ``work`` sits a min-heap of its
@@ -133,12 +134,7 @@ from math import inf
 from struct import Struct
 
 from .errors import InputError
-from .poly import (
-    add_terms,
-    grevlex_key,
-    mono_deg,
-    mono_divides,
-)
+from .poly import add_terms
 
 Vec = dict  # {(pos, mono): coeff}
 
@@ -795,70 +791,78 @@ def standard_terms(basis: GroebnerBasis, t: int) -> list:
             continue
         if d > MAX_DEGREE:
             raise _past_limit("staircase degree", d)
-        blockers = basis._by_rank[order.rank_of[pos]]
+        blockers = [b for b, _ in basis._by_rank[order.rank_of[pos]]]
         head = order.rank_bits[pos] | (MAX_DEGREE - d) << order.deg_shift
         for e in _packed_monomials(order.nvars, d):
-            if all((e - b) & guards for b, _ in blockers):
+            for b in blockers:
+                if not (e - b) & guards:
+                    break
+            else:
                 out.append(head | e)
     return out
 
 
-def minimalize_monomials(monos) -> tuple:
-    """Minimal generating set of the monomial ideal, sorted ascending."""
-    out: list = []
-    for m in sorted(set(monos), key=grevlex_key):
-        if not any(mono_divides(o, m) for o in out):
-            out.append(m)
-    return tuple(out)
+def module_numerator(gb: GroebnerBasis) -> dict:
+    """Hilbert-series numerator of F/N from the staircase of the basis
+    ``gb`` of N, summed with generator-degree shifts.
 
-
-def monomial_ideal_numerator(monos, memo: dict | None = None) -> dict:
-    """Numerator of the Hilbert series of S/(monos) over (1-t)^nvars, as a
-    dict {degree: integer coefficient}.
-
-    Recursion: with pivot q, HN(I' + (q)) = HN(I') - t^deg(q) * HN(I' : q).
+    The leading terms of each position, their rank bits dropped, are
+    words of the complemented degree and the exponents, and the recursion
+    runs on them: with pivot q, HN(I' + (q)) = HN(I') - t^deg(q) *
+    HN(I' : q) (Bayer and Stillman, J. Symbolic Comput. 1992).  A set of
+    words is minimalized and sorted descending, which is grevlex
+    ascending, and the pivot is its last word.  Unrolled over the pivots,
+    HN(q_0, ..., q_k) = 1 - sum of t^deg(q_j) * HN((q_0, ..., q_(j-1)) : q_j)
+    over j = 0..k, subtracted in that order: the additions of the
+    recursion on the prefix, in its order, but the Python recursion
+    follows the colons only, not each prefix, so a long list of
+    generators does not make it deep.  Word o divides word m when
+    ``(m - o) & guards`` is 0.  The colon g : q is e - min(e, q) on the
+    exponent bits: no field of (e | guards) - q borrows, and its guard
+    survives exactly where e >= q.  The degree of exponent bits e is the
+    top field of e * (1 + 2^16 + ... + 2^(16 (n-1))), which holds the sum
+    of the fields; that sum is below 2^15, so no field carries.
     """
-    if memo is None:
-        memo = {}
+    order = gb.order
+    guards, exp_mask, deg_shift = order.guards, order.exp_mask, order.deg_shift
+    ones = exp_mask // ((1 << FIELD_BITS) - 1)  # 1 in every exponent field
+    top = max(deg_shift - FIELD_BITS, 0)  # the last exponent field
+    words: list = [[] for _ in range(order.rank)]
+    for lt in gb._lts:
+        words[lt >> order.rank_shift].append(lt & order.term_mask)
+
+    def minimalize(ms) -> tuple:
+        out: list = []
+        for m in sorted(ms, reverse=True):
+            for o in out:
+                if not (m - o) & guards:
+                    break
+            else:
+                out.append(m)
+        return tuple(out)
+
+    memo: dict = {}
 
     def rec(ms: tuple) -> dict:
-        cached = memo.get(ms)
-        if cached is not None:
-            return cached
-        if not ms:
-            res = {0: 1}
-        elif any(mono_deg(m) == 0 for m in ms):
-            res = {}
-        elif len(ms) == 1:
-            d = mono_deg(ms[0])
-            res = {0: 1, d: -1}
-        else:
-            pivot = ms[-1]
-            rest = ms[:-1]
-            a = rec(rest)
-            colon = minimalize_monomials(
-                tuple(max(g - q, 0) for g, q in zip(gm, pivot)) for gm in rest
-            )
-            b = rec(colon)
-            res = dict(a)
-            series_add(res, b, mono_deg(pivot), -1)
+        res = memo.get(ms)
+        if res is not None:
+            return res
+        res = {0: 1}
+        for k, q in enumerate(ms):
+            qe = q & exp_mask
+            colon = set()
+            for g in ms[:k]:
+                diff = (g & exp_mask | guards) - qe
+                ge = diff & guards
+                e = diff & ge - (ge >> (FIELD_BITS - 1))
+                colon.add((MAX_DEGREE - (e * ones >> top & _VALUE_MASK)) << deg_shift | e)
+            series_add(res, rec(minimalize(colon)), MAX_DEGREE - (q >> deg_shift), -1)
         memo[ms] = res
         return res
 
-    return rec(minimalize_monomials(monos))
-
-
-def module_numerator(lts, gen_degrees, nvars: int) -> dict:
-    """Hilbert-series numerator of F/N from the staircase of N, summed with
-    generator-degree shifts."""
-    by_pos: dict = {}
-    for pos, m in lts:
-        by_pos.setdefault(pos, []).append(m)
-    memo: dict = {}
     total: dict = {}
-    for pos, gd in enumerate(gen_degrees):
-        hn = monomial_ideal_numerator(tuple(by_pos.get(pos, ())), memo)
-        series_add(total, hn, gd)
+    for pos, gd in enumerate(order.gen_degrees):
+        series_add(total, rec(minimalize(set(words[order.rank_of[pos]]))), gd)
     return total
 
 
@@ -908,10 +912,7 @@ class Staircase:
     @property
     def hilbert_numerator(self) -> dict:
         if self._numerator is None:
-            order = self.gb.order
-            self._numerator = module_numerator(
-                self.gb.lts, order.gen_degrees, order.nvars
-            )
+            self._numerator = module_numerator(self.gb)
         return dict(self._numerator)
 
     def hilbert_function(self) -> dict:

@@ -15,6 +15,7 @@ from cmwild.errors import InputError
 from cmwild.groebner import (
     MAX_DEGREE,
     BuchbergerRun,
+    GroebnerBasis,
     ModuleOrder,
     TaggedBasis,
     _make_monic,
@@ -24,9 +25,6 @@ from cmwild.groebner import (
     divide_by_one_minus_t,
     minimal_generators,
     module_numerator,
-    mono_divides,
-    minimalize_monomials,
-    monomial_ideal_numerator,
     series_add,
     standard_terms,
     strip_one_minus_t,
@@ -39,6 +37,7 @@ from cmwild.poly import (
     add_terms,
     grevlex_key,
     mono_deg,
+    mono_divides,
     mono_mul,
     monomials_of_degree,
 )
@@ -1320,6 +1319,64 @@ class TestHilbert:
             r.hilbert_function()
 
 
+def minimalize_monomials(monos) -> tuple:
+    """Minimal generating set of the monomial ideal, sorted ascending."""
+    out: list = []
+    for m in sorted(set(monos), key=grevlex_key):
+        if not any(mono_divides(o, m) for o in out):
+            out.append(m)
+    return tuple(out)
+
+
+def monomial_ideal_numerator(monos, memo: dict | None = None) -> dict:
+    """Oracle: numerator of the Hilbert series of S/(monos) over
+    (1-t)^nvars, by the exponent-tuple recursion with pivot q:
+    HN(I' + (q)) = HN(I') - t^deg(q) * HN(I' : q).  It recurses on the
+    prefix, so its depth is the number of generators."""
+    if memo is None:
+        memo = {}
+
+    def rec(ms: tuple) -> dict:
+        cached = memo.get(ms)
+        if cached is not None:
+            return cached
+        if not ms:
+            res = {0: 1}
+        elif any(mono_deg(m) == 0 for m in ms):
+            res = {}
+        elif len(ms) == 1:
+            d = mono_deg(ms[0])
+            res = {0: 1, d: -1}
+        else:
+            pivot = ms[-1]
+            rest = ms[:-1]
+            a = rec(rest)
+            colon = minimalize_monomials(
+                tuple(max(g - q, 0) for g, q in zip(gm, pivot)) for gm in rest
+            )
+            b = rec(colon)
+            res = dict(a)
+            series_add(res, b, mono_deg(pivot), -1)
+        memo[ms] = res
+        return res
+
+    return rec(minimalize_monomials(monos))
+
+
+def tuple_module_numerator(lts, gen_degrees) -> dict:
+    """Oracle for ``module_numerator``: the tuple recursion per position on
+    the leading terms (pos, exponent tuple), summed with generator-degree
+    shifts and one memo."""
+    by_pos: dict = {}
+    for pos, m in lts:
+        by_pos.setdefault(pos, []).append(m)
+    memo: dict = {}
+    total: dict = {}
+    for pos, gd in enumerate(gen_degrees):
+        series_add(total, monomial_ideal_numerator(tuple(by_pos.get(pos, ())), memo), gd)
+    return total
+
+
 def subset_krull_dim(monos, nvars: int) -> int:
     """Oracle: Krull dimension of S/(monos) as the size of the largest
     variable set containing the support of no generator; -1 for the zero
@@ -1383,7 +1440,7 @@ class TestSeriesHelpers:
 
     def test_module_numerator_with_shifts(self):
         # F = R(-1) (+) R over F_p[x]: numerator t + 1
-        hn = module_numerator([], (1, 0), 1)
+        hn = module_numerator(GroebnerBasis(ModuleOrder((1, 0), 1), 101))
         assert hn == {0: 1, 1: 1}
         assert strip_one_minus_t({0: 1, 1: -1}, 1) == (1, {0: 1})
 
@@ -1391,6 +1448,103 @@ class TestSeriesHelpers:
         # (1 - t)(1 + t^2) over 3 variables: one exact division, then none
         assert strip_one_minus_t({0: 1, 1: -1, 2: 1, 3: -1}, 3) == (1, {0: 1, 2: 1})
         assert strip_one_minus_t({}, 2) == (2, {})
+
+
+def series_through(hn: dict, nvars: int, low: int, top: int) -> list:
+    """The coefficients of t^low..t^top in hn / (1 - t)^nvars, for hn
+    with no degree below low."""
+    out = [hn.get(d, 0) for d in range(low, top + 1)]
+    for _ in range(nvars):
+        for i in range(1, len(out)):
+            out[i] += out[i - 1]
+    return out
+
+
+def staircase_terms(gb, t) -> list:
+    """Oracle for ``standard_terms``: every (pos, m) of degree t, by
+    position and then grevlex descending, that no leading term divides."""
+    order = gb.order
+    return [
+        (pos, m)
+        for pos, gd in enumerate(order.gen_degrees)
+        for m in monomials_of_degree(order.nvars, t - gd)
+        if not any(lpos == pos and mono_divides(lm, m) for lpos, lm in gb.lts)
+    ]
+
+
+def monomial_basis(order, p, lts) -> GroebnerBasis:
+    """A basis whose vectors are the given terms (pos, m), packed straight
+    in without a Buchberger run."""
+    gb = GroebnerBasis(order, p)
+    for t in order.pack_vec(dict.fromkeys(lts, 1), p):
+        gb._add(t, ())
+    return gb
+
+
+STAIRCASE_SETTINGS = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@st.composite
+def staircase_orders(draw):
+    """(order, p): rank 1-3 with generator degrees -1..2, 1-5 variables."""
+    nvars = draw(st.integers(1, 5))
+    gen_degrees = draw(st.lists(st.integers(-1, 2), min_size=1, max_size=3))
+    return ModuleOrder(gen_degrees, nvars), draw(st.sampled_from((2, 3, 32003)))
+
+
+class TestPackedStaircase:
+    """The numerator and the standard terms read off packed leading terms
+    agree with the exponent-tuple recursion, with each other and with a
+    brute-force staircase."""
+
+    def check_staircase(self, gb):
+        order = gb.order
+        hn = module_numerator(gb)
+        assert list(hn.items()) == list(tuple_module_numerator(gb.lts, order.gen_degrees).items())
+        low = min(order.gen_degrees)
+        lt_top = max((sum(m) + order.gen_degrees[pos] for pos, m in gb.lts), default=low)
+        top = max([lt_top, *hn]) + 2
+        series = series_through(hn, order.nvars, low, top)
+        for t in range(low, top + 1):
+            terms = standard_terms(gb, t)
+            assert len(terms) == series[t - low]
+            assert list(order.unpack_vec((u, 1) for u in terms)) == staircase_terms(gb, t)
+
+    @STAIRCASE_SETTINGS
+    @given(data=st.data())
+    def test_module_bases(self, data):
+        order, p = data.draw(staircase_orders())
+        gens = data.draw(run_vectors(order, p, 0, 4))
+        self.check_staircase(buchberger(gens, order, p))
+
+    @STAIRCASE_SETTINGS
+    @given(data=st.data())
+    def test_monomial_staircases(self, data):
+        # leading terms drawn directly, not minimal: many generators, and
+        # divisibility and colons the numerator has to sort out itself
+        order, p = data.draw(staircase_orders())
+        terms = [
+            (pos, m)
+            for pos in range(order.rank)
+            for d in range(4)
+            for m in monomials_of_degree(order.nvars, d)
+        ]
+        lts = data.draw(st.lists(st.sampled_from(terms), max_size=25, unique=True))
+        self.check_staircase(monomial_basis(order, p, lts))
+
+    def test_power_of_the_maximal_ideal(self):
+        # (x0..x4)^10 has 1001 generators: the numerator loops over its
+        # pivots, where a recursion on the prefix (as in the tuple oracle)
+        # raises RecursionError; the leading terms are packed straight in,
+        # as a Buchberger run on them is slow
+        lts = [(0, m) for m in monomials_of_degree(5, 10)]
+        gb = monomial_basis(ModuleOrder((0,), 5), 32003, lts)
+        assert len(gb) == 1001
+        k, hf = strip_one_minus_t(module_numerator(gb), 5)
+        assert k == 5
+        assert hf == {t: comb(t + 4, 4) for t in range(10)}
 
 
 # ------------------------------------------------- coefficient kernels
