@@ -30,7 +30,7 @@ def main():
     kos = koszul_complex(ring, ys)
     print("Koszul complex on (x^2, y^2):")
     for i in range(kos.length + 1):
-        print(f"  K_{i}: twists {kos.free(i).twists}")
+        print(f"  K_{i}: twists {kos.frees[i].twists}")
 
     # the quotient by a regular sequence resolves by its Koszul complex;
     # the generic machinery has to rediscover that shape

@@ -198,7 +198,7 @@ def _cmd_resolve(args) -> dict:
         "length": res.length,
         **res.betti_json(),
         "generators": [
-            [i, sorted(Counter(res.free(i).gen_degrees).items())]
+            [i, sorted(Counter(res.frees[i].gen_degrees).items())]
             for i in range(res.length + 1)
         ],
     }

@@ -403,8 +403,8 @@ def verify_resolution_shape(spec: FamilySpec) -> dict:
                 if t & order.term_mask == order.const_term:
                     const[order.pos_of[t >> order.rank_shift], s] = c
         split = mat_rank(const, p) == phi.source.rank
-        kos_counts = Counter(kos.free(i).gen_degrees)
-        res_counts = Counter(res.free(i).gen_degrees)
+        kos_counts = Counter(kos.frees[i].gen_degrees)
+        res_counts = Counter(res.frees[i].gen_degrees)
         bound = spec.c + i - 1
         degrees_ok = True
         for j in sorted(set(kos_counts) | set(res_counts)):

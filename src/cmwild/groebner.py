@@ -27,7 +27,10 @@ same solves.
 Buchberger's product criterion is applied only in rank one.  It fails for
 genuine modules: with u = x*e1 + y*e2 and v = y*e1 + x*e2 the S-vector
 (y^2 - x^2)*e2 reduces to neither.  The chain criterion is restricted to
-pairs already treated, so no skip can be circular.
+pairs already treated, so no skip can be circular.  A pair of two
+monomials (both tails empty) has a zero S-vector in any rank; within the
+degree limit it is skipped before the chain criterion is tried, and it
+counts as treated all the same.
 
 A basis is made by one run, ``BuchbergerRun``, which holds the working
 set, the heap of queued pairs and the set of treated ones; ``buchberger``
@@ -525,6 +528,9 @@ class BuchbergerRun:
             lt_i, lt_j = lts[i], lts[j]
             if product_criterion and (lt_i & exp_mask) + (lt_j & exp_mask) == lcm:
                 continue  # coprime: each field holds one of the two exponents
+            cap = order.degree_cap[order.pos_of[lt_i >> rank_shift]]
+            if dl <= cap and not tails[i] and not tails[j]:
+                continue  # two monomials: the S-vector is zero
             chained = False
             for ge, k in by_rank[lt_i >> rank_shift]:
                 if k == i or k == j or (lcm - ge) & guards:
@@ -538,7 +544,6 @@ class BuchbergerRun:
                     break
             if chained:
                 continue
-            cap = order.degree_cap[order.pos_of[lt_i >> rank_shift]]
             if dl > cap:
                 raise _past_limit("S-pair", dl - cap + MAX_DEGREE)
             lcm |= lt_i >> rank_shift << rank_shift | (MAX_DEGREE - dl) << deg_shift

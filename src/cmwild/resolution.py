@@ -40,11 +40,13 @@ exponent fields, a column update ``acc + f*v`` is ``add_mul`` with one
 integer shift per term of f, and dropping freed generators rewrites rank
 bits.  Reduction modulo the ring is one ``_reduce`` against the free
 module's lifted ring basis (``FreeModule.ring_basis``, built once per
-module).  A real position packs to the same int in the tagged order, so
-the columns enter ``TaggedBasis`` as they are and the syzygies leave it
-packed, moved to F_i by a swap of rank bits.  ``comparison_map`` solves
-only in the degrees of the Koszul generators, so its tagged bases are cut
-there; it lifts with ``FreeMap.apply`` and certifies each lift with the
+module).  A new column is reduced once, at the end of unit elimination,
+which takes the relations and the syzygies as they come.  A real
+position packs to the same int in the tagged order, so the columns enter
+``TaggedBasis`` as they are and the syzygies leave it packed, moved to
+F_i by a swap of rank bits.  ``comparison_map`` solves only in the
+degrees of the Koszul generators, so its tagged bases are cut there; it
+lifts with ``FreeMap.apply`` and certifies each lift with the
 differential's ``apply``; ``check_complex`` composes the maps the same
 way.
 """
@@ -85,12 +87,6 @@ class Resolution:
     @property
     def length(self) -> int:
         return len(self.frees) - 1
-
-    def free(self, i: int) -> FreeModule:
-        return self.frees[i]
-
-    def map(self, i: int) -> FreeMap:
-        return self.maps[i]
 
     def betti(self) -> dict:
         """{(homological degree i, internal degree j): rank}."""
@@ -197,21 +193,26 @@ def koszul_complex(ring: QuotientRing, elems, copies: int = 1) -> Resolution:
 # ------------------------------------------------- minimal free resolutions
 
 
-def _eliminate_units(ring, frees, maps_cols, level, cols):
-    """Eliminate unit entries from candidate delta_level columns.
+def _eliminate_units(frees, maps_cols, cols):
+    """Eliminate unit entries from candidate delta_level columns, where
+    level = len(frees), then reduce them modulo the ring.
 
-    The columns are packed in the order of frees[level-1], the stored
-    columns of delta_{level-1} in that of frees[level-2].  Mutates
-    frees[level-1] (dropping generators) and, for level >= 2, the stored
-    columns of delta_{level-1} in maps_cols[level-2].  Returns the cleaned
-    column list.
+    The columns are packed in the order of frees[-1]; for level >= 2 the
+    stored columns of delta_{level-1}, maps_cols[-1], are packed in that
+    of frees[-2].  The candidates need not be reduced: a reduction keeps
+    every constant term, so the same units are found, and what an
+    unreduced column carries through the operations lies in I*F, so the
+    final reduction gives the same columns.  Mutates the candidates,
+    frees[-1] (dropping generators) and maps_cols[-1].  Returns the
+    nonzero reduced columns.
     """
+    ring = frees[0].ring
     p = ring.p
-    order = frees[level - 1].order
+    order = frees[-1].order
     rank_shift, pos_of, term_shift = order.rank_shift, order.pos_of, order.term_shift
     const, mask = order.const_term, order.term_mask
     D = list(cols)
-    E = maps_cols[level - 2] if level >= 2 else None
+    E = maps_cols[-1] if maps_cols else None
     dropped = set()
 
     while True:
@@ -246,7 +247,7 @@ def _eliminate_units(ring, frees, maps_cols, level, cols):
                     add_mul(E[r0], f, E[pos_of[rank]], p)
             # the freed column of delta_{level-1} must vanish over the ring;
             # it is dropped below, so the reduction may consume it
-            if frees[level - 2].ring_reduce(E[r0]):
+            if frees[-2].ring_reduce(E[r0]):
                 raise CmwildError("minimization produced a nonzero freed column")
         del D[c0]
         dropped.add(r0)
@@ -255,20 +256,15 @@ def _eliminate_units(ring, frees, maps_cols, level, cols):
         # drop the freed generators of F_{level-1}; no column has an entry
         # there, and every other generator keeps its place in the order
         keep = [r for r in range(order.rank) if r not in dropped]
-        free = FreeModule(ring, [frees[level - 1].twists[r] for r in keep])
+        free = FreeModule(ring, [frees[-1].twists[r] for r in keep])
         rank_bits = [0] * order.rank
         for i, r in enumerate(keep):
             rank_bits[order.rank_of[r]] = free.order.rank_bits[i]
         D = [order.rerank(col.items(), rank_bits) for col in D]
-        frees[level - 1] = free
+        frees[-1] = free
         if E is not None:
             E[:] = [E[r] for r in keep]
-    out = []
-    for col in D:
-        col = frees[level - 1].ring_reduce(col)
-        if col:
-            out.append(col)
-    return out
+    return [c for c in map(frees[-1].ring_reduce, D) if c]
 
 
 def minimal_resolution(pres: ModulePresentation, length: int) -> Resolution:
@@ -282,13 +278,12 @@ def minimal_resolution(pres: ModulePresentation, length: int) -> Resolution:
     p = ring.p
     frees: list = [pres.free]
     maps_cols: list = []
-    # the reduction consumes its input, so it gets copies of the relations
-    cols = [c for c in (pres.free.ring_reduce(dict(v)) for v in pres.packed) if c]
+    # unit elimination edits its columns, so it gets copies of the relations
+    cols = [dict(v) for v in pres.packed]
     terminated = False
 
     for i in range(1, max(length, 1) + 1):
-        if cols:
-            cols = _eliminate_units(ring, frees, maps_cols, i, cols)
+        cols = _eliminate_units(frees, maps_cols, cols)
         if not cols:
             # F_{i-1} has no syzygies left: it is the last module
             terminated = True
@@ -308,12 +303,7 @@ def minimal_resolution(pres: ModulePresentation, length: int) -> Resolution:
             terminated = _euler_identity_holds(pres, frees)
             break
         tagged = TaggedBasis(cols, target.order, p, base=target.ring_basis)
-        nxt = []
-        for s in tagged.syzygies(source.order, len(cols)):
-            s = source.ring_reduce(s)
-            if s:
-                nxt.append(s)
-        cols = nxt
+        cols = tagged.syzygies(source.order, len(cols))
 
     maps = {
         i + 1: FreeMap(frees[i + 1], frees[i], maps_cols[i])

@@ -204,6 +204,22 @@ class TestBuchbergerIdeals:
         ]
         assert bases[0] == bases[1] == bases[2]
 
+    @pytest.mark.parametrize("gen_degrees", [(0,), (0, 1)])
+    def test_monomial_generators_form_no_s_vector(self, gen_degrees):
+        # (x0..x3)^5 in each position: every pair of two monomials has a
+        # zero S-vector, so the run reduces none and the basis is the input
+        order = ModuleOrder(gen_degrees, 4)
+        gens = [
+            {(pos, m): 1}
+            for pos in range(len(gen_degrees))
+            for m in monomials_of_degree(4, 5)
+        ]
+        run = BuchbergerRun(order, 101)
+        run.add(gens)
+        with patch.object(groebner, "_reduce", side_effect=AssertionError("an S-vector was reduced")):
+            run.advance()
+        assert sorted(map(list, run.basis().vectors)) == sorted(map(list, gens))
+
 
 class TestModuleBasesAndSyzygies:
     def test_koszul_syzygy_of_two_squares(self):

@@ -15,7 +15,7 @@ from cmwild import resolution
 from cmwild.errors import CmwildError, InputError
 from cmwild.family import FamilySpec
 from cmwild.groebner import GroebnerBasis, TaggedBasis, buchberger
-from cmwild.modules import ModulePresentation
+from cmwild.modules import FreeModule, ModulePresentation
 from cmwild.resolution import (
     comparison_map,
     koszul_complex,
@@ -328,7 +328,7 @@ def prune_by_syzygies(pres, length):
         )
         syz = [s for s in map(source.ring_reduce, tagged.syzygies(source.order, len(cols))) if s]
         if syz:
-            syz = resolution._eliminate_units(pres.ring, frees, maps_cols, length + 1, syz)
+            syz = resolution._eliminate_units(frees, maps_cols, syz)
         terminated = not syz and resolution._euler_identity_holds(pres, frees)
     columns = [[list(c.items()) for c in cols] for cols in maps_cols]
     return [f.twists for f in frees], columns, terminated
@@ -366,6 +366,40 @@ def test_minimal_generators_prune_as_the_step_past_the_length(case):
     columns = [[list(c.items()) for c in res.maps[i].packed] for i in sorted(res.maps)]
     got = [f.twists for f in res.frees], columns, res.terminated
     assert got == prune_by_syzygies(pres, length)
+
+
+def eliminate_units(frees, maps_cols, cols, reduce_first):
+    """(twists, stored columns, returned columns) of ``_eliminate_units``
+    on copies of its input, the candidates reduced modulo the ring first
+    or not."""
+    frees = list(frees)
+    maps_cols = [[dict(c) for c in m] for m in maps_cols]
+    cols = [dict(c) for c in cols]
+    if reduce_first:
+        cols = [c for c in map(frees[-1].ring_reduce, cols) if c]
+    out = resolution._eliminate_units(frees, maps_cols, cols)
+    items = lambda vs: [list(v.items()) for v in vs]
+    return [f.twists for f in frees], [items(m) for m in maps_cols], items(out)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(pin_ring_presentations())
+def test_unit_elimination_reduces_its_own_input(case):
+    # minimal_resolution hands over the relations and the tagged syzygies
+    # unreduced; reducing them first must change nothing
+    pres, _ = case
+    F0 = pres.free
+    got = eliminate_units([F0], [], pres.packed, False)
+    assert got == eliminate_units([F0], [], pres.packed, True)
+    frees, cols = [F0], [dict(c) for c in pres.packed]
+    cols = resolution._eliminate_units(frees, [], cols)
+    if cols:
+        F0 = frees[0]
+        F1 = FreeModule(pres.ring, [-F0.order.term_degree(min(c)) for c in cols])
+        tagged = TaggedBasis(cols, F0.order, pres.ring.p, base=F0.ring_basis)
+        syz = tagged.syzygies(F1.order, len(cols))
+        got = eliminate_units([F0, F1], [cols], syz, False)
+        assert got == eliminate_units([F0, F1], [cols], syz, True)
 
 
 PIN_CASES = [("member", name) for name in sorted(MEMBERS)] + [
