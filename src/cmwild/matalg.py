@@ -14,7 +14,9 @@ The small products of both decisions run stacked: the commutators of the
 free cosets in chunks of 1, 2, 4, ... pairs (one product and one coordinate
 read per chunk; the chunk with the first noncommuting pair ends the test),
 Frobenius as one power of the stack of cosets, and the ranks of the
-conjugacy word invariants in one elimination over all words (``ranks``).
+conjugacy word invariants of both tuples in one elimination over all their
+words (``ranks``).  A power starts at the lowest set bit of its exponent
+and takes no square past the top bit.
 
 Matrices are numpy int64 arrays with entries reduced mod p; ``mat_mul``
 and ``mat_pow`` also take stacks of them along leading axes.  Products are
@@ -40,7 +42,11 @@ A Decomposable verdict's idempotent is a polynomial in one endomorphism a:
 its minimal polynomial mu is split into coprime factors G * H by one
 distinct-degree scan on mu itself (``coprime_split``; the equal-degree
 split of Cantor-Zassenhaus when every factor has one degree), and the
-idempotent is (u G)(a) for the Bezout cofactor u of G modulo H.
+idempotent is (u G)(a) for the Bezout cofactor u of G modulo H.  mu is
+read off one elimination of vec(I), vec(a), ..., vec(a^n), and the powers
+in F_p[T]/(mu) that the scan takes fold each product modulo mu as it is
+formed, in unreduced Python ints, reducing mod p only where a coefficient
+is read.
 """
 
 from __future__ import annotations
@@ -102,12 +108,20 @@ def mat_pow(A: np.ndarray, e: int, p: int) -> np.ndarray:
     """A**e mod p for a square matrix or a stack of them (A[..., n, n])."""
     if A.shape[-1] != A.shape[-2]:
         raise InputError("matrix power needs a square matrix")
-    result = np.broadcast_to(identity_matrix(A.shape[-1]), A.shape).copy()
+    if not e:
+        return np.broadcast_to(identity_matrix(A.shape[-1]), A.shape).copy()
+    # start from A^(2^z) for the lowest set bit z of e; no square follows
+    # the top bit
     base = A % p
+    while not e & 1:
+        base = mat_mul(base, base, p)
+        e >>= 1
+    result = base
+    e >>= 1
     while e:
+        base = mat_mul(base, base, p)
         if e & 1:
             result = mat_mul(result, base, p)
-        base = mat_mul(base, base, p)
         e >>= 1
     return result
 
@@ -263,16 +277,21 @@ def u_add(f, g, p, c=1):
                    for i in range(n)])
 
 
+def _convolve(f, g):
+    """The coefficients of f * g, unreduced: Python ints do not overflow,
+    so reduction waits for the reader."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g, i):
+                out[j] += a * b
+    return out
+
+
 def u_mul(f, g, p):
     if not f or not g:
         return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if not a:
-            continue
-        for j, b in enumerate(g):
-            out[i + j] = (out[i + j] + a * b) % p
-    return u_trim(out)
+    return u_trim([c % p for c in _convolve(f, g)])
 
 
 def u_divmod(f, g, p):
@@ -281,16 +300,18 @@ def u_divmod(f, g, p):
     if not g:
         raise ZeroDivisionError("univariate division by zero")
     inv = pow(g[-1], -1, p)
-    q = [0] * max(0, len(f) - len(g) + 1)
-    r = list(f)
-    while len(r) >= len(g) and r:
-        coef = r[-1] * inv % p
-        shift = len(r) - len(g)
-        q[shift] = coef
-        for i, b in enumerate(g):
-            r[shift + i] = (r[shift + i] - coef * b) % p
-        r = u_trim(r)
-    return u_trim(q), r
+    d = len(g) - 1
+    q = [0] * max(0, len(f) - d)
+    # the remainder is f, reduced in place: the step at shift s clears
+    # r[s + d] and touches only r[s .. s + d]
+    r = f
+    for s in range(len(f) - 1 - d, -1, -1):
+        coef = r[s + d] * inv % p
+        if coef:
+            q[s] = coef
+            for i, b in enumerate(g, s):
+                r[i] = (r[i] - coef * b) % p
+    return u_trim(q), u_trim(r[:d])
 
 
 def u_gcd(f, g, p):
@@ -317,15 +338,40 @@ def u_bezout(f, g, p):
     return scale(a), scale(ua), scale(va)
 
 
+def _fold(c, low, p):
+    """The remainder of the coefficient list c (entries any ints, length
+    at least d) modulo the monic T^d + low[d-1] T^(d-1) + ... + low[0],
+    d = len(low) >= 1, as d reduced entries, untrimmed; c is overwritten.
+    From the top down, T^i = T^(i-d) T^d folds c[i] into c[i-d .. i-1]."""
+    d = len(low)
+    for i in range(len(c) - 1, d - 1, -1):
+        top = c[i] % p
+        if top:
+            for j, m in enumerate(low, i - d):
+                c[j] -= top * m
+    return [x % p for x in c[:d]]
+
+
 def u_powmod(f, e, mod, p):
-    result = [1]
-    base = u_divmod(f, mod, p)[1]
-    while e:
-        if e & 1:
-            result = u_divmod(u_mul(result, base, p), mod, p)[1]
-        base = u_divmod(u_mul(base, base, p), mod, p)[1]
-        e >>= 1
-    return result
+    """f^e modulo mod, trimmed; [1] for e = 0.  Square-and-multiply from
+    the top bit in F_p[T]/(mod): each product is formed unreduced and
+    folded modulo the monic mod in one pass (remainders modulo mod and
+    modulo its monic multiple are the same)."""
+    mod = u_monic(mod, p)
+    if not mod:
+        raise ZeroDivisionError("univariate division by zero")
+    if not e:
+        return [1]
+    low = mod[:-1]
+    if not low:
+        return []
+    base = _fold([c % p for c in f] + [0] * len(low), low, p)
+    result = base
+    for bit in bin(e)[3:]:
+        result = _fold(_convolve(result, result), low, p)
+        if bit == "1":
+            result = _fold(_convolve(result, base), low, p)
+    return u_trim(result)
 
 
 def u_eval_matrix(f, A: np.ndarray, p: int) -> np.ndarray:
@@ -403,16 +449,15 @@ def min_poly(A: np.ndarray, p: int):
     n = A.shape[0]
     if n == 0:
         return [1]
-    vecs = [identity_matrix(n).reshape(-1)]
-    power = identity_matrix(n)
-    while True:
-        power = mat_mul(power, A, p)
-        stacked = np.stack(vecs, axis=1)  # n^2 x k
-        target = power.reshape(-1)
-        x = solve(stacked, target, p)
-        if x is not None:
-            return [(-int(c)) % p for c in x] + [1]
-        vecs.append(target)
+    powers = [identity_matrix(n), A % p]
+    for _ in range(n - 1):
+        powers.append(mat_mul(powers[-1], A, p))
+    # column j is vec(A^j).  They are independent up to the first one in
+    # the span of those before it, A^k with k <= n (Cayley-Hamilton), so
+    # the pivots are 0..k-1 and column k holds A^k = sum_j R[j, k] A^j
+    R, pivots = rref(np.stack([M.reshape(-1) for M in powers], axis=1), p)
+    k = len(pivots)
+    return [(-int(c)) % p for c in R[:k, k]] + [1]
 
 
 def _spin(stacked: np.ndarray, p: int):
@@ -573,14 +618,20 @@ def trace_form_radical(basis, f, p: int):
 # ------------------------------------------------------------- conjugacy
 
 
-def _word_invariants(mats, p: int):
-    """Ranks of the words X_i, sum X_i, X_i X_j (i != j) and X_i^2."""
-    k = len(mats)
+def _word_invariants(tuples, p: int):
+    """For each tuple X_1..X_k of same-shape matrices (all of one length
+    k), the ranks of its words X_i, sum X_i, X_i X_j (i != j) and X_i^2.
+    The words of all tuples go through one ``ranks`` call."""
+    k = len(tuples[0])
     pairs = [(i, j) for i in range(k) for j in range(k) if i != j]
     left, right = np.array(pairs + [(i, i) for i in range(k)]).T
-    M = np.stack(mats)
-    sum_all = combine([1] * k, mats, p)[None]
-    return ranks(np.concatenate([M, sum_all, mat_mul(M[left], M[right], p)]), p)
+    words = []
+    for mats in tuples:
+        M = np.stack(mats)
+        words += [M, combine([1] * k, mats, p)[None], mat_mul(M[left], M[right], p)]
+    flat = ranks(np.concatenate(words), p)
+    size = len(flat) // len(tuples)
+    return [flat[t * size : (t + 1) * size] for t in range(len(tuples))]
 
 
 def simultaneous_conjugacy(
@@ -625,8 +676,7 @@ def simultaneous_conjugacy(
             reason="identical action matrices",
         )
         return out
-    inv_a = _word_invariants(As, p)
-    inv_b = _word_invariants(Bs, p)
+    inv_a, inv_b = _word_invariants([As, Bs], p)
     if inv_a != inv_b:
         out["verdict"] = "NonIsomorphic"
         out["reason"] = f"rank invariants differ: {inv_a} vs {inv_b}"

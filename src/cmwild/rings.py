@@ -50,6 +50,8 @@ class QuotientRing(Staircase):
         self._numerator: dict | None = None
         # set by ``extend``: the ring whose basis this one grows
         self._parent: QuotientRing | None = None
+        # (extra, R/(extra)) of the last ``extend``
+        self._extended: tuple | None = None
 
     # -- constructors
 
@@ -162,10 +164,16 @@ class QuotientRing(Staircase):
     # -- derived rings
 
     def extend(self, extra) -> "QuotientRing":
-        """R/(extra): same ambient ring, more relations."""
-        child = QuotientRing(self.ambient, list(self.relations) + list(extra))
-        child._parent = self
-        return child
+        """R/(extra): same ambient ring, more relations.  Asked again for
+        the same extra relations, it hands back the same ring, so the
+        Groebner basis built for one reader (a regularity check) serves
+        the next (a module reduced modulo the same sequence)."""
+        extra = tuple(extra)
+        if self._extended is None or self._extended[0] != extra:
+            child = QuotientRing(self.ambient, self.relations + extra)
+            child._parent = self
+            self._extended = extra, child
+        return self._extended[1]
 
     def parse(self, text: str) -> Poly:
         return self.ambient.parse(text)

@@ -18,6 +18,7 @@ from cmwild.errors import CmwildError, InputError
 from cmwild.matalg import (
     SAMPLES,
     _idempotent_from_element,
+    _word_invariants,
     as_matrix,
     combine,
     commutant_basis,
@@ -43,6 +44,7 @@ from cmwild.matalg import (
     u_gcd,
     u_monic,
     u_mul,
+    u_powmod,
 )
 
 P = 32003
@@ -1404,3 +1406,207 @@ def test_scalar_data_stops_after_one_commutator_chunk(monkeypatch):
     assert (cert["verdict"], cert["endo_dim"]) == ("Decomposable", 576)
     check_idempotent(cert, eye, 2 * eye, P)
     assert sizes == [1, 1]
+
+
+# ------------------------------------- the step-by-step versions as oracles
+#
+# min_poly, the F_p[T] product, division and power, mat_pow and the
+# conjugacy word invariants as they were written one small step at a time:
+# one solve per power of A, a reduction and a trimmed copy at every step of
+# a univariate loop, a power started from the identity, one rank per word.
+# Minimal polynomials, ranks, quotients, remainders and powers are unique,
+# so the library must return exactly what these return.
+
+
+def stepwise_min_poly(A, p):
+    n = A.shape[0]
+    if n == 0:
+        return [1]
+    vecs = [identity_matrix(n).reshape(-1)]
+    power = identity_matrix(n)
+    while True:
+        power = mat_mul(power, A, p)
+        x = solve(np.stack(vecs, axis=1), power.reshape(-1), p)
+        if x is not None:
+            return [(-int(c)) % p for c in x] + [1]
+        vecs.append(power.reshape(-1))
+
+
+def stepwise_trim(f):
+    f = list(f)
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def stepwise_u_mul(f, g, p):
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if not a:
+            continue
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % p
+    return stepwise_trim(out)
+
+
+def stepwise_u_divmod(f, g, p):
+    f = stepwise_trim([c % p for c in f])
+    g = stepwise_trim([c % p for c in g])
+    if not g:
+        raise ZeroDivisionError("univariate division by zero")
+    inv = pow(g[-1], -1, p)
+    q = [0] * max(0, len(f) - len(g) + 1)
+    r = list(f)
+    while len(r) >= len(g) and r:
+        coef = r[-1] * inv % p
+        shift = len(r) - len(g)
+        q[shift] = coef
+        for i, b in enumerate(g):
+            r[shift + i] = (r[shift + i] - coef * b) % p
+        r = stepwise_trim(r)
+    return stepwise_trim(q), r
+
+
+def stepwise_u_powmod(f, e, mod, p):
+    result = [1]
+    base = stepwise_u_divmod(f, mod, p)[1]
+    while e:
+        if e & 1:
+            result = stepwise_u_divmod(stepwise_u_mul(result, base, p), mod, p)[1]
+        base = stepwise_u_divmod(stepwise_u_mul(base, base, p), mod, p)[1]
+        e >>= 1
+    return result
+
+
+def repeated_product(A, e, p):
+    """A^e (or a stack of powers) as e products from the identity."""
+    out = np.broadcast_to(identity_matrix(A.shape[-1]), A.shape).copy()
+    for _ in range(e):
+        out = mat_mul(out, A, p)
+    return out
+
+
+def word_ranks(mats, p):
+    """The rank of each word X_i, sum X_i, X_i X_j (i != j), X_i^2, one
+    ``rank`` call per word."""
+    k = len(mats)
+    words = list(mats) + [sum(mats) % p]
+    words += [mat_mul(mats[i], mats[j], p) for i in range(k) for j in range(k) if i != j]
+    words += [mat_mul(X, X, p) for X in mats]
+    return [rank(W, p) for W in words]
+
+
+def draw_min_poly_matrix(data):
+    """(p, A) with A of size 0..8 over F_2, F_3 or F_32003: dense; scalar;
+    strictly upper triangular; or a direct sum of Jordan blocks of size
+    1..3 whose eigenvalues repeat, conjugated by L U for unit triangular L
+    and U (so derogatory, with repeated and defective eigenvalues)."""
+    p = data.draw(st.sampled_from((2, 3, P)))
+    n = data.draw(st.integers(0, 8))
+    kind = data.draw(st.sampled_from(("dense", "scalar", "nilpotent", "jordan")))
+    entry = st.integers(0, p - 1)
+    if kind == "dense":
+        return p, draw_matrix(data, n, entry)
+    if kind == "scalar":
+        return p, data.draw(entry) * identity_matrix(n)
+    if kind == "nilpotent":
+        return p, draw_matrix(data, n, entry, lambda i, j: i < j)
+    J = np.zeros((n, n), dtype=np.int64)
+    at = 0
+    while at < n:
+        size = min(data.draw(st.integers(1, 3)), n - at)
+        lam = data.draw(st.integers(0, min(p, 3) - 1))
+        J[at : at + size, at : at + size] = (
+            lam * identity_matrix(size) + np.eye(size, k=1, dtype=np.int64)
+        )
+        at += size
+    if not n:
+        return p, J
+    L = draw_matrix(data, n, entry, lambda i, j: i > j) + identity_matrix(n)
+    U = draw_matrix(data, n, entry, lambda i, j: i < j) + identity_matrix(n)
+    S = mat_mul(L, U, p)
+    return p, mat_mul(mat_mul(S, J, p), inverse(S, p), p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_min_poly_matches_one_solve_per_power(data):
+    p, A = draw_min_poly_matrix(data)
+    mu = min_poly(A, p)
+    event(f"p = {p}, degree {u_deg(mu)} of {A.shape[0]}")
+    assert mu == stepwise_min_poly(A, p)
+    assert all(type(c) is int for c in mu)
+
+
+UNIVARIATE_PRIMES = (2, 3, P, 2**31 - 1)
+
+
+@st.composite
+def univariate(draw, p, nonzero=False):
+    """A coefficient list of degree 0..12 (or empty), its top entries
+    possibly zero and its entries possibly outside 0..p-1."""
+    entry = st.sampled_from([0, 1, p - 1]) | st.integers(0, p - 1) | st.integers(-p, 2 * p)
+    f = draw(st.lists(entry, min_size=1 if nonzero else 0, max_size=13))
+    if draw(st.booleans()):
+        f += [0] * draw(st.integers(1, 3))
+    if nonzero:
+        assume(any(c % p for c in f))
+    return f
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_univariate_arithmetic_matches_the_stepwise_loops(data):
+    p = data.draw(st.sampled_from(UNIVARIATE_PRIMES))
+    f = data.draw(univariate(p))
+    g = data.draw(univariate(p, nonzero=True))
+    e = data.draw(st.integers(0, 3) | st.integers(0, p * p) | st.just(p))
+    assert u_mul(f, g, p) == stepwise_u_mul(f, g, p)
+    assert u_mul(g, f, p) == stepwise_u_mul(g, f, p)
+    assert u_divmod(f, g, p) == stepwise_u_divmod(f, g, p)
+    got = u_powmod(f, e, g, p)
+    assert got == stepwise_u_powmod(f, e, g, p)
+    assert all(type(c) is int for c in got)
+    for zero in ([], [0], [p, 0]):
+        with pytest.raises(ZeroDivisionError):
+            u_divmod(f, zero, p)
+        with pytest.raises(ZeroDivisionError):
+            u_powmod(f, e, zero, p)
+
+
+MAT_POW_PRIMES = (2, 3, 5, P, 2**31 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mat_pow_matches_repeated_products(data):
+    p = data.draw(st.sampled_from(MAT_POW_PRIMES))
+    n = data.draw(st.integers(1, 5))
+    stack = data.draw(st.sampled_from([(), (1,), (3,), (2, 2)]))
+    entry = st.sampled_from([0, 1, p - 1]) | st.integers(0, p - 1)
+    A = np.array(
+        data.draw(st.lists(entry, min_size=n * n * int(np.prod(stack)),
+                           max_size=n * n * int(np.prod(stack)))),
+        dtype=np.int64,
+    ).reshape(*stack, n, n)
+    # e = p takes p products in the oracle, so only up to 32003
+    e = data.draw(st.integers(0, 70) | st.just(p)) if p <= P else data.draw(st.integers(0, 70))
+    event("e = p" if e == p else "e <= 70")
+    got = mat_pow(A, e, p)
+    assert got.shape == A.shape and got.dtype == np.int64
+    assert np.array_equal(got, repeated_product(A, e, p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_word_invariants_of_two_tuples_match_rank_by_rank(data):
+    p = data.draw(st.sampled_from(ORACLE_PRIMES))
+    n = data.draw(st.integers(1, 5))
+    k = data.draw(st.integers(1, 3))
+    As = draw_tuple(data, n, k, p)
+    Bs = draw_tuple(data, n, k, p)
+    got = _word_invariants([As, Bs], p)
+    assert got == [word_ranks(As, p), word_ranks(Bs, p)]
+    assert len(got[0]) == k + 1 + k * k

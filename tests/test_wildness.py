@@ -732,16 +732,17 @@ def test_last_slot_decided_by_its_recipe_draws_nothing(monkeypatch):
 def test_failed_recipe_costs_one_quotient(monkeypatch):
     # x*y: the recipe x^2 is a zero divisor, so the search walks slot 0, the
     # last.  Bases: R/(x^2) from its two forms (it is not Artinian), then R
-    # for the identity, which fails.  Then one per attempt x^2, y^2, x, y
-    # and the first random linear form, which is regular, each grown from R
-    # by one generator.  The slot draws all its coefficients up front: 12
+    # for the identity, which fails.  The walk's first attempt, x^2, takes
+    # that same quotient from R.extend; then one per attempt y^2, x, y and
+    # the first random linear form, which is regular, each grown from R by
+    # one generator.  The slot draws all its coefficients up front: 12
     # rows of 2 for the linear forms and 12 rows of 3 for the quadrics
     calls = count_ideal_buchberger(monkeypatch)
     draws = count_draws(monkeypatch)
     ring = QuotientRing.from_strings(*POOL_RINGS["xy"])
     seq, _ = find_regular_sequence(ring)
     assert len(seq[0].terms) == 2
-    assert [len(args[0]) for args in calls] == [2, 1] + [1] * 5
+    assert [len(args[0]) for args in calls] == [2, 1] + [1] * 4
     assert len(draws) == 12 * 2 + 12 * 3
 
 
