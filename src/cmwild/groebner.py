@@ -117,8 +117,8 @@ generators and hands back packed syzygies and coordinates, moved to the
 caller's order by ``ModuleOrder.rerank``.  ``buchberger`` and
 ``TaggedBasis`` accept either form, told apart by the key type in
 ``pack_vec``.  The staircase reads the packed leading terms as well:
-``standard_terms`` and ``module_numerator`` never unpack one.  ``lts``
-and ``vectors`` are tuple-keyed views.
+``standard_terms`` and ``module_numerator`` never unpack one.
+``vectors`` is the one tuple-keyed view.
 
 Normal forms keep the working vector ordered instead of rescanning it for
 its leading term.  Next to the packed dict ``work`` sits a min-heap of its
@@ -322,10 +322,9 @@ def add_mul(acc: dict, f, v: dict, p: int) -> None:
 class GroebnerBasis:
     """A monic basis held as packed terms: leading terms, tails and a
     divisor index by rank; also the working set a ``BuchbergerRun`` grows.
-    ``vectors`` and ``lts`` give the tuple-keyed view, unpacked on first
-    read."""
+    ``vectors`` gives the tuple-keyed view, unpacked on first read."""
 
-    __slots__ = ("order", "p", "_lts", "_tails", "_by_rank", "_vectors", "_lt_terms")
+    __slots__ = ("order", "p", "_lts", "_tails", "_by_rank", "_vectors")
 
     def __init__(self, order: ModuleOrder, p: int):
         self.order = order
@@ -335,7 +334,6 @@ class GroebnerBasis:
         # rank -> [(exponent bits of the leading term, index)], index order
         self._by_rank: list = [[] for _ in range(order.rank)]
         self._vectors: list | None = None
-        self._lt_terms: list | None = None
 
     def _add(self, lt: int, tail: tuple) -> int:
         """Append the monic vector lt + tail; returns its index."""
@@ -343,7 +341,7 @@ class GroebnerBasis:
         self._lts.append(lt)
         self._tails.append(tail)
         self._by_rank[lt >> self.order.rank_shift].append((lt & self.order.exp_mask, i))
-        self._vectors = self._lt_terms = None
+        self._vectors = None
         return i
 
     def packed(self) -> list:
@@ -356,13 +354,6 @@ class GroebnerBasis:
         if self._vectors is None:
             self._vectors = [self.order.unpack_vec(v.items()) for v in self.packed()]
         return self._vectors
-
-    @property
-    def lts(self) -> list:
-        """The leading terms as (pos, exponent tuple)."""
-        if self._lt_terms is None:
-            self._lt_terms = list(self.order.unpack_vec((lt, 1) for lt in self._lts))
-        return self._lt_terms
 
     def __len__(self):
         return len(self._lts)
@@ -771,24 +762,23 @@ def series_add(out: dict, f: dict, shift: int = 0, c: int = 1) -> None:
             del out[d + shift]
 
 
-def _packed_monomials(nvars: int, d: int) -> list:
-    """The exponent bits of every degree-d monomial in ascending order,
-    which is grevlex descending."""
-    if nvars == 0:
-        return [0] if d == 0 else []
-    level = [(0, d)]  # (exponent bits so far, degree left)
-    for i in range(nvars - 1, 0, -1):
-        shift = FIELD_BITS * i
-        level = [(v | e << shift, r - e) for v, r in level for e in range(r + 1)]
-    return [v | r for v, r in level]
-
-
 def standard_terms(basis: GroebnerBasis, t: int) -> list:
     """Degree-t terms outside the staircase of the basis's leading terms,
     packed in its order: position ascending, grevlex descending within a
-    position."""
+    position.
+
+    The exponents of a position are built as prefixes, one variable at a
+    time from x_(n-1) down to x_1, each exponent ascending, and x_0 takes
+    the degree that is left; so the terms come in ascending packed order.
+    A leading term whose lowest variable is x_i (a constant one counts at
+    x_(n-1)) divides a term exactly when it divides the term's prefix
+    through x_i, so it is tested there only.  A prefix it divides is
+    dropped, with every larger exponent of x_i, which stays divisible: the
+    walk visits the standard prefixes and at most one more per prefix, not
+    every monomial of degree t.
+    """
     order = basis.order
-    guards = order.guards
+    guards, nvars = order.guards, order.nvars
     out = []
     for pos, gd in enumerate(order.gen_degrees):
         d = t - gd
@@ -796,9 +786,27 @@ def standard_terms(basis: GroebnerBasis, t: int) -> list:
             continue
         if d > MAX_DEGREE:
             raise _past_limit("staircase degree", d)
-        blockers = [b for b, _ in basis._by_rank[order.rank_of[pos]]]
+        by_var: list = [[] for _ in range(nvars)]
+        for b, _ in basis._by_rank[order.rank_of[pos]]:
+            by_var[((b & -b).bit_length() - 1) // FIELD_BITS if b else nvars - 1].append(b)
+        level = [(0, d)]  # (exponent bits so far, degree left)
+        for i in range(nvars - 1, 0, -1):
+            shift, blockers, nxt = FIELD_BITS * i, by_var[i], []
+            for v, r in level:
+                for e in range(r + 1):
+                    w = v | e << shift
+                    for b in blockers:
+                        if not (w - b) & guards:
+                            break
+                    else:
+                        nxt.append((w, r - e))
+                        continue
+                    break
+            level = nxt
         head = order.rank_bits[pos] | (MAX_DEGREE - d) << order.deg_shift
-        for e in _packed_monomials(order.nvars, d):
+        blockers = by_var[0]
+        for v, r in level:
+            e = v | r
             for b in blockers:
                 if not (e - b) & guards:
                     break
@@ -903,9 +911,12 @@ class Staircase:
     """Hilbert data of a graded quotient F/N, read off the staircase of
     the reduced Groebner basis ``gb`` of N.  Subclasses provide ``gb``;
     its order carries the generator degrees of F and the variable count.
-    A ring S/I is the rank-one case, with one generator in degree 0."""
+    A ring S/I is the rank-one case, with one generator in degree 0.
+    The numerator and its quotient by the largest power of (1 - t) are
+    each computed once: a subclass sets ``_numerator`` (None when it is
+    not known yet) and ``_stripped = None`` when it is built."""
 
-    __slots__ = ("_numerator",)
+    __slots__ = ("_numerator", "_stripped")
 
     def component_terms(self, t: int) -> list:
         """Standard terms of degree t, packed in the order of ``gb``."""
@@ -920,25 +931,29 @@ class Staircase:
             self._numerator = module_numerator(self.gb)
         return dict(self._numerator)
 
+    def _strip(self) -> tuple[int, dict]:
+        """(k, HN / (1 - t)^k) for the largest k <= nvars that divides."""
+        if self._stripped is None:
+            self._stripped = strip_one_minus_t(self.hilbert_numerator, self.gb.order.nvars)
+        return self._stripped
+
     def hilbert_function(self) -> dict:
         """Finite Hilbert function {t: dim}; finite-length quotients only."""
-        nvars = self.gb.order.nvars
-        k, hf = strip_one_minus_t(self.hilbert_numerator, nvars)
-        if k < nvars:
+        k, hf = self._strip()
+        if k < self.gb.order.nvars:
             raise InputError(
                 "the quotient has positive dimension, so its Hilbert function is not finite"
             )
-        return hf
+        return dict(hf)
 
     @property
     def krull_dimension(self) -> int:
         """nvars minus the power of (1 - t) dividing the numerator; -1 for
         the zero quotient."""
-        hn, nvars = self.hilbert_numerator, self.gb.order.nvars
-        return nvars - strip_one_minus_t(hn, nvars)[0] if hn else -1
+        k, hf = self._strip()
+        return self.gb.order.nvars - k if hf else -1
 
     def top_degree(self) -> int:
         """Largest t with a nonzero degree-t component; -1 for zero."""
         hf = self.hilbert_function()
         return max(hf) if hf else -1
-

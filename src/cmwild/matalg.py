@@ -237,11 +237,6 @@ def solve_many(A: np.ndarray, B: np.ndarray, p: int):
     return out
 
 
-def solve(A: np.ndarray, b, p: int):
-    res = solve_many(A, np.asarray(b, dtype=np.int64).reshape(-1, 1), p)
-    return res[0]
-
-
 def is_invertible(A: np.ndarray, p: int) -> bool:
     return A.shape[0] == A.shape[1] and rank(A, p) == A.shape[0]
 

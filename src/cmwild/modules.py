@@ -150,11 +150,6 @@ class FreeMap:
             other.source, self.target, [self.apply(c) for c in other.packed]
         )
 
-    def is_minimal(self) -> bool:
-        """True iff no entry has a unit (nonzero constant) coefficient."""
-        const, mask = self.target.order.const_term, self.target.order.term_mask
-        return not any(t & mask == const for col in self.packed for t in col)
-
     def is_zero_over_ring(self) -> bool:
         """True iff every column reduces to zero modulo the ring relations."""
         basis = self.target.ring_basis
@@ -186,6 +181,7 @@ class ModulePresentation(Staircase):
                 self.packed.append(dict(w) if w is v else w)
         self._gb: GroebnerBasis | None = None
         self._numerator: dict | None = numerator
+        self._stripped: tuple | None = None
         # set by ``quotient``: the presentation whose basis this one grows
         self._parent: ModulePresentation | None = None
         # (ys, the presentation over R/(ys)) of the last ``reduce_mod``

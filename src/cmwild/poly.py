@@ -14,7 +14,9 @@ key it by (position, exponent tuple).
 
 ``PolyRing.parse`` reads polynomial text (grammar above ``PolyRing``) with
 one term regex, matched once per signed term, and one pass over that
-term's factors; a syntax error names the position where parsing stops.
+term's factors, and adds the term in place with ``add_terms``'s update
+written out; a syntax error names the position where parsing stops.
+``str`` prints the terms grevlex descending.
 """
 
 from __future__ import annotations
@@ -33,36 +35,9 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def mono_divides(a: Mono, b: Mono) -> bool:
-    """True iff a | b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
-
-
-def mono_deg(a: Mono) -> int:
-    return sum(a)
-
-
 def grevlex_key(m: Mono):
     """Sort key: m1 > m2 in grevlex iff grevlex_key(m1) > grevlex_key(m2)."""
     return (sum(m), tuple(-e for e in reversed(m)))
-
-
-def monomials_of_degree(nvars: int, degree: int):
-    """All exponent tuples of the given total degree, grevlex descending."""
-    if degree < 0:
-        return []
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + (e,), remaining - e, slots - 1)
-
-    rec((), degree, nvars)
-    out.sort(key=grevlex_key, reverse=True)
-    return out
 
 
 def add_terms(out: dict, terms: dict, p: int, c: int = 1) -> None:
@@ -168,31 +143,47 @@ class PolyRing:
         return Poly(self, {exps: coeff} if coeff else {})
 
     def parse(self, text: str) -> "Poly":
-        """The polynomial ``text`` spells in the grammar above."""
+        """The polynomial ``text`` spells in the grammar above.  Each term
+        is matched once, its factors are read in one pass, and it is added
+        into the result where it stands: a repeated monomial keeps the
+        place of its first term and leaves when its coefficients cancel."""
         if not text.strip():
             raise InputError(f"empty polynomial in {text!r}")
+        p, index = self.p, self._var_index
         terms: dict = {}
         pos = 0
         while pos < len(text):
             m = _TERM_RE.match(text, pos)
-            if pos and not m["sign"]:
+            sign, body, coeff, star = m.group("sign", "body", "coeff", "star")
+            if pos and not sign:
                 raise _expected("'+' or '-'", pos, text)
-            if not m["body"]:
+            if not body:
                 raise _expected("a term", m.start("body"), text)
-            if m["star"]:
+            if star:
                 raise _expected("a variable", m.end(), text)
             exps = [0] * self.nvars
+            start, end = m.span("body")
             try:
-                for f in _FACTOR_RE.finditer(text, m.start("body"), m.end("body")):
-                    if f[1] not in self._var_index:
-                        raise InputError(
-                            f"unknown variable {f[1]!r} at position {f.start()} in {text!r}"
+                for name, exp in _FACTOR_RE.findall(text, start, end):
+                    i = index.get(name)
+                    if i is None:
+                        at = next(
+                            f.start() for f in _FACTOR_RE.finditer(text, start, end)
+                            if f[1] not in index
                         )
-                    exps[self._var_index[f[1]]] += int(f[2] or 1)
-                coeff = int(m["coeff"] or 1)
+                        raise InputError(
+                            f"unknown variable {name!r} at position {at} in {text!r}"
+                        )
+                    exps[i] += int(exp or 1)
+                c = int(coeff or 1)
             except ValueError:  # more digits than int() takes
-                raise _expected("a shorter integer", m.start("body"), text) from None
-            add_terms(terms, {tuple(exps): coeff}, self.p, -1 if m["sign"] == "-" else 1)
+                raise _expected("a shorter integer", start, text) from None
+            key = tuple(exps)
+            c = (terms.get(key, 0) + (-c if sign == "-" else c)) % p
+            if c:
+                terms[key] = c
+            elif key in terms:
+                del terms[key]
             pos = m.end()
         return Poly(self, terms)
 
@@ -230,9 +221,6 @@ class Poly:
             raise ValueError("zero polynomial has no leading term")
         m = max(self.terms, key=grevlex_key)
         return m, self.terms[m]
-
-    def lm(self) -> Mono:
-        return self.lt()[0]
 
     def lc(self) -> int:
         return self.lt()[1]
@@ -310,20 +298,19 @@ class Poly:
             return "0"
         names = self.ring.vars
         parts = []
-        for e in sorted(self.terms, key=grevlex_key, reverse=True):
+        # grevlex descending: higher degree first, then the smaller
+        # exponent of the last variable that differs
+        for e in sorted(self.terms, key=lambda m: (-sum(m), m[::-1])):
             c = self.terms[e]
-            factors = []
-            for name, exp in zip(names, e):
-                if exp == 1:
-                    factors.append(name)
-                elif exp > 1:
-                    factors.append(f"{name}^{exp}")
-            if not factors:
+            mono = "*".join(
+                [name if exp == 1 else f"{name}^{exp}" for name, exp in zip(names, e) if exp]
+            )
+            if not mono:
                 parts.append(str(c))
             elif c == 1:
-                parts.append("*".join(factors))
+                parts.append(mono)
             else:
-                parts.append(f"{c}*" + "*".join(factors))
+                parts.append(f"{c}*{mono}")
         return "+".join(parts)
 
     def __repr__(self):

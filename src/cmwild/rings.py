@@ -48,16 +48,13 @@ class QuotientRing(Staircase):
         self.relations = tuple(rels)
         self._gb: GroebnerBasis | None = None
         self._numerator: dict | None = None
+        self._stripped: tuple | None = None
         # set by ``extend``: the ring whose basis this one grows
         self._parent: QuotientRing | None = None
         # (extra, R/(extra)) of the last ``extend``
         self._extended: tuple | None = None
 
     # -- constructors
-
-    @classmethod
-    def polynomial_ring(cls, variables, p: int = DEFAULT_PRIME) -> "QuotientRing":
-        return cls(PolyRing(variables, p), ())
 
     @classmethod
     def from_strings(cls, variables, relation_strings, p: int = DEFAULT_PRIME) -> "QuotientRing":
@@ -170,7 +167,9 @@ class QuotientRing(Staircase):
         the next (a module reduced modulo the same sequence)."""
         extra = tuple(extra)
         if self._extended is None or self._extended[0] != extra:
-            child = QuotientRing(self.ambient, self.relations + extra)
+            # this ring's relations were checked when it was built
+            child = QuotientRing(self.ambient, extra)
+            child.relations = self.relations + child.relations
             child._parent = self
             self._extended = extra, child
         return self._extended[1]

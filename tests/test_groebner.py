@@ -9,6 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
+from oracles import (
+    is_minimal,
+    leading_terms,
+    mono_deg,
+    mono_divides,
+    monomials_of_degree,
+    polynomial_ring,
+)
 
 from cmwild import groebner
 from cmwild.errors import InputError
@@ -31,16 +39,7 @@ from cmwild.groebner import (
 )
 from cmwild.matalg import rank as mat_rank
 from cmwild.modules import FreeMap, FreeModule, ModulePresentation
-from cmwild.poly import (
-    Poly,
-    PolyRing,
-    add_terms,
-    grevlex_key,
-    mono_deg,
-    mono_divides,
-    mono_mul,
-    monomials_of_degree,
-)
+from cmwild.poly import Poly, PolyRing, add_terms, grevlex_key, mono_mul
 from cmwild.rings import QuotientRing
 from cmwild.wildness import verify_regular_element
 
@@ -175,11 +174,11 @@ class TestBuchbergerIdeals:
                 continue
             q = QuotientRing(ring, gens)
             gb = q.gb
-            vecs = gb.vectors
+            vecs, lts = gb.vectors, leading_terms(gb)
             p = 101
             for i in range(len(vecs)):
                 for j in range(i):
-                    (pi, mi), (pj, mj) = gb.lts[i], gb.lts[j]
+                    (pi, mi), (pj, mj) = lts[i], lts[j]
                     assert pi == pj == 0
                     lcm = tuple(max(a, b) for a, b in zip(mi, mj))
                     s = vec_add(
@@ -325,12 +324,13 @@ class TestReducedBasisProperty:
                 for _g in range(rng.randint(1, 4))
             ]
             gb = buchberger(gens, order, p)
-            for i, (v, lt) in enumerate(zip(gb.vectors, gb.lts)):
+            lts = leading_terms(gb)
+            for i, (v, lt) in enumerate(zip(gb.vectors, lts)):
                 assert lt == max(v, key=order.key)
                 assert v[lt] == 1
                 for pos, m in v:
                     divisors = [
-                        j for j, (lpos, lm) in enumerate(gb.lts)
+                        j for j, (lpos, lm) in enumerate(lts)
                         if lpos == pos and mono_divides(lm, m)
                     ]
                     assert divisors == ([i] if (pos, m) == lt else [])
@@ -338,7 +338,7 @@ class TestReducedBasisProperty:
             rng.shuffle(shuffled)
             again = buchberger(shuffled, order, p)
             assert again.vectors == gb.vectors
-            assert again.lts == gb.lts
+            assert leading_terms(again) == lts
 
 
 def rescan_normal_form(v, basis):
@@ -347,6 +347,7 @@ def rescan_normal_form(v, basis):
     by index, whose leading term divides it."""
     key = basis.order.key
     p = basis.p
+    lts = leading_terms(basis)
     work = dict(v)
     out = {}
     while work:
@@ -354,16 +355,16 @@ def rescan_normal_form(v, basis):
         c = work.pop(t)
         pos, m = t
         hit = next(
-            (i for i, (lpos, lm) in enumerate(basis.lts)
+            (i for i, (lpos, lm) in enumerate(lts)
              if lpos == pos and mono_divides(lm, m)),
             None,
         )
         if hit is None:
             out[t] = c
             continue
-        shift = tuple(a - b for a, b in zip(m, basis.lts[hit][1]))
+        shift = tuple(a - b for a, b in zip(m, lts[hit][1]))
         for (gpos, gm), gc in basis.vectors[hit].items():
-            if (gpos, gm) == basis.lts[hit]:
+            if (gpos, gm) == lts[hit]:
                 continue
             t2 = (gpos, tuple(a + b for a, b in zip(gm, shift)))
             c2 = (work.get(t2, 0) - c * gc) % p
@@ -429,7 +430,7 @@ class TestNormalFormOracle:
             order,
             p,
         )
-        assert gb.lts == [(0, (2, 0)), (0, (1, 1)), (0, (0, 3))]
+        assert leading_terms(gb) == [(0, (2, 0)), (0, (1, 1)), (0, (0, 3))]
         v = {(0, (2, 0)): 1, (0, (1, 1)): 1, (0, (0, 2)): 1}
         assert tuple_normal_form(gb, v) == {(0, (0, 2)): 1}
         self.check(gb, [v])
@@ -470,7 +471,7 @@ def polys_from(ring, vectors):
 
 def listing(gb):
     """A basis as ordered dicts in listing order, with its leading terms."""
-    return [list(v.items()) for v in gb.vectors], list(gb.lts)
+    return [list(v.items()) for v in gb.vectors], leading_terms(gb)
 
 
 def along(f, rank):
@@ -1143,8 +1144,8 @@ class TestFreeMapColumns:
     def test_is_minimal_sees_a_unit_entry(self):
         ring = QuotientRing.from_strings(["x", "y"], ["x^2"], 101)
         F, G = FreeModule(ring, (0, -1)), FreeModule(ring, (-1,))
-        assert FreeMap(G, F, [{(0, (1, 0)): 1}]).is_minimal()
-        assert not FreeMap(G, F, [{(0, (0, 1)): 1, (1, (0, 0)): 5}]).is_minimal()
+        assert is_minimal(FreeMap(G, F, [{(0, (1, 0)): 1}]))
+        assert not is_minimal(FreeMap(G, F, [{(0, (0, 1)): 1, (1, (0, 0)): 5}]))
 
 
 class TestPackedLimit:
@@ -1175,7 +1176,7 @@ class TestPackedLimit:
             buchberger([{(0, (e, 1)): 1}, {(0, (1, e)): 1}], order, 101)
         # the product criterion skips a coprime pair before any S-vector
         gb = buchberger([{(0, (e, 0)): 1}, {(0, (0, e)): 1}], order, 101)
-        assert gb.lts == [(0, (e, 0)), (0, (0, e))]
+        assert leading_terms(gb) == [(0, (e, 0)), (0, (0, e))]
 
 
 class TestCoefficientsZeroModP:
@@ -1417,7 +1418,7 @@ class TestKrullDimension:
         assert QuotientRing.from_strings(
             ["x", "y", "z"], ["x^4+y^4+z^4"]
         ).krull_dimension == 2
-        assert QuotientRing.polynomial_ring(["x", "y"]).krull_dimension == 2
+        assert polynomial_ring(["x", "y"]).krull_dimension == 2
         assert QuotientRing.from_strings(
             ["x", "y", "z"], ["x*y"]
         ).krull_dimension == 2
@@ -1439,7 +1440,7 @@ class TestKrullDimension:
                     f = f + amb.monomial(m, rng.randrange(1, p))
                 rels.append(f)
             ring = QuotientRing(amb, rels)
-            lts = [m for (_pos, m) in ring.gb.lts]
+            lts = [m for (_pos, m) in leading_terms(ring.gb)]
             assert ring.krull_dimension == subset_krull_dim(lts, nv), rels
 
 
@@ -1480,12 +1481,43 @@ def staircase_terms(gb, t) -> list:
     """Oracle for ``standard_terms``: every (pos, m) of degree t, by
     position and then grevlex descending, that no leading term divides."""
     order = gb.order
+    lts = leading_terms(gb)
     return [
         (pos, m)
         for pos, gd in enumerate(order.gen_degrees)
         for m in monomials_of_degree(order.nvars, t - gd)
-        if not any(lpos == pos and mono_divides(lm, m) for lpos, lm in gb.lts)
+        if not any(lpos == pos and mono_divides(lm, m) for lpos, lm in lts)
     ]
+
+
+def packed_monomials(nvars: int, d: int) -> list:
+    """The exponent bits of every degree-d monomial in ascending order,
+    which is grevlex descending."""
+    level = [(0, d)]  # (exponent bits so far, degree left)
+    for i in range(nvars - 1, 0, -1):
+        shift = groebner.FIELD_BITS * i
+        level = [(v | e << shift, r - e) for v, r in level for e in range(r + 1)]
+    return [v | r for v, r in level]
+
+
+def enumerated_terms(gb, t) -> list:
+    """Oracle for ``standard_terms`` on packed terms: every monomial of
+    degree t per position, kept when no leading term of that position
+    divides it."""
+    order = gb.order
+    out = []
+    for pos, gd in enumerate(order.gen_degrees):
+        if t < gd:
+            continue
+        rank = order.rank_of[pos]
+        blockers = [lt & order.exp_mask for lt in gb._lts if lt >> order.rank_shift == rank]
+        head = order.rank_bits[pos] | (MAX_DEGREE - t + gd) << order.deg_shift
+        out.extend(
+            head | e
+            for e in packed_monomials(order.nvars, t - gd)
+            if all((e - b) & order.guards for b in blockers)
+        )
+    return out
 
 
 def monomial_basis(order, p, lts) -> GroebnerBasis:
@@ -1503,11 +1535,10 @@ STAIRCASE_SETTINGS = settings(
 
 
 @st.composite
-def staircase_orders(draw):
+def staircase_orders(draw, nvars=st.integers(1, 5)):
     """(order, p): rank 1-3 with generator degrees -1..2, 1-5 variables."""
-    nvars = draw(st.integers(1, 5))
     gen_degrees = draw(st.lists(st.integers(-1, 2), min_size=1, max_size=3))
-    return ModuleOrder(gen_degrees, nvars), draw(st.sampled_from((2, 3, 32003)))
+    return ModuleOrder(gen_degrees, draw(nvars)), draw(st.sampled_from((2, 3, 32003)))
 
 
 class TestPackedStaircase:
@@ -1515,18 +1546,24 @@ class TestPackedStaircase:
     agree with the exponent-tuple recursion, with each other and with a
     brute-force staircase."""
 
-    def check_staircase(self, gb):
+    def check_staircase(self, gb, brute_top=inf):
+        """Every degree up to two past the numerator and the leading terms:
+        the count against the series, and up to ``brute_top`` the terms
+        themselves against both enumerations."""
         order = gb.order
+        lts = leading_terms(gb)
         hn = module_numerator(gb)
-        assert list(hn.items()) == list(tuple_module_numerator(gb.lts, order.gen_degrees).items())
+        assert list(hn.items()) == list(tuple_module_numerator(lts, order.gen_degrees).items())
         low = min(order.gen_degrees)
-        lt_top = max((sum(m) + order.gen_degrees[pos] for pos, m in gb.lts), default=low)
+        lt_top = max((sum(m) + order.gen_degrees[pos] for pos, m in lts), default=low)
         top = max([lt_top, *hn]) + 2
         series = series_through(hn, order.nvars, low, top)
         for t in range(low, top + 1):
             terms = standard_terms(gb, t)
             assert len(terms) == series[t - low]
-            assert list(order.unpack_vec((u, 1) for u in terms)) == staircase_terms(gb, t)
+            if t <= brute_top:
+                assert terms == enumerated_terms(gb, t)
+                assert list(order.unpack_vec((u, 1) for u in terms)) == staircase_terms(gb, t)
 
     @STAIRCASE_SETTINGS
     @given(data=st.data())
@@ -1549,6 +1586,26 @@ class TestPackedStaircase:
         ]
         lts = data.draw(st.lists(st.sampled_from(terms), max_size=25, unique=True))
         self.check_staircase(monomial_basis(order, p, lts))
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_linear_terms_and_pure_powers(self, data):
+        # the shape of an Artinian reduction by variables and their powers:
+        # many variables, and prefixes cut at every level of the walk; a few
+        # products of two variables are cut at the lower one only.  The
+        # enumerations are compared in the low degrees, where they are small
+        order, p = data.draw(staircase_orders(st.integers(6, 10)))
+        n = order.nvars
+        exponent = st.sampled_from((None, None, 0, 1, 1, 2, 3, 4))
+        lts = []
+        for pos in range(order.rank):
+            for i in range(n):
+                k = data.draw(exponent)
+                if k is not None:
+                    lts.append((pos, (0,) * i + (k,) + (0,) * (n - i - 1)))
+            for i, j in data.draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 2), max_size=3)):
+                lts.append((pos, tuple((k == i) + (k == j) for k in range(n))))
+        self.check_staircase(monomial_basis(order, p, lts), brute_top=4)
 
     def test_power_of_the_maximal_ideal(self):
         # (x0..x4)^10 has 1001 generators: the numerator loops over its

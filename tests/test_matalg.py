@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
+from oracles import solve
 
 from cmwild import matalg
 from cmwild.errors import CmwildError, InputError
@@ -35,7 +36,6 @@ from cmwild.matalg import (
     ranks,
     rref,
     simultaneous_conjugacy,
-    solve,
     solve_many,
     trace_form_radical,
     u_bezout,

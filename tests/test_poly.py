@@ -8,18 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import mono_deg, mono_divides, monomials_of_degree
 
 from cmwild.errors import InputError
 from cmwild.field import PrimeField, check_characteristic, is_prime
-from cmwild.poly import (
-    PolyRing,
-    compose,
-    grevlex_key,
-    mono_deg,
-    mono_divides,
-    mono_mul,
-    monomials_of_degree,
-)
+from cmwild.poly import PolyRing, compose, grevlex_key, mono_mul
 
 SPELL_RING = PolyRing(["x", "y", "z_1"], 7)
 SPACES = st.sampled_from(["", "", " ", "  ", "\t"])
@@ -60,6 +53,43 @@ def spelled_polys(draw):
 
 SOUP_TOKENS = ["x", "y", "z_1", "w", "x2", "0", "1", "7", "12", "+", "-", "*", "**", "^", " ", "\t"]
 SOUP = st.lists(st.one_of(st.sampled_from(SOUP_TOKENS), st.text(max_size=2)), max_size=12)
+
+
+def grevlex_rendering(f) -> str:
+    """Oracle for ``str(Poly)``: terms sorted by ``grevlex_key``
+    descending, factors joined one variable at a time."""
+    if not f.terms:
+        return "0"
+    parts = []
+    for e in sorted(f.terms, key=grevlex_key, reverse=True):
+        c = f.terms[e]
+        factors = []
+        for name, exp in zip(f.ring.vars, e):
+            if exp == 1:
+                factors.append(name)
+            elif exp > 1:
+                factors.append(f"{name}^{exp}")
+        if not factors:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append("*".join(factors))
+        else:
+            parts.append(f"{c}*" + "*".join(factors))
+    return "+".join(parts)
+
+
+@st.composite
+def printed_polys(draw):
+    """Polynomials in 1-6 variables with constant terms, unit and other
+    coefficients and exponents above 1, over a small or the default prime."""
+    nvars = draw(st.integers(1, 6))
+    ring = PolyRing([f"x{i}" for i in range(nvars)], draw(st.sampled_from((3, 7, 32003))))
+    exps = st.tuples(*[st.integers(0, 4)] * nvars)
+    coeffs = st.one_of(st.just(1), st.integers(1, ring.p - 1))
+    return sum(
+        (ring.monomial(e, c) for e, c in draw(st.lists(st.tuples(exps, coeffs), max_size=8))),
+        ring.zero(),
+    )
 
 
 def xgcd(a, b):
@@ -193,7 +223,7 @@ class TestPolyArithmetic:
     def test_leading_term_and_monic(self):
         ring = PolyRing(["x", "y", "z"])
         f = ring.parse("3*x^2*y+5*z^4")
-        assert f.lm() == (0, 0, 4)  # degree dominates
+        assert f.lt()[0] == (0, 0, 4)  # degree dominates
         assert f.monic().lc() == 1
 
     def test_homogeneity(self):
@@ -270,6 +300,12 @@ class TestParsePrint:
         for text in ("1" * (limit + 1), "x^" + "1" * (limit + 1)):
             with pytest.raises(InputError, match="at position 0"):
                 ring.parse(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(f=printed_polys())
+    def test_print_matches_the_grevlex_rendering_and_parses_back(self, f):
+        assert str(f) == grevlex_rendering(f)
+        assert f.ring.parse(str(f)) == f
 
     def test_print_sorted_descending(self):
         ring = PolyRing(["x", "y", "z"])

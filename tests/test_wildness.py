@@ -3,6 +3,7 @@
 import json
 import random
 import re
+import time
 from functools import partial
 from math import comb
 from types import SimpleNamespace
@@ -11,13 +12,14 @@ import pytest
 from acm_rings import rational_normal_curve, segre, veronese
 from hypothesis import event, given, reject, settings
 from hypothesis import strategies as st
+from oracles import leading_terms, monomials_of_degree, polynomial_ring
 
 from cmwild import rings, wildness
 from cmwild.cli import main
 from cmwild.errors import BudgetExhausted, InputError
 from cmwild.groebner import series_add
 from cmwild.modules import ModulePresentation
-from cmwild.poly import Poly, PolyRing, compose, monomials_of_degree
+from cmwild.poly import Poly, PolyRing, compose
 from cmwild.rings import QuotientRing
 from cmwild.wildness import (
     artinian_reduction,
@@ -40,7 +42,7 @@ def fermat_quartic():
 
 
 def test_variable_regular_on_polynomial_ring():
-    R = QuotientRing.polynomial_ring(["x", "y"], P)
+    R = polynomial_ring(["x", "y"], P)
     assert verify_regular_element(R, R.parse("x"))
     assert verify_regular_element(R, R.parse("x+3*y"))
 
@@ -137,7 +139,7 @@ def regularity_cases(draw):
 
 def gb_listing(target):
     gb = target.gb
-    return [list(v.items()) for v in gb.vectors], list(gb.lts)
+    return [list(v.items()) for v in gb.vectors], leading_terms(gb)
 
 
 @settings(max_examples=150, deadline=None)
@@ -203,7 +205,7 @@ def test_certificate_computes_each_stage_once(monkeypatch, sequence, bases):
 
 
 def test_regularity_on_modules():
-    R = QuotientRing.polynomial_ring(["x", "y"], P)
+    R = polynomial_ring(["x", "y"], P)
     free2 = ModulePresentation(R, [0, 1], [])
     assert verify_regular_element(free2, R.parse("x"))
     # on the Artinian module R/(x^2, y) nothing is regular
@@ -212,7 +214,7 @@ def test_regularity_on_modules():
 
 
 def test_regularity_rejects_bad_candidates():
-    R = QuotientRing.polynomial_ring(["x", "y"], P)
+    R = polynomial_ring(["x", "y"], P)
     with pytest.raises(InputError):
         verify_regular_element(R, R.parse("5"))
     with pytest.raises(InputError):
@@ -221,7 +223,7 @@ def test_regularity_rejects_bad_candidates():
 
 @pytest.mark.parametrize("target", ["ring", "module"])
 def test_regularity_rejects_a_candidate_from_another_ring(target):
-    R = QuotientRing.polynomial_ring(["x", "y"], P)
+    R = polynomial_ring(["x", "y"], P)
     N = R if target == "ring" else ModulePresentation(R, [0], [])
     with pytest.raises(InputError, match="ambient ring"):
         verify_regular_element(N, PolyRing(["a", "b"], 7).parse("a"))
@@ -231,7 +233,7 @@ def test_regularity_rejects_a_candidate_from_another_ring(target):
 
 
 def test_sequence_on_polynomial_ring_is_variables():
-    R = QuotientRing.polynomial_ring(["x", "y"], P)
+    R = polynomial_ring(["x", "y"], P)
     seq, _ = find_regular_sequence(R)
     assert [str(f) for f in seq] == ["x", "y"]
 
@@ -265,6 +267,21 @@ def test_fermat_quartic_is_wild():
     assert rep.witness_c == 4
     assert rep.witness_dim == 3
     assert rep.cm_assumed is False
+
+
+def test_fermat_hypersurface_in_twelve_variables_scans_its_staircase_fast():
+    # the standard terms of the reduction are x0^a*x1^b*x11^c with a, b <= 1
+    # and c <= 13; a scan that enumerated every monomial of each degree
+    # (C(25, 11), about 4.5 million, of degree 14) would take minutes
+    names = [f"x{i}" for i in range(12)]
+    ring = QuotientRing.from_strings(names, ["+".join(f"{v}^14" for v in names)], P)
+    start = time.perf_counter()
+    rep = wildness_certificate(ring)
+    elapsed = time.perf_counter() - start
+    assert rep.verdict == "CMWild"
+    assert (rep.witness_c, rep.witness_dim) == (4, 4)
+    assert len(rep.scan) == 12
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
 
 
 def test_binary_quartic_is_strictly_infinite():
@@ -355,7 +372,7 @@ def test_not_a_complete_intersection_is_rejected():
 
 
 def test_polynomial_ring_is_inconclusive():
-    R = QuotientRing.polynomial_ring(["x", "y"], P)
+    R = polynomial_ring(["x", "y"], P)
     rep = wildness_certificate(R)
     assert rep.verdict == "Inconclusive"
     assert rep.scan == []
