@@ -20,15 +20,20 @@ and takes no square past the top bit.
 
 Matrices are numpy int64 arrays with entries reduced mod p; ``mat_mul``
 and ``mat_pow`` also take stacks of them along leading axes.  Products are
-chunked so intermediate sums never overflow 63 bits, which keeps every
-routine exact for any prime p <= 2**31, p = 2 included (rings refuse it);
-both decisions refuse any other p.
+chunked, and ``rref`` reduces its whole matrix often enough, that no
+intermediate value overflows int64, which keeps every routine exact for
+any prime p <= 2**31, p = 2 included (rings refuse it); both decisions
+refuse any other p.
 
-Elimination is sparsity-aware: each pivot step updates only the trailing
-columns, and, when few rows have a nonzero in the pivot column, only
-those rows.  The skipped entries are ones the full update would leave
-unchanged (a zero multiplier, or a zero in the pivot row), so the result
-is still the canonical reduced row echelon form, entry for entry.
+Elimination is sparsity-aware and reduces lazily: each pivot step updates
+only the trailing columns, and, when few rows have a nonzero in the pivot
+column, only those rows.  The skipped entries are ones the full update
+would leave unchanged mod p (a zero multiplier, or a pivot-row entry that
+is zero mod p).  A step reduces mod p only a copy of its pivot column and
+its pivot row; the rows it updates stay unreduced until the whole matrix
+is reduced, every few steps at the largest primes and once at the end.
+So the result is still the canonical reduced row echelon form, entry for
+entry.
 
 Hom spaces {sigma : sigma A_i = B_i sigma} are found by spinning the source
 module (the standard-basis method of Parker's MeatAxe): a module map is
@@ -130,39 +135,57 @@ def rref(A: np.ndarray, p: int):
     """Reduced row echelon form; returns (R, pivot column list).
 
     Invariant: when column c is processed with r pivots found so far, rows
-    r.. are zero left of c.  The pivot row is then zero there too, so each
-    step updates only columns c.. .  It updates only the rows with a
+    r.. are zero mod p left of c.  The pivot row is then zero there too, so
+    each step updates only columns c.. .  It updates only the rows with a
     nonzero in column c when they are under a quarter of all rows (an
     indexed update), and otherwise slices all rows (cheaper on small or
     dense matrices).
+
+    Reduction mod p is lazy.  A step reads column c reduced, into a new
+    array that gives the pivot and the multipliers, and reduces the pivot
+    row before and after scaling it; the rows it updates stay unreduced.
+    Every entry is congruent to its reduced value, and k steps after the
+    last full reduction it lies in [-k (p-1)^2, p): a step subtracts from
+    it the product of a reduced multiplier and a reduced pivot-row entry.
+    So the whole matrix is reduced every ``room`` steps, the most that keep
+    every entry above -2^63, and once at the end.  ``room`` is at least 1
+    for any p <= 2^31: 2 at 2^31 - 1, 8 at 1073741789.
     """
     R = np.array(A, dtype=np.int64) % p
     rows, cols = R.shape
+    room = (2**63 - 1 - (p - 1)) // (p - 1) ** 2
+    steps = 0
     pivots = []
     r = 0
     for c in range(cols):
         if r >= rows:
             break
-        below = R[r:, c].nonzero()[0]
+        col = R[:, c] % p
+        below = col[r:].nonzero()[0]
         if not below.size:
             continue
+        if steps == room:
+            R[:, c:] %= p
+            steps = 0
         hit = r + int(below[0])
         if hit != r:
             R[[r, hit], c:] = R[[hit, r], c:]
-        pivot_row = (R[r, c:] * pow(int(R[r, c]), -1, p)) % p
-        R[r, c:] = pivot_row
-        touched = R[:, c].nonzero()[0]
+            col[r], col[hit] = col[hit], 0
+        pivot_row = R[r, c:]
+        pivot_row %= p
+        pivot_row *= pow(int(col[r]), -1, p)
+        pivot_row %= p
+        touched = col.nonzero()[0]
         if 4 * touched.size < rows:
             touched = touched[touched != r]
-            R[touched, c:] = (
-                R[touched, c:] - np.outer(R[touched, c], pivot_row)
-            ) % p
+            R[touched, c:] -= np.outer(col[touched], pivot_row)
         else:
-            col = R[:, c].copy()
             col[r] = 0
-            R[:, c:] = (R[:, c:] - np.outer(col, pivot_row)) % p
+            R[:, c:] -= np.outer(col, pivot_row)
+        steps += 1
         pivots.append(c)
         r += 1
+    R %= p
     return R, pivots
 
 

@@ -5,6 +5,7 @@ import collections
 import hashlib
 import json
 import random
+import time
 import tracemalloc
 from itertools import product as iter_product
 
@@ -296,6 +297,92 @@ def test_rref_matches_reference_on_intertwiner_system():
     )
     assert system.shape == (3 * n * n, n * n)
     assert_rref_matches_reference(system.tolist(), P)
+
+
+# rref reduces the whole matrix every room = (2^63 - p) // (p - 1)^2 pivot
+# steps: 8 at 1073741789 and 2 at 2^31 - 1, so the shapes below take more
+# pivots than that
+LAZY_PRIMES = (2, 3, P, 1073741789, 2**31 - 1)
+
+
+def lazy_rref_input(kind, mode, p, rng):
+    """A matrix of the given shape kind, its entries congruent to reduced
+    ones and shifted by multiples of p as the mode says."""
+    if kind == "tall_sparse":
+        # like the intertwiner systems: 3x as many rows, a few nonzeros
+        # per column
+        cols = int(rng.integers(12, 41))
+        rows = 3 * cols
+        density = rng.uniform(0.7, 1.5) / cols
+        M = rng.integers(0, p, (rows, cols)) * (rng.random((rows, cols)) < density)
+    elif kind == "wide":
+        # like the canonical-basis step: d rows of length m * n
+        rows = int(rng.integers(9, 21))
+        M = rng.integers(0, p, (rows, rows * int(rng.integers(3, 11))))
+    else:
+        rows, cols = (int(x) for x in rng.integers(10, 41, size=2))
+        k = int(rng.integers(3, min(rows, cols)))
+        U = rng.integers(0, p, (rows, k)).astype(object)
+        V = rng.integers(0, p, (k, cols)).astype(object)
+        M = ((U @ V) % p).astype(np.int64)
+    if mode == "reduced":
+        return M
+    if mode == "small":
+        K = rng.integers(-2, 3, M.shape)
+    else:
+        K = rng.integers(-(2**63 // p), (2**63 - p) // p, M.shape, endpoint=True)
+    return M + p * K
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.sampled_from(LAZY_PRIMES),
+    kind=st.sampled_from(("tall_sparse", "wide", "rank_deficient")),
+    mode=st.sampled_from(("reduced", "small", "int64")),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(p=2**31 - 1, kind="wide", mode="int64", seed=0)
+@example(p=1073741789, kind="wide", mode="small", seed=1)
+@example(p=1073741789, kind="tall_sparse", mode="int64", seed=2)
+@example(p=2**31 - 1, kind="rank_deficient", mode="reduced", seed=3)
+def test_lazy_rref_matches_the_reference(p, kind, mode, seed):
+    rng = np.random.default_rng(seed)
+    A = lazy_rref_input(kind, mode, p, rng)
+    rows, cols = A.shape
+    want_R, want_pivots = brute_rref(A.tolist(), p)
+    room = (2**63 - 1 - (p - 1)) // (p - 1) ** 2
+    event(f"{kind}, {'more' if len(want_pivots) > room else 'no more'} pivots than room")
+    R, pivots = rref(A, p)
+    assert R.dtype == np.int64
+    assert ((R >= 0) & (R < p)).all()
+    assert pivots == want_pivots
+    assert R.tolist() == want_R
+    assert rank(A, p) == len(want_pivots)
+    # the canonical kernel basis: e_f minus the pivot entries of column f
+    want_ns = []
+    for f in (c for c in range(cols) if c not in want_pivots):
+        v = [0] * cols
+        v[f] = 1
+        for i, c in enumerate(want_pivots):
+            v[c] = -want_R[i][f] % p
+        want_ns.append(v)
+    ns = nullspace(A, p)
+    assert ns.shape == (len(want_ns), cols) and ns.tolist() == want_ns
+    # an image of A is consistent; a random right-hand side usually is not
+    x = rng.integers(0, p, cols).astype(object)
+    image = (A.astype(object) @ x) % p
+    B = np.stack([image, rng.integers(0, p, rows)], axis=1).astype(np.int64)
+    B += p * rng.integers(-2, 3, B.shape)
+    consistent = [True, brute_rank(np.column_stack([A, B[:, 1]]).tolist(), p) == len(want_pivots)]
+    for j, got in enumerate(solve_many(A, B, p)):
+        assert (got is not None) == consistent[j]
+        if got is None:
+            continue
+        # free variables are zero, which makes the solution unique
+        assert all(0 <= v < p for v in got.tolist())
+        assert all(got[c] == 0 for c in range(cols) if c not in want_pivots)
+        lhs = [sum(int(a) * int(v) for a, v in zip(row, got)) % p for row in A.tolist()]
+        assert lhs == [int(b) % p for b in B[:, j]]
 
 
 def test_solve_many_rhs_pivot_before_consistent_column():
@@ -672,6 +759,32 @@ def test_conjugacy_of_conjugated_pairs():
         assert np.array_equal(mat_mul(w, Ax, P), mat_mul(Bx, w, P))
         assert np.array_equal(mat_mul(w, Ay, P), mat_mul(By, w, P))
         assert is_invertible(w, P)
+
+
+def int_product(X, Y, p):
+    """X Y mod p on nested lists of Python ints."""
+    return [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*Y)] for row in X]
+
+
+@pytest.mark.parametrize("p, n", [(2**31 - 1, 12), (P, 24)])
+def test_jordan_pair_conjugacy_at_scale(p, n):
+    # (J, J^2) for J = J_n(1) against a seeded conjugate: with the e_0 spin
+    # the system has the full n^2 unknowns, and at 2^31 - 1 rref reduces
+    # the whole matrix every second pivot step
+    J = as_matrix(jordan(n, 1), p)
+    As = [J, mat_mul(J, J, p)]
+    Bs = conjugate_tuple(As, invertible_matrix(random.Random(n), n, p), p)
+    t0 = time.monotonic()
+    cert = simultaneous_conjugacy(As, Bs, p)
+    dt = time.monotonic() - t0
+    assert cert["verdict"] == "Isomorphic"
+    assert dt < 10, f"n = {n} at p = {p} took {dt:.1f} s"
+    # the witness, re-checked without matalg
+    w = cert["witness"]
+    assert all(type(x) is int and 0 <= x < p for row in w for x in row)
+    assert brute_rank(w, p) == n
+    for A, B in zip(As, Bs):
+        assert int_product(w, A.tolist(), p) == int_product(B.tolist(), w, p)
 
 
 # --------------------------------------------------------- indecomposability

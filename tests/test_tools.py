@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -189,3 +190,45 @@ def test_a_failing_property_prints_its_example(tmp_path):
     assert proc.returncode == 1
     assert "Falsifying example" in proc.stdout
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
+
+
+def run_scale_in_copy(tmp_path, pins, args):
+    """Run a copy of ``tools/scale.py`` next to the given pins."""
+    (tmp_path / "scale.py").write_bytes((TOOLS / "scale.py").read_bytes())
+    (tmp_path / "scale.json").write_text(json.dumps(pins), encoding="utf-8")
+    return subprocess.run(
+        [sys.executable, str(tmp_path / "scale.py"), *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+
+
+def test_scale_check_names_a_mismatched_digest(tmp_path):
+    name = "jordan_conjugacy_n24"
+    pinned = json.loads((TOOLS / "scale.json").read_text(encoding="utf-8"))[name]
+    proc = run_scale_in_copy(tmp_path, {name: "0" * 64}, [name])
+    assert proc.returncode == 1
+    line = json.loads(proc.stdout)
+    assert (line["name"], line["sha256"]) == (name, pinned)
+    assert proc.stderr == f"{name}: pinned {'0' * 64}, got {pinned}\n"
+    # the pinned digest passes
+    proc = run_scale_in_copy(tmp_path, {name: pinned}, [name])
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_scale_check_refuses_an_unknown_entry(tmp_path):
+    proc = run_scale_in_copy(tmp_path, {}, ["no_such_entry"])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("usage: ") and proc.stderr.count("\n") == 1
+
+
+def test_scale_pins_every_entry_as_pin_writes_them():
+    path = TOOLS / "scale.py"
+    spec = importlib.util.spec_from_file_location("scale", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    text = (TOOLS / "scale.json").read_text(encoding="utf-8")
+    assert sorted(json.loads(text)) == sorted(tool.ENTRIES)
+    assert text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n"
