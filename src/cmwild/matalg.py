@@ -8,7 +8,11 @@ an element's coordinates are its entries at the basis's free positions,
 with no elimination.  The trace-form radical, the commutativity of the
 quotient by it and Frobenius on its cosets are read off those entries, and
 every product read is checked to be the combination they give.  Every
-linear combination of a basis goes through ``combine``.
+linear combination of a basis goes through ``combine``.  When the first
+action matrix z is cyclic (I, z, ..., z^(n-1) independent) and commutes
+with the others, the algebra is F_p[z]: its basis is read off one
+elimination of those powers, with no spin, and it is commutative, so no
+commutator is tested.
 
 The small products of both decisions run stacked: the commutators of the
 free cosets in chunks of 1, 2, 4, ... pairs (one product and one coordinate
@@ -602,8 +606,42 @@ def intertwiner_basis(pairs, p: int):
     return [row.reshape(m, n) for row in np.ascontiguousarray(canon)]
 
 
+def _polynomial_commutant(mats, p: int):
+    """The canonical basis of F_p[z] for z = mats[0] when that is the
+    commutant of mats, else None.
+
+    It is when z commutes with every other matrix and I, z, ..., z^(n-1)
+    are independent: a matrix that commutes with such a (cyclic) z is a
+    polynomial in it (Horn-Johnson, Matrix Analysis, 3.2.4).  The basis is
+    the one ``intertwiner_basis`` returns for that subspace: the reduced
+    echelon form of the column-reversed vec(z^j), in reverse.
+    """
+    n = mats[0].shape[0] if mats else 0
+    if not n or any(M.shape != (n, n) for M in mats):
+        return None
+    z, *others = (M.astype(np.int64, copy=False) % p for M in mats)
+    # z^k = 0 for some 0 < k < n makes z nilpotent of index below n
+    powers = [identity_matrix(n), z]
+    while len(powers) < n and powers[-1].any():
+        powers.append(mat_mul(powers[-1], z, p))
+    if n > 1 and not powers[-1].any():
+        return None
+    if any(np.any(mat_mul(z, M, p) != mat_mul(M, z, p)) for M in others):
+        return None
+    R, pivots = rref(np.stack(powers[:n]).reshape(n, n * n)[:, ::-1], p)
+    if len(pivots) < n:
+        return None
+    return [row.reshape(n, n) for row in np.ascontiguousarray(R[::-1, ::-1])]
+
+
 def commutant_basis(mats, p: int):
-    return intertwiner_basis([(A, A) for A in mats], p)
+    """Basis of the joint commutant {X : X A = A X for every A in mats},
+    in the canonical form of ``intertwiner_basis``: F_p[z] from the powers
+    of z = mats[0] when ``_polynomial_commutant`` applies, else the spin."""
+    basis = _polynomial_commutant(mats, p)
+    if basis is None:
+        basis = intertwiner_basis([(A, A) for A in mats], p)
+    return basis
 
 
 def combine(coeffs, mats, p: int) -> np.ndarray:
@@ -770,12 +808,15 @@ def endomorphism_indecomposability(
     """Decide whether the module with action matrices `mats` is
     indecomposable, by testing whether its endomorphism algebra is local.
 
-    The endomorphism algebra is the joint commutant.  For p > dim End the
-    radical is the kernel of the regular trace form, read off the canonical
-    basis (``trace_form_radical``); the module is indecomposable exactly
-    when the semisimple quotient is a field, detected as: commutative with
-    one-dimensional Frobenius-fixed subspace.  Decomposable verdicts carry
-    an exact idempotent witness when one is found (always, if commutative).
+    The endomorphism algebra is the joint commutant: F_p[z] when the first
+    matrix z is cyclic and commutes with the rest (``_polynomial_commutant``),
+    else ``commutant_basis``.  For p > dim End the radical is the kernel of
+    the regular trace form, read off the canonical basis
+    (``trace_form_radical``); the module is indecomposable exactly when the
+    semisimple quotient is a field, detected as: commutative (known for
+    F_p[z], else tested on the cosets) with one-dimensional Frobenius-fixed
+    subspace.  Decomposable verdicts carry an exact idempotent witness when
+    one is found (always, if commutative).
     """
     p = check_characteristic(p)
     if not mats:
@@ -787,7 +828,11 @@ def endomorphism_indecomposability(
     n = shape[0]
     if n == 0:
         raise InputError("the zero module has no indecomposability verdict")
-    basis = commutant_basis(mats, p)
+    # End = F_p[z] is commutative; otherwise the commutators are tested
+    basis = _polynomial_commutant(mats, p)
+    commuting = basis is not None
+    if not commuting:
+        basis = commutant_basis(mats, p)
     dim = len(basis)
     out = {"verdict": "Undecided", "endo_dim": dim, "idempotent": None,
            "field_count": None}
@@ -833,7 +878,7 @@ def endomorphism_indecomposability(
 
         # the quotient is spanned by the cosets of basis[c], c in free
         cosets = np.stack([basis[c] for c in free])
-        if commutative(cosets):
+        if commuting or commutative(cosets):
             # Frobenius on the cosets
             frob = reduce(mat_pow(cosets, p, p))[free]
             fixed = nullspace((frob - identity_matrix(len(free))) % p, p)

@@ -787,6 +787,17 @@ def test_jordan_pair_conjugacy_at_scale(p, n):
         assert int_product(w, A.tolist(), p) == int_product(B.tolist(), w, p)
 
 
+def test_jordan_pair_indecomposability_at_scale():
+    # (J, J^2) for J = J_64(1): End = F_p[J] comes from the powers of J,
+    # where the e_0 spin solves for all 64^2 unknowns
+    J = as_matrix(jordan(64, 1), P)
+    t0 = time.monotonic()
+    cert = endomorphism_indecomposability([J, mat_mul(J, J, P)], P)
+    dt = time.monotonic() - t0
+    assert (cert["verdict"], cert["endo_dim"], cert["field_count"]) == ("Indecomposable", 64, 1)
+    assert dt < 2, f"n = 64 took {dt:.1f} s"
+
+
 # --------------------------------------------------------- indecomposability
 
 
@@ -1415,6 +1426,7 @@ def test_a_scaled_basis_element_is_refused(monkeypatch):
     assert endomorphism_indecomposability([J, Z], P)["verdict"] == "Indecomposable"
     scaled = [b.copy() for b in basis]
     scaled[1] = 2 * scaled[1] % P
+    monkeypatch.setattr(matalg, "_polynomial_commutant", lambda mats, p: None)
     monkeypatch.setattr(matalg, "commutant_basis", lambda mats, p: scaled)
     with pytest.raises(CmwildError, match="canonical form"):
         endomorphism_indecomposability([J, Z], P)
@@ -1425,9 +1437,20 @@ def test_a_product_outside_the_span_is_refused(monkeypatch):
     # their commutator E_11 - E_22 is not in their span
     E12 = as_matrix([[0, 1], [0, 0]], P)
     E21 = as_matrix([[0, 0], [1, 0]], P)
+    monkeypatch.setattr(matalg, "_polynomial_commutant", lambda mats, p: None)
     monkeypatch.setattr(matalg, "commutant_basis", lambda mats, p: [E12, E21])
     with pytest.raises(CmwildError, match="not multiplicatively closed"):
         endomorphism_indecomposability([E12], P)
+
+
+def test_a_scaled_basis_of_powers_is_refused(monkeypatch):
+    J = as_matrix(jordan(3, 0), P)
+    Z = np.zeros((3, 3), dtype=np.int64)
+    scaled = [b.copy() for b in commutant_basis([J, Z], P)]
+    scaled[1] = 2 * scaled[1] % P
+    monkeypatch.setattr(matalg, "_polynomial_commutant", lambda mats, p: scaled)
+    with pytest.raises(CmwildError, match="canonical form"):
+        endomorphism_indecomposability([J, Z], P)
 
 
 def fermat_jordan_member(n):
@@ -1483,6 +1506,7 @@ def test_many_commuting_cosets_match_the_oracle(monkeypatch):
     D = as_matrix(np.diag(np.arange(1, 13)), P)
     mats = conjugate_tuple([D, mat_mul(D, D, P)], S, P)
     want = regular_indecomposability(mats, P)
+    monkeypatch.setattr(matalg, "_polynomial_commutant", lambda mats, p: None)
     sizes = stacked_product_sizes(monkeypatch)
     got = endomorphism_indecomposability(mats, P)
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
@@ -1519,6 +1543,179 @@ def test_scalar_data_stops_after_one_commutator_chunk(monkeypatch):
     assert (cert["verdict"], cert["endo_dim"]) == ("Decomposable", 576)
     check_idempotent(cert, eye, 2 * eye, P)
     assert sizes == [1, 1]
+
+
+def test_a_cyclic_first_matrix_skips_the_spin_and_the_commutators(monkeypatch):
+    S = invertible_matrix(random.Random(5), 12, P)
+    D = as_matrix(np.diag(np.arange(1, 13)), P)
+    cyclic = conjugate_tuple([D, mat_mul(D, D, P)], S, P)
+    J = as_matrix(block_sum([jordan(2, 1), jordan(1, 1)]), P)
+    derogatory = [J, mat_mul(J, J, P)]
+    spun = []
+    monkeypatch.setattr(
+        matalg, "intertwiner_basis", lambda pairs, p: spun.append(len(pairs)) or intertwiner_basis(pairs, p)
+    )
+    sizes = stacked_product_sizes(monkeypatch)
+    # End = F_p[D] = F^12: the one stacked product is Frobenius on all 12
+    # cosets
+    cert = endomorphism_indecomposability(cyclic, P)
+    assert (cert["verdict"], cert["endo_dim"], cert["field_count"]) == ("Decomposable", 12, 12)
+    assert (spun, set(sizes)) == ([], {12})
+    # J_2(1) + J_1(1): End has dim 5 and comes from the spin; its two free
+    # cosets are tested in one chunk of one pair before Frobenius
+    sizes.clear()
+    cert = endomorphism_indecomposability(derogatory, P)
+    assert (cert["verdict"], cert["endo_dim"], cert["field_count"]) == ("Decomposable", 5, 2)
+    assert spun == [2]
+    assert sizes[:2] == [1, 1] and set(sizes[2:]) == {2}
+
+
+# --------------------------------------------- End = F_p[z] for a cyclic z
+#
+# When the first matrix z is cyclic and commutes with the rest, the
+# commutant is F_p[z], read off the powers of z; every other tuple goes
+# through the spin.  Both must give the Kronecker oracle's basis, and the
+# decision the regular representation's verdict.
+
+
+def block_sum(blocks):
+    """The block-diagonal matrix of square blocks (nested lists)."""
+    n = sum(len(b) for b in blocks)
+    out = np.zeros((n, n), dtype=np.int64)
+    at = 0
+    for b in blocks:
+        out[at : at + len(b), at : at + len(b)] = b
+        at += len(b)
+    return out
+
+
+def companion(coeffs, p):
+    """The companion matrix of T^n + c_(n-1) T^(n-1) + ... + c_0."""
+    n = len(coeffs)
+    C = np.zeros((n, n), dtype=np.int64)
+    C[1:, :-1] = identity_matrix(n - 1)
+    C[:, -1] = [-c % p for c in coeffs]
+    return C
+
+
+# kinds whose first matrix is always cyclic, and kinds whose first matrix
+# is derogatory, so that the spin must answer; "random" and "noncommuting"
+# (a second matrix that need not commute with the first) may go either way
+CYCLIC_KINDS = ("companion", "jordan", "jordan_sum")
+FALLBACK_KINDS = ("diag_112", "scalars", "jordan_2_1")
+
+
+def draw_polynomial_tuple(data, p):
+    """(kind, mats): a first matrix z and a second one, a random polynomial
+    in z except for the kinds "scalars" (I, 2I) and "noncommuting"."""
+    kind = data.draw(st.sampled_from(("random", "noncommuting") + CYCLIC_KINDS + FALLBACK_KINDS))
+    entry = st.integers(0, p - 1)
+    n = data.draw(st.integers(1, 6))
+    if kind in ("random", "noncommuting"):
+        z = draw_matrix(data, n, entry)
+    elif kind == "companion":
+        z = companion([data.draw(entry) for _ in range(n)], p)
+    elif kind == "jordan":
+        z = np.array(jordan(n, data.draw(entry)), dtype=np.int64)
+    elif kind == "jordan_sum":
+        # one block per eigenvalue, so z stays cyclic
+        eigenvalues = data.draw(st.lists(entry, min_size=1, max_size=min(p, 3), unique=True))
+        z = block_sum([jordan(data.draw(st.integers(1, 2)), lam) for lam in eigenvalues])
+    elif kind == "diag_112":
+        z = np.diag([1, 1, 2]).astype(np.int64)
+    elif kind == "scalars":
+        z = identity_matrix(max(n, 2))
+        return kind, [z, 2 * z % p]
+    else:
+        z = block_sum([jordan(2, 1), jordan(1, 1)])
+    z %= p
+    if kind == "noncommuting":
+        return kind, [z, draw_matrix(data, len(z), entry)]
+    coeffs = [data.draw(entry) for _ in range(len(z))]
+    return kind, [z, combine(coeffs, [mat_pow(z, j, p) for j in range(len(z))], p)]
+
+
+@settings(max_examples=250, deadline=None)
+@given(data=st.data())
+def test_polynomial_commutant_matches_both_oracles(data):
+    p = data.draw(st.sampled_from(ORACLE_PRIMES))
+    kind, mats = draw_polynomial_tuple(data, p)
+    z, n = mats[0], len(mats[0])
+    cyclic = brute_rank([mat_pow(z, j, p).reshape(-1) for j in range(n)], p) == n
+    commuting = all(np.array_equal(mat_mul(z, M, p), mat_mul(M, z, p)) for M in mats[1:])
+    assert cyclic or kind not in CYCLIC_KINDS
+    assert not cyclic or kind not in FALLBACK_KINDS
+    applies = cyclic and commuting
+    event(f"{kind}, {'powers' if applies else 'spin'}")
+    seed = data.draw(st.integers(0, 3))
+    spun = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            matalg, "intertwiner_basis", lambda pairs, p: spun.append(1) or intertwiner_basis(pairs, p)
+        )
+        got = commutant_basis(mats, p)
+        assert bool(spun) is not applies
+        if p > len(got):
+            spun.clear()
+            cert = endomorphism_indecomposability(mats, p, seed=seed)
+            assert bool(spun) is not applies
+    want = kron_intertwiner_basis([(M, M) for M in mats], p)
+    assert len(got) == len(want)
+    for b, expected in zip(got, want):
+        assert b.dtype == np.int64 and np.array_equal(b, expected)
+    if p > len(got):
+        want = regular_indecomposability(mats, p, seed=seed)
+        assert json.dumps(cert, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+def test_polynomial_commutant_of_sizes_zero_and_one():
+    # n = 0: no basis at all, as the spin gives, not one 0 x 0 matrix
+    empty = np.zeros((0, 0), dtype=np.int64)
+    assert matalg._polynomial_commutant([empty, empty], P) is None
+    assert commutant_basis([empty], P) == [] and commutant_basis([empty, empty], P) == []
+    # n = 1: F_p itself
+    mats = [as_matrix([[5]], P), as_matrix([[7]], P)]
+    assert [b.tolist() for b in matalg._polynomial_commutant(mats, P)] == [[[1]]]
+    assert [b.tolist() for b in commutant_basis(mats, P)] == [[[1]]]
+
+
+def test_a_nilpotent_first_matrix_of_low_index_is_refused_before_elimination(monkeypatch):
+    # z^2 = 0 for z = E_02 in size 3, so I, z, z^2 are dependent; the zero
+    # square says so before any rref
+    z = as_matrix([[0, 0, 1], [0, 0, 0], [0, 0, 0]], P)
+    eliminated = []
+    monkeypatch.setattr(matalg, "rref", lambda A, p: eliminated.append(A.shape) or rref(A, p))
+    assert matalg._polynomial_commutant([z, z], P) is None
+    assert eliminated == []
+
+
+def test_polynomial_commutant_reduces_negative_and_unreduced_entries():
+    rng = random.Random(7)
+    for p in (5, P, 2**31 - 1):
+        J = as_matrix(jordan(4, 2), p)
+        mats = [J, (mat_mul(J, J, p) + 3 * J) % p]
+        want = [w.tolist() for w in kron_intertwiner_basis([(M, M) for M in mats], p)]
+        shifts = lambda: np.array([[rng.randrange(-3, 4) for _ in range(4)] for _ in range(4)])
+        shifted = [M + p * shifts() for M in mats]
+        assert any((M < 0).any() for M in shifted) and any((M >= p).any() for M in shifted)
+        assert [b.tolist() for b in matalg._polynomial_commutant(shifted, p)] == want
+        assert [b.tolist() for b in commutant_basis(shifted, p)] == want
+
+
+@pytest.mark.parametrize(
+    "shapes, match",
+    [
+        ([], "need at least one matrix pair"),
+        ([(3, 3), (2, 2)], "matrix pair shapes are inconsistent"),
+        ([(2, 2), (3, 3)], "matrix pair shapes are inconsistent"),
+        ([(2, 3)], "matrix pair shapes are inconsistent"),
+    ],
+)
+def test_commutant_basis_refuses_inconsistent_shapes(shapes, match):
+    # each first matrix that is square is a cyclic Jordan block
+    mats = [np.eye(*shape, k=1, dtype=np.int64) for shape in shapes]
+    with pytest.raises(InputError, match=match):
+        commutant_basis(mats, P)
 
 
 # ------------------------------------- the step-by-step versions as oracles

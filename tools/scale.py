@@ -15,14 +15,15 @@ instead, and lists each one that changed on stderr as
 exits 2.
 
 The entries are matrix-level, at p = 32003, on the Jordan pair
-(J, J^2) with J = J_n(1), whose spin from e_0 takes the full n^2
-unknowns:
+(J, J^2) with J = J_n(1):
 
 - ``jordan_conjugacy_n24``, ``jordan_conjugacy_n32``: simultaneous
   conjugacy against S (J, J^2) S^-1 for a seeded unit-triangular product
-  S; the witness is re-checked in Python ints before the result is
-  hashed;
-- ``jordan_indecomposability_n32``: the indecomposability decision.
+  S, whose spin from e_0 takes the full n^2 unknowns; the witness is
+  re-checked in Python ints before the result is hashed;
+- ``jordan_indecomposability_n32``, ``jordan_indecomposability_n64``: the
+  indecomposability decision, whose endomorphism algebra is F_p[J]
+  (J is cyclic), read off the powers of J with no spin.
 """
 
 from __future__ import annotations
@@ -108,6 +109,7 @@ ENTRIES = {
     "jordan_conjugacy_n24": lambda: conjugacy(24),
     "jordan_conjugacy_n32": lambda: conjugacy(32),
     "jordan_indecomposability_n32": lambda: indecomposability(32),
+    "jordan_indecomposability_n64": lambda: indecomposability(64),
 }
 
 
