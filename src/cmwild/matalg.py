@@ -39,13 +39,19 @@ is reduced, every few steps at the largest primes and once at the end.
 So the result is still the canonical reduced row echelon form, entry for
 entry.
 
-Hom spaces {sigma : sigma A_i = B_i sigma} are found by spinning the source
-module (the standard-basis method of Parker's MeatAxe): a module map is
-fixed by the images of the generators the spin picks, so the linear system
-has g*m unknowns for g generators instead of the n*m entries of sigma.  The
-basis returned is still the canonical nullspace basis of the n*m-column
-system, so witnesses and idempotents built from it do not depend on the
-spin.
+Hom spaces {sigma : sigma A_i = B_i sigma} are found by spinning a module
+(the standard-basis method of Parker's MeatAxe): a module map is fixed by
+the images of the generators the spin picks, so the linear system has one
+block of unknowns per generator instead of the n*m entries of sigma.  The
+module spun is the target's transpose, read from its last row: sigma is
+then fixed by its rows at the generators, from the last row up, every
+other row depends only on the generator rows below it, and the nullspace
+of the system is already the canonical nullspace basis of the n*m-column
+system, with no further elimination.  Only when the target needs several
+generators is the source spun too; its spin is used when it has fewer
+unknowns, and its solutions are then made canonical by one more
+elimination.  Either way the basis does not depend on the spin, so neither
+do the witnesses and idempotents built from it.
 
 A Decomposable verdict's idempotent is a polynomial in one endomorphism a:
 its minimal polynomial mu is split into coprime factors G * H by one
@@ -482,10 +488,15 @@ def min_poly(A: np.ndarray, p: int):
     return [(-int(c)) % p for c in R[:k, k]] + [1]
 
 
-def _spin(stacked: np.ndarray, p: int):
+def _spin(stacked: np.ndarray, p: int, limit: int | None = None):
     """Spin F^n under the n x n blocks A_i of stacked = [A_1; A_2; ...]
-    from e_0; whenever the span closes early, the first standard vector
-    outside it is the next generator.
+    from e_0; whenever the span closes early, the next generator is the
+    standard vector of smallest index outside it.  So when generator e_k is
+    taken, e_0, ..., e_(k-1) already lie in the span of the earlier ones,
+    which ``intertwiner_basis`` relies on.  (The smallest index that is not
+    a pivot of the span need not be that vector: after e_0 + e_1 it is e_1,
+    while e_0 lies outside too.)  Returns None, and stops, when it needs
+    more than ``limit`` generators.
 
     Returns (S, S_inv, origin): the columns of S are a basis of F^n, and
     origin[l] is (i, j) when column l is A_i @ S[:, j], or None when it
@@ -516,9 +527,19 @@ def _spin(stacked: np.ndarray, p: int):
     j = 0
     while len(vecs) < n:
         if j == len(vecs):
+            if origin.count(None) == limit:
+                return None
+            # e_c lies in the span exactly when c is a pivot whose echelon
+            # row is e_c itself; otherwise its remainder is e_c minus the
+            # row with pivot c, if there is one
+            unit = np.count_nonzero(echelon[: len(pivots), :n], axis=1) == 1
+            inside = [q for q, u in zip(pivots, unit) if u]
+            c = min(set(range(n)).difference(inside))
             e = np.zeros(2 * n, dtype=np.int64)
-            e[min(set(range(n)).difference(pivots))] = 1
-            keep(e[:n], e, None)
+            e[c] = 1
+            if c in pivots:
+                e = (e - echelon[pivots.index(c)]) % p
+            keep(identity_matrix(n)[c], e, None)
             continue
         images = mat_mul(stacked, vecs[j][:, None], p).reshape(-1, n)
         reduced = -mat_mul(images[:, pivots], echelon[: len(pivots)], p)
@@ -537,36 +558,23 @@ def _spin(stacked: np.ndarray, p: int):
     return np.array(vecs).T, S_inv, origin
 
 
-def intertwiner_basis(pairs, p: int):
-    """Basis of {sigma : sigma A = B sigma for every (A, B) in pairs},
-    as a list of matrices.
+def _spun_homs(As: np.ndarray, Bs: np.ndarray, spin, p: int, descending: bool):
+    """The maps sigma (m x n) with sigma A_i = B_i sigma for the stacked
+    reduced blocks As = [A_1; A_2; ...] (n x n) and Bs (m x m), from the
+    spin (S, S_inv, origin) of F^n under the A's, as a d x m x n array.
 
-    sigma is fixed by the images t_q of the g generators the spin of F^n
-    under the A's picks, so those g*m coordinates are the only unknowns:
-    a spun vector s_l = A_i s_j has sigma s_l = B_i sigma s_j = W_l t_q,
-    where q is its generator.  Every product A_i s_j the spin did not keep
-    gives m equations B_i sigma s_j = sum_l (S^-1 A_i S)[l, j] sigma s_l,
-    and each solution maps back to sigma = [sigma s_0 | sigma s_1 | ...] S^-1.
-
-    The basis returned is the one the nullspace of the (m*n)-column system
-    sigma A = B sigma would give, whatever the spin picked: each element,
-    as a row-major vector, has a 1 at its own free coordinate and 0 at the
-    others, in ascending order of that coordinate.  Those are the rows of
-    the reduced echelon form of the column-reversed vectors, in reverse.
+    sigma is fixed by the images t_q of the g generators, so those g*m
+    coordinates are the only unknowns: a spun vector s_l = A_i s_j has
+    sigma s_l = B_i sigma s_j = W_l t_q, where q is its generator.  Every
+    product A_i s_j the spin did not keep gives m equations B_i sigma s_j =
+    sum_l (S^-1 A_i S)[l, j] sigma s_l, and each solution maps back to
+    sigma = [sigma s_0 | sigma s_1 | ...] S^-1.  The solutions are the
+    canonical nullspace basis of that system with its unknowns in order,
+    or in reverse order when ``descending``.
     """
-    if not pairs:
-        raise InputError("need at least one matrix pair")
-    n = pairs[0][0].shape[0]
-    m = pairs[0][1].shape[0]
-    if any(A.shape != (n, n) or B.shape != (m, m) for A, B in pairs):
-        raise InputError("matrix pair shapes are inconsistent")
-    if m * n == 0:
-        return []
-    k = len(pairs)
-    # [A_1; A_2; ...] and [B_1; B_2; ...]
-    As = np.concatenate([A for A, _ in pairs]).astype(np.int64, copy=False) % p
-    Bs = np.concatenate([B for _, B in pairs]).astype(np.int64, copy=False) % p
-    S, S_inv, origin = _spin(As, p)
+    S, S_inv, origin = spin
+    n, m = As.shape[1], Bs.shape[1]
+    k = len(As) // n
     # generator q spans columns lo:hi of S, and root[l] is the generator of s_l
     starts = [l for l, src in enumerate(origin) if src is None] + [n]
     spans = list(zip(starts, starts[1:]))
@@ -592,18 +600,77 @@ def intertwiner_basis(pairs, p: int):
     for q, (lo, hi) in enumerate(spans):
         CW = mat_mul(C[lo:hi].T, W[lo:hi].reshape(hi - lo, m * m), p)
         rows[:, :, q, :] -= CW.reshape(-1, m, m)
-    X = nullspace(rows.reshape(len(loose) * m, -1) % p, p)
+    system = rows.reshape(len(loose) * m, -1) % p
+    X = nullspace(system[:, ::-1], p)[:, ::-1] if descending else nullspace(system, p)
     d = len(X)
-    if not d:
-        return []
     # V[l] = sigma s_l for every solution, one column each
     V = np.empty((n, m, d), dtype=np.int64)
     for q, (lo, hi) in enumerate(spans):
         Xq = X[:, q * m : (q + 1) * m].T
         V[lo:hi] = mat_mul(W[lo:hi].reshape(-1, m), Xq, p).reshape(hi - lo, m, d)
-    sigmas = mat_mul(V.transpose(2, 1, 0).reshape(d * m, n), S_inv, p).reshape(d, m * n)
-    canon = rref(sigmas[:, ::-1], p)[0][::-1, ::-1]
-    return [row.reshape(m, n) for row in np.ascontiguousarray(canon)]
+    return mat_mul(V.transpose(2, 1, 0).reshape(d * m, n), S_inv, p).reshape(d, m, n)
+
+
+def intertwiner_basis(pairs, p: int):
+    """Basis of {sigma : sigma A = B sigma for every (A, B) in pairs},
+    as a list of matrices.
+
+    The basis is the one the nullspace of the (m*n)-column system
+    sigma A = B sigma would give: each element, as a row-major vector, has
+    a 1 at its own free coordinate and 0 at the others, in ascending order
+    of that coordinate.  The free coordinate of an element is its last
+    nonzero entry.
+
+    It is found by spinning the target's transpose (``_spun_homs``).  With
+    J the reversal, sigma A_i = B_i sigma says tau B'_i = A'_i tau for
+    tau = J sigma^T J, B' = J B^T J and A' = J A^T J, so the spin of F^m
+    under the B' from e_0 fixes tau by its values on the generators, and
+    tau e_k is row m-1-k of sigma, reversed.  The unknowns are then the
+    rows of sigma at the generators, from the last row up, in descending
+    row-major order.  Every other row of sigma is a function of the
+    generator rows below it: e_k lies in the span of the generators of
+    smaller index (``_spin``'s rule).  So an element's last nonzero entry
+    lies in a generator row, the free coordinates of the two systems are
+    the same, and the nullspace of the column-reversed system, reversed
+    back, is already the canonical basis.
+
+    When the target needs g' > 1 generators and the source's own spin
+    needs fewer unknowns (g*m < g'*n), that spin is used instead (it is
+    cut short once it passes that count); its unknowns do not follow the
+    row-major order, so its solutions are made canonical by one reduced
+    echelon form of the column-reversed vectors, read in reverse.
+    """
+    if not pairs:
+        raise InputError("need at least one matrix pair")
+    n = pairs[0][0].shape[0]
+    m = pairs[0][1].shape[0]
+    if any(A.shape != (n, n) or B.shape != (m, m) for A, B in pairs):
+        raise InputError("matrix pair shapes are inconsistent")
+    if m * n == 0:
+        return []
+
+    def stack(mats):
+        """[M_1; M_2; ...], reduced."""
+        return np.concatenate(mats).astype(np.int64, copy=False) % p
+
+    # J B^T J for the reversal J
+    Bt = stack([B.T[::-1, ::-1] for _, B in pairs])
+    target = _spin(Bt, p)
+    gens = target[2].count(None)
+    if gens > 1:
+        # the source's spin, if it takes g generators with g*m < gens*n
+        As = stack([A for A, _ in pairs])
+        source = _spin(As, p, limit=(gens * n - 1) // m)
+        if source is not None:
+            Bs = stack([B for _, B in pairs])
+            sigmas = _spun_homs(As, Bs, source, p, descending=False).reshape(-1, m * n)
+            if not len(sigmas):
+                return []
+            canon = rref(sigmas[:, ::-1], p)[0][::-1, ::-1]
+            return [row.reshape(m, n) for row in np.ascontiguousarray(canon)]
+    # sigma = J tau^T J
+    taus = _spun_homs(Bt, stack([A.T[::-1, ::-1] for A, _ in pairs]), target, p, descending=True)
+    return list(np.ascontiguousarray(taus.transpose(0, 2, 1)[:, ::-1, ::-1]))
 
 
 def _polynomial_commutant(mats, p: int):
@@ -810,8 +877,8 @@ def endomorphism_indecomposability(
 
     The endomorphism algebra is the joint commutant: F_p[z] when the first
     matrix z is cyclic and commutes with the rest (``_polynomial_commutant``),
-    else ``commutant_basis``.  For p > dim End the radical is the kernel of
-    the regular trace form, read off the canonical basis
+    else the spin (``intertwiner_basis``).  For p > dim End the radical is
+    the kernel of the regular trace form, read off the canonical basis
     (``trace_form_radical``); the module is indecomposable exactly when the
     semisimple quotient is a field, detected as: commutative (known for
     F_p[z], else tested on the cosets) with one-dimensional Frobenius-fixed
@@ -832,7 +899,7 @@ def endomorphism_indecomposability(
     basis = _polynomial_commutant(mats, p)
     commuting = basis is not None
     if not commuting:
-        basis = commutant_basis(mats, p)
+        basis = intertwiner_basis([(A, A) for A in mats], p)
     dim = len(basis)
     out = {"verdict": "Undecided", "endo_dim": dim, "idempotent": None,
            "field_count": None}

@@ -2,6 +2,7 @@
 indecomposability certificates."""
 
 import collections
+import functools
 import hashlib
 import json
 import random
@@ -766,11 +767,9 @@ def int_product(X, Y, p):
     return [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*Y)] for row in X]
 
 
-@pytest.mark.parametrize("p, n", [(2**31 - 1, 12), (P, 24)])
-def test_jordan_pair_conjugacy_at_scale(p, n):
-    # (J, J^2) for J = J_n(1) against a seeded conjugate: with the e_0 spin
-    # the system has the full n^2 unknowns, and at 2^31 - 1 rref reduces
-    # the whole matrix every second pivot step
+def assert_jordan_pair_conjugate(p, n, bound):
+    """(J, J^2) for J = J_n(1) against a seeded conjugate is Isomorphic
+    within bound seconds, with a witness that checks in Python ints."""
     J = as_matrix(jordan(n, 1), p)
     As = [J, mat_mul(J, J, p)]
     Bs = conjugate_tuple(As, invertible_matrix(random.Random(n), n, p), p)
@@ -778,13 +777,26 @@ def test_jordan_pair_conjugacy_at_scale(p, n):
     cert = simultaneous_conjugacy(As, Bs, p)
     dt = time.monotonic() - t0
     assert cert["verdict"] == "Isomorphic"
-    assert dt < 10, f"n = {n} at p = {p} took {dt:.1f} s"
+    assert dt < bound, f"n = {n} at p = {p} took {dt:.1f} s"
     # the witness, re-checked without matalg
     w = cert["witness"]
     assert all(type(x) is int and 0 <= x < p for row in w for x in row)
     assert brute_rank(w, p) == n
     for A, B in zip(As, Bs):
         assert int_product(w, A.tolist(), p) == int_product(B.tolist(), w, p)
+
+
+@pytest.mark.parametrize("p, n", [(2**31 - 1, 12), (P, 24)])
+def test_jordan_pair_conjugacy_at_scale(p, n):
+    # the conjugate's transpose is cyclic, so its spin takes one generator
+    # and the system has n unknowns (the source's spin from e_0, an
+    # eigenvector of J, would take n generators and all n^2); at 2^31 - 1
+    # rref reduces the whole matrix every second pivot step
+    assert_jordan_pair_conjugate(p, n, 10)
+
+
+def test_jordan_pair_conjugacy_at_n48_within_a_second():
+    assert_jordan_pair_conjugate(P, 48, 1)
 
 
 def test_jordan_pair_indecomposability_at_scale():
@@ -1158,7 +1170,17 @@ def conjugate_tuple(mats, S, p):
 
 
 ORACLE_PRIMES = (2, 3, 5, P, 2**31 - 1)
-TUPLE_KINDS = ("zero", "scalar", "diagonal", "nilpotent", "commuting", "noncommuting")
+TUPLE_KINDS = (
+    "zero", "scalar", "diagonal", "nilpotent", "commuting", "noncommuting", "jordan_sum"
+)
+
+
+@functools.cache
+def fermat_n1_actions():
+    """The 14 x 14 actions of x, y, z on the Fermat quartic member with
+    Ax = J_1(1): its spin from e_0 takes one generator, and the spin of
+    their transposes from the last basis vector two."""
+    return tuple(member_actions("fermat", jordan(1, 1), squared(jordan(1, 1))))
 
 
 def draw_matrix(data, size, values, where=lambda i, j: True):
@@ -1181,18 +1203,36 @@ def draw_tuple(data, size, k, p):
         return [draw_matrix(data, size, entry, lambda i, j: i < j) for _ in range(k)]
     if kind == "noncommuting":
         return [draw_matrix(data, size, entry) for _ in range(k)]
-    X = draw_matrix(data, size, entry)
+    if kind == "jordan_sum":
+        # Jordan blocks of few eigenvalues, or their transposes: a spin
+        # from e_0 takes several generators, on the source's side or on
+        # the transposed target's
+        sizes = []
+        while sum(sizes) < size:
+            sizes.append(data.draw(st.integers(1, size - sum(sizes))))
+        X = block_sum([jordan(s, data.draw(small)) for s in sizes]) % p
+        if data.draw(st.booleans()):
+            X = X.T.copy()
+    else:
+        X = draw_matrix(data, size, entry)
     return [mat_pow(X, e, p) for e in range(1, k + 1)]
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_intertwiner_basis_matches_kronecker_oracle(data):
+    # both routes run: the spin of the transposed target, and the source's
+    # spin when it has fewer unknowns (the Fermat n = 1 module against
+    # itself, or a transposed Jordan sum against its reversal);
+    # "independent" targets give non-square pairs
     p = data.draw(st.sampled_from(ORACLE_PRIMES))
     k = data.draw(st.integers(1, 3))
-    n = data.draw(st.integers(0, 6))
-    As = draw_tuple(data, n, k, p)
-    target = data.draw(st.sampled_from(("conjugate", "same", "independent")))
+    if data.draw(st.integers(0, 7)) == 0:
+        As = [A % p for A in fermat_n1_actions()[:k]]
+    else:
+        As = draw_tuple(data, data.draw(st.integers(0, 6)), k, p)
+    n = As[0].shape[0]
+    target = data.draw(st.sampled_from(("conjugate", "same", "independent", "reversed")))
     if target == "independent":
         Bs = draw_tuple(data, data.draw(st.integers(0, 6)), k, p)
     elif target == "conjugate" and n:
@@ -1201,9 +1241,73 @@ def test_intertwiner_basis_matches_kronecker_oracle(data):
         L = draw_matrix(data, n, entry, lambda i, j: i > j) + identity_matrix(n)
         U = draw_matrix(data, n, entry, lambda i, j: i < j) + identity_matrix(n)
         Bs = conjugate_tuple(As, mat_mul(L, U, p), p)
+    elif target == "reversed":
+        # J A J for the reversal J: the transposed target is A^T
+        Bs = [A[::-1, ::-1].copy() for A in As]
     else:
         Bs = As
+    event(f"route: {hom_route(As, Bs, p)}")
     assert_matches_oracle(list(zip(As, Bs)), p)
+
+
+def spin_generators(mats, p):
+    return matalg._spin(np.concatenate(mats) % p, p)[2].count(None)
+
+
+def hom_route(As, Bs, p):
+    """Which spin ``intertwiner_basis`` solves on: "target" (the transposed
+    target's) or "source"."""
+    m, n = Bs[0].shape[0], As[0].shape[0]
+    if not m * n:
+        return "none"
+    g_target = spin_generators([B.T[::-1, ::-1] for B in Bs], p)
+    if g_target > 1 and spin_generators(As, p) * m < g_target * n:
+        return "source"
+    return "target"
+
+
+def test_spin_takes_the_first_standard_vector_outside_the_span():
+    # e_0 spans <e_0, e_1 + e_2>: e_2 is the first non-pivot index, but e_1
+    # lies outside the span too (its pivot row is e_1 + e_2) and comes first
+    A = as_matrix([[0, 0, 0], [1, 1, 0], [1, 0, 1]], P)
+    S, S_inv, origin = matalg._spin(A, P)
+    assert origin == [None, (0, 0), None]
+    assert S.T.tolist() == [[1, 0, 0], [0, 1, 1], [0, 1, 0]]
+    assert np.array_equal(mat_mul(S, S_inv, P), identity_matrix(3))
+
+
+def test_intertwiner_routes(monkeypatch):
+    spun, reduced = [], []
+    spin, rref_ = matalg._spin, matalg.rref
+    monkeypatch.setattr(
+        matalg, "_spin", lambda A, p, limit=None: spun.append((A.shape, limit)) or spin(A, p, limit)
+    )
+    monkeypatch.setattr(matalg, "rref", lambda A, p: reduced.append(A.shape) or rref_(A, p))
+    # a cyclic target: one spin, of the transposed target, and no
+    # elimination of the d x mn vectors
+    A = dense_matrix(random.Random(7), 6, P)
+    As = [A, mat_mul(A, A, P)]
+    Bs = conjugate_tuple(As, invertible_matrix(random.Random(8), 6, P), P)
+    homs = intertwiner_basis(list(zip(As, Bs)), P)
+    assert spun == [((12, 6), None)]
+    assert len(homs) == 6 and (6, 36) not in reduced
+    # J_2(1) + J_1(1) against itself: both spins take three generators, so
+    # the source's is cut short at its third, and the target's is used
+    spun.clear()
+    reduced.clear()
+    J = as_matrix(block_sum([jordan(2, 1), jordan(1, 1)]), P)
+    homs = assert_matches_oracle([(J, J)], P)
+    assert spun == [((3, 3), None), ((3, 3), 2)]
+    assert len(homs) == 5 and (5, 9) not in reduced
+    # the Fermat n = 1 module: the source's spin takes one generator and
+    # the target's two, so the source's is used, and made canonical
+    spun.clear()
+    reduced.clear()
+    As = list(fermat_n1_actions())
+    homs = intertwiner_basis(list(zip(As, As)), P)
+    assert spun == [((42, 14), None), ((42, 14), 1)]
+    assert len(homs) == 14 and reduced[-1] == (14, 196)
+    assert [h.tolist() for h in homs] == [h.tolist() for h in kron_intertwiner_basis(list(zip(As, As)), P)]
 
 
 def dense_matrix(rng, n, p):
@@ -1427,7 +1531,7 @@ def test_a_scaled_basis_element_is_refused(monkeypatch):
     scaled = [b.copy() for b in basis]
     scaled[1] = 2 * scaled[1] % P
     monkeypatch.setattr(matalg, "_polynomial_commutant", lambda mats, p: None)
-    monkeypatch.setattr(matalg, "commutant_basis", lambda mats, p: scaled)
+    monkeypatch.setattr(matalg, "intertwiner_basis", lambda pairs, p: scaled)
     with pytest.raises(CmwildError, match="canonical form"):
         endomorphism_indecomposability([J, Z], P)
 
@@ -1438,7 +1542,7 @@ def test_a_product_outside_the_span_is_refused(monkeypatch):
     E12 = as_matrix([[0, 1], [0, 0]], P)
     E21 = as_matrix([[0, 0], [1, 0]], P)
     monkeypatch.setattr(matalg, "_polynomial_commutant", lambda mats, p: None)
-    monkeypatch.setattr(matalg, "commutant_basis", lambda mats, p: [E12, E21])
+    monkeypatch.setattr(matalg, "intertwiner_basis", lambda pairs, p: [E12, E21])
     with pytest.raises(CmwildError, match="not multiplicatively closed"):
         endomorphism_indecomposability([E12], P)
 
@@ -1568,6 +1672,19 @@ def test_a_cyclic_first_matrix_skips_the_spin_and_the_commutators(monkeypatch):
     assert (cert["verdict"], cert["endo_dim"], cert["field_count"]) == ("Decomposable", 5, 2)
     assert spun == [2]
     assert sizes[:2] == [1, 1] and set(sizes[2:]) == {2}
+
+
+def test_a_derogatory_tuple_tries_the_powers_once(monkeypatch):
+    # J_2(1) + J_1(1) is not cyclic: the powers are formed once, and the
+    # spin answers
+    J = as_matrix(block_sum([jordan(2, 1), jordan(1, 1)]), P)
+    tried = []
+    powers = matalg._polynomial_commutant
+    monkeypatch.setattr(
+        matalg, "_polynomial_commutant", lambda mats, p: tried.append(1) or powers(mats, p)
+    )
+    cert = endomorphism_indecomposability([J, mat_mul(J, J, P)], P)
+    assert (cert["verdict"], cert["endo_dim"], len(tried)) == ("Decomposable", 5, 1)
 
 
 # --------------------------------------------- End = F_p[z] for a cyclic z

@@ -14,16 +14,25 @@ instead, and lists each one that changed on stderr as
 ``<name>: <old> -> <new>``.  An unknown name prints a usage line and
 exits 2.
 
-The entries are matrix-level, at p = 32003, on the Jordan pair
+The entries are at p = 32003.  Most are matrix-level, on the Jordan pair
 (J, J^2) with J = J_n(1):
 
-- ``jordan_conjugacy_n24``, ``jordan_conjugacy_n32``: simultaneous
-  conjugacy against S (J, J^2) S^-1 for a seeded unit-triangular product
-  S, whose spin from e_0 takes the full n^2 unknowns; the witness is
+- ``jordan_conjugacy_n24``, ``jordan_conjugacy_n32``,
+  ``jordan_conjugacy_n48``: simultaneous conjugacy against S (J, J^2) S^-1
+  for a seeded unit-triangular product S.  The target is cyclic, so the
+  hom space comes from one spin generator of its transpose: n unknowns,
+  where the source's spin from e_0 would take all n^2.  The witness is
   re-checked in Python ints before the result is hashed;
 - ``jordan_indecomposability_n32``, ``jordan_indecomposability_n64``: the
   indecomposability decision, whose endomorphism algebra is F_p[J]
   (J is cyclic), read off the powers of J with no spin.
+
+``fermat_module_indecomposability_n4`` is module-level: the
+indecomposability decision on the 56 x 56 actions of x, y, z on the
+member of the Fermat quartic x^4 + y^4 + z^4 with sequence x^2, y^2,
+c = 4, Ax = J_4(1) and Ay = Ax^2.  Its first action squares to zero, so
+its endomorphism algebra comes from the spin; the member is built before
+the clock starts.
 """
 
 from __future__ import annotations
@@ -41,6 +50,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 import numpy as np  # noqa: E402
 
 from cmwild import matalg  # noqa: E402
+from cmwild.family import FamilySpec, action_matrices, build_family_member  # noqa: E402
+from cmwild.rings import QuotientRing  # noqa: E402
 
 PINS = os.path.join(HERE, "scale.json")
 P = 32003
@@ -104,12 +115,25 @@ def indecomposability(n: int):
     return result, time.perf_counter() - start, True
 
 
+def fermat_module_indecomposability(n: int):
+    ring = QuotientRing.from_strings(["x", "y", "z"], ["x^4+y^4+z^4"], P)
+    Ax = [[int(j == i or j == i + 1) for j in range(n)] for i in range(n)]
+    Ay = (np.array(Ax) @ np.array(Ax)).tolist()
+    spec = FamilySpec(ring, ["x^2", "y^2"], 4, Ax, Ay=Ay)
+    mats = action_matrices(build_family_member(spec))[0]
+    start = time.perf_counter()
+    result = matalg.endomorphism_indecomposability(mats, P)
+    return result, time.perf_counter() - start, True
+
+
 # name -> a function of no arguments returning (result, wall_s, witness ok)
 ENTRIES = {
     "jordan_conjugacy_n24": lambda: conjugacy(24),
     "jordan_conjugacy_n32": lambda: conjugacy(32),
+    "jordan_conjugacy_n48": lambda: conjugacy(48),
     "jordan_indecomposability_n32": lambda: indecomposability(32),
     "jordan_indecomposability_n64": lambda: indecomposability(64),
+    "fermat_module_indecomposability_n4": lambda: fermat_module_indecomposability(4),
 }
 
 
