@@ -47,11 +47,8 @@ module spun is the target's transpose, read from its last row: sigma is
 then fixed by its rows at the generators, from the last row up, every
 other row depends only on the generator rows below it, and the nullspace
 of the system is already the canonical nullspace basis of the n*m-column
-system, with no further elimination.  Only when the target needs several
-generators is the source spun too; its spin is used when it has fewer
-unknowns, and its solutions are then made canonical by one more
-elimination.  Either way the basis does not depend on the spin, so neither
-do the witnesses and idempotents built from it.
+system, with no further elimination.  So the basis does not depend on the
+spin, and neither do the witnesses and idempotents built from it.
 
 A Decomposable verdict's idempotent is a polynomial in one endomorphism a:
 its minimal polynomial mu is split into coprime factors G * H by one
@@ -488,15 +485,14 @@ def min_poly(A: np.ndarray, p: int):
     return [(-int(c)) % p for c in R[:k, k]] + [1]
 
 
-def _spin(stacked: np.ndarray, p: int, limit: int | None = None):
+def _spin(stacked: np.ndarray, p: int):
     """Spin F^n under the n x n blocks A_i of stacked = [A_1; A_2; ...]
     from e_0; whenever the span closes early, the next generator is the
     standard vector of smallest index outside it.  So when generator e_k is
     taken, e_0, ..., e_(k-1) already lie in the span of the earlier ones,
     which ``intertwiner_basis`` relies on.  (The smallest index that is not
     a pivot of the span need not be that vector: after e_0 + e_1 it is e_1,
-    while e_0 lies outside too.)  Returns None, and stops, when it needs
-    more than ``limit`` generators.
+    while e_0 lies outside too.)
 
     Returns (S, S_inv, origin): the columns of S are a basis of F^n, and
     origin[l] is (i, j) when column l is A_i @ S[:, j], or None when it
@@ -527,8 +523,6 @@ def _spin(stacked: np.ndarray, p: int, limit: int | None = None):
     j = 0
     while len(vecs) < n:
         if j == len(vecs):
-            if origin.count(None) == limit:
-                return None
             # e_c lies in the span exactly when c is a pivot whose echelon
             # row is e_c itself; otherwise its remainder is e_c minus the
             # row with pivot c, if there is one
@@ -558,7 +552,7 @@ def _spin(stacked: np.ndarray, p: int, limit: int | None = None):
     return np.array(vecs).T, S_inv, origin
 
 
-def _spun_homs(As: np.ndarray, Bs: np.ndarray, spin, p: int, descending: bool):
+def _spun_homs(As: np.ndarray, Bs: np.ndarray, spin, p: int):
     """The maps sigma (m x n) with sigma A_i = B_i sigma for the stacked
     reduced blocks As = [A_1; A_2; ...] (n x n) and Bs (m x m), from the
     spin (S, S_inv, origin) of F^n under the A's, as a d x m x n array.
@@ -569,8 +563,10 @@ def _spun_homs(As: np.ndarray, Bs: np.ndarray, spin, p: int, descending: bool):
     product A_i s_j the spin did not keep gives m equations B_i sigma s_j =
     sum_l (S^-1 A_i S)[l, j] sigma s_l, and each solution maps back to
     sigma = [sigma s_0 | sigma s_1 | ...] S^-1.  The solutions are the
-    canonical nullspace basis of that system with its unknowns in order,
-    or in reverse order when ``descending``.
+    canonical nullspace basis of that system with its unknowns in reverse
+    order, which ``intertwiner_basis`` relies on.  The system's zero rows
+    are dropped first: they leave its nullspace as it is, and the commutant
+    system of a graded module is mostly zero rows.
     """
     S, S_inv, origin = spin
     n, m = As.shape[1], Bs.shape[1]
@@ -601,7 +597,8 @@ def _spun_homs(As: np.ndarray, Bs: np.ndarray, spin, p: int, descending: bool):
         CW = mat_mul(C[lo:hi].T, W[lo:hi].reshape(hi - lo, m * m), p)
         rows[:, :, q, :] -= CW.reshape(-1, m, m)
     system = rows.reshape(len(loose) * m, -1) % p
-    X = nullspace(system[:, ::-1], p)[:, ::-1] if descending else nullspace(system, p)
+    system = system[system.any(axis=1)]
+    X = nullspace(system[:, ::-1], p)[:, ::-1]
     d = len(X)
     # V[l] = sigma s_l for every solution, one column each
     V = np.empty((n, m, d), dtype=np.int64)
@@ -633,12 +630,6 @@ def intertwiner_basis(pairs, p: int):
     lies in a generator row, the free coordinates of the two systems are
     the same, and the nullspace of the column-reversed system, reversed
     back, is already the canonical basis.
-
-    When the target needs g' > 1 generators and the source's own spin
-    needs fewer unknowns (g*m < g'*n), that spin is used instead (it is
-    cut short once it passes that count); its unknowns do not follow the
-    row-major order, so its solutions are made canonical by one reduced
-    echelon form of the column-reversed vectors, read in reverse.
     """
     if not pairs:
         raise InputError("need at least one matrix pair")
@@ -655,21 +646,8 @@ def intertwiner_basis(pairs, p: int):
 
     # J B^T J for the reversal J
     Bt = stack([B.T[::-1, ::-1] for _, B in pairs])
-    target = _spin(Bt, p)
-    gens = target[2].count(None)
-    if gens > 1:
-        # the source's spin, if it takes g generators with g*m < gens*n
-        As = stack([A for A, _ in pairs])
-        source = _spin(As, p, limit=(gens * n - 1) // m)
-        if source is not None:
-            Bs = stack([B for _, B in pairs])
-            sigmas = _spun_homs(As, Bs, source, p, descending=False).reshape(-1, m * n)
-            if not len(sigmas):
-                return []
-            canon = rref(sigmas[:, ::-1], p)[0][::-1, ::-1]
-            return [row.reshape(m, n) for row in np.ascontiguousarray(canon)]
     # sigma = J tau^T J
-    taus = _spun_homs(Bt, stack([A.T[::-1, ::-1] for A, _ in pairs]), target, p, descending=True)
+    taus = _spun_homs(Bt, stack([A.T[::-1, ::-1] for A, _ in pairs]), _spin(Bt, p), p)
     return list(np.ascontiguousarray(taus.transpose(0, 2, 1)[:, ::-1, ::-1]))
 
 

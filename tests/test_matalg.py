@@ -1221,10 +1221,8 @@ def draw_tuple(data, size, k, p):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_intertwiner_basis_matches_kronecker_oracle(data):
-    # both routes run: the spin of the transposed target, and the source's
-    # spin when it has fewer unknowns (the Fermat n = 1 module against
-    # itself, or a transposed Jordan sum against its reversal);
-    # "independent" targets give non-square pairs
+    # the Fermat n = 1 module, and Jordan sums or their transposes, take
+    # several spin generators; "independent" targets give non-square pairs
     p = data.draw(st.sampled_from(ORACLE_PRIMES))
     k = data.draw(st.integers(1, 3))
     if data.draw(st.integers(0, 7)) == 0:
@@ -1246,24 +1244,7 @@ def test_intertwiner_basis_matches_kronecker_oracle(data):
         Bs = [A[::-1, ::-1].copy() for A in As]
     else:
         Bs = As
-    event(f"route: {hom_route(As, Bs, p)}")
     assert_matches_oracle(list(zip(As, Bs)), p)
-
-
-def spin_generators(mats, p):
-    return matalg._spin(np.concatenate(mats) % p, p)[2].count(None)
-
-
-def hom_route(As, Bs, p):
-    """Which spin ``intertwiner_basis`` solves on: "target" (the transposed
-    target's) or "source"."""
-    m, n = Bs[0].shape[0], As[0].shape[0]
-    if not m * n:
-        return "none"
-    g_target = spin_generators([B.T[::-1, ::-1] for B in Bs], p)
-    if g_target > 1 and spin_generators(As, p) * m < g_target * n:
-        return "source"
-    return "target"
 
 
 def test_spin_takes_the_first_standard_vector_outside_the_span():
@@ -1276,38 +1257,35 @@ def test_spin_takes_the_first_standard_vector_outside_the_span():
     assert np.array_equal(mat_mul(S, S_inv, P), identity_matrix(3))
 
 
-def test_intertwiner_routes(monkeypatch):
-    spun, reduced = [], []
-    spin, rref_ = matalg._spin, matalg.rref
-    monkeypatch.setattr(
-        matalg, "_spin", lambda A, p, limit=None: spun.append((A.shape, limit)) or spin(A, p, limit)
-    )
-    monkeypatch.setattr(matalg, "rref", lambda A, p: reduced.append(A.shape) or rref_(A, p))
-    # a cyclic target: one spin, of the transposed target, and no
-    # elimination of the d x mn vectors
-    A = dense_matrix(random.Random(7), 6, P)
-    As = [A, mat_mul(A, A, P)]
-    Bs = conjugate_tuple(As, invertible_matrix(random.Random(8), 6, P), P)
-    homs = intertwiner_basis(list(zip(As, Bs)), P)
-    assert spun == [((12, 6), None)]
-    assert len(homs) == 6 and (6, 36) not in reduced
-    # J_2(1) + J_1(1) against itself: both spins take three generators, so
-    # the source's is cut short at its third, and the target's is used
-    spun.clear()
-    reduced.clear()
-    J = as_matrix(block_sum([jordan(2, 1), jordan(1, 1)]), P)
-    homs = assert_matches_oracle([(J, J)], P)
-    assert spun == [((3, 3), None), ((3, 3), 2)]
-    assert len(homs) == 5 and (5, 9) not in reduced
-    # the Fermat n = 1 module: the source's spin takes one generator and
-    # the target's two, so the source's is used, and made canonical
-    spun.clear()
-    reduced.clear()
-    As = list(fermat_n1_actions())
-    homs = intertwiner_basis(list(zip(As, As)), P)
-    assert spun == [((42, 14), None), ((42, 14), 1)]
-    assert len(homs) == 14 and reduced[-1] == (14, 196)
-    assert [h.tolist() for h in homs] == [h.tolist() for h in kron_intertwiner_basis(list(zip(As, As)), P)]
+@pytest.mark.parametrize("case", ["cyclic", "jordan_sum", "fermat_n1"])
+def test_intertwiner_basis_solves_on_one_spin(monkeypatch, case):
+    if case == "cyclic":
+        A = dense_matrix(random.Random(7), 6, P)
+        As = [A, mat_mul(A, A, P)]
+        Bs = conjugate_tuple(As, invertible_matrix(random.Random(8), 6, P), P)
+    elif case == "jordan_sum":
+        As = Bs = [as_matrix(block_sum([jordan(2, 1), jordan(1, 1)]), P)]
+    else:
+        As = Bs = list(fermat_n1_actions())
+    pairs = list(zip(As, Bs))
+    spun, reduced, systems = [], [], []
+    spin, rref_, nullspace_ = matalg._spin, matalg.rref, matalg.nullspace
+    monkeypatch.setattr(matalg, "_spin", lambda A, p: spun.append(A.copy()) or spin(A, p))
+    monkeypatch.setattr(matalg, "rref", lambda A, p: reduced.append(A.copy()) or rref_(A, p))
+    monkeypatch.setattr(matalg, "nullspace", lambda A, p: systems.append(A.copy()) or nullspace_(A, p))
+    homs = intertwiner_basis(pairs, P)
+    # one spin, of the reversed transposed target, and one system: no zero
+    # row reaches its nullspace, and the nullspace's elimination is the
+    # only one (no d x mn elimination of the solutions follows it)
+    assert len(spun) == 1
+    assert np.array_equal(spun[0], np.concatenate([B.T[::-1, ::-1] for B in Bs]) % P)
+    assert len(systems) == 1 and systems[0].any(axis=1).all()
+    assert len(reduced) <= 1 and all(np.array_equal(R, systems[0]) for R in reduced)
+    assert [h.tolist() for h in homs] == [h.tolist() for h in kron_intertwiner_basis(pairs, P)]
+    if case == "fermat_n1":
+        # the commutant system of the graded module: 36 of its 420 rows
+        # are nonzero
+        assert len(systems[0]) == 36 and len(homs) == 14
 
 
 def dense_matrix(rng, n, p):

@@ -20,19 +20,24 @@ The entries are at p = 32003.  Most are matrix-level, on the Jordan pair
 - ``jordan_conjugacy_n24``, ``jordan_conjugacy_n32``,
   ``jordan_conjugacy_n48``: simultaneous conjugacy against S (J, J^2) S^-1
   for a seeded unit-triangular product S.  The target is cyclic, so the
-  hom space comes from one spin generator of its transpose: n unknowns,
-  where the source's spin from e_0 would take all n^2.  The witness is
-  re-checked in Python ints before the result is hashed;
+  spin of its transpose takes one generator and the hom system has n
+  unknowns, not the n^2 entries of the witness.  The witness is re-checked
+  in Python ints before the result is hashed;
 - ``jordan_indecomposability_n32``, ``jordan_indecomposability_n64``: the
   indecomposability decision, whose endomorphism algebra is F_p[J]
   (J is cyclic), read off the powers of J with no spin.
 
-``fermat_module_indecomposability_n4`` is module-level: the
-indecomposability decision on the 56 x 56 actions of x, y, z on the
+Two entries are module-level, on the 56 x 56 actions of x, y, z on the
 member of the Fermat quartic x^4 + y^4 + z^4 with sequence x^2, y^2,
-c = 4, Ax = J_4(1) and Ay = Ax^2.  Its first action squares to zero, so
-its endomorphism algebra comes from the spin; the member is built before
-the clock starts.
+c = 4, Ax = J_4(1) and Ay = Ax^2; the member is built before the clock
+starts:
+
+- ``fermat_module_indecomposability_n4``: the indecomposability
+  decision.  The first action squares to zero, so the endomorphism
+  algebra comes from the spin;
+- ``fermat_module_conjugacy_n4``: simultaneous conjugacy of the actions
+  M against S M S^-1 for a seeded S as above, with the witness re-checked
+  in Python ints.
 """
 
 from __future__ import annotations
@@ -96,44 +101,43 @@ def int_product(X, Y, p: int):
     return [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*Y)] for row in X]
 
 
-def conjugacy(n: int):
-    As = jordan_pair(n, P)
-    Bs = seeded_conjugate(As, n, P)
+def conjugacy(As, seed: int):
+    Bs = seeded_conjugate(As, seed, P)
     start = time.perf_counter()
     result = matalg.simultaneous_conjugacy(As, Bs, P)
     wall = time.perf_counter() - start
     w = result["witness"]
-    ok = result["verdict"] == "Isomorphic" and int_rank(w, P) == n and all(
+    ok = result["verdict"] == "Isomorphic" and int_rank(w, P) == len(w) and all(
         int_product(w, A.tolist(), P) == int_product(B.tolist(), w, P) for A, B in zip(As, Bs)
     )
     return result, wall, ok
 
 
-def indecomposability(n: int):
-    start = time.perf_counter()
-    result = matalg.endomorphism_indecomposability(jordan_pair(n, P), P)
-    return result, time.perf_counter() - start, True
-
-
-def fermat_module_indecomposability(n: int):
-    ring = QuotientRing.from_strings(["x", "y", "z"], ["x^4+y^4+z^4"], P)
-    Ax = [[int(j == i or j == i + 1) for j in range(n)] for i in range(n)]
-    Ay = (np.array(Ax) @ np.array(Ax)).tolist()
-    spec = FamilySpec(ring, ["x^2", "y^2"], 4, Ax, Ay=Ay)
-    mats = action_matrices(build_family_member(spec))[0]
+def indecomposability(mats):
     start = time.perf_counter()
     result = matalg.endomorphism_indecomposability(mats, P)
     return result, time.perf_counter() - start, True
 
 
+def fermat_module_actions(n: int):
+    """The actions of x, y, z on the Fermat quartic member with
+    Ax = J_n(1) and Ay = Ax^2."""
+    ring = QuotientRing.from_strings(["x", "y", "z"], ["x^4+y^4+z^4"], P)
+    Ax = [[int(j == i or j == i + 1) for j in range(n)] for i in range(n)]
+    Ay = (np.array(Ax) @ np.array(Ax)).tolist()
+    spec = FamilySpec(ring, ["x^2", "y^2"], 4, Ax, Ay=Ay)
+    return action_matrices(build_family_member(spec))[0]
+
+
 # name -> a function of no arguments returning (result, wall_s, witness ok)
 ENTRIES = {
-    "jordan_conjugacy_n24": lambda: conjugacy(24),
-    "jordan_conjugacy_n32": lambda: conjugacy(32),
-    "jordan_conjugacy_n48": lambda: conjugacy(48),
-    "jordan_indecomposability_n32": lambda: indecomposability(32),
-    "jordan_indecomposability_n64": lambda: indecomposability(64),
-    "fermat_module_indecomposability_n4": lambda: fermat_module_indecomposability(4),
+    "jordan_conjugacy_n24": lambda: conjugacy(jordan_pair(24, P), 24),
+    "jordan_conjugacy_n32": lambda: conjugacy(jordan_pair(32, P), 32),
+    "jordan_conjugacy_n48": lambda: conjugacy(jordan_pair(48, P), 48),
+    "jordan_indecomposability_n32": lambda: indecomposability(jordan_pair(32, P)),
+    "jordan_indecomposability_n64": lambda: indecomposability(jordan_pair(64, P)),
+    "fermat_module_indecomposability_n4": lambda: indecomposability(fermat_module_actions(4)),
+    "fermat_module_conjugacy_n4": lambda: conjugacy(fermat_module_actions(4), 4),
 }
 
 
