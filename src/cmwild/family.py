@@ -112,12 +112,18 @@ class FamilySpec:
     def __init__(self, ring: QuotientRing, sequence, c: int, Ax, Ay=None,
                  basis=None, n: int | None = None):
         self.ring = ring
-        d = ring.krull_dimension
-        if d < 1:
+        # a verified sequence has length dim R, so dim R is read here only
+        # to refuse a ring of dimension 0 before any fault of its sequence
+        try:
+            seq, self.rbar = artinian_reduction(ring, sequence)
+        except InputError:
+            if ring.krull_dimension > 0:
+                raise
+            seq = []
+        if not seq:
             raise InputError("family construction needs a ring of positive dimension")
-        seq, self.rbar = artinian_reduction(ring, sequence)
         self.sequence = tuple(seq)
-        self.d = d
+        self.d = len(seq)
         self.m = sum(y.degree() for y in seq)
 
         self.c = int(c)

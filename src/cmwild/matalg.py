@@ -8,11 +8,11 @@ an element's coordinates are its entries at the basis's free positions,
 with no elimination.  The trace-form radical, the commutativity of the
 quotient by it and Frobenius on its cosets are read off those entries, and
 every product read is checked to be the combination they give.  Every
-linear combination of a basis goes through ``combine``.  When the first
-action matrix z is cyclic (I, z, ..., z^(n-1) independent) and commutes
-with the others, the algebra is F_p[z]: its basis is read off one
-elimination of those powers, with no spin, and it is commutative, so no
-commutator is tested.
+linear combination of a basis goes through ``combine``, one product of the
+coefficient row with the flattened basis.  When the first action matrix z
+is cyclic (I, z, ..., z^(n-1) independent) and commutes with the others,
+the algebra is F_p[z]: its basis is read off one elimination of those
+powers, with no spin, and it is commutative, so no commutator is tested.
 
 The small products of both decisions run stacked: the commutators of the
 free cosets in chunks of 1, 2, 4, ... pairs (one product and one coordinate
@@ -23,11 +23,15 @@ words (``ranks``).  A power starts at the lowest set bit of its exponent
 and takes no square past the top bit.
 
 Matrices are numpy int64 arrays with entries reduced mod p; ``mat_mul``
-and ``mat_pow`` also take stacks of them along leading axes.  Products are
-chunked, and ``rref`` reduces its whole matrix often enough, that no
-intermediate value overflows int64, which keeps every routine exact for
-any prime p <= 2**31, p = 2 included (rings refuse it); both decisions
-refuse any other p.
+and ``mat_pow`` also take stacks of them along leading axes.  A product of
+at least ``FLOAT_MACS`` multiply-adds over k inner terms runs on float64
+BLAS when k (p-1)^2 < 2^53: every partial sum is then an integer of
+absolute value at most k (p-1)^2, which float64 holds exactly, so any
+summation order gives the exact product.  Other products run in int64,
+chunked so that no sum overflows, and ``rref`` reduces its whole matrix
+often enough that no entry does.  So every routine is exact for any prime
+p <= 2**31, p = 2 included (rings refuse it); both decisions refuse any
+other p.
 
 Elimination is sparsity-aware and reduces lazily: each pivot step updates
 only the trailing columns, and, when few rows have a nonzero in the pivot
@@ -77,6 +81,10 @@ from .field import check_characteristic
 SAMPLES = 200
 EXHAUSTIVE_LIMIT = 100_000
 
+# ``mat_mul`` takes the exact float64 product from this many multiply-adds
+# on; below it, converting to float64 and back costs more than BLAS saves.
+FLOAT_MACS = 4096
+
 # ------------------------------------------------------------ dense mod p
 
 
@@ -103,10 +111,23 @@ def identity_matrix(n: int) -> np.ndarray:
 
 def mat_mul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     """A @ B mod p over any leading batch axes (A[..., n, k] @ B[..., k, m]),
-    chunked along k to avoid overflow."""
+    for entries in (-p, p).
+
+    A product of at least ``FLOAT_MACS`` multiply-adds with
+    k (p-1)^2 < 2^53 runs in float64, on BLAS.  It is exact: every partial
+    sum of an entry is an integer of absolute value at most k (p-1)^2,
+    which float64 holds exactly, so any summation order gives the same
+    integer (Dumas-Giorgi-Pernet, FFLAS-FFPACK, ACM TOMS 35(3), 2008).
+    Every other product runs in int64, chunked along k so that no sum
+    passes 2^62.
+    """
     k = A.shape[-1]
     if k != B.shape[-2]:
         raise InputError("matrix shapes do not compose")
+    # A.size * m counts the multiply-adds, but leaves out a batch of B
+    # alone; such a product may stay in int64, which is as exact
+    if A.size * B.shape[-1] >= FLOAT_MACS and k * (p - 1) ** 2 < 2**53:
+        return np.matmul(A.astype(np.float64), B.astype(np.float64)).astype(np.int64) % p
     limit = max(1, (2**62) // max(1, (p - 1) ** 2))
     if k <= limit:
         return (A @ B) % p
@@ -206,31 +227,30 @@ def ranks(stack: np.ndarray, p: int) -> list:
     """The rank of every matrix of a same-shape stack (stack[s, r, c]), by
     one elimination run on all of them at once.
 
-    Column c takes, in each matrix, its first unused row with a nonzero
-    there as pivot, marks it used, and clears column c from the rows that
-    were unused by row <- pivot * row - row[c] * pivot_row (the pivot row
-    itself goes to zero; it is never read again).  Scaling a row by a unit
-    keeps the rank, so no inverse is needed.
+    Column c takes, in each matrix, its first row with a nonzero there as
+    pivot and rewrites only the rows with a nonzero in column c, by
+    row <- pivot * row - row[c] * pivot_row.  The pivot row is one of them
+    and goes to zero, so a row that gave a pivot is never picked again.
+    Scaling a row by a unit keeps the rank, so no inverse is needed.
     """
     R = np.array(stack, dtype=np.int64) % p
+    found = np.zeros(len(R), dtype=np.int64)
     if not R.size:
-        return [0] * len(R)
-    at = np.arange(len(R))
-    used = np.zeros(R.shape[:2], dtype=bool)
-    for c in range(R.shape[2]):
-        live = (R[:, :, c] != 0) & ~used
-        hit = live.argmax(axis=1)
-        found = live[at, hit]
-        if not found.any():
+        return found.tolist()
+    # one row per (matrix, row) pair, by matrix then row
+    flat = R.reshape(-1, R.shape[2])
+    for c in range(flat.shape[1]):
+        hit = flat[:, c].nonzero()[0]
+        if not hit.size:
             continue
-        used[at[found], hit[found]] = True
-        pivot_rows = R[at, hit, c:]
-        scale = np.where(found, pivot_rows[:, 0], 1)
-        mult = np.where(live, R[:, :, c], 0)
-        R[:, :, c:] = (
-            scale[:, None, None] * R[:, :, c:] - mult[:, :, None] * pivot_rows[:, None, :]
-        ) % p
-    return used.sum(axis=1).tolist()
+        s = hit // R.shape[1]
+        first = np.ones(hit.size, dtype=bool)
+        first[1:] = s[1:] != s[:-1]
+        found[s[first]] += 1
+        pivot_rows = flat[hit[first], c:][np.cumsum(first) - 1]
+        rows = flat[hit, c:]
+        flat[hit, c:] = (pivot_rows[:, :1] * rows - rows[:, :1] * pivot_rows) % p
+    return found.tolist()
 
 
 def nullspace(A: np.ndarray, p: int) -> np.ndarray:
@@ -690,13 +710,11 @@ def commutant_basis(mats, p: int):
 
 
 def combine(coeffs, mats, p: int) -> np.ndarray:
-    """sum(c * M) mod p over zip(coeffs, mats), reduced after each term so
-    int64 never overflows for p < 2**31; zero coefficients are skipped."""
-    out = np.zeros_like(mats[0])
-    for c, M in zip(coeffs, mats):
-        if c:
-            out = (out + int(c) * M) % p
-    return out
+    """sum(c * M) mod p over zip(coeffs, mats), as one ``mat_mul`` of the
+    coefficient row with the stack of flattened matrices."""
+    stack = np.asarray(mats)
+    row = np.asarray(coeffs, dtype=np.int64)[None] % p
+    return mat_mul(row, stack.reshape(len(stack), -1), p).reshape(stack.shape[1:])
 
 
 def trace_form_radical(basis, f, p: int):

@@ -246,17 +246,31 @@ def artinian_reduction(
     and is verified in one check; without one, ``find_regular_sequence``
     searches with ``seed``.  The reduction is the quotient the check built,
     so its Groebner basis is never computed twice.
+
+    dim R is read only when the finite-length certificate of
+    ``verify_regular_element`` fails.  When the relations and a nonempty y
+    number the variables and R/(y) has finite length, y is a system of
+    parameters, so it is regular and dim R = len(y), and R's own basis is
+    never built.  Otherwise the length is checked against dim R before the
+    elements are, as it always was.
     """
     if sequence is None:
         seq, reduced = find_regular_sequence(ring, seed=seed)
     else:
         seq = [ring.parse(s) if isinstance(s, str) else s for s in sequence]
-        d = ring.krull_dimension
-        if len(seq) != d:
-            raise InputError(
-                f"sequence has length {len(seq)} but the Krull dimension is {d}"
-            )
-        reduced = verify_regular_sequence(ring, seq)
+        reduced = None
+        if seq and len(ring.relations) + len(seq) == ring.nvars:
+            try:
+                reduced = verify_regular_element(ring, *seq)
+            except InputError:  # named below, after the length
+                pass
+        if reduced is None or not reduced.is_artinian:
+            d = ring.krull_dimension
+            if len(seq) != d:
+                raise InputError(
+                    f"sequence has length {len(seq)} but the Krull dimension is {d}"
+                )
+            reduced = verify_regular_sequence(ring, seq)
     if not reduced.is_artinian:
         raise CmwildError("reduction by the sequence is not zero-dimensional")
     return seq, reduced

@@ -125,9 +125,18 @@ def test_spec_computes_each_stage_once(monkeypatch):
     ring = QuotientRing.from_strings(["x", "y", "z"], ["x^4+y^4+z^4"])
     spec = FamilySpec(ring, ["x^2", "y^2"], 4, [[1]], Ay=[[2]])
     assert spec.rbar == ring.extend(spec.sequence)
-    # R and R/(x^2, y^2), checked at once: rbar is the quotient the check
-    # built, and R/(x^2) is never built
-    assert len(calls) == 2
+    # R/(x^2, y^2) alone: it has finite length and 1 + 2 forms fill the 3
+    # variables, so x^2, y^2 certify themselves and dim R = 2 is not read.
+    # rbar is the quotient that check built, and R/(x^2) is never built
+    assert len(calls) == 1
+    assert ring._gb is None
+
+
+def test_a_ring_of_dimension_zero_is_refused_before_its_sequence():
+    ring = QuotientRing.from_strings(["x", "y"], ["x^2", "y^2"])
+    for sequence in ([], ["x"], ["x+"], ["x", "y"]):
+        with pytest.raises(InputError, match="positive dimension"):
+            FamilySpec(ring, sequence, 2, [[1]])
 
 
 def test_basis_validation(fermat):

@@ -148,6 +148,104 @@ def test_mat_mul_chunked_large_characteristic():
             assert int(got[i, j]) == want
 
 
+# 2^53 / (p - 1)^2 = 32.00002 at p = 2^24 - 3, so products with inner
+# dimension k <= 32 are exact in float64 and k >= 33 are not
+STRADDLE_PRIME = 16777213
+
+
+def object_product(A, B, p):
+    """A @ B mod p in Python ints, over any batch axes."""
+    return (A.astype(object) @ B.astype(object)) % p
+
+
+def check_mat_mul(p, n, k, m, batch, extreme, seed):
+    rng = np.random.default_rng(seed)
+    shape_a, shape_b = batch + (n, k), batch[-1:] + (k, m)
+    if extreme:  # entries p - 1 and p - 2 of one sign: sums near k (p - 1)^2
+        A = rng.choice([-1, 1]) * rng.choice([p - 1, p - 2], size=shape_a)
+        B = rng.choice([-1, 1]) * rng.choice([p - 1, p - 2], size=shape_b)
+    else:
+        A = rng.integers(-(p - 1), p, size=shape_a)
+        B = rng.integers(-(p - 1), p, size=shape_b)
+    got = mat_mul(A, B, p)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, object_product(A, B, p))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mat_mul_matches_the_python_int_product(data):
+    p = data.draw(st.sampled_from((2, 3, P, 2**31 - 1, STRADDLE_PRIME)))
+    if data.draw(st.booleans()):  # at least FLOAT_MACS multiply-adds
+        n, m = data.draw(st.integers(16, 24)), data.draw(st.integers(16, 24))
+        k = data.draw(st.integers(16, 64))
+    else:  # fewer, unless batch axes lift them past it
+        n, m, k = (data.draw(st.integers(1, 15)) for _ in range(3))
+    batch = data.draw(st.sampled_from(((), (2,), (3, 1))))
+    macs = int(np.prod(batch, dtype=np.int64)) * n * k * m
+    event(f"float64 branch: {macs >= matalg.FLOAT_MACS and k * (p - 1) ** 2 < 2**53}")
+    check_mat_mul(p, n, k, m, batch, data.draw(st.booleans()), data.draw(st.integers(0, 2**32 - 1)))
+
+
+@pytest.mark.parametrize("k", [32, 33])
+def test_mat_mul_is_exact_on_either_side_of_the_straddle_bound(k):
+    # the largest sums at the straddle prime: float64 at k = 32, int64 at 33
+    check_mat_mul(STRADDLE_PRIME, 12, k, 12, (), True, 0)
+
+
+def test_mat_mul_takes_the_float_branch_above_its_bound_only(monkeypatch):
+    calls = []
+    real = np.matmul
+
+    def spy(A, B):
+        calls.append(A.dtype)
+        return real(A, B)
+
+    monkeypatch.setattr(matalg.np, "matmul", spy)
+    rng = np.random.default_rng(0)
+    cases = [
+        (P, (16, 16, 16), [np.float64]),  # FLOAT_MACS multiply-adds
+        (P, (16, 16, 15), []),  # one column short of it
+        (2**31 - 1, (16, 16, 16), []),  # k (p - 1)^2 > 2^53
+    ]
+    assert 16**3 == matalg.FLOAT_MACS
+    for p, (n, k, m), want in cases:
+        calls.clear()
+        A, B = rng.integers(0, p, size=(n, k)), rng.integers(0, p, size=(k, m))
+        got = mat_mul(A, B, p)
+        assert calls == want
+        assert np.array_equal(got, object_product(A, B, p))
+
+
+@pytest.mark.parametrize("p", [2, P, 2**31 - 1])
+@pytest.mark.parametrize("density", [0.03, 0.6])
+def test_ranks_match_rank_on_word_sized_stacks(p, density):
+    # the word stacks of the conjugacy invariants: up to 26 matrices of
+    # size up to 18, about 3 % nonzero for module actions and dense for
+    # seeded tuples; some rows are combinations of others
+    rng = np.random.default_rng(int(density * 100) + p % 1000)
+    for count, n in ((26, 18), (12, 14), (8, 6)):
+        stack = rng.integers(1, p, size=(count, n, n)) * (rng.random((count, n, n)) < density)
+        stack[: count // 2, -1] = (stack[: count // 2, 0] + 3 * stack[: count // 2, 1]) % p
+        stack[-1] = 0
+        assert ranks(stack, p) == [rank(W, p) for W in stack]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_combine_matches_the_python_int_sum(data):
+    p = data.draw(st.sampled_from((2**31 - 1, P)))
+    terms = data.draw(st.integers(1, 64))
+    n = data.draw(st.integers(1, 12))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    mats = list(rng.integers(0, p, size=(terms, n, n)))
+    coeffs = [int(c) for c in rng.integers(0, p, size=terms)]
+    want = sum((c * M.astype(object) for c, M in zip(coeffs, mats)), np.zeros((n, n), object)) % p
+    got = combine(coeffs, mats, p)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
 def test_as_matrix_refuses_non_integer_entries():
     for data in ([[0.5]], [["3"]], [[True]], [[1, True]], np.array([[1.0]])):
         with pytest.raises(InputError, match="integers"):

@@ -164,16 +164,33 @@ def test_one_check_of_a_sequence_matches_the_walk(case):
 def test_artinian_reduction_returns_the_verified_stage(monkeypatch):
     stages = []
 
-    def recording(ring, seq):
-        stages.append(verify_regular_sequence(ring, seq))
+    def recording(target, *ys):
+        stages.append(verify_regular_element(target, *ys))
         return stages[-1]
 
-    monkeypatch.setattr(wildness, "verify_regular_sequence", recording)
-    R = fermat_quartic()
-    seq, reduced = artinian_reduction(R, ["x^2", "y^2"])
-    assert [str(y) for y in seq] == ["x^2", "y^2"]
-    assert reduced is stages[0]
-    assert reduced == R.extend(seq)
+    monkeypatch.setattr(wildness, "verify_regular_element", recording)
+    # one check each: the finite-length certificate for the Fermat quartic;
+    # for the twisted cubic, 3 relations and 2 forms exceed the 4
+    # variables, so dim R is read and the Hilbert-series identity decides
+    for R, sequence in (
+        (fermat_quartic(), ["x^2", "y^2"]),
+        (QuotientRing.from_strings(*rational_normal_curve(3), P), ["x0", "x3"]),
+    ):
+        stages.clear()
+        seq, reduced = artinian_reduction(R, sequence)
+        assert [str(y) for y in seq] == sequence
+        assert len(stages) == 1
+        assert reduced is stages[0]
+        assert reduced == R.extend(seq)
+
+
+def test_a_given_sequence_is_checked_against_dim_r_first():
+    # x^2, x*y have height 1, so dim R = 2 although 2 relations and one
+    # form fill the 3 variables; the length error comes before the element's
+    R = QuotientRing.from_strings(["x", "y", "z"], ["x^2", "x*y"], P)
+    for sequence in (["z+1"], ["z"], ["0"]):
+        with pytest.raises(InputError, match="length 1 but the Krull dimension is 2"):
+            artinian_reduction(R, sequence)
 
 
 def count_ideal_buchberger(monkeypatch) -> list:
@@ -189,19 +206,17 @@ def count_ideal_buchberger(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize(
-    ("sequence", "bases"), [(None, 1), (["x^2", "y^2"], 2)], ids=["search", "given"]
-)
-def test_certificate_computes_each_stage_once(monkeypatch, sequence, bases):
+@pytest.mark.parametrize("sequence", [None, ["x^2", "y^2"]], ids=["search", "given"])
+def test_certificate_computes_each_stage_once(monkeypatch, sequence):
     calls = count_ideal_buchberger(monkeypatch)
     rep = wildness_certificate(fermat_quartic(), sequence=sequence)
     assert rep.verdict == "CMWild"
-    # the search checks its recipe x^2, y^2 at once; R/(x^2, y^2) has
-    # finite length and 1 + 2 forms fill the 3 variables, so that one basis
-    # certifies it and R's is never built.  A given sequence is checked
-    # against dim R, so R and R/(x^2, y^2) are built.  R/(x^2) never is,
-    # and either way the reduction is the quotient the last check built
-    assert len(calls) == bases
+    # the search checks its recipe x^2, y^2 at once, and a given x^2, y^2
+    # is checked the same way: R/(x^2, y^2) has finite length and 1 + 2
+    # forms fill the 3 variables, so that one basis certifies it and R's
+    # is never built.  R/(x^2) never is either, and the reduction is the
+    # quotient that check built
+    assert len(calls) == 1
 
 
 def test_regularity_on_modules():

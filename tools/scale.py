@@ -27,17 +27,19 @@ The entries are at p = 32003.  Most are matrix-level, on the Jordan pair
   indecomposability decision, whose endomorphism algebra is F_p[J]
   (J is cyclic), read off the powers of J with no spin.
 
-Two entries are module-level, on the 56 x 56 actions of x, y, z on the
-member of the Fermat quartic x^4 + y^4 + z^4 with sequence x^2, y^2,
-c = 4, Ax = J_4(1) and Ay = Ax^2; the member is built before the clock
+Three entries are module-level, on the 14n x 14n actions of x, y, z on
+the member of the Fermat quartic x^4 + y^4 + z^4 with sequence x^2, y^2,
+c = 4, Ax = J_n(1) and Ay = Ax^2; the member is built before the clock
 starts:
 
-- ``fermat_module_indecomposability_n4``: the indecomposability
-  decision.  The first action squares to zero, so the endomorphism
-  algebra comes from the spin;
-- ``fermat_module_conjugacy_n4``: simultaneous conjugacy of the actions
-  M against S M S^-1 for a seeded S as above, with the witness re-checked
-  in Python ints.
+- ``fermat_module_indecomposability_n4``,
+  ``fermat_module_indecomposability_n8``: the indecomposability decision
+  on the 56 x 56 and 112 x 112 actions.  The first action squares to
+  zero, so the endomorphism algebra comes from the spin; at n = 8 it has
+  dimension 840;
+- ``fermat_module_conjugacy_n4``: simultaneous conjugacy of the 56 x 56
+  actions M against S M S^-1 for a seeded S as above, with the witness
+  re-checked in Python ints.
 """
 
 from __future__ import annotations
@@ -137,6 +139,7 @@ ENTRIES = {
     "jordan_indecomposability_n32": lambda: indecomposability(jordan_pair(32, P)),
     "jordan_indecomposability_n64": lambda: indecomposability(jordan_pair(64, P)),
     "fermat_module_indecomposability_n4": lambda: indecomposability(fermat_module_actions(4)),
+    "fermat_module_indecomposability_n8": lambda: indecomposability(fermat_module_actions(8)),
     "fermat_module_conjugacy_n4": lambda: conjugacy(fermat_module_actions(4), 4),
 }
 
