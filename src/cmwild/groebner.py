@@ -34,9 +34,9 @@ counts as treated all the same.
 
 A basis is made by one run, ``BuchbergerRun``, which holds the working
 set, the heap of queued pairs and the set of treated ones; ``buchberger``
-is one run taken to the end, or through a degree ``bound``.  ``add``
-queues new generators, ``advance(t)`` treats every queued pair of
-S-vector degree at most t, and ``basis`` interreduces the working set.
+is one run taken to the end, or through a degree ``bound``, and then
+``_interreduce``d.  ``add`` queues new generators and ``advance(t)``
+treats every queued pair of S-vector degree at most t.
 Pairs go by ascending S-vector degree (normal strategy), and a pair of
 degree d adds at most one vector, of degree d, whose new pairs are of
 degree above d: its leading term is divisible by no leading term in the
@@ -545,14 +545,6 @@ class BuchbergerRun:
             r = _reduce(s, gb)
             if r:
                 queue_pairs(gb._add(*_make_monic(r, p)))
-
-    def basis(self) -> GroebnerBasis:
-        """The working set interreduced.  Once the run has advanced to the
-        end this is the reduced basis of what it was given.  After
-        ``advance(t)`` only its part through degree t is that basis's part
-        through t: above t it holds the ``base`` elements and generators
-        of those degrees, whose pairs are not treated yet."""
-        return _interreduce(self.gb)
 
 
 def buchberger(

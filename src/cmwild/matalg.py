@@ -59,10 +59,12 @@ its minimal polynomial mu is split into coprime factors G * H by one
 distinct-degree scan on mu itself (``coprime_split``; the equal-degree
 split of Cantor-Zassenhaus when every factor has one degree), and the
 idempotent is (u G)(a) for the Bezout cofactor u of G modulo H.  mu is
-read off one elimination of vec(I), vec(a), ..., vec(a^n), and the powers
-in F_p[T]/(mu) that the scan takes fold each product modulo mu as it is
-formed, in unreduced Python ints, reducing mod p only where a coefficient
-is read.
+read off one elimination of vec(I), vec(a), ..., vec(a^n).  Euclid's
+cofactor has deg u < deg H, so u G has degree below deg mu, and the
+idempotent is one ``combine`` of those same powers, with no further
+product.  The powers in F_p[T]/(mu) that the scan takes fold each product
+modulo mu as it is formed, in unreduced Python ints, reducing mod p only
+where a coefficient is read.
 """
 
 from __future__ import annotations
@@ -419,16 +421,6 @@ def u_powmod(f, e, mod, p):
     return u_trim(result)
 
 
-def u_eval_matrix(f, A: np.ndarray, p: int) -> np.ndarray:
-    """f(A) by Horner."""
-    n = A.shape[0]
-    out = np.zeros((n, n), dtype=np.int64)
-    for c in reversed(u_trim(f)):
-        out = mat_mul(out, A, p)
-        out = (out + c * identity_matrix(n)) % p
-    return out
-
-
 def _equal_degree_split(v, k, p, rng):
     """Split a squarefree product of >= 2 irreducibles, all of degree k."""
     d = u_deg(v)
@@ -490,10 +482,12 @@ def coprime_split(mu, p, rng):
 
 
 def min_poly(A: np.ndarray, p: int):
-    """Monic minimal polynomial of a square matrix, ascending coefficients."""
+    """(mu, powers): the monic minimal polynomial mu of an n x n matrix,
+    ascending coefficients, and the powers [I, A, ..., A^n] it is read
+    off (``[I]`` for n = 0)."""
     n = A.shape[0]
     if n == 0:
-        return [1]
+        return [1], [identity_matrix(0)]
     powers = [identity_matrix(n), A % p]
     for _ in range(n - 1):
         powers.append(mat_mul(powers[-1], A, p))
@@ -502,7 +496,7 @@ def min_poly(A: np.ndarray, p: int):
     # the pivots are 0..k-1 and column k holds A^k = sum_j R[j, k] A^j
     R, pivots = rref(np.stack([M.reshape(-1) for M in powers], axis=1), p)
     k = len(pivots)
-    return [(-int(c)) % p for c in R[:k, k]] + [1]
+    return [(-int(c)) % p for c in R[:k, k]] + [1], powers
 
 
 def _spin(stacked: np.ndarray, p: int):
@@ -847,14 +841,18 @@ def simultaneous_conjugacy(
 
 def _idempotent_from_element(a: np.ndarray, p: int, rng) -> np.ndarray | None:
     """An exact nontrivial idempotent that is a polynomial in a, when the
-    minimal polynomial of a admits a coprime split."""
-    mu = min_poly(a, p)
+    minimal polynomial of a admits a coprime split: (u G)(a), one
+    combination of the powers ``min_poly`` stacked.  Euclid's cofactor
+    has deg u < deg H, so deg(u G) < deg mu <= n and those powers
+    suffice."""
+    mu, powers = min_poly(a, p)
     split = coprime_split(mu, p, rng)
     if split is None:
         return None
     g, h = split
     _d, u, _v = u_bezout(g, h, p)
-    e = u_eval_matrix(u_mul(u, g, p), a, p)
+    f = u_mul(u, g, p)
+    e = combine(f, powers[: len(f)], p)
     n = a.shape[0]
     if np.any(mat_mul(e, e, p) != e):
         raise CmwildError("CRT idempotent failed to square to itself")

@@ -128,10 +128,6 @@ class FreeMap:
         unpack = self.target.order.unpack_vec
         return [unpack(col.items()) for col in self.packed]
 
-    def entry(self, i: int, j: int) -> Poly:
-        col = self.target.order.unpack_vec(self.packed[j].items())
-        return Poly(self.ring.ambient, {m: c for (pos, m), c in col.items() if pos == i})
-
     def apply(self, v: dict) -> dict:
         """The image of a packed vector of the source, packed in the
         target's order."""

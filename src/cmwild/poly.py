@@ -316,15 +316,3 @@ class Poly:
     def __repr__(self):
         return f"Poly({self})"
 
-
-def compose(poly: Poly, images) -> Poly:
-    """Substitute images[i] for the i-th variable."""
-    ring = images[0].ring
-    out = ring.zero()
-    for e, c in poly.terms.items():
-        term = ring.const(c)
-        for img, exp in zip(images, e):
-            for _ in range(exp):
-                term = term * img
-        out = out + term
-    return out

@@ -66,21 +66,21 @@ from .rings import QuotientRing
 class Resolution:
     """A chain F_k -> ... -> F_1 -> F_0 (-> M) of graded free modules.
 
-    ``presentation`` is the presentation of M matching F_0 and delta_1 (the
-    augmentation data), so Omega^i = Im delta_i is well defined for i >= 1.
+    M is coker(delta_1) over F_0, so Omega^i = Im delta_i is well defined
+    for i >= 1; ``syzygy_presentation(0)`` presents M itself.
     ``terminated`` records that the module ran out of syzygies before the
     requested length (finite projective dimension).  ``module`` is M as
     given to ``minimal_resolution``, set only on a chain exact below its
-    top; the syzygy numerators are read off its numerator.
+    top; the syzygy numerators, M's own included, are read off its
+    numerator.
     """
 
     minimal = True  # both constructors leave no unit entry in a differential
 
-    def __init__(self, ring, frees, maps, presentation, terminated=False, module=None):
+    def __init__(self, ring, frees, maps, terminated=False, module=None):
         self.ring = ring
         self.frees = list(frees)
         self.maps = dict(maps)  # {i: FreeMap for delta_i}, i >= 1
-        self.presentation = presentation
         self.terminated = terminated
         self.module = module
 
@@ -104,9 +104,9 @@ class Resolution:
     def syzygy_presentation(self, i: int) -> ModulePresentation:
         """Presentation of Omega^i = Im(delta_i) (for i = 0: of M itself).
 
-        On an exact chain (one with ``module``) and for i >= 1 it carries
-        the numerator of Omega^i from the Euler sum, as exactness at F_i
-        makes coker(delta_{i+1}) equal to Omega^i."""
+        On an exact chain (one with ``module``) it carries the numerator of
+        Omega^i from the Euler sum, as exactness at F_i makes
+        coker(delta_{i+1}) equal to Omega^i; for i = 0 that is M's own."""
         if i < 0 or i > self.length:
             raise InputError(f"syzygy index {i} outside computed range")
         if i + 1 in self.maps:
@@ -118,7 +118,7 @@ class Resolution:
                 f"resolution not computed past step {i}; Omega^{i} needs delta_{i + 1}"
             )
         numerator = None
-        if i and self.module is not None:
+        if self.module is not None:
             numerator = _syzygy_numerator(self.module, self.frees[:i])
         return ModulePresentation(
             self.ring, self.frees[i].gen_degrees, rels, numerator=numerator
@@ -183,11 +183,7 @@ def koszul_complex(ring: QuotientRing, elems, copies: int = 1) -> Resolution:
                     add_terms(col, {(row, m): c for m, c in terms.items()}, p, (-1) ** t)
                 columns.append(col)
         maps[i] = FreeMap(frees[i], frees[i - 1], columns)
-
-    presentation = ModulePresentation(
-        ring, frees[0].gen_degrees, maps[1].packed if d >= 1 else []
-    )
-    return Resolution(ring, frees, maps, presentation, terminated=True)
+    return Resolution(ring, frees, maps, terminated=True)
 
 
 # ------------------------------------------------- minimal free resolutions
@@ -309,10 +305,7 @@ def minimal_resolution(pres: ModulePresentation, length: int) -> Resolution:
         i + 1: FreeMap(frees[i + 1], frees[i], maps_cols[i])
         for i in range(len(maps_cols))
     }
-    # at length 0 the pruned relations never became a stored map
-    pres_rels = maps[1].packed if maps else cols
-    presentation = ModulePresentation(ring, frees[0].gen_degrees, pres_rels)
-    res = Resolution(ring, frees, maps, presentation, terminated=terminated, module=pres)
+    res = Resolution(ring, frees, maps, terminated=terminated, module=pres)
     if not res.check_complex():
         raise CmwildError("resolution differentials do not compose to zero")
     return res
@@ -323,9 +316,9 @@ def _syzygy_numerator(pres: ModulePresentation, frees) -> dict:
     (-1)^i (HN(M) - sum_{j < i} (-1)^j HN(F_j)), where M = coker(pres)
     and HN(F_j) is sum_g t^g HN(R) over the generator degrees g of F_j.
 
-    Here Omega^i is the kernel of F_{i-1} -> F_{i-2} (of F_0 -> M for
-    i = 1), and F_{i-1} -> ... -> F_0 -> M -> 0 must be exact, as it is
-    below the top of a minimal resolution."""
+    Here Omega^0 is M and Omega^i is the kernel of F_{i-1} -> F_{i-2} (of
+    F_0 -> M for i = 1), and F_{i-1} -> ... -> F_0 -> M -> 0 must be
+    exact, as it is below the top of a minimal resolution."""
     out = pres.hilbert_numerator
     ring_numerator = pres.ring.hilbert_numerator
     for j, free in enumerate(frees):

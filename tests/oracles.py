@@ -5,8 +5,8 @@ solve, each written without the packed kernel it is compared against."""
 import numpy as np
 
 from cmwild.field import DEFAULT_PRIME
-from cmwild.matalg import solve_many
-from cmwild.poly import PolyRing, grevlex_key
+from cmwild.matalg import identity_matrix, mat_mul, solve_many, u_trim
+from cmwild.poly import Poly, PolyRing, grevlex_key
 from cmwild.rings import QuotientRing
 
 
@@ -57,3 +57,26 @@ def is_minimal(fmap) -> bool:
 def solve(A: np.ndarray, b, p: int):
     """One x with A x = b over F_p, or None."""
     return solve_many(A, np.asarray(b, dtype=np.int64).reshape(-1, 1), p)[0]
+
+
+def u_eval_matrix(f, A: np.ndarray, p: int) -> np.ndarray:
+    """f(A) by Horner, for ascending coefficients f."""
+    n = A.shape[0]
+    out = np.zeros((n, n), dtype=np.int64)
+    for c in reversed(u_trim(f)):
+        out = mat_mul(out, A, p)
+        out = (out + c * identity_matrix(n)) % p
+    return out
+
+
+def compose(poly: Poly, images) -> Poly:
+    """Substitute images[i] for the i-th variable."""
+    ring = images[0].ring
+    out = ring.zero()
+    for e, c in poly.terms.items():
+        term = ring.const(c)
+        for img, exp in zip(images, e):
+            for _ in range(exp):
+                term = term * img
+        out = out + term
+    return out

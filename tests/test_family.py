@@ -301,6 +301,31 @@ def test_family_report_builds_one_basis_per_stage(monkeypatch, fermat):
     assert len(calls) == 3
 
 
+def test_family_report_builds_five_presentations(monkeypatch, fermat):
+    built, inside = [], []
+    real_init = ModulePresentation.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ModulePresentation, "__init__", counting_init)
+    for name in ("minimal_resolution", "koszul_complex"):
+
+        def counting(*args, _real=getattr(family, name), **kwargs):
+            start = len(built)
+            out = _real(*args, **kwargs)
+            inside.append(len(built) - start)
+            return out
+
+        monkeypatch.setattr(family, name, counting)
+    family_report(two_param(fermat, [[1]], [[2]]))
+    # M over Rbar, M over R, N = Omega^2(M), N/(y)N and its quotient by
+    # the degree-m component; neither complex builds a presentation
+    assert len(built) == 5
+    assert inside == [0, 0]
+
+
 def test_derived_data_is_computed_once_per_spec(monkeypatch, fermat):
     resolutions, bases = [], []
     real_resolution, real_buchberger = family.minimal_resolution, modules.buchberger

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
-from oracles import solve
+from oracles import solve, u_eval_matrix
 
 from cmwild import matalg
 from cmwild.errors import CmwildError, InputError
@@ -522,21 +522,19 @@ def test_solve_many_rhs_pivot_before_consistent_column():
 
 def test_min_poly_frozen():
     J3 = as_matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]], P)
-    assert min_poly(J3, P) == [0, 0, 0, 1]
-    assert min_poly(identity_matrix(2), P) == [P - 1, 1]
+    assert min_poly(J3, P)[0] == [0, 0, 0, 1]
+    assert min_poly(identity_matrix(2), P)[0] == [P - 1, 1]
     D = as_matrix([[1, 0], [0, 2]], P)
     # (T-1)(T-2) = T^2 - 3T + 2
-    assert min_poly(D, P) == [2, P - 3, 1]
+    assert min_poly(D, P)[0] == [2, P - 3, 1]
 
 
 def test_min_poly_annihilates():
     rng = random.Random(19)
-    from cmwild.matalg import u_eval_matrix
-
     for _ in range(10):
         n = rng.randrange(1, 5)
         A = as_matrix([[rng.randrange(P) for _ in range(n)] for _ in range(n)], P)
-        mu = min_poly(A, P)
+        mu = min_poly(A, P)[0]
         assert mu[-1] == 1
         assert u_deg(mu) <= n
         assert not u_eval_matrix(mu, A, P).any()
@@ -2001,12 +1999,12 @@ def word_ranks(mats, p):
     return [rank(W, p) for W in words]
 
 
-def draw_min_poly_matrix(data):
-    """(p, A) with A of size 0..8 over F_2, F_3 or F_32003: dense; scalar;
+def draw_min_poly_matrix(data, primes=(2, 3, P)):
+    """(p, A) with A of size 0..8 over F_p for p in primes: dense; scalar;
     strictly upper triangular; or a direct sum of Jordan blocks of size
     1..3 whose eigenvalues repeat, conjugated by L U for unit triangular L
     and U (so derogatory, with repeated and defective eigenvalues)."""
-    p = data.draw(st.sampled_from((2, 3, P)))
+    p = data.draw(st.sampled_from(primes))
     n = data.draw(st.integers(0, 8))
     kind = data.draw(st.sampled_from(("dense", "scalar", "nilpotent", "jordan")))
     entry = st.integers(0, p - 1)
@@ -2037,10 +2035,39 @@ def draw_min_poly_matrix(data):
 @given(data=st.data())
 def test_min_poly_matches_one_solve_per_power(data):
     p, A = draw_min_poly_matrix(data)
-    mu = min_poly(A, p)
+    mu, powers = min_poly(A, p)
     event(f"p = {p}, degree {u_deg(mu)} of {A.shape[0]}")
     assert mu == stepwise_min_poly(A, p)
     assert all(type(c) is int for c in mu)
+    # the powers it is read off: exactly I, A, ..., A^n
+    assert len(powers) == A.shape[0] + 1
+    for e, M in enumerate(powers):
+        assert np.array_equal(M, repeated_product(A % p, e, p))
+
+
+def horner_idempotent(a, p, rng):
+    """(u G)(a) by Horner for the split of the minimal polynomial that
+    ``coprime_split`` draws from rng, or None when it finds none."""
+    mu = stepwise_min_poly(a, p)
+    split = coprime_split(mu, p, rng)
+    if split is None:
+        return None
+    g, h = split
+    _d, u, _v = u_bezout(g, h, p)
+    return u_eval_matrix(u_mul(u, g, p), a, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_idempotent_is_the_horner_value_of_u_g(data, seed):
+    p, A = draw_min_poly_matrix(data, (3, 5, P))
+    want = horner_idempotent(A, p, random.Random(seed))
+    got = _idempotent_from_element(A, p, random.Random(seed))
+    event(f"p = {p}, {'split' if want is not None else 'no split'}")
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and np.array_equal(got, want)
 
 
 UNIVARIATE_PRIMES = (2, 3, P, 2**31 - 1)

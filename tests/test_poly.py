@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import mono_deg, mono_divides, monomials_of_degree
+from oracles import compose, mono_deg, mono_divides, monomials_of_degree
 
 from cmwild.errors import InputError
 from cmwild.field import PrimeField, check_characteristic, is_prime
-from cmwild.poly import PolyRing, compose, grevlex_key, mono_mul
+from cmwild.poly import PolyRing, grevlex_key, mono_mul
 
 SPELL_RING = PolyRing(["x", "y", "z_1"], 7)
 SPACES = st.sampled_from(["", "", " ", "  ", "\t"])

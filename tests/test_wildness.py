@@ -12,14 +12,14 @@ import pytest
 from acm_rings import rational_normal_curve, segre, veronese
 from hypothesis import event, given, reject, settings
 from hypothesis import strategies as st
-from oracles import leading_terms, monomials_of_degree, polynomial_ring
+from oracles import compose, leading_terms, monomials_of_degree, polynomial_ring
 
 from cmwild import rings, wildness
 from cmwild.cli import main
 from cmwild.errors import BudgetExhausted, InputError
 from cmwild.groebner import series_add
 from cmwild.modules import ModulePresentation
-from cmwild.poly import Poly, PolyRing, compose
+from cmwild.poly import Poly, PolyRing
 from cmwild.rings import QuotientRing
 from cmwild.wildness import (
     artinian_reduction,

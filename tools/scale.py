@@ -27,10 +27,10 @@ The entries are at p = 32003.  Most are matrix-level, on the Jordan pair
   indecomposability decision, whose endomorphism algebra is F_p[J]
   (J is cyclic), read off the powers of J with no spin.
 
-Three entries are module-level, on the 14n x 14n actions of x, y, z on
+Four entries are module-level, on the 14n x 14n actions of x, y, z on
 the member of the Fermat quartic x^4 + y^4 + z^4 with sequence x^2, y^2,
-c = 4, Ax = J_n(1) and Ay = Ax^2; the member is built before the clock
-starts:
+c = 4, Ax = J_n(1) (or the diagonal named below) and Ay = Ax^2; the
+member is built before the clock starts:
 
 - ``fermat_module_indecomposability_n4``,
   ``fermat_module_indecomposability_n8``: the indecomposability decision
@@ -39,7 +39,13 @@ starts:
   dimension 840;
 - ``fermat_module_conjugacy_n4``: simultaneous conjugacy of the 56 x 56
   actions M against S M S^-1 for a seeded S as above, with the witness
-  re-checked in Python ints.
+  re-checked in Python ints;
+- ``fermat_module_decomposability_n4``: the indecomposability decision
+  on the 56 x 56 actions with Ax = diag(1, 2, 3, 4).  The module is
+  Decomposable (dim End = 212, four Frobenius-fixed directions), and its
+  56 x 56 idempotent is re-checked in Python ints: it squares to itself,
+  is neither 0 nor I, and commutes with each action.  It is the one entry
+  whose result carries an idempotent.
 """
 
 from __future__ import annotations
@@ -116,16 +122,32 @@ def conjugacy(As, seed: int):
 
 
 def indecomposability(mats):
+    """The indecomposability decision.  An idempotent e in the result is
+    re-checked in Python ints: e e = e, e != 0, e != I, and e commutes
+    with each action."""
     start = time.perf_counter()
     result = matalg.endomorphism_indecomposability(mats, P)
-    return result, time.perf_counter() - start, True
+    wall = time.perf_counter() - start
+    e = result["idempotent"]
+    if e is None:
+        return result, wall, True
+    n = len(e)
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    ok = (
+        int_product(e, e, P) == e
+        and any(map(any, e))
+        and e != eye
+        and all(int_product(e, A.tolist(), P) == int_product(A.tolist(), e, P) for A in mats)
+    )
+    return result, wall, ok
 
 
-def fermat_module_actions(n: int):
+def fermat_module_actions(n: int, Ax=None):
     """The actions of x, y, z on the Fermat quartic member with
-    Ax = J_n(1) and Ay = Ax^2."""
+    Ax = J_n(1), or the given n x n Ax, and Ay = Ax^2."""
     ring = QuotientRing.from_strings(["x", "y", "z"], ["x^4+y^4+z^4"], P)
-    Ax = [[int(j == i or j == i + 1) for j in range(n)] for i in range(n)]
+    if Ax is None:
+        Ax = [[int(j == i or j == i + 1) for j in range(n)] for i in range(n)]
     Ay = (np.array(Ax) @ np.array(Ax)).tolist()
     spec = FamilySpec(ring, ["x^2", "y^2"], 4, Ax, Ay=Ay)
     return action_matrices(build_family_member(spec))[0]
@@ -141,6 +163,9 @@ ENTRIES = {
     "fermat_module_indecomposability_n4": lambda: indecomposability(fermat_module_actions(4)),
     "fermat_module_indecomposability_n8": lambda: indecomposability(fermat_module_actions(8)),
     "fermat_module_conjugacy_n4": lambda: conjugacy(fermat_module_actions(4), 4),
+    "fermat_module_decomposability_n4": lambda: indecomposability(
+        fermat_module_actions(4, [[(i + 1) * (i == j) for j in range(4)] for i in range(4)])
+    ),
 }
 
 
